@@ -17,11 +17,11 @@ transaction core -> hooks -> substrates (see ``docs/architecture.md``):
 - :mod:`repro.cache.replacement` — the shared
   :class:`ReplacementPolicy` interface with both substrates' LRU
   states.
-- :mod:`repro.cache.object_store` — the object tag store (pinned
-  reference substrate).
+- :mod:`repro.cache.object_store` — the object tag store (the
+  reference substrate the scalar engine runs on).
 - :mod:`repro.cache.soa` — the struct-of-arrays tag substrate and the
-  batched set-replay kernels (flat numpy arrays, bit-identical fast
-  path).
+  batched set-replay kernels (flat numpy arrays, the batched engine's
+  bit-identical fast path).
 """
 
 from repro.cache.core import (
@@ -50,12 +50,7 @@ from repro.cache.hooks import (
 )
 from repro.cache.object_store import CacheLineState, SetAssocCache
 from repro.cache.replacement import LruState, ReplacementPolicy, SoaLruState
-from repro.cache.soa import (
-    SUBSTRATES,
-    SoaTagStore,
-    default_substrate,
-    resolve_substrate,
-)
+from repro.cache.soa import SoaTagStore
 from repro.cache.stats import CacheStats
 
 __all__ = [
@@ -65,11 +60,8 @@ __all__ = [
     "LruState",
     "CacheLineState",
     "SetAssocCache",
-    "SUBSTRATES",
     "SoaTagStore",
     "SoaLruState",
-    "default_substrate",
-    "resolve_substrate",
     "AccessOutcome",
     "ProtectionScheme",
     "UnprotectedScheme",

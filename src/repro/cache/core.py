@@ -15,9 +15,10 @@ additionally pays the memory latency.  Error-induced misses (Table 2's
 hit latency for the failed attempt plus a full miss.
 
 The tag store and LRU state run on one of two substrates with the same
-contract: ``"object"`` (per-line ``CacheLineState`` + recency lists,
-the pinned reference — :mod:`repro.cache.object_store`) or ``"soa"``
-(flat numpy arrays + integer-age LRU, the fast path).  Read hits
+contract: ``"soa"`` (flat numpy arrays + integer-age LRU, the default
+and the batched engine's) or ``"object"`` (per-line ``CacheLineState``
++ recency lists, the reference the scalar engine runs on —
+:mod:`repro.cache.object_store`).  Read hits
 additionally go through an epoch cache: once the scheme declares a
 line's hit behaviour stable
 (:meth:`~repro.cache.hooks.ProtectionScheme.hit_replay_info`), the
@@ -29,11 +30,11 @@ Formal access protocol: an access is an :class:`AccessTransaction`
 (address + direction), :meth:`CacheModel.execute` resolves it to a
 latency in cycles, and the scheme-visible classification of a hit is
 an :class:`~repro.cache.hooks.AccessOutcome`.  The scalar engine is a
-thin interpreter of this layer; the vectorized and batched tiers
-derive their preconditions from :attr:`CacheModel.semantics_batchable`
-/ :meth:`CacheModel.set_replay_profile` and push their bulk effects
-back through :meth:`CacheModel.commit_set_replays` — they never
-re-state the semantics themselves.
+thin interpreter of this layer; the batched engine derives its
+preconditions from :attr:`CacheModel.semantics_batchable` /
+:meth:`CacheModel.set_replay_profile` and pushes its bulk effects back
+through :meth:`CacheModel.commit_set_replays` — it never re-states the
+semantics itself.
 """
 
 from __future__ import annotations
@@ -44,13 +45,9 @@ from dataclasses import dataclass
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme
-from repro.cache.soa import (
-    SoaLruState,
-    SoaTagStore,
-    bulk_apply_set_replays,
-    resolve_substrate,
-    substrate_spec,
-)
+from repro.cache.object_store import SetAssocCache
+from repro.cache.replacement import LruState
+from repro.cache.soa import SoaLruState, SoaTagStore, bulk_apply_set_replays
 from repro.cache.stats import CacheStats
 from repro.testing.invariants import check_set_invariants, invariants_enabled
 
@@ -153,6 +150,12 @@ class AccessTransaction:
         return cls(addr, True)
 
 
+#: Tag store and LRU state per substrate name.
+_SUBSTRATES = {
+    "soa": (SoaTagStore, SoaLruState),
+    "object": (SetAssocCache, LruState),
+}
+
 #: Methods that together *are* the scalar access protocol.  A subclass
 #: that overrides any of them has semantics the bulk tiers were never
 #: validated against, so ``semantics_batchable`` turns False and every
@@ -166,7 +169,6 @@ _ACCESS_PROTOCOL = (
     "_memoize",
     "set_replay_info",
     "set_replay_profile",
-    "apply_set_replay",
     "apply_set_replays",
     "commit_set_replays",
 )
@@ -198,8 +200,7 @@ class CacheModel:
     latencies:
         Cycle costs per access type.
     substrate:
-        ``"object"`` or ``"soa"`` tag/LRU backing (None = session
-        default, see :func:`repro.cache.soa.default_substrate`).
+        ``"soa"`` (default) or ``"object"`` tag/LRU backing.
     write_policy / allocation_policy:
         The strategy objects; defaults reproduce the paper's L2
         (write-through / no-write-allocate).
@@ -210,7 +211,7 @@ class CacheModel:
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
+        substrate: str = "soa",
         *,
         write_policy: WritePolicy | None = None,
         allocation_policy: AllocationPolicy | None = None,
@@ -222,10 +223,16 @@ class CacheModel:
         self.allocation_policy = (
             allocation_policy if allocation_policy is not None else NO_WRITE_ALLOCATE
         )
-        self.substrate = resolve_substrate(substrate)
-        spec = substrate_spec(self.substrate)
-        self.tags = spec.tag_store(geometry)
-        self.lru = spec.lru(geometry)
+        try:
+            tag_store, lru_state = _SUBSTRATES[substrate]
+        except KeyError:
+            raise ValueError(
+                f"unknown substrate {substrate!r}; expected one of "
+                f"{tuple(_SUBSTRATES)}"
+            ) from None
+        self.substrate = substrate
+        self.tags = tag_store(geometry)
+        self.lru = lru_state(geometry.n_sets, geometry.associativity)
         self.stats = CacheStats()
         self.memory_reads = 0
         self.memory_writes = 0
@@ -536,56 +543,29 @@ class CacheModel:
             return None
         return self.scheme.set_replay_profile(set_index)
 
-    def apply_set_replay(self, set_index: int, way_lines, resident, touch_order):
-        """Write one replayed set's final state back into the substrate.
-
-        ``way_lines`` is the pre-replay state from
-        :func:`~repro.cache.soa.export_set_state`, ``resident`` /
-        ``touch_order`` the kernel's results.  Ways whose line changed
-        go through ``tags.insert`` (which maintains the lookup index
-        and validity counters on either substrate); touched ways replay
-        through ``lru.touch`` in final-recency order, reproducing the
-        exact age ordering the per-access path would leave.  Every
-        memoized hit stamp of the set is conservatively cleared —
-        over-invalidation only costs a re-memoization, never a
-        behaviour change.
-        """
-        tags = self.tags
-        line_bytes = self._line_bytes
-        for line, way in resident.items():
-            if way_lines[way] != line:
-                tags.insert(line * line_bytes, way)
-        lru = self.lru
-        for way in touch_order:
-            lru.touch(set_index, way)
-        base = set_index * self._assoc
-        stamp = self._hit_stamp
-        for way in range(self._assoc):
-            stamp[base + way] = -1
-
     def apply_set_replays(self, pending) -> None:
         """Write many replayed sets back at once (deferred application).
 
         ``pending`` holds ``(set_index, way_lines, resident,
-        touch_order)`` tuples.  Deferral is sound because a replayed
-        set's remaining accesses were all consumed by its replay and no
-        other set reads its tag/LRU state: an inert set holds no
-        ECC-cache entries, so cross-set ECC evictions can never reach
-        into it mid-kernel.  On the SoA substrate the numpy columns are
-        written in one fancy-indexed pass; the object substrate applies
-        per set.
+        touch_order)`` tuples: the pre-replay state from
+        :func:`~repro.cache.soa.export_set_state` and the kernel's
+        results.  Deferral is sound because a replayed set's remaining
+        accesses were all consumed by its replay and no other set reads
+        its tag/LRU state: an inert set holds no ECC-cache entries, so
+        cross-set ECC evictions can never reach into it mid-kernel.  The
+        numpy columns are written in one fancy-indexed pass
+        (:func:`~repro.cache.soa.bulk_apply_set_replays`, SoA substrate
+        only — the batched engine's).  Every memoized hit stamp of a
+        replayed set is conservatively cleared — over-invalidation only
+        costs a re-memoization, never a behaviour change.
         """
-        if isinstance(self.tags, SoaTagStore) and isinstance(self.lru, SoaLruState):
-            bulk_apply_set_replays(self.tags, self.lru, pending)
-            assoc = self._assoc
-            stamp = self._hit_stamp
-            blank = [-1] * assoc
-            for set_index, _, _, _ in pending:
-                base = set_index * assoc
-                stamp[base : base + assoc] = blank
-        else:
-            for set_index, way_lines, resident, touch_order in pending:
-                self.apply_set_replay(set_index, way_lines, resident, touch_order)
+        bulk_apply_set_replays(self.tags, self.lru, pending)
+        assoc = self._assoc
+        stamp = self._hit_stamp
+        blank = [-1] * assoc
+        for set_index, _, _, _ in pending:
+            base = set_index * assoc
+            stamp[base : base + assoc] = blank
 
     def commit_set_replays(
         self, pending, agg, n_misses: int, bulk_hits, n_corrected: int = 0
@@ -836,7 +816,7 @@ class WriteThroughCache(CacheModel):
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
+        substrate: str = "soa",
     ):
         CacheModel.__init__(
             self,
@@ -869,7 +849,7 @@ class WriteBackCache(WriteThroughCache):
         geometry: CacheGeometry,
         scheme: ProtectionScheme | None = None,
         latencies: CacheLatencies | None = None,
-        substrate: str | None = None,
+        substrate: str = "soa",
     ):
         CacheModel.__init__(
             self,

@@ -187,6 +187,10 @@ class ProtectionScheme:
         """Called by the owning cache after construction."""
         self.cache = cache
 
+    def detach(self) -> None:
+        """Drop every reference back to the owning cache."""
+        self.cache = None
+
     # -- access hooks (set_index, way identify the physical line) -------
 
     def on_fill(self, set_index: int, way: int) -> None:

@@ -3,9 +3,10 @@
 The object substrate (:mod:`repro.cache.object_store` +
 :class:`~repro.cache.replacement.LruState`) keeps one
 ``CacheLineState`` dataclass per physical line behind per-set tag
-dicts and per-set recency lists.  That is the pinned reference
-implementation; this module is the fast path: the same tag-store
-contract on flat numpy arrays —
+dicts and per-set recency lists.  That is the reference
+implementation, which the scalar engine runs on; this module is the
+fast path the batched engine runs on: the same tag-store contract on
+flat numpy arrays —
 
 - :class:`SoaTagStore` — valid/tag/disabled/dirty as ``(n_sets,
   associativity)`` arrays plus a single line-number -> way dict for
@@ -17,29 +18,20 @@ contract on flat numpy arrays —
   :class:`~repro.cache.replacement.ReplacementPolicy` interface.
 
 Both substrates are interchangeable behind any
-:class:`~repro.cache.core.CacheModel` — the L2 presets and
-:class:`~repro.gpu.hierarchy.SimpleL1` alike (``substrate="object"``
-/ ``"soa"``); the test suite pins them bit-identical across schemes,
-workloads and reset/disable semantics.  The default substrate is
-``soa`` and can be overridden with the ``REPRO_SUBSTRATE`` environment
-variable (the CI runs the tier-1 suite under both).
+:class:`~repro.cache.core.CacheModel` (``substrate="object"`` /
+``"soa"``, default ``"soa"``); the test suite pins them bit-identical
+across schemes, workloads and reset/disable semantics.  The batched
+set-replay kernels below address the SoA arrays directly.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import SoaLruState
-from repro.scenario.registries import SUBSTRATE_REGISTRY, SubstrateSpec
 
 __all__ = [
-    "SUBSTRATES",
-    "default_substrate",
-    "resolve_substrate",
-    "substrate_spec",
     "SoaLineView",
     "SoaTagStore",
     "SoaLruState",
@@ -47,37 +39,6 @@ __all__ = [
     "replay_clean_set",
     "bulk_apply_set_replays",
 ]
-
-#: The built-in substrate names (registry may hold more).
-SUBSTRATES = ("object", "soa")
-
-
-def default_substrate() -> str:
-    """The session default: ``REPRO_SUBSTRATE`` env var or ``"soa"``."""
-    value = os.environ.get("REPRO_SUBSTRATE", "soa")
-    if value not in SUBSTRATE_REGISTRY:
-        raise ValueError(
-            f"REPRO_SUBSTRATE={value!r} is not one of "
-            f"{tuple(SUBSTRATE_REGISTRY.names())}"
-        )
-    return value
-
-
-def resolve_substrate(substrate: str | None) -> str:
-    """Validate an explicit substrate choice, or fall back to the default."""
-    if substrate is None:
-        return default_substrate()
-    if substrate not in SUBSTRATE_REGISTRY:
-        raise ValueError(
-            f"unknown substrate {substrate!r}; expected one of "
-            f"{tuple(SUBSTRATE_REGISTRY.names())}"
-        )
-    return substrate
-
-
-def substrate_spec(substrate: str | None) -> SubstrateSpec:
-    """The :class:`SubstrateSpec` backing a (possibly default) name."""
-    return SUBSTRATE_REGISTRY.resolve(resolve_substrate(substrate))
 
 
 class SoaLineView:
@@ -390,13 +351,12 @@ class SoaTagStore:
 # plain set-associative LRU: residency plus recency fully determine
 # every hit, miss, fill and eviction, so the replay needs only an
 # insertion-ordered dict (oldest entry first == LRU victim) and O(1)
-# work per access.  The kernels are substrate-agnostic: state crosses
-# through the canonical per-set form exported below and is written back
-# through the substrate's own insert/touch, mirroring the L1 filter's
+# work per access.  State crosses through the canonical per-set form
+# exported below and is written back in bulk, mirroring the L1 filter's
 # export/import pattern.
 
 
-def export_set_state(tags, lru, set_index: int):
+def export_set_state(tags: SoaTagStore, lru: SoaLruState, set_index: int):
     """Canonical replay state of one set: ``(way_lines, seed, free_ways)``.
 
     ``way_lines[way]`` is the resident line number (-1 invalid),
@@ -408,40 +368,20 @@ def export_set_state(tags, lru, set_index: int):
     invalid (``disable`` invalidates first), so they can never appear
     in ``seed`` either.
     """
-    assoc = tags.geometry.associativity
-    if isinstance(tags, SoaTagStore):
-        base = set_index * assoc
-        way_lines = tags._line_at[base : base + assoc]
-    else:
-        n_sets = tags.geometry.n_sets
-        way_lines = [
-            tags.tag_at(set_index, way) * n_sets + set_index
-            if tags.is_valid(set_index, way)
-            else -1
-            for way in range(assoc)
-        ]
+    assoc = tags._assoc
+    base = set_index * assoc
+    way_lines = tags._line_at[base : base + assoc]
     if tags.disabled_in_set[set_index]:
-        if isinstance(tags, SoaTagStore):
-            disabled_row = tags.disabled[set_index]
-            free_ways = [
-                way
-                for way in range(assoc)
-                if way_lines[way] < 0 and not disabled_row[way]
-            ]
-        else:
-            free_ways = [
-                way
-                for way in range(assoc)
-                if way_lines[way] < 0 and not tags.is_disabled(set_index, way)
-            ]
+        disabled_row = tags.disabled[set_index]
+        free_ways = [
+            way
+            for way in range(assoc)
+            if way_lines[way] < 0 and not disabled_row[way]
+        ]
     else:
         free_ways = [way for way in range(assoc) if way_lines[way] < 0]
-    if isinstance(lru, SoaLruState):
-        base = set_index * assoc
-        ages = lru.age[base : base + assoc]
-        order = sorted(range(assoc), key=ages.__getitem__)
-    else:
-        order = list(lru.recency_order(set_index))[::-1]
+    ages = lru.age[base : base + assoc]
+    order = sorted(range(assoc), key=ages.__getitem__)
     seed = [(way_lines[way], way) for way in order if way_lines[way] >= 0]
     return way_lines, seed, free_ways
 
@@ -615,7 +555,7 @@ def replay_clean_set(
 
 
 def bulk_apply_set_replays(tags: SoaTagStore, lru: SoaLruState, pending) -> None:
-    """Write many replayed sets' final state back in one pass (SoA only).
+    """Write many replayed sets' final state back in one pass.
 
     ``pending`` holds ``(set_index, way_lines, resident, touch_order)``
     tuples as produced by :func:`export_set_state` /
@@ -670,36 +610,3 @@ def bulk_apply_set_replays(tags: SoaTagStore, lru: SoaLruState, pending) -> None
             np.asarray(upd_lines, dtype=np.int64) // n_sets
         )
         tags.dirty.ravel()[slots_np] = False
-
-
-def _object_tag_store(geometry: CacheGeometry):
-    from repro.cache.object_store import SetAssocCache
-
-    return SetAssocCache(geometry)
-
-
-def _object_lru(geometry: CacheGeometry):
-    from repro.cache.replacement import LruState
-
-    return LruState(geometry.n_sets, geometry.associativity)
-
-
-SUBSTRATE_REGISTRY.register(
-    "object",
-    SubstrateSpec(
-        name="object",
-        tag_store=_object_tag_store,
-        lru=_object_lru,
-        description="per-line objects; the pinned reference implementation",
-        reference=True,
-    ),
-)
-SUBSTRATE_REGISTRY.register(
-    "soa",
-    SubstrateSpec(
-        name="soa",
-        tag_store=SoaTagStore,
-        lru=lambda geometry: SoaLruState(geometry.n_sets, geometry.associativity),
-        description="flat numpy arrays; the fast path",
-    ),
-)

@@ -132,6 +132,11 @@ class KilliScheme(ProtectionScheme):
         # the cache's memoized hit outcomes.
         self.errors.external_mutation_hook = cache.bump_epoch
 
+    def detach(self) -> None:
+        super().detach()
+        self.errors.external_mutation_hook = None
+        self._interp = None
+
     # -- internals ---------------------------------------------------------
 
     #: fill priority per DFH value (paper 4.4: b'01 > b'00 > b'10).

@@ -9,24 +9,26 @@ traffic.  The kernel's execution time is the slowest CU's cycle count
 — the metric normalised in the paper's Figure 4 — and L2 MPKI over
 total instructions is Figure 5's metric.
 
-Three interchangeable inner loops implement the model:
+Two simulators implement the model, each an inner loop fixed to its
+own tag/LRU substrate:
 
-- ``engine="vectorized"`` (default): the round-robin interleave and
-  per-CU gap totals are computed once with numpy, leaving a single
-  flat pass over the merged access sequence.
-- ``engine="batched"``: additionally partitions the L2-bound residue
-  by L2 set and replays every *scheme-inert* set through the batched
-  set kernel (:func:`~repro.cache.soa.replay_clean_set`) — no
-  per-access Python call at all; sets with scheme-relevant lines
-  (faulty, disabled, ECC-cache-resident, DFH-transitioning) fall back
-  to the exact per-access path in original global order.  Bank
-  conflicts and the stats deltas are applied in bulk.
-- ``engine="scalar"``: the original per-round Python loop, kept as
-  the reference implementation.
+- ``engine="batched"`` (default), on the struct-of-arrays substrate:
+  each CU's private L1 stream is filtered in one pass, then the
+  L2-bound residue is partitioned by L2 set and every *scheme-inert*
+  set replays through the batched set kernel
+  (:func:`~repro.cache.soa.replay_clean_set`) — no per-access Python
+  call at all; sets with scheme-relevant lines (faulty, disabled,
+  ECC-cache-resident, DFH-transitioning) fall back to the exact
+  per-access path in original global order.  Bank conflicts and the
+  stats deltas are applied in bulk.
+- ``engine="scalar"``, on the object substrate: the original
+  per-round Python loop over per-line objects, kept as the reference
+  implementation.
 
-All engines produce bit-identical results — cycles, per-CU cycles and
-every :class:`~repro.cache.stats.CacheStats` counter — which the test
-suite pins across workloads and schemes.
+Both produce bit-identical results — cycles, per-CU cycles, every
+:class:`~repro.cache.stats.CacheStats` counter and the full
+:meth:`GpuSimulator.state_snapshot` — which the differential oracle
+(:mod:`repro.testing.differential`) pins across workloads and schemes.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from repro.cache.core import WriteThroughCache
 from repro.cache.hooks import ProtectionScheme, batched_surface
-from repro.cache.soa import export_set_state, replay_clean_set, resolve_substrate
+from repro.cache.soa import export_set_state, replay_clean_set
 from repro.cache.stats import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.hierarchy import SimpleL1
@@ -50,10 +52,19 @@ from repro.metrics import METRICS
 from repro.scenario.registries import ENGINE_REGISTRY
 from repro.traces.base import Trace
 
-__all__ = ["ENGINES", "KernelResult", "GpuSimulator"]
+__all__ = ["ENGINES", "KernelResult", "GpuSimulator", "substrate_of"]
 
 #: The built-in inner-loop implementations (registry may hold more).
-ENGINES = ("vectorized", "scalar", "batched")
+ENGINES = ("scalar", "batched")
+
+
+def substrate_of(engine: str) -> str:
+    """The tag/LRU substrate the simulator for ``engine`` builds.
+
+    The scalar reference runs on per-line objects; every other engine
+    runs on the struct-of-arrays substrate its bulk kernels address.
+    """
+    return "object" if engine == "scalar" else "soa"
 
 
 def _resolve_engine(engine: str):
@@ -159,34 +170,30 @@ class GpuSimulator:
         Protection scheme for the L2 (Killi, a baseline, or the
         fault-free :class:`~repro.cache.UnprotectedScheme`).
     engine:
-        Default inner loop: ``"vectorized"`` (numpy-flattened fast
-        path) or ``"scalar"`` (reference implementation).
-    substrate:
-        Tag/LRU backing for both cache levels: ``"soa"`` (flat numpy
-        arrays, fast) or ``"object"`` (per-line objects, the pinned
-        reference); None = session default.  Orthogonal to ``engine``
-        — all four combinations are bit-identical.
+        ``"batched"`` (the fast path, on struct-of-arrays caches) or
+        ``"scalar"`` (the reference, on object-substrate caches).  The
+        engine fixes the substrate of both cache levels; the two are
+        bit-identical.
     """
 
     def __init__(
         self,
         config: GpuConfig | None = None,
         l2_scheme: ProtectionScheme | None = None,
-        engine: str = "vectorized",
-        substrate: str | None = None,
+        engine: str = "batched",
     ):
         _resolve_engine(engine)
         self.config = config if config is not None else GpuConfig()
         self.engine = engine
-        self.substrate = resolve_substrate(substrate)
+        substrate = substrate_of(engine)
         self.l2 = WriteThroughCache(
             self.config.l2,
             l2_scheme,
             self.config.l2_latencies,
-            substrate=self.substrate,
+            substrate=substrate,
         )
         self.l1s = [
-            SimpleL1(self.config.l1_geometry(), substrate=self.substrate)
+            SimpleL1(self.config.l1_geometry(), substrate=substrate)
             for _ in range(self.config.n_cus)
         ]
 
@@ -201,8 +208,8 @@ class GpuSimulator:
         transition counts, ECC-cache counters, SDC events and the
         shared RNG stream position.  This is the state the
         differential executor (:mod:`repro.testing.differential`)
-        diffs across engine × substrate combinations; the engine and
-        substrate names themselves are deliberately excluded.
+        diffs between the two simulators; the engine and substrate
+        names themselves are deliberately excluded.
         """
         return {
             "l2": self.l2.state_snapshot(),
@@ -215,6 +222,18 @@ class GpuSimulator:
         blob = json.dumps(self.state_snapshot(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    def release(self) -> None:
+        """Break the reference cycles between the caches and their schemes.
+
+        Each cache and its scheme point at each other, so a finished
+        simulator is otherwise reclaimed only by the cyclic garbage
+        collector, which runs rarely in a process holding large fault
+        maps and traces: a campaign's finished cells pile up in memory.
+        The simulator must not run again afterwards.
+        """
+        for cache in [self.l2, *self.l1s]:
+            cache.scheme.detach()
+
     @staticmethod
     def _bank_delay(bank_usage: dict, bank: int, penalty: int) -> int:
         """Queueing delay for the n-th same-bank access in a round."""
@@ -225,11 +244,16 @@ class GpuSimulator:
     def run(self, trace: Trace, engine: str | None = None) -> KernelResult:
         """Simulate one kernel and return its metrics.
 
-        ``engine`` overrides the simulator's default inner loop for
-        this kernel only; both loops are bit-equivalent.
+        ``engine`` may only name the simulator's own engine: the
+        caches were built on that engine's substrate.
         """
         engine = engine if engine is not None else self.engine
         inner_loop = _resolve_engine(engine)
+        if engine != self.engine:
+            raise ValueError(
+                f"this simulator was built for engine {self.engine!r}; "
+                f"build a GpuSimulator(engine={engine!r}) to run {engine!r}"
+            )
         if len(trace.streams) != self.config.n_cus:
             raise ValueError(
                 f"trace has {len(trace.streams)} CU streams, "
@@ -310,42 +334,10 @@ class GpuSimulator:
                 remaining -= 1
         return cycles
 
-    # -- vectorized fast path ----------------------------------------------
-
-    def _flatten_round_robin(self, trace: Trace):
-        """Merge CU streams into one round-robin-ordered flat sequence.
-
-        Returns ``(addrs, stores, cus, rounds, gap_totals)`` where the
-        first four are aligned Python lists in exactly the order the
-        scalar loop visits accesses (round-major, CU-minor), and
-        ``gap_totals[cu]`` is that CU's summed compute-gap cycles.
-        """
-        addr_parts, store_parts, pos_parts, cu_parts, gap_totals = [], [], [], [], []
-        for cu, stream in enumerate(trace.streams):
-            n = len(stream.addrs)
-            addr_parts.append(np.asarray(stream.addrs, dtype=np.int64))
-            store_parts.append(np.asarray(stream.is_store, dtype=bool))
-            pos_parts.append(np.arange(n, dtype=np.int64))
-            cu_parts.append(np.full(n, cu, dtype=np.int64))
-            gap_totals.append(int(np.sum(np.asarray(stream.gaps, dtype=np.int64))))
-        if not addr_parts or sum(len(p) for p in addr_parts) == 0:
-            return [], [], [], [], gap_totals
-        addrs = np.concatenate(addr_parts)
-        stores = np.concatenate(store_parts)
-        pos = np.concatenate(pos_parts)
-        cus = np.concatenate(cu_parts)
-        # Round-major, CU-minor: the scalar loop's visit order.
-        order = np.lexsort((cus, pos))
-        return (
-            addrs[order].tolist(),
-            stores[order].tolist(),
-            cus[order].tolist(),
-            pos[order].tolist(),
-            gap_totals,
-        )
+    # -- batched fast path ---------------------------------------------------
 
     def _l1_filter_residue(self, trace: Trace):
-        """Stage 1, shared by the vectorized and batched engines.
+        """Stage 1 of the batched engine: the L1 pre-filter.
 
         Simulates each CU's entire (private, deterministic) L1 stream
         in one pass (:func:`~repro.gpu.l1filter.run_l1_stream`), which
@@ -386,69 +378,6 @@ class GpuSimulator:
         order = np.lexsort((cus, pos))
         return base, (addrs_arr[order], stores_arr[order], cus[order], pos[order])
 
-    def _run_vectorized(self, trace: Trace) -> list:
-        """Batched L1 pre-filter + flat residue loop over the L2.
-
-        Stage 1 is :meth:`_l1_filter_residue`.  Stage 2 replays the
-        L2-bound residue in the scalar loop's visit order; rounds
-        consisting purely of L1 hits never touch the bank-usage map in
-        either loop, so bank-conflict accounting matches bit for bit.
-        """
-        n_cus = self.config.n_cus
-
-        telemetry = METRICS.enabled
-        if telemetry:
-            phase_started = time.perf_counter()
-        base, residue = self._l1_filter_residue(trace)
-        if telemetry:
-            now = time.perf_counter()
-            METRICS.observe("engine.vectorized.l1_filter", now - phase_started)
-            phase_started = now
-
-        latency = [0] * n_cus
-        if residue is not None:
-            addrs_arr, stores_arr, cus, pos = residue
-            r_addrs = addrs_arr.tolist()
-            r_stores = stores_arr.tolist()
-            r_cus = cus.tolist()
-            r_rounds = pos.tolist()
-
-            l2_read = self.l2.read
-            l2_write = self.l2.write
-            model_banks = self.config.model_bank_conflicts
-            bank_penalty = self.config.bank_conflict_penalty
-            # bank_of(addr) == (addr // line_bytes) % banks: banks is a
-            # power of two dividing n_sets, so the set-index modulo in
-            # CacheGeometry.bank_of drops out.
-            line_bytes = self.config.l2.line_bytes
-            n_banks = self.config.l2.banks
-            bank_usage: dict = {}
-            bank_get = bank_usage.get
-            current_round = -1
-
-            for addr, is_store, cu, rnd in zip(
-                r_addrs, r_stores, r_cus, r_rounds
-            ):
-                if model_banks:
-                    if rnd != current_round:
-                        bank_usage.clear()
-                        current_round = rnd
-                    bank = (addr // line_bytes) % n_banks
-                    queued = bank_get(bank, 0)
-                    bank_usage[bank] = queued + 1
-                    latency[cu] += queued * bank_penalty
-                if is_store:
-                    latency[cu] += l2_write(addr)
-                else:
-                    latency[cu] += l2_read(addr)
-        if telemetry:
-            METRICS.observe(
-                "engine.vectorized.l2_replay", time.perf_counter() - phase_started
-            )
-        return [base[cu] + latency[cu] for cu in range(n_cus)]
-
-    # -- batched set-partitioned fast path -----------------------------------
-
     #: A set that fails its inertness probe is re-probed after this many
     #: of its *own* accesses have run per-access; the interval doubles
     #: per failed probe up to the MAX.  Probing only decides *when* a
@@ -460,12 +389,12 @@ class GpuSimulator:
     def _run_batched(self, trace: Trace) -> list:
         """Set-partitioned batched replay of the L2-bound residue.
 
-        Stage 1 is the shared L1 pre-filter.  Stage 2 computes
+        Stage 1 is :meth:`_l1_filter_residue`.  Stage 2 computes
         bank-conflict delays for the whole residue in one vectorized
         pass (queue rank = ordinal within the (round, bank) group of
         the ordered residue — identical to the per-round ``bank_usage``
-        dict in either reference loop, and independent of which path
-        replays the access).  Stage 3 partitions the residue by L2 set:
+        dict of the scalar loop, and independent of which path replays
+        the access).  Stage 3 partitions the residue by L2 set:
 
         - A set the cache hands a *replay profile* for
           (:meth:`~repro.cache.core.CacheModel.set_replay_profile`)
@@ -789,6 +718,5 @@ class GpuSimulator:
 
 
 # Built-in inner loops: ``(simulator, trace) -> per-CU cycle list``.
-ENGINE_REGISTRY.register("vectorized", GpuSimulator._run_vectorized)
 ENGINE_REGISTRY.register("scalar", GpuSimulator._run_scalar)
 ENGINE_REGISTRY.register("batched", GpuSimulator._run_batched)

@@ -6,13 +6,13 @@ L1 is the write-through / no-write-allocate / plain-LRU-fill preset
 of the unified :class:`~repro.cache.core.CacheModel`, serving as a
 fast filter in front of the L2.
 
-Like the L2, the L1 tag/LRU state runs on either the object substrate
-(reference) or the struct-of-arrays substrate (fast path).  Because an
-L1 is private, unprotected and deterministic, its entire access stream
-can also be simulated in one batched pass — see
-:mod:`repro.gpu.l1filter`, which exports the state via
-:meth:`SimpleL1.export_filter_state`, runs the pass, and writes the
-state back.
+Like the L2, the L1 tag/LRU state runs on the object substrate under
+the scalar engine (reference) and on the struct-of-arrays substrate
+under the batched engine.  Because an L1 is private, unprotected and
+deterministic, the batched engine simulates its entire access stream
+in one pass — see :mod:`repro.gpu.l1filter`, which exports the SoA
+state via :meth:`SimpleL1.export_filter_state`, runs the pass, and
+writes the state back.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class SimpleL1(CacheModel):
     :data:`~repro.cache.core.LRU_FILL` allocation policy.
     """
 
-    def __init__(self, geometry: CacheGeometry, substrate: str | None = None):
+    def __init__(self, geometry: CacheGeometry, substrate: str = "soa"):
         CacheModel.__init__(
             self, geometry, substrate=substrate, allocation_policy=LRU_FILL
         )
@@ -54,80 +54,35 @@ class SimpleL1(CacheModel):
 
     # -- batched-filter state interchange ----------------------------------
     #
-    # Canonical form shared by both substrates: per-slot line numbers
-    # (``-1`` = invalid) and per-slot integer ages (distinct within a
-    # set; larger = more recent), both flat lists indexed by
-    # ``set * associativity + way``, plus the per-set age clocks and
-    # the line-number -> way dict.
+    # The SoA substrate's own columns (the batched engine's): per-slot
+    # line numbers (``-1`` = invalid) and per-slot integer ages
+    # (distinct within a set; larger = more recent), both flat lists
+    # indexed by ``set * associativity + way``, plus the per-set age
+    # clocks and the line-number -> way dict.
 
     def export_filter_state(self):
         """State tuple ``(index, slot_line, age, clock)`` for the filter."""
-        geometry = self.geometry
-        n_sets, assoc = geometry.n_sets, geometry.associativity
-        if self.substrate == "soa":
-            tags, lru = self.tags, self.lru
-            slot_line = list(tags._line_at)
-            age = list(lru.age)
-            clock = list(lru._clock)
-            index = dict(tags._index)
-            return index, slot_line, age, clock
-        slot_line = [-1] * (n_sets * assoc)
-        age = [0] * (n_sets * assoc)
-        index = {}
-        for set_index in range(n_sets):
-            base = set_index * assoc
-            for way in range(assoc):
-                if self.tags.is_valid(set_index, way):
-                    line_no = (
-                        self.tags.tag_at(set_index, way) * n_sets + set_index
-                    )
-                    slot_line[base + way] = line_no
-                    index[line_no] = way
-            # MRU-first order -> descending distinct ages 0, -1, ...
-            for pos, way in enumerate(self.lru.recency_order(set_index)):
-                age[base + way] = -pos
-        clock = [1] * n_sets
-        return index, slot_line, age, clock
+        tags, lru = self.tags, self.lru
+        return dict(tags._index), list(tags._line_at), list(lru.age), list(lru._clock)
 
     def import_filter_state(self, state) -> None:
-        """Write a filter state tuple back into the substrate."""
+        """Write a filter state tuple back into the SoA substrate."""
         index, slot_line, age, clock = state
         geometry = self.geometry
         n_sets, assoc = geometry.n_sets, geometry.associativity
-        if self.substrate == "soa":
-            tags, lru = self.tags, self.lru
-            for set_index in range(n_sets):
-                base = set_index * assoc
-                n_valid = 0
-                for way in range(assoc):
-                    line_no = slot_line[base + way]
-                    tags.valid[set_index, way] = line_no >= 0
-                    tags.tag[set_index, way] = (
-                        line_no // n_sets if line_no >= 0 else -1
-                    )
-                    if line_no >= 0:
-                        n_valid += 1
-                tags.valid_in_set[set_index] = n_valid
-            lru.age = list(age)
-            tags._index = index
-            tags._line_at = list(slot_line)
-            tags._n_valid = len(index)
-            lru._clock = list(clock)
-            return
-        tags = self.tags
+        tags, lru = self.tags, self.lru
         for set_index in range(n_sets):
             base = set_index * assoc
-            tag_index = {}
+            n_valid = 0
             for way in range(assoc):
-                line = tags.line(set_index, way)
                 line_no = slot_line[base + way]
-                line.valid = line_no >= 0
-                line.tag = line_no // n_sets if line_no >= 0 else -1
+                tags.valid[set_index, way] = line_no >= 0
+                tags.tag[set_index, way] = line_no // n_sets if line_no >= 0 else -1
                 if line_no >= 0:
-                    tag_index[line.tag] = way
-            tags._tag_index[set_index] = tag_index
-            tags.valid_in_set[set_index] = len(tag_index)
-            # Rebuild the MRU-first order from the (distinct) ages.
-            order = sorted(range(assoc), key=lambda w: -age[base + w])
-            self.lru._order[set_index] = order
+                    n_valid += 1
+            tags.valid_in_set[set_index] = n_valid
+        lru.age = list(age)
+        tags._index = index
+        tags._line_at = list(slot_line)
         tags._n_valid = len(index)
+        lru._clock = list(clock)

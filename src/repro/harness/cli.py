@@ -67,6 +67,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _engine_name(text: str) -> str:
+    from repro.scenario.registries import ENGINE_REGISTRY
+
+    if text not in ENGINE_REGISTRY:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {text!r}; expected one of "
+            f"{tuple(ENGINE_REGISTRY.names())}"
+        )
+    return text
+
+
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     """The campaign-hardening flags shared by every simulation command."""
     parser.add_argument(
@@ -162,7 +173,6 @@ def _run_perf(args) -> None:
         cache_dir=args.cache,
         progress=_progress_printer(args),
         engine=args.engine,
-        substrate=args.substrate,
         retries=args.retries,
         timeout=args.timeout,
         journal=args.journal,
@@ -307,9 +317,14 @@ def _scenario_progress(done, total, cell):
 def _scenario_run(args) -> int:
     from repro.scenario.runfile import load_scenario, run_scenario
 
+    try:
+        scenario = load_scenario(args.file)
+        scenario.validate()
+    except (OSError, KeyError, ValueError) as error:
+        print(f"invalid scenario {args.file}: {error}", file=sys.stderr)
+        return 2
     if args.telemetry:
         METRICS.enable()
-    scenario = load_scenario(args.file)
     try:
         summary = run_scenario(
             scenario,
@@ -379,7 +394,6 @@ def _scenario_list(args) -> int:
     from repro.scenario.registries import (
         ENGINE_REGISTRY,
         SCHEME_REGISTRY,
-        SUBSTRATE_REGISTRY,
         WORKLOAD_REGISTRY,
     )
     from repro.scenario.runfile import load_scenario
@@ -411,7 +425,6 @@ def _scenario_list(args) -> int:
         ("schemes", SCHEME_REGISTRY),
         ("workloads", WORKLOAD_REGISTRY),
         ("engines", ENGINE_REGISTRY),
-        ("substrates", SUBSTRATE_REGISTRY),
     ):
         print(f"{label}: {', '.join(registry.names())}")
     return 0
@@ -489,16 +502,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--engine", default="vectorized", metavar="NAME",
-        help="simulation inner loop for Figure 4/5 cells — any name in "
-             "the engine registry (scalar, vectorized, batched); all "
-             "engines are pinned bit-identical, so this only changes "
-             "wall-clock time",
-    )
-    parser.add_argument(
-        "--substrate", default=None, metavar="NAME",
-        help="tag/LRU backing (object, soa); default = session default. "
-             "Bit-identical across substrates",
+        "--engine", type=_engine_name, default="batched", metavar="NAME",
+        help="simulator for Figure 4/5 cells: batched (default) or the "
+             "scalar reference; both are pinned bit-identical, so this "
+             "only changes wall-clock time",
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",

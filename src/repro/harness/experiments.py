@@ -99,8 +99,7 @@ def fig4_fig5_performance(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     progress=None,
-    engine: str = "vectorized",
-    substrate: Optional[str] = None,
+    engine: str = "batched",
     retries: int = 0,
     timeout: Optional[float] = None,
     journal=None,
@@ -112,9 +111,9 @@ def fig4_fig5_performance(
     GPU per (workload, scheme) cell.  Cells go through the parallel
     runner: ``jobs`` fans them out over processes, ``cache_dir``
     enables the on-disk result cache, and both are bit-identical to
-    the serial uncached run.  ``engine`` and ``substrate`` pick the
-    inner loop and the tag/LRU backing; every combination is pinned
-    bit-equivalent, so neither changes the numbers.  ``retries``,
+    the serial uncached run.  ``engine`` picks the simulator
+    (``"batched"`` or the ``"scalar"`` reference); both are pinned
+    bit-equivalent, so it never changes the numbers.  ``retries``,
     ``timeout``, ``journal`` and ``resume`` are the campaign-hardening
     knobs of :func:`~repro.harness.runner.run_cells`.
     """
@@ -132,7 +131,6 @@ def fig4_fig5_performance(
             seed=seed,
             accesses_per_cu=accesses_per_cu,
             engine=engine,
-            substrate=substrate,
         )
         for workload in workloads
         for scheme in schemes

@@ -135,10 +135,9 @@ class CellSpec:
     fingerprinting to its scenario projection, so the two construction
     paths can never drift apart.  The tuple (workload, scheme, voltage,
     seed, accesses_per_cu, scheme_config, write_back) fully determines
-    the simulation via named RNG streams; ``engine`` picks the inner
-    loop and ``substrate`` the tag/LRU backing, but neither changes the
-    numbers (all combinations are pinned bit-equivalent), so both are
-    excluded from the cache fingerprint.
+    the simulation via named RNG streams; ``engine`` picks the
+    simulator, which never changes the numbers (both are pinned
+    bit-equivalent), so it is excluded from the cache fingerprint.
     """
 
     workload: str
@@ -150,9 +149,7 @@ class CellSpec:
     """KilliConfig overrides as sorted (field, value) pairs; pass a
     plain dict — it is normalised on construction."""
     write_back: bool = False
-    engine: str = "vectorized"
-    substrate: Optional[str] = None
-    """Tag/LRU substrate ("object" / "soa"); None = session default."""
+    engine: str = "batched"
 
     def __post_init__(self):
         if isinstance(self.scheme_config, dict):
@@ -270,18 +267,13 @@ def run_cell(spec) -> CellResult:
             scheme_config=scenario.scheme.overrides or None,
             write_back=scenario.scheme.write_back,
         )
-        simulator = GpuSimulator(
-            gpu_config,
-            scheme,
-            engine=scenario.engine.engine,
-            substrate=scenario.engine.substrate,
-        )
+        simulator = GpuSimulator(gpu_config, scheme, engine=scenario.engine.engine)
         if scenario.scheme.write_back:
             simulator.l2 = WriteBackCache(
                 gpu_config.l2,
                 scheme,
                 gpu_config.l2_latencies,
-                substrate=simulator.substrate,
+                substrate=simulator.l2.substrate,
             )
 
     started = time.perf_counter()
@@ -291,7 +283,7 @@ def run_cell(spec) -> CellResult:
     METRICS.incr("cells.simulated")
 
     dfh = scheme.dfh_histogram() if hasattr(scheme, "dfh_histogram") else None
-    return CellResult(
+    cell = CellResult(
         workload=workload,
         scheme=scheme_name,
         voltage=voltage,
@@ -312,6 +304,8 @@ def run_cell(spec) -> CellResult:
         elapsed_s=elapsed,
         fingerprint=scenario.fingerprint(),
     )
+    simulator.release()
+    return cell
 
 
 # -- on-disk result cache ------------------------------------------------------

@@ -1,8 +1,6 @@
 """Unified metrics namespace.
 
-Two halves, previously split across ``repro.utils.metrics`` (the
-process-wide telemetry sink) and ``repro.harness.metrics`` (the
-harness-level facade over it):
+Two halves:
 
 - :mod:`repro.metrics.telemetry` — the :class:`Metrics` counters +
   timers sink and its process-wide :data:`METRICS` instance.  Off by
@@ -10,8 +8,6 @@ harness-level facade over it):
   flag, or the ``REPRO_TELEMETRY`` environment variable.
 - :mod:`repro.metrics.derived` — pure derived-metric helpers
   (:func:`geomean`, :func:`speedup`) used by the bench harness.
-
-The old module paths remain as deprecation shims.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
   fault + engine sections) with TOML/JSON serialisation, schema-version
   checks and canonical fingerprinting;
 - :mod:`repro.scenario.registry` / ``registries`` — string-keyed
-  plugin registries for protection schemes, workload generators,
-  engines and substrates (built-ins self-register from the modules
+  plugin registries for protection schemes, workload generators and
+  engines (built-ins self-register from the modules
   that own them; third-party code registers without touching the
   harness);
 - :mod:`repro.scenario.schemes` — the Killi scheme family and the
@@ -25,11 +25,9 @@ their own import without cycles.
 from repro.scenario.registries import (
     ENGINE_REGISTRY,
     SCHEME_REGISTRY,
-    SUBSTRATE_REGISTRY,
     WORKLOAD_REGISTRY,
     SchemeBuildContext,
     SchemeFactory,
-    SubstrateSpec,
 )
 from repro.scenario.registry import Registry
 
@@ -38,10 +36,8 @@ __all__ = [
     "SCHEME_REGISTRY",
     "WORKLOAD_REGISTRY",
     "ENGINE_REGISTRY",
-    "SUBSTRATE_REGISTRY",
     "SchemeBuildContext",
     "SchemeFactory",
-    "SubstrateSpec",
     # lazy (PEP 562):
     "SCHEMA_VERSION",
     "ScenarioConfig",

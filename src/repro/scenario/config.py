@@ -12,7 +12,7 @@ gpu        machine shape (CUs, L1, L2 geometry, bank model)
 scheme     protection-scheme name + Killi config overrides
 workload   workload-generator name + trace length
 fault      operating voltage + experiment seed
-engine     inner loop + tag/LRU substrate (never change results)
+engine     simulator: batched or the scalar reference (never changes results)
 ========== ==================================================
 
 Scenarios serialise to/from TOML and JSON with schema-version checks,
@@ -21,8 +21,8 @@ cache.  The fingerprint is computed from a canonical payload in which
 
 - dict-valued knobs are sorted (``scheme.config`` insertion order
   never matters),
-- the ``engine`` section is excluded entirely (all engine × substrate
-  combinations are pinned bit-identical), and
+- the ``engine`` section is excluded entirely (both simulators are
+  pinned bit-identical), and
 - sections still equal to their defaults are elided (adding a new
   default-valued knob in a future schema does not invalidate existing
   cache entries).
@@ -147,11 +147,10 @@ class FaultSection:
 
 @dataclass(frozen=True)
 class EngineSection:
-    """Execution backend.  Excluded from fingerprints: all engine ×
-    substrate combinations are pinned bit-identical."""
+    """Execution backend.  Excluded from fingerprints: both simulators
+    are pinned bit-identical."""
 
-    engine: str = "vectorized"
-    substrate: Optional[str] = None
+    engine: str = "batched"
 
 
 _SECTION_TYPES = {
@@ -307,7 +306,6 @@ class ScenarioConfig:
         from repro.scenario.registries import (
             ENGINE_REGISTRY,
             SCHEME_REGISTRY,
-            SUBSTRATE_REGISTRY,
             WORKLOAD_REGISTRY,
         )
 
@@ -315,8 +313,6 @@ class ScenarioConfig:
         factory.check_options(self.scheme.overrides, self.scheme.write_back)
         WORKLOAD_REGISTRY.resolve(self.workload.name)
         ENGINE_REGISTRY.resolve(self.engine.engine)
-        if self.engine.substrate is not None:
-            SUBSTRATE_REGISTRY.resolve(self.engine.substrate)
         if self.workload.accesses_per_cu <= 0:
             raise ValueError("workload.accesses_per_cu must be positive")
         if self.fault.seed < 0:
@@ -352,7 +348,6 @@ class ScenarioConfig:
             scheme_config=self.scheme.config,
             write_back=self.scheme.write_back,
             engine=self.engine.engine,
-            substrate=self.engine.substrate,
         )
 
     @classmethod
@@ -367,7 +362,7 @@ class ScenarioConfig:
                 name=spec.workload, accesses_per_cu=spec.accesses_per_cu
             ),
             fault=FaultSection(voltage=spec.voltage, seed=spec.seed),
-            engine=EngineSection(engine=spec.engine, substrate=spec.substrate),
+            engine=EngineSection(engine=spec.engine),
         )
 
     def replace(self, **sections) -> "ScenarioConfig":
@@ -387,8 +382,7 @@ def cell_scenario(
     accesses_per_cu: int = 30000,
     scheme_config=(),
     write_back: bool = False,
-    engine: str = "vectorized",
-    substrate: Optional[str] = None,
+    engine: str = "batched",
     gpu: Optional[GpuSection] = None,
 ) -> ScenarioConfig:
     """Build a single-cell scenario from flat (workload, scheme, ...) knobs.
@@ -401,7 +395,7 @@ def cell_scenario(
         workload=WorkloadSection(name=workload, accesses_per_cu=accesses_per_cu),
         fault=FaultSection(voltage=voltage, seed=seed),
         gpu=gpu if gpu is not None else GpuSection(),
-        engine=EngineSection(engine=engine, substrate=substrate),
+        engine=EngineSection(engine=engine),
     )
 
 

@@ -1,4 +1,4 @@
-"""The four experiment-axis registries and their entry conventions.
+"""The three experiment-axis registries and their entry conventions.
 
 Every pluggable component of a scenario resolves through one of these
 string-keyed registries (:class:`~repro.scenario.registry.Registry`):
@@ -14,15 +14,13 @@ WORKLOAD_REGISTRY
                  Trace``
 ENGINE_REGISTRY  a callable ``(simulator, trace) -> per-CU cycles``
                  (the inner loop of ``GpuSimulator.run``)
-SUBSTRATE_REGISTRY
-                 a :class:`SubstrateSpec` — tag-store / LRU factories
 ===============  =====================================================
 
 Built-in entries self-register from the module that owns them
 (``repro.baselines`` registers the baseline schemes, ``repro.core``'s
 Killi family registers via :mod:`repro.scenario.schemes`,
 ``repro.traces.workloads`` the ten workloads, ``repro.gpu.engine`` the
-two inner loops, ``repro.cache.soa`` the two substrates).  The lazy
+two inner loops: ``scalar`` and ``batched``).  The lazy
 loaders below import those modules on first use, so third-party code
 can ``SCHEME_REGISTRY.register(...)`` its own entries without touching
 any harness module — exactly the extension point the registries exist
@@ -40,10 +38,8 @@ __all__ = [
     "SCHEME_REGISTRY",
     "WORKLOAD_REGISTRY",
     "ENGINE_REGISTRY",
-    "SUBSTRATE_REGISTRY",
     "SchemeBuildContext",
     "SchemeFactory",
-    "SubstrateSpec",
 ]
 
 
@@ -60,14 +56,9 @@ def _load_engines() -> None:
     import repro.gpu.engine  # noqa: F401
 
 
-def _load_substrates() -> None:
-    import repro.cache.soa  # noqa: F401
-
-
 SCHEME_REGISTRY = Registry("scheme", loader=_load_schemes)
 WORKLOAD_REGISTRY = Registry("workload", loader=_load_workloads)
 ENGINE_REGISTRY = Registry("engine", loader=_load_engines)
-SUBSTRATE_REGISTRY = Registry("substrate", loader=_load_substrates)
 
 
 # -- scheme entries -----------------------------------------------------------
@@ -160,20 +151,3 @@ class SchemeFactory:
             f"SchemeFactory({self.name!r}, kind={self.kind!r}, "
             f"class={self.scheme_class.__name__}, params={self.params})"
         )
-
-
-# -- substrate entries --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubstrateSpec:
-    """Tag-store and LRU factories for one cache substrate."""
-
-    name: str
-    tag_store: Callable  # (geometry) -> tag store
-    lru: Callable  # (geometry) -> LRU state
-    description: str = ""
-    reference: bool = False
-    """True for the pinned reference implementation of the unified
-    :class:`repro.cache.core.CacheModel` — the substrate equivalence
-    suites compare every other substrate against this one."""

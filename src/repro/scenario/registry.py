@@ -1,7 +1,7 @@
 """Generic string-keyed plugin registry.
 
 One :class:`Registry` instance per pluggable axis of an experiment
-(protection schemes, workload generators, engines, substrates — see
+(protection schemes, workload generators, engines — see
 :mod:`repro.scenario.registries`).  The pattern follows
 :mod:`repro.ecc.registry`'s name -> factory dict, with two additions
 the experiment axes need:

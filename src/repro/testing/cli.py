@@ -1,7 +1,8 @@
 """``repro fuzz`` — the differential fuzzing entry point.
 
-Generates seeded random scenarios, runs each through every engine ×
-substrate combination, and exits non-zero on the first divergence —
+Generates seeded random scenarios, runs each through the batched
+simulator and the scalar reference, and exits non-zero on the first
+divergence —
 after shrinking it and writing a commit-ready reproducer ``.toml``
 under ``tests/testing/repros/``.
 
@@ -47,8 +48,8 @@ def fuzz_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description=(
-            "Differentially fuzz every engine × substrate combination "
-            "against the scalar×object reference."
+            "Differentially fuzz the batched simulator (batched×soa) "
+            "against the scalar reference (scalar×object)."
         ),
     )
     parser.add_argument(

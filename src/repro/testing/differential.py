@@ -1,7 +1,7 @@
-"""The differential executor: the oracle for engine × substrate equivalence.
+"""The differential executor: the oracle for simulator equivalence.
 
-One scenario, every inner-loop/substrate combination, one canonical
-diff.  :func:`run_scenario` mirrors the harness's cell construction
+One scenario, both simulators, one canonical diff.
+:func:`run_scenario` mirrors the harness's cell construction
 (:func:`~repro.harness.runner.run_cell`) exactly — same fault-map
 stream, same trace, same per-cell RNG namespace — but keeps the
 simulator so the full observable state can be captured via
@@ -10,14 +10,14 @@ cycles, per-CU cycles, every ``CacheStats`` counter of the L2 and all
 L1s, tag/LRU/dirty/disabled state, DFH state, transition counts,
 ECC-cache counters, memory traffic and the shared RNG stream position.
 
-:func:`diff_scenario` runs the scenario through a reference
-combination (scalar engine × object substrate — the pinned reference
-implementations) and every other combination, and reports the first
-mismatch as a :class:`Divergence`.  An exception raised by a
-non-reference combination is *also* a divergence (a crash in one
-engine is the strongest possible disagreement).  ``plant`` hooks
-inject a deliberate fault into the non-reference runs only — the
-self-test that proves the oracle can see.
+:func:`diff_scenario` runs the scenario through the reference
+simulator (the scalar engine on the object substrate) and through the
+batched engine (on the struct-of-arrays substrate), and reports the
+first mismatch as a :class:`Divergence`.  An exception raised by the
+candidate is *also* a divergence (a crash in one engine is the
+strongest possible disagreement).  ``plant`` hooks inject a deliberate
+fault into the candidate run only — the self-test that proves the
+oracle can see.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.scenario.config import ScenarioConfig, as_scenario
 
@@ -42,18 +42,14 @@ __all__ = [
     "last_context",
 ]
 
-#: Every engine × substrate combination the equivalence contract pins.
-COMBOS: Tuple[Tuple[str, str], ...] = tuple(
-    (engine, substrate)
-    for engine in ("scalar", "vectorized", "batched")
-    for substrate in ("object", "soa")
-)
+#: The engines diffed against the reference.
+COMBOS: tuple = ("batched",)
 
-#: The pinned reference combination: the per-round Python loop over
-#: per-line object state.
-REFERENCE: Tuple[str, str] = ("scalar", "object")
+#: The reference engine: the per-round Python loop over per-line
+#: object state.
+REFERENCE: str = "scalar"
 
-# Last scenario/combination handed to ``run_scenario`` — surfaced by
+# Last scenario/engine handed to ``run_scenario`` — surfaced by
 # ``tests/conftest.py`` on failure so a crashing fuzz case prints its
 # fingerprint, seed and TOML without any bookkeeping in the test.
 _LAST: Optional[dict] = None
@@ -64,9 +60,15 @@ def last_context() -> Optional[dict]:
     return _LAST
 
 
+def _label(engine: str) -> str:
+    from repro.gpu.engine import substrate_of
+
+    return f"{engine}×{substrate_of(engine)}"
+
+
 @dataclass
 class Observation:
-    """One combination's full observable outcome for one scenario."""
+    """One simulator's full observable outcome for one scenario."""
 
     engine: str
     substrate: str
@@ -79,22 +81,20 @@ class Observation:
 
 @dataclass
 class Divergence:
-    """A combination that disagreed with the reference."""
+    """A simulator that disagreed with the reference."""
 
     scenario: ScenarioConfig
-    reference: Tuple[str, str]
-    combo: Tuple[str, str]
+    reference: str
+    combo: str
     paths: List[str] = field(default_factory=list)
     ref_digest: str = ""
     digest: str = ""
     error: str = ""
 
     def describe(self) -> str:
-        engine, substrate = self.combo
         head = (
-            f"{engine}×{substrate} diverges from "
-            f"{self.reference[0]}×{self.reference[1]} on scenario "
-            f"{self.scenario.fingerprint()[:12]} "
+            f"{_label(self.combo)} diverges from {_label(self.reference)} "
+            f"on scenario {self.scenario.fingerprint()[:12]} "
             f"(workload={self.scenario.workload.name}, "
             f"scheme={self.scenario.scheme.name}, "
             f"seed={self.scenario.fault.seed})"
@@ -116,10 +116,9 @@ def _canonical_digest(payload: dict) -> str:
 def run_scenario(
     scenario,
     engine: Optional[str] = None,
-    substrate: Optional[str] = None,
     plant: Optional[Callable] = None,
 ) -> Observation:
-    """Execute one scenario under one combination; keep everything.
+    """Execute one scenario on one simulator; keep everything.
 
     Mirrors :func:`~repro.harness.runner.run_cell`'s construction
     sequence exactly (any drift here would fuzz a different model than
@@ -135,8 +134,7 @@ def run_scenario(
 
     scenario = as_scenario(scenario)
     engine = engine if engine is not None else scenario.engine.engine
-    substrate = substrate if substrate is not None else scenario.engine.substrate
-    _set_last_context(scenario, engine, substrate)
+    _set_last_context(scenario, engine)
     workload = scenario.workload.name
     scheme_name = scenario.scheme.name
     seed = scenario.fault.seed
@@ -155,13 +153,13 @@ def run_scenario(
         scheme_config=scenario.scheme.overrides or None,
         write_back=scenario.scheme.write_back,
     )
-    simulator = GpuSimulator(gpu_config, scheme, engine=engine, substrate=substrate)
+    simulator = GpuSimulator(gpu_config, scheme, engine=engine)
     if scenario.scheme.write_back:
         simulator.l2 = WriteBackCache(
             gpu_config.l2,
             scheme,
             gpu_config.l2_latencies,
-            substrate=simulator.substrate,
+            substrate=simulator.l2.substrate,
         )
     if plant is not None:
         plant(simulator)
@@ -172,7 +170,7 @@ def run_scenario(
     snapshot["per_cu_cycles"] = [int(c) for c in result.per_cu_cycles]
     return Observation(
         engine=engine,
-        substrate=substrate,
+        substrate=simulator.l2.substrate,
         cycles=result.cycles,
         instructions=result.instructions,
         per_cu_cycles=[int(c) for c in result.per_cu_cycles],
@@ -183,29 +181,28 @@ def run_scenario(
 
 def diff_scenario(
     scenario,
-    combos: Sequence[Tuple[str, str]] = COMBOS,
-    reference: Tuple[str, str] = REFERENCE,
+    combos: Sequence[str] = COMBOS,
+    reference: str = REFERENCE,
     plant: Optional[Callable] = None,
 ) -> Optional[Divergence]:
-    """Run every combination and report the first disagreement, or None.
+    """Run every candidate engine and report the first disagreement, or None.
 
-    The reference combination always runs *unplanted*; ``plant`` fires
-    only in the other combinations, so a planted fault is guaranteed
-    to surface as a divergence rather than cancelling out.
+    The reference always runs *unplanted*; ``plant`` fires only in the
+    candidates, so a planted fault is guaranteed to surface as a
+    divergence rather than cancelling out.
     """
     scenario = as_scenario(scenario)
-    reference = tuple(reference)
-    ref = run_scenario(scenario, reference[0], reference[1])
-    for engine, substrate in combos:
-        if (engine, substrate) == reference and plant is None:
+    ref = run_scenario(scenario, reference)
+    for engine in combos:
+        if engine == reference and plant is None:
             continue
         try:
-            obs = run_scenario(scenario, engine, substrate, plant=plant)
+            obs = run_scenario(scenario, engine, plant=plant)
         except Exception:
             return Divergence(
                 scenario=scenario,
                 reference=reference,
-                combo=(engine, substrate),
+                combo=engine,
                 ref_digest=ref.digest,
                 error=traceback.format_exc(limit=8),
             )
@@ -213,7 +210,7 @@ def diff_scenario(
             return Divergence(
                 scenario=scenario,
                 reference=reference,
-                combo=(engine, substrate),
+                combo=engine,
                 paths=snapshot_diff(ref.snapshot, obs.snapshot),
                 ref_digest=ref.digest,
                 digest=obs.digest,
@@ -254,7 +251,9 @@ def _walk_diff(a, b, path: str, out: List[str], limit: int) -> None:
         out.append(f"{path}: ref={a!r} got={b!r}")
 
 
-def _set_last_context(scenario: ScenarioConfig, engine: str, substrate) -> None:
+def _set_last_context(scenario: ScenarioConfig, engine: str) -> None:
+    from repro.gpu.engine import substrate_of
+
     global _LAST
     _LAST = {
         "fingerprint": scenario.fingerprint(),
@@ -262,7 +261,7 @@ def _set_last_context(scenario: ScenarioConfig, engine: str, substrate) -> None:
         "workload": scenario.workload.name,
         "scheme": scenario.scheme.name,
         "engine": engine,
-        "substrate": substrate,
+        "substrate": substrate_of(engine),
         "toml": scenario.to_toml(header="last differential scenario"),
     }
 

@@ -5,7 +5,7 @@ sampling every axis the registries expose — schemes (including Killi
 ratios and strong-code variants), workloads, fault densities (via the
 operating voltage), experiment seeds, machine shapes — under a hard
 size bound, so each fuzzed scenario stays cheap enough to run through
-all six engine × substrate combinations.
+both simulators.
 
 Generation is *index-stable*: :meth:`ScenarioFuzzer.scenario` derives
 example ``i`` from ``(fuzzer seed, i)`` alone, so a failing example

@@ -7,8 +7,7 @@ permutation, the lookup index must never alias, and the batched
 interpreter's simulation window must never draw shared RNG.
 
 They are armed by the ``REPRO_CHECK_INVARIANTS`` environment variable
-(read once per cache/interpreter construction, like
-``REPRO_SUBSTRATE``).  When the flag is off the hot paths carry no
+(read once per cache/interpreter construction).  When the flag is off the hot paths carry no
 check at all — :meth:`repro.cache.core.CacheModel._arm_invariants`
 wraps the access methods per instance only when arming, and the bulk
 commit points guard on a single attribute — which the

@@ -218,26 +218,3 @@ def write_reproducer(
         "  # auto-collected by tests/testing/test_repros.py"
     )
     return path, pytest_line
-
-
-def interesting_divergence(
-    combos=None,
-    reference=None,
-    plant=None,
-) -> Callable[[ScenarioConfig], bool]:
-    """The standard predicate: ``diff_scenario(...) is not None``."""
-    from repro.testing import differential
-
-    kwargs = {}
-    if combos is not None:
-        kwargs["combos"] = combos
-    if reference is not None:
-        kwargs["reference"] = reference
-
-    def predicate(scenario: ScenarioConfig) -> bool:
-        return (
-            differential.diff_scenario(scenario, plant=plant, **kwargs)
-            is not None
-        )
-
-    return predicate

@@ -16,8 +16,8 @@ class CuStream:
 
     Streams are read-only once built (the engines never mutate them),
     so the normalised access columns both inner-loop families need —
-    plain-int/bool Python lists for the scalar loops, int64/bool numpy
-    arrays plus the summed compute gap for the vectorized stages — are
+    plain-int/bool Python lists for the per-access loops, int64/bool
+    numpy arrays plus the summed compute gap for the batched stages — are
     built once on first use and cached on the stream.  Every engine
     then reads the *same* normalised values instead of re-deriving
     them per ``run``, which pins the conversions bit-identical by
@@ -82,7 +82,7 @@ class CuStream:
     def array_columns(self):
         """``(addrs int64, is_store bool, gap_total int)``, cached.
 
-        The vectorized/batched stages' canonical view: numpy columns
+        The batched stages' canonical view: numpy columns
         plus the closed-form summed compute gap.
         """
         cols = self._array_cols

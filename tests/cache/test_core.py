@@ -209,21 +209,3 @@ class TestDirtyEvictionAccounting:
         for i in range(1, cache.geometry.associativity + 1):
             cache.read(i * stride)
         assert cache.memory_writes == 1
-
-
-class TestCompatibilityShims:
-    def test_old_module_paths_resolve(self):
-        from repro.cache.protection import (
-            ProtectionScheme as shim_scheme,
-        )
-        from repro.cache.setassoc import SetAssocCache as shim_store
-        from repro.cache.wbcache import WriteBackCache as shim_wb
-        from repro.cache.wtcache import WriteThroughCache as shim_wt
-
-        from repro.cache.hooks import ProtectionScheme
-        from repro.cache.object_store import SetAssocCache
-
-        assert shim_wt is WriteThroughCache
-        assert shim_wb is WriteBackCache
-        assert shim_scheme is ProtectionScheme
-        assert shim_store is SetAssocCache

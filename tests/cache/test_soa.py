@@ -13,13 +13,7 @@ import pytest
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import LruState
 from repro.cache.object_store import SetAssocCache
-from repro.cache.soa import (
-    SUBSTRATES,
-    SoaLruState,
-    SoaTagStore,
-    default_substrate,
-    resolve_substrate,
-)
+from repro.cache.soa import SoaLruState, SoaTagStore
 
 GEO = CacheGeometry(size_bytes=4096, line_bytes=64, associativity=4)
 # 16 sets x 4 ways; address pool spans 4x the cache so sets see
@@ -201,18 +195,10 @@ class TestLruEquivalence:
 
 class TestSubstrateSelection:
     def test_resolve_explicit(self):
-        assert resolve_substrate("object") == "object"
-        assert resolve_substrate("soa") == "soa"
-        with pytest.raises(ValueError):
-            resolve_substrate("aos")
+        from repro.cache.core import CacheModel
 
-    def test_default_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUBSTRATE", raising=False)
-        assert default_substrate() == "soa"
-        for name in SUBSTRATES:
-            monkeypatch.setenv("REPRO_SUBSTRATE", name)
-            assert default_substrate() == name
-            assert resolve_substrate(None) == name
-        monkeypatch.setenv("REPRO_SUBSTRATE", "bogus")
-        with pytest.raises(ValueError):
-            default_substrate()
+        assert type(CacheModel(GEO, substrate="object").tags) is SetAssocCache
+        assert type(CacheModel(GEO, substrate="soa").tags) is SoaTagStore
+        assert CacheModel(GEO).substrate == "soa"  # the default
+        with pytest.raises(ValueError, match="unknown substrate 'aos'"):
+            CacheModel(GEO, substrate="aos")

@@ -1,8 +1,9 @@
-"""Engine equivalence: scalar vs vectorized vs batched.
+"""Engine equivalence: the batched simulator vs the scalar reference.
 
-The acceptance contract for the fast paths: for every workload,
-scheme, substrate and engine, all inner loops produce bit-identical
-cycles, per-CU cycles and every CacheStats counter (L2 and all L1s).
+The acceptance contract for the fast path: for every workload and
+scheme, the batched engine (on the SoA substrate) and the scalar
+reference (on the object substrate) produce bit-identical cycles,
+per-CU cycles and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
 traces, disabled ways, guard aborts, 100%-fallback schemes,
@@ -22,8 +23,7 @@ from repro.traces.base import CuStream, Trace
 from repro.metrics import METRICS
 from repro.utils.rng import RngFactory
 
-ENGINES = ("scalar", "vectorized", "batched")
-SUBSTRATES = ("object", "soa")
+ENGINES = ("scalar", "batched")
 WORKLOADS = ("fft", "xsbench", "nekbone")
 SCHEMES = ("baseline", "killi_1:64", "dected")
 
@@ -33,7 +33,6 @@ def run_with(
     workload: str,
     scheme_name: str,
     seed: int = 21,
-    substrate: str = "soa",
     accesses: int = 700,
 ):
     gpu_config = GpuConfig()
@@ -46,9 +45,7 @@ def run_with(
         scheme_name, gpu_config, fault_map, 0.625,
         RngFactory(seed).child(f"{workload}/{scheme_name}"),
     )
-    simulator = GpuSimulator(
-        gpu_config, scheme, engine=engine, substrate=substrate
-    )
+    simulator = GpuSimulator(gpu_config, scheme, engine=engine)
     result = simulator.run(trace)
     return result, simulator
 
@@ -67,12 +64,8 @@ def result_key(result, simulator):
 
 def assert_identical(workload: str, scheme_name: str, **kwargs):
     reference = result_key(*run_with("scalar", workload, scheme_name, **kwargs))
-    for engine in ENGINES[1:]:
-        for substrate in SUBSTRATES:
-            got = result_key(*run_with(
-                engine, workload, scheme_name, substrate=substrate, **kwargs
-            ))
-            assert got == reference, (engine, substrate, workload, scheme_name)
+    got = result_key(*run_with("batched", workload, scheme_name, **kwargs))
+    assert got == reference, (workload, scheme_name)
 
 
 class TestWorkloadSchemeMatrix:
@@ -83,7 +76,7 @@ class TestWorkloadSchemeMatrix:
 
 
 class TestRandomizedSweep:
-    """Seeded fuzz: random (workload, scheme, seed) cells, all engines,
+    """Seeded fuzz: random (workload, scheme, seed) cells, both engines,
     through the differential executor (:mod:`repro.testing`).
 
     Strictly stronger than the hand-rolled ``run_cell`` loop this
@@ -158,14 +151,11 @@ class TestDirectedEdgeCases:
                 prepare=None):
         results = []
         for engine in ENGINES:
-            for substrate in SUBSTRATES:
-                sim = GpuSimulator(config, scheme_factory(), engine=engine,
-                                   substrate=substrate)
-                if prepare is not None:
-                    prepare(sim)
-                r = sim.run(trace)
-                results.append((r.cycles, r.per_cu_cycles,
-                                r.l2_stats.as_dict()))
+            sim = GpuSimulator(config, scheme_factory(), engine=engine)
+            if prepare is not None:
+                prepare(sim)
+            r = sim.run(trace)
+            results.append((r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()))
         return results
 
     def assert_all_equal(self, results):
@@ -233,14 +223,11 @@ class TestDirectedEdgeCases:
         traces = [random_trace(rng), random_trace(rng)]
         results = []
         for engine in ENGINES:
-            for substrate in SUBSTRATES:
-                sim = GpuSimulator(small_config(), UnprotectedScheme(),
-                                   engine=engine, substrate=substrate)
-                rs = sim.run_kernels(traces)
-                results.append([
-                    (r.cycles, r.per_cu_cycles, r.l2_stats.as_dict())
-                    for r in rs
-                ])
+            sim = GpuSimulator(small_config(), UnprotectedScheme(), engine=engine)
+            rs = sim.run_kernels(traces)
+            results.append([
+                (r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()) for r in rs
+            ])
         for got in results[1:]:
             assert got == results[0]
 
@@ -277,9 +264,8 @@ class TestBatchedFallback:
     def run_batched_vs_scalar(self, scheme_factory, trace, config=None):
         config = config or small_config()
         outs = []
-        for engine in ("scalar", "batched"):
-            sim = GpuSimulator(config, scheme_factory(), engine=engine,
-                               substrate="soa")
+        for engine in ENGINES:
+            sim = GpuSimulator(config, scheme_factory(), engine=engine)
             r = sim.run(trace)
             outs.append((r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()))
         assert outs[0] == outs[1]
@@ -337,7 +323,6 @@ class TestBatchedFallback:
                 spec = CellSpec(
                     workload="fft", scheme=scheme, seed=13,
                     accesses_per_cu=400, write_back=True, engine=engine,
-                    substrate="soa",
                 )
                 d = run_cell(spec).to_dict()
                 d.pop("elapsed_s", None)
@@ -357,11 +342,31 @@ class TestEngineSelection:
             sim.run(make_trace([[], [], []]), engine="turbo")
 
     def test_per_run_override(self):
-        sim = GpuSimulator(small_config(), UnprotectedScheme(),
-                           engine="vectorized")
+        """A per-run engine must match the simulator's own: the caches
+        were built on that engine's substrate."""
+        sim = GpuSimulator(small_config(), UnprotectedScheme(), engine="scalar")
         trace = make_trace([[0, 64], [128], [192]])
-        result = sim.run(trace, engine="scalar")
-        assert result.cycles > 0
+        assert sim.run(trace, engine="scalar").cycles > 0
+        with pytest.raises(ValueError, match="built for engine 'scalar'"):
+            sim.run(trace, engine="batched")
+
+    @pytest.mark.parametrize("engine,substrate", [
+        ("scalar", "object"), ("batched", "soa"),
+    ])
+    def test_engine_fixes_the_substrate(self, engine, substrate):
+        from repro.cache.object_store import SetAssocCache
+        from repro.cache.replacement import LruState, SoaLruState
+        from repro.cache.soa import SoaTagStore
+
+        stores = {
+            "object": (SetAssocCache, LruState),
+            "soa": (SoaTagStore, SoaLruState),
+        }[substrate]
+        sim = GpuSimulator(small_config(), UnprotectedScheme(), engine=engine)
+        for cache in [sim.l2] + sim.l1s:
+            assert cache.substrate == substrate
+            assert type(cache.tags) is stores[0]
+            assert type(cache.lru) is stores[1]
 
     def test_registry_lists_all_engines(self):
         from repro.scenario.registries import ENGINE_REGISTRY

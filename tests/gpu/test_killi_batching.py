@@ -4,7 +4,7 @@ The batched engine runs Killi cells through a cluster-exact shadow
 interpreter (:mod:`repro.core.killi_replay`) instead of the per-access
 loop.  These tests pin the pieces that make that sound:
 
-- engine x substrate equivalence including the *scheme-side* state the
+- batched-vs-scalar equivalence including the *scheme-side* state the
   generic matrix does not compare (DFH histogram, transition counts,
   SDC events, ECC-cache counters);
 - a directed shared-RNG write hit that must abort the interpreter and
@@ -38,18 +38,14 @@ from repro.traces.base import CuStream, Trace
 from repro.metrics import METRICS
 from repro.utils.rng import RngFactory
 
-ENGINES = ("scalar", "vectorized", "batched")
-SUBSTRATES = ("object", "soa")
-
-
-def build_sim(engine, substrate, scheme_name, seed, voltage=0.625):
+def build_sim(engine, scheme_name, seed, voltage=0.625):
     gpu_config = GpuConfig()
     fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
     scheme = make_scheme(
         scheme_name, gpu_config, fault_map, voltage,
         RngFactory(seed).child(f"test/{scheme_name}"),
     )
-    sim = GpuSimulator(gpu_config, scheme, engine=engine, substrate=substrate)
+    sim = GpuSimulator(gpu_config, scheme, engine=engine)
     return sim, scheme
 
 
@@ -74,7 +70,7 @@ def scheme_state_key(result, sim, scheme):
 
 
 class TestInterpreterEquivalence:
-    """Engine x substrate sweep pinned on DFH/SDC/ECC scheme state.
+    """Batched-vs-scalar sweep pinned on DFH/SDC/ECC scheme state.
 
     Runs through the differential executor (:mod:`repro.testing`),
     whose canonical snapshot carries everything the hand-rolled
@@ -100,7 +96,7 @@ class TestInterpreterEquivalence:
             workload, scheme_name, voltage=0.625, seed=seed,
             accesses_per_cu=accesses,
         )
-        reference = run_scenario(scenario, "scalar", "object")
+        reference = run_scenario(scenario, "scalar")
         histogram = reference.snapshot["scheme"]["dfh_histogram"]
         assert sum(histogram.values()) == GpuConfig().l2.n_lines
         divergence = diff_scenario(scenario)
@@ -111,7 +107,7 @@ class TestInterpreterEquivalence:
         the interpreter must resume from committed state, not reset."""
 
         def run(engine):
-            sim, scheme = build_sim(engine, "soa", "killi_1:8", 31)
+            sim, scheme = build_sim(engine, "killi_1:8", 31)
             rng = RngFactory(31)
             traces = [
                 workload_trace(
@@ -129,9 +125,7 @@ class TestInterpreterEquivalence:
                 scheme.sdc_events,
             )
 
-        reference = run("scalar")
-        for engine in ENGINES[1:]:
-            assert run(engine) == reference, engine
+        assert run("batched") == run("scalar")
 
 
 class TestDirectedRngAbort:
@@ -181,35 +175,32 @@ class TestDirectedRngAbort:
     def test_abort_is_taken_and_exact(self):
         seed = 21
 
-        def run(engine, substrate):
-            sim, scheme = build_sim(engine, substrate, "killi_1:8", seed)
+        def run(engine):
+            sim, scheme = build_sim(engine, "killi_1:8", seed)
             set_index, way = self._find_active_slot(scheme)
             trace = self._directed_trace(sim.config, set_index, way)
             result = sim.run(trace)
             return scheme_state_key(result, sim, scheme)
 
-        reference = run("scalar", "object")
+        reference = run("scalar")
         METRICS.enable(propagate_env=False)
         try:
             METRICS.reset()
-            for substrate in SUBSTRATES:
-                assert run("batched", substrate) == reference, substrate
+            assert run("batched") == reference
             snapshot = METRICS.snapshot()
             counters = snapshot.get("counters", snapshot)
             assert counters.get(
                 "engine.batched.guard_aborts.KilliScheme", 0
-            ) >= 2  # one abort per substrate run
+            ) >= 1
         finally:
             METRICS.disable()
-        for substrate in SUBSTRATES:
-            assert run("vectorized", substrate) == reference, substrate
 
 
 class TestPerSetEpochs:
     """A DFH transition invalidates memoized hits only in its own set."""
 
     def _memoized_cache(self):
-        sim, scheme = build_sim("scalar", "soa", "killi_1:8", 21)
+        sim, scheme = build_sim("batched", "killi_1:8", 21)
         l2 = sim.l2
         errors = scheme.errors
         assoc = scheme.geometry.associativity
@@ -366,7 +357,7 @@ class TestBatchedFillPredicate:
     """``fills_would_be_clean`` against the scalar ``fill_would_be_clean``."""
 
     def test_matches_scalar_over_fault_census(self):
-        _, scheme = build_sim("scalar", "soa", "killi_1:8", 21)
+        _, scheme = build_sim("scalar", "killi_1:8", 21)
         errors = scheme.errors
         n_lines = scheme.geometry.n_lines
         rng = np.random.default_rng(17)

@@ -1,12 +1,13 @@
 """Object-vs-SoA substrate equivalence at the system level.
 
-The substrate contract: for every workload, scheme and engine, the
-struct-of-arrays tag/LRU backing produces bit-identical cycles, per-CU
-cycles, every CacheStats counter (L2 and all L1s) and — for Killi —
-the final DFH state.  Pinned here across the scheme axis, the workload
-axis, the engine x substrate product, kernel-to-kernel persistence and
-disable/reset semantics, plus a golden Figure 4 slice where the object
-substrate is the reference.
+The engine fixes the substrate: the scalar reference runs on the
+object substrate, the batched engine on struct-of-arrays.  The
+contract: for every workload and scheme the two simulators produce
+bit-identical cycles, per-CU cycles, every CacheStats counter (L2 and
+all L1s) and — for Killi — the final DFH state.  Pinned here across
+the scheme axis, the workload axis, kernel-to-kernel persistence and
+cache-level disable/reset semantics, plus a golden Figure 4 slice
+where the scalar×object simulator is the reference.
 """
 
 import pytest
@@ -25,31 +26,6 @@ WORKLOADS = ("fft", "xsbench", "nekbone")
 SCHEMES = ("baseline", "killi_1:64")
 
 
-def run_with(
-    substrate: str,
-    workload: str,
-    scheme_name: str,
-    seed: int = 21,
-    engine: str = "vectorized",
-    accesses: int = 700,
-):
-    gpu_config = GpuConfig()
-    fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
-    trace = workload_trace(
-        workload, accesses, n_cus=gpu_config.n_cus,
-        rng=RngFactory(seed).stream(f"trace/{workload}"),
-    )
-    scheme = make_scheme(
-        scheme_name, gpu_config, fault_map, 0.625,
-        RngFactory(seed).child(f"{workload}/{scheme_name}"),
-    )
-    simulator = GpuSimulator(
-        gpu_config, scheme, engine=engine, substrate=substrate
-    )
-    result = simulator.run(trace)
-    return result, simulator
-
-
 def fingerprint(result, simulator) -> dict:
     """Everything the substrate contract pins, as comparable values."""
     scheme = simulator.l2.scheme
@@ -66,23 +42,17 @@ def fingerprint(result, simulator) -> dict:
     }
 
 
-def assert_identical(workload: str, scheme_name: str, **kwargs):
-    reference = fingerprint(*run_with("object", workload, scheme_name, **kwargs))
-    candidate = fingerprint(*run_with("soa", workload, scheme_name, **kwargs))
-    assert candidate == reference
-
-
-def diff_substrates(workload, scheme, accesses, combos, reference):
+def diff_substrates(workload, scheme, accesses):
     """Axis sweeps through the differential executor: one scenario,
-    restricted combo list, full-state diff (strictly stronger than the
-    hand-rolled ``fingerprint`` comparison these classes used to do)."""
+    batched×soa against scalar×object, full-state diff (strictly
+    stronger than the hand-rolled ``fingerprint`` comparison)."""
     from repro.scenario.config import cell_scenario
     from repro.testing.differential import diff_scenario
 
     scenario = cell_scenario(
         workload, scheme, voltage=0.625, seed=21, accesses_per_cu=accesses
     )
-    divergence = diff_scenario(scenario, combos=combos, reference=reference)
+    divergence = diff_scenario(scenario)
     assert divergence is None, divergence.describe()
 
 
@@ -91,11 +61,7 @@ class TestSchemeAxis:
 
     @pytest.mark.parametrize("scheme", scheme_names())
     def test_bit_identical(self, scheme):
-        diff_substrates(
-            "xsbench", scheme, 500,
-            combos=[("vectorized", "soa")],
-            reference=("vectorized", "object"),
-        )
+        diff_substrates("xsbench", scheme, 500)
 
 
 class TestWorkloadAxis:
@@ -103,41 +69,29 @@ class TestWorkloadAxis:
 
     @pytest.mark.parametrize("workload", workload_names())
     def test_bit_identical(self, workload):
-        diff_substrates(
-            workload, "killi_1:64", 500,
-            combos=[("vectorized", "soa")],
-            reference=("vectorized", "object"),
-        )
+        diff_substrates(workload, "killi_1:64", 500)
 
 
 class TestEngineSubstrateProduct:
-    """All four scalar/vectorized x substrate combinations agree."""
+    """The two engine × substrate pairs agree on the full state snapshot."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_bit_identical(self, workload, scheme):
-        combos = [
-            (engine, substrate)
-            for engine in ("scalar", "vectorized")
-            for substrate in ("object", "soa")
-        ]
-        diff_substrates(
-            workload, scheme, 700,
-            combos=combos, reference=("scalar", "object"),
-        )
+        diff_substrates(workload, scheme, 700)
 
 
 class TestKernelPersistence:
     """DFH training and cache contents persist across kernels identically."""
 
-    def run_kernels(self, substrate: str, seed: int = 21):
+    def run_kernels(self, engine: str, seed: int = 21):
         gpu_config = GpuConfig()
         fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
         scheme = make_scheme(
             "killi_1:64", gpu_config, fault_map, 0.625,
             RngFactory(seed).child("kernels/killi_1:64"),
         )
-        simulator = GpuSimulator(gpu_config, scheme, substrate=substrate)
+        simulator = GpuSimulator(gpu_config, scheme, engine=engine)
         traces = [
             workload_trace(
                 workload, 400, n_cus=gpu_config.n_cus,
@@ -148,8 +102,8 @@ class TestKernelPersistence:
         return simulator.run_kernels(traces), simulator
 
     def test_kernel_sequence_bit_identical(self):
-        object_results, object_sim = self.run_kernels("object")
-        soa_results, soa_sim = self.run_kernels("soa")
+        object_results, object_sim = self.run_kernels("scalar")
+        soa_results, soa_sim = self.run_kernels("batched")
         assert len(object_results) == len(soa_results) == 3
         for object_result, soa_result in zip(object_results, soa_results):
             assert fingerprint(soa_result, soa_sim) == fingerprint(
@@ -211,7 +165,7 @@ class TestDisableResetSemantics:
 
 
 class TestGoldenFig4Slice:
-    """A small Figure 4 slice where the object substrate is the golden."""
+    """A small Figure 4 slice where the scalar×object simulator is the golden."""
 
     def test_matrix_pinned_to_object(self):
         kwargs = dict(
@@ -220,8 +174,8 @@ class TestGoldenFig4Slice:
             accesses_per_cu=400,
             seed=42,
         )
-        golden = fig4_fig5_performance(substrate="object", **kwargs)
-        candidate = fig4_fig5_performance(substrate="soa", **kwargs)
+        golden = fig4_fig5_performance(engine="scalar", **kwargs)
+        candidate = fig4_fig5_performance(**kwargs)
         assert candidate.points == golden.points
         # Sanity on the slice itself: both workloads, baseline added,
         # killi within a plausible slowdown band of the baseline.

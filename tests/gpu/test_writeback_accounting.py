@@ -1,10 +1,10 @@
-"""Dirty-writeback accounting across every engine x substrate combo.
+"""Dirty-writeback accounting on both simulators.
 
-The write-back L2's dirty-eviction memory traffic was historically
-asserted only against the object substrate; these directed tests pin
-the full accounting — stats, ``memory_reads`` and ``memory_writes`` —
-for every engine tier on both substrates, including the fallback the
-batched tier must take for the write-back protocol.
+These directed tests pin the write-back L2's full accounting — stats,
+``memory_reads`` and ``memory_writes`` — on the scalar reference
+(object substrate) and the batched engine (SoA substrate), including
+the per-access fallback the batched engine must take for the
+write-back protocol.
 """
 
 import numpy as np
@@ -16,8 +16,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.engine import GpuSimulator
 from repro.traces.base import CuStream, Trace
 
-ENGINES = ("scalar", "vectorized", "batched")
-SUBSTRATES = ("object", "soa")
+ENGINES = ("scalar", "batched")
 
 
 def small_config() -> GpuConfig:
@@ -42,11 +41,11 @@ def make_trace(addrs_per_cu, stores) -> Trace:
     return Trace("directed-wb", streams)
 
 
-def writeback_sim(config, engine, substrate) -> GpuSimulator:
+def writeback_sim(config, engine) -> GpuSimulator:
     scheme = UnprotectedScheme()
-    sim = GpuSimulator(config, scheme, engine=engine, substrate=substrate)
+    sim = GpuSimulator(config, scheme, engine=engine)
     sim.l2 = WriteBackCache(
-        config.l2, scheme, config.l2_latencies, substrate=sim.substrate
+        config.l2, scheme, config.l2_latencies, substrate=sim.l2.substrate
     )
     return sim
 
@@ -55,23 +54,22 @@ def run_all_combos(trace, config=None):
     config = config or small_config()
     results = {}
     for engine in ENGINES:
-        for substrate in SUBSTRATES:
-            sim = writeback_sim(config, engine, substrate)
-            r = sim.run(trace)
-            results[(engine, substrate)] = (
-                r.cycles,
-                r.per_cu_cycles,
-                r.l2_stats.as_dict(),
-                sim.l2.memory_reads,
-                sim.l2.memory_writes,
-            )
+        sim = writeback_sim(config, engine)
+        r = sim.run(trace)
+        results[engine] = (
+            r.cycles,
+            r.per_cu_cycles,
+            r.l2_stats.as_dict(),
+            sim.l2.memory_reads,
+            sim.l2.memory_writes,
+        )
     return results
 
 
 def assert_identical(results):
-    reference = results[("scalar", "object")]
-    for combo, got in results.items():
-        assert got == reference, combo
+    reference = results["scalar"]
+    for engine, got in results.items():
+        assert got == reference, engine
     return reference
 
 

@@ -1,29 +1,17 @@
 """Tests for the unified repro.metrics namespace.
 
-Covers the deprecation shims left at the old module paths and the
-derived-metric helpers the bench harness uses.
+Covers the single process-wide telemetry sink and the derived-metric
+helpers the bench harness uses.
 """
-
-import importlib
-import sys
 
 import pytest
 
-from repro.metrics import METRICS, Metrics, geomean, speedup
+from repro.metrics import METRICS, geomean, speedup
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "shim", ["repro.utils.metrics", "repro.harness.metrics"]
-    )
-    def test_shim_warns_and_reexports(self, shim):
-        # Force a re-import so the module-level warning fires even if
-        # another test already pulled the shim in.
-        sys.modules.pop(shim, None)
-        with pytest.warns(DeprecationWarning, match="repro.metrics"):
-            module = importlib.import_module(shim)
-        assert module.METRICS is METRICS
-        assert module.Metrics is Metrics
+    """The old module paths are gone; what they guaranteed — one
+    process-wide sink, whichever path imports it — stays pinned."""
 
     def test_single_process_wide_sink(self):
         from repro.metrics.telemetry import METRICS as telemetry_metrics

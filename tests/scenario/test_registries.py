@@ -4,7 +4,9 @@ import pytest
 
 from repro.baselines import DectedScheme, FlairScheme, MsEccScheme
 from repro.cache.hooks import UnprotectedScheme
-from repro.cache.soa import SoaTagStore, resolve_substrate
+from repro.cache.core import CacheModel
+from repro.cache.object_store import SetAssocCache
+from repro.cache.soa import SoaTagStore
 from repro.core import KilliScheme
 from repro.core.strong import KilliStrongScheme
 from repro.faults import FaultMap
@@ -13,7 +15,6 @@ from repro.harness.runner import make_scheme, scheme_names
 from repro.scenario.registries import (
     ENGINE_REGISTRY,
     SCHEME_REGISTRY,
-    SUBSTRATE_REGISTRY,
     WORKLOAD_REGISTRY,
     SchemeFactory,
 )
@@ -136,20 +137,22 @@ class TestOtherRegistries:
             workload_trace("nope", 100)
 
     def test_engines_registered_and_unknown_engine_raises_valueerror(self):
-        assert ENGINE_REGISTRY.names() == ["vectorized", "scalar", "batched"]
+        assert ENGINE_REGISTRY.names() == ["scalar", "batched"]
         with pytest.raises(ValueError, match="unknown engine 'nope'"):
             GpuSimulator(engine="nope")
 
     def test_substrates_registered_and_construct(self):
-        assert SUBSTRATE_REGISTRY.names() == ["object", "soa"]
+        # Substrates are no registry axis: CacheModel's private choice.
+        import repro.scenario.registries as registries
+
+        assert not hasattr(registries, "SUBSTRATE_REGISTRY")
         geometry = GpuConfig().l1_geometry()
-        spec = SUBSTRATE_REGISTRY.resolve("soa")
-        assert isinstance(spec.tag_store(geometry), SoaTagStore)
-        obj = SUBSTRATE_REGISTRY.resolve("object")
-        tags = obj.tag_store(geometry)
+        assert isinstance(CacheModel(geometry, substrate="soa").tags, SoaTagStore)
+        tags = CacheModel(geometry, substrate="object").tags
+        assert isinstance(tags, SetAssocCache)
         assert tags.geometry is geometry
         with pytest.raises(ValueError, match="unknown substrate"):
-            resolve_substrate("nope")
+            CacheModel(geometry, substrate="nope")
 
 
 class TestRegistryMechanics:

@@ -195,3 +195,31 @@ class TestCli:
                 "fig4", "--accesses", "300", "--workloads", "nekbone",
                 "--schemes", "nope",
             ])
+
+    def test_retired_engine_and_substrate_knobs_fail_typed(self, tmp_path, capsys):
+        """The ``vectorized`` engine and every substrate knob are gone:
+        each fails with a typed error naming the valid choices, or an
+        argparse exit 2 — never a traceback, never a silent alias."""
+        vectorized = tmp_path / "vectorized.toml"
+        vectorized.write_text(
+            'schema_version = 1\nname = "v"\n\n[engine]\nengine = "vectorized"\n'
+        )
+        with pytest.raises(KeyError, match=r"known: \['scalar', 'batched'\]"):
+            load_scenario(str(vectorized)).validate()
+        with pytest.raises(ValueError, match=r"expected one of \('scalar', 'batched'\)"):
+            run_cell(CellSpec("fft", "baseline", accesses_per_cu=10, engine="vectorized"))
+        substrate = tmp_path / "substrate.toml"
+        substrate.write_text(
+            'schema_version = 1\nname = "s"\n\n[engine]\nsubstrate = "soa"\n'
+        )
+        with pytest.raises(ValueError, match=r"\['substrate'\] in \[engine\]"):
+            load_scenario(str(substrate))
+        for path in (vectorized, substrate):
+            assert cli_main(["scenario", "run", str(path), "--no-progress"]) == 2
+            assert cli_main(["scenario", "validate", str(path)]) == 1
+        assert "invalid scenario" in capsys.readouterr().err
+        for flag in (["--substrate", "soa"], ["--engine", "vectorized"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(["fig4", "--accesses", "10"] + flag)
+            assert exit_info.value.code == 2
+        assert "unknown engine 'vectorized'" in capsys.readouterr().err

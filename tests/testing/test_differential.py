@@ -28,14 +28,15 @@ def small_scenario(scheme="killi_1:8", **kw):
 class TestRunScenario:
     def test_deterministic(self):
         sc = small_scenario()
-        a = run_scenario(sc, "scalar", "object")
-        b = run_scenario(sc, "scalar", "object")
+        a = run_scenario(sc, "scalar")
+        b = run_scenario(sc, "scalar")
         assert a.digest == b.digest
         assert a.cycles == b.cycles
         assert a.per_cu_cycles == b.per_cu_cycles
 
     def test_snapshot_carries_observables(self):
-        obs = run_scenario(small_scenario(), "vectorized", "soa")
+        obs = run_scenario(small_scenario(), "batched")
+        assert obs.substrate == "soa"
         snap = obs.snapshot
         assert snap["cycles"] == obs.cycles
         assert snap["l2"]["stats"]["reads"] > 0
@@ -45,18 +46,20 @@ class TestRunScenario:
 
     def test_sets_last_context(self):
         sc = small_scenario()
-        run_scenario(sc, "scalar", "object")
+        run_scenario(sc, "scalar")
         ctx = last_context()
         assert ctx is not None
         assert ctx["fingerprint"] == sc.fingerprint()
         assert ctx["engine"] == "scalar"
+        assert ctx["substrate"] == "object"
         assert "toml" in ctx
 
 
 class TestDiffScenario:
     def test_combos_cover_product(self):
-        assert len(COMBOS) == 6
-        assert REFERENCE in COMBOS
+        # Two simulators: batched×soa diffed against scalar×object.
+        assert COMBOS == ("batched",)
+        assert REFERENCE == "scalar"
 
     @pytest.mark.parametrize("scheme", ["baseline", "killi_1:8", "msecc"])
     def test_equivalence_holds(self, scheme):
@@ -76,7 +79,7 @@ class TestDiffScenario:
         divergence = diff_scenario(scenario, plant=PLANTS[plant])
         assert divergence is not None
         text = divergence.describe()
-        assert "diverges from scalar×object" in text
+        assert "batched×soa diverges from scalar×object" in text
 
     def test_crash_is_a_divergence(self):
         def bomb(simulator):

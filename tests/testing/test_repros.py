@@ -1,8 +1,8 @@
 """Replay every committed reproducer under armed invariants.
 
 Each ``repros/repro_*.toml`` is a shrunk scenario that once diverged;
-the fix landed with it, so replaying it through all six engine ×
-substrate combinations must now agree — with
+the fix landed with it, so replaying it through the batched simulator
+and the scalar reference must now agree — with
 ``REPRO_CHECK_INVARIANTS=1`` armed so the internal debug assertions
 run too.  This file needs no editing when a reproducer lands: cases
 are collected by glob.
