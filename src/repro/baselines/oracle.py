@@ -75,14 +75,13 @@ class OracleEccScheme(ProtectionScheme):
         # set * assoc + way, so a row-major reshape groups each set's
         # ways.  The fault population is static, so this never changes.
         by_set = counts.reshape(geometry.n_sets, geometry.associativity)
-        self._set_has_faults = (by_set > 0).any(axis=1)
         # Ways serving CORRECTED hits: faulty but within the ECC budget
         # (over-budget ways are disabled at attach and never hit).
         self._corrected_ways = [
             frozenset(int(w) for w in np.flatnonzero((row > 0) & (row <= correct_t)))
             if has
             else None
-            for row, has in zip(by_set, self._set_has_faults)
+            for row, has in zip(by_set, (by_set > 0).any(axis=1))
         ]
         # May this instance's sets replay through the batched kernel?
         # True only when no subclass changed a hook the kernel would
@@ -127,27 +126,6 @@ class OracleEccScheme(ProtectionScheme):
         line_id = self.geometry.line_id(set_index, way)
         return (bool(self.fault_counts[line_id] > 0), 0, 0)
 
-    def set_replay_info(self, set_index: int):
-        """Fault-free sets are scheme-inert for the whole run.
-
-        MBIST characterised the (static) fault population up front, so
-        a set whose lines all count zero faults behaves exactly like
-        the unprotected baseline forever: every hit is CLEAN with no
-        stat side effects, fills/write hits/evictions are no-ops, no
-        way is disabled or filtered, and no shared structure exists
-        that another set's traffic could perturb.  Trivially monotone.
-
-        Subclasses that change any behavioural hook opt out
-        conservatively (FLAIR's training-mode way filtering is gated
-        separately through :meth:`filters_ways`, which blocks the
-        cache-level probe before this one runs).
-        """
-        if not self._replay_hooks_clean:
-            return None
-        if self._set_has_faults[set_index]:
-            return None
-        return (False, 0, 0)
-
     def set_replay_profile(self, set_index: int):
         """Every set replays: the fault population is fully static.
 
@@ -156,11 +134,12 @@ class OracleEccScheme(ProtectionScheme):
         (``corrected_ways``); over-budget ways were disabled at attach
         (invalid forever, excluded from the fill order by
         ``export_set_state``).  No RNG, no shared structures, no state
-        transitions — no guard needed.
+        transitions, so the profile holds for the whole run.
+        Subclasses that change a behavioural hook opt out.
         """
         if not self._replay_hooks_clean:
             return None
-        return ((False, 0, 0), self._corrected_ways[set_index], None)
+        return ((False, 0, 0), self._corrected_ways[set_index])
 
     def on_reset(self) -> None:
         # The cache just re-enabled every way; MBIST runs again for the

@@ -13,7 +13,7 @@ transaction core -> hooks -> substrates (see ``docs/architecture.md``):
   write-back extension and the L1 filter caches; the single scalar
   implementation of the access semantics.
 - :mod:`repro.cache.hooks` — the scheme-facing surface (outcomes,
-  hook base class, replay guards, the batched-engine gate).
+  hook base class, the set-replay profile, the batched-engine gate).
 - :mod:`repro.cache.replacement` — the shared
   :class:`ReplacementPolicy` interface with both substrates' LRU
   states.
@@ -46,7 +46,6 @@ from repro.cache.hooks import (
     UnprotectedScheme,
     batched_surface,
     hooks_unchanged,
-    make_replay_guard,
 )
 from repro.cache.object_store import CacheLineState, SetAssocCache
 from repro.cache.replacement import LruState, ReplacementPolicy, SoaLruState
@@ -68,7 +67,6 @@ __all__ = [
     "BatchedSurface",
     "batched_surface",
     "hooks_unchanged",
-    "make_replay_guard",
     "CacheLatencies",
     "CacheModel",
     "AccessTransaction",

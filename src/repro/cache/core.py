@@ -167,7 +167,6 @@ _ACCESS_PROTOCOL = (
     "_allocate",
     "_choose_victim",
     "_memoize",
-    "set_replay_info",
     "set_replay_profile",
     "apply_set_replays",
     "commit_set_replays",
@@ -504,35 +503,18 @@ class CacheModel:
 
     # -- batched set replay ------------------------------------------------
 
-    def set_replay_info(self, set_index: int):
-        """Per-hit replay tuple if the set may be replayed in batch.
-
-        Combines the cache-level conditions (batchable scalar
-        semantics, no disabled ways — their presence changes victim
-        selection — and no way filtering) with the scheme's own
-        set-inertness probe
-        (:meth:`~repro.cache.hooks.ProtectionScheme.set_replay_info`).
-        None forces the per-access path for the set.
-        """
-        if not self.semantics_batchable:
-            return None
-        if self.tags.disabled_in_set[set_index]:
-            return None
-        if self._scheme_filters_ways:
-            return None
-        return self.scheme.set_replay_info(set_index)
-
     def set_replay_profile(self, set_index: int):
-        """Batched-replay profile for the set, or None (per-access path).
+        """Batched-replay profile ``(info, corrected_ways)``, or None.
 
-        The generalised probe the batched engine uses: disabled ways
-        no longer force a fallback — they are guaranteed invalid
+        The batched engine asks each set this once per kernel; None
+        sends the set's accesses down the per-access path.  Disabled
+        ways do not force a refusal — they are guaranteed invalid
         (``disable`` invalidates first) and ``export_set_state``
         excludes them from the fill order, which reproduces
         ``_choose_victim``'s enabled-candidates path exactly.  Only
         non-batchable scalar semantics, a *fully* disabled set (every
-        fill bypasses) and way-filtering schemes still refuse at the
-        cache level; everything else is the scheme's call
+        fill bypasses) and way-filtering schemes refuse at the cache
+        level; everything else is the scheme's call
         (:meth:`~repro.cache.hooks.ProtectionScheme.set_replay_profile`).
         """
         if not self.semantics_batchable:

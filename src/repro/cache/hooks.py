@@ -12,10 +12,8 @@ base class and the outcome enum it carries the pieces every engine
 tier consumes instead of re-stating semantics inline:
 
 - :func:`hooks_unchanged` — the type-level "does this scheme override
-  any behavioural hook?" probe behind the default set-inertness
-  answer and the MBIST oracles' static-batchability check;
-- :func:`make_replay_guard` — the abort-before-side-effect guard
-  protocol handed to :func:`repro.cache.soa.replay_clean_set`;
+  any behavioural hook?" probe behind the default set-replay profile
+  and the MBIST oracles' static-batchability check;
 - :func:`batched_surface` — the batched engine's single entry point
   for deciding whether a cache's scalar semantics may be replayed in
   bulk at all, replacing per-engine ``type(...)`` checks.
@@ -31,7 +29,6 @@ __all__ = [
     "PURE_CLEAN_HIT",
     "BEHAVIOURAL_HOOKS",
     "hooks_unchanged",
-    "make_replay_guard",
     "BatchedSurface",
     "batched_surface",
     "ProtectionScheme",
@@ -107,33 +104,6 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
 _INERT_BY_CLASS: dict = {}
 
 
-def make_replay_guard(unsafe_ways, fill_ok, fills_ok=None):
-    """Build the abort-before-side-effect guard for batched set replay.
-
-    The guard protocol consumed by
-    :func:`repro.cache.soa.replay_clean_set`:
-
-    - ``unsafe_ways`` — ways whose events may have scheme side effects
-      the flat kernel cannot reproduce.  A *write hit* on a resident
-      line in an unsafe way always aborts (it would draw shared RNG);
-      a *fill* into an unsafe way aborts only if the fill predicate
-      says the deterministic masking coins would leave a stored error.
-    - ``fill_ok(way, line_no) -> bool`` — per-fill predicate.
-    - ``fills_ok(ways, line_nos) -> bool array`` — optional batched
-      form; when supplied, unsafe fills are deferred and checked in
-      one vectorized call, and the kernel still reports the *earliest*
-      unreplayable event.
-
-    On abort nothing has been mutated: the kernel returns the offset
-    of the aborting access, the engine runs that access through the
-    ordinary per-access path, and a later re-probe resumes past it.
-    Returns the plain tuple form the kernel unpacks.
-    """
-    if fills_ok is not None:
-        return (unsafe_ways, fill_ok, fills_ok)
-    return (unsafe_ways, fill_ok)
-
-
 class BatchedSurface(NamedTuple):
     """What the batched engine may use of a cache: see :func:`batched_surface`."""
 
@@ -144,7 +114,7 @@ class BatchedSurface(NamedTuple):
     interpreter: object
     """A scheme-exact batch interpreter
     (:meth:`ProtectionScheme.batch_interpreter`), or None when only the
-    probe-based set-replay path applies."""
+    per-set profile path applies."""
 
 
 def batched_surface(cache):
@@ -278,15 +248,27 @@ class ProtectionScheme:
 
     # -- batched set replay ----------------------------------------------
 
-    def set_replay_info(self, set_index: int):
-        """Replay tuple if the whole set is *scheme-inert*, else None.
+    def set_replay_profile(self, set_index: int):
+        """Batched-replay profile ``(info, corrected_ways)``, or None.
 
-        The batched engine partitions the L2-bound stream by set; a set
-        it may simulate without per-access scheme dispatch must satisfy,
-        for the remainder of the current kernel:
+        The batched engine asks each L2 set this once per kernel,
+        before the set's first access.  A set with a profile replays
+        its whole subsequence through
+        :func:`repro.cache.soa.replay_clean_set`; a refused set runs
+        per-access.  The profile is:
 
-        - every read hit in the set behaves per the returned tuple
-          (``(corrected, hits_inc, sdc_inc)``, as ``hit_replay_info``);
+        - ``info`` — the per-hit replay tuple ``(corrected, hits_inc,
+          sdc_inc)`` (as :meth:`hit_replay_info`) applied to the set's
+          read hits;
+        - ``corrected_ways`` — None, or the ways whose read hits
+          replay as CORRECTED (+1 cycle, ``corrected_reads``) instead
+          of ``info[0]``'s latency class.  Lets statically-
+          characterised schemes (the MBIST oracles) batch sets that
+          *contain* faulty-but-correctable lines.
+
+        Because nothing re-checks the set afterwards, the profile must
+        hold for the rest of the kernel:
+
         - ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
           the set are pure no-ops (no state, stat, RNG or shared-
           structure effects);
@@ -295,51 +277,16 @@ class ProtectionScheme:
         - nothing outside the set's own accesses can mutate the set
           (no shared-structure entries pointing at it).
 
-        The guarantee must be *monotone*: once true it stays true until
-        the kernel ends (schemes whose clean sets can be re-dirtied by
-        their own accesses must return None).  The base implementation
-        covers schemes that override none of the behavioural hooks
-        (:data:`BEHAVIOURAL_HOOKS`) — unaware subclasses safely opt
-        out.
+        The base answer covers schemes that override none of the
+        behavioural hooks (:data:`BEHAVIOURAL_HOOKS`): every hit is a
+        pure CLEAN hit.  Unaware subclasses safely opt out.
         """
         cls = type(self)
         inert = _INERT_BY_CLASS.get(cls)
         if inert is None:
             inert = hooks_unchanged(cls)
             _INERT_BY_CLASS[cls] = inert
-        if not inert:
-            return None
-        return PURE_CLEAN_HIT
-
-    def set_replay_profile(self, set_index: int):
-        """Batched-replay profile ``(info, corrected_ways, guard)`` or None.
-
-        The generalisation of :meth:`set_replay_info` the batched
-        engine actually consumes:
-
-        - ``info`` — the per-hit replay tuple applied to the set's
-          read hits (as ``set_replay_info``);
-        - ``corrected_ways`` — None, or the ways whose read hits
-          replay as CORRECTED (+1 cycle, ``corrected_reads``) instead
-          of ``info[0]``'s latency class.  Lets statically-
-          characterised schemes (the MBIST oracles) batch sets that
-          *contain* faulty-but-correctable lines;
-        - ``guard`` — None, or a guard built by
-          :func:`make_replay_guard`, passed to
-          :func:`repro.cache.soa.replay_clean_set`, which aborts the
-          replay on the rare events that cannot be replayed out of
-          order (shared-RNG draws, unmasked fills).  With a guard the
-          inertness condition need not be monotone in itself — the
-          kernel re-checks every event — but everything *outside* the
-          guarded events must still be inert for the kernel remainder.
-
-        The default wraps :meth:`set_replay_info`: uniform hits, no
-        guard, which keeps every existing scheme's behaviour.
-        """
-        info = self.set_replay_info(set_index)
-        if info is None:
-            return None
-        return (info, None, None)
+        return (PURE_CLEAN_HIT, None) if inert else None
 
     def batch_interpreter(self, cache):
         """Scheme-exact batch interpreter for the engine, or None.
@@ -349,8 +296,8 @@ class ProtectionScheme:
         state, stat and RNG effect bit-exactly — returns an
         interpreter object here (see
         :mod:`repro.core.killi_replay`).  None (the default) keeps the
-        probe-based set-replay path as the only batching the engine
-        attempts for this scheme.
+        per-set profile (:meth:`set_replay_profile`) as the only
+        batching the engine attempts for this scheme.
         """
         return None
 

@@ -396,7 +396,6 @@ def replay_clean_set(
     lines,
     stores,
     corrected_ways=None,
-    guard=None,
 ):
     """Exact LRU replay of one scheme-inert set's access subsequence.
 
@@ -414,34 +413,14 @@ def replay_clean_set(
         CORRECTED (+1 cycle, ``corrected_reads``) instead of CLEAN —
         MBIST-oracle schemes serve faulty-but-correctable lines this
         way.  None means every hit is uniform.
-    guard:
-        Optional ``(unsafe_ways, fill_ok)`` abort predicate for sets
-        containing ways with active LV faults whose *events* are rare
-        but not replayable: a write hit on a resident line in an
-        unsafe way consumes shared RNG, and a fill into an unsafe way
-        stays replayable only while ``fill_ok(way, line_no)`` says the
-        deterministic masking coins leave no stored error.  Either
-        event aborts the replay.  A 3-tuple ``(unsafe_ways, fill_ok,
-        fills_ok)`` additionally supplies a batched
-        ``fills_ok(ways, line_nos) -> bool array`` form; unsafe fills
-        are then *deferred* — recorded during the replay and checked
-        in one vectorized call — which is sound because fills are
-        deterministic and everything simulated past the first dirty
-        fill is discarded anyway (the abort offset returned is always
-        the earliest unreplayable event).
 
     Returns ``(resident, touch_order, read_hits, write_hits, evictions,
-    miss_positions, corrected_positions)`` on success: the final
-    line -> way map (insertion-ordered LRU -> MRU), the touched ways
-    in final-recency order (replay through ``lru.touch`` to reproduce
-    the substrate's ages; untouched ways keep theirs), the stat
-    counts, the global positions of the read misses, and the global
-    positions of CORRECTED read hits.  On a guard abort it instead
-    returns the *offset into* ``indices`` of the aborting access
-    (a plain int): nothing has been mutated, and the caller knows the
-    per-access path must advance past that access before a re-probe
-    can possibly succeed (the replay prefix is exact, so the same
-    event recurs at the same access until it has been consumed).
+    miss_positions, corrected_positions)``: the final line -> way map
+    (insertion-ordered LRU -> MRU), the touched ways in final-recency
+    order (replay through ``lru.touch`` to reproduce the substrate's
+    ages; untouched ways keep theirs), the stat counts, the global
+    positions of the read misses, and the global positions of
+    CORRECTED read hits.
 
     Semantics matched to the per-access path: reads allocate on miss
     (victim = first invalid enabled way, else LRU among resident),
@@ -465,47 +444,15 @@ def replay_clean_set(
     corrected_positions = []
     corrected_append = corrected_positions.append
     corrected = (
-        corrected_ways
-        if isinstance(corrected_ways, frozenset)
-        else frozenset(corrected_ways)
-    ) if corrected_ways is not None else _NO_WAYS
-    fills_ok = None
-    if guard is not None:
-        if len(guard) == 3:
-            unsafe, fill_ok, fills_ok = guard
-        else:
-            unsafe, fill_ok = guard
-    else:
-        unsafe, fill_ok = _NO_WAYS, None
-    # Deferred unsafe fills (batched guard form): (way, line, offset)
-    # triples checked in one vectorized call instead of a Python
-    # closure call per fill.
-    d_ways: list = []
-    d_lines: list = []
-    d_offsets: list = []
-
-    def first_dirty_fill() -> int:
-        """Offset of the earliest deferred fill that would store
-        unmasked errors, or -1 if all are clean."""
-        if not d_ways:
-            return -1
-        ok = fills_ok(d_ways, d_lines)
-        if ok.all():
-            return -1
-        return d_offsets[int(np.argmin(ok))]
+        frozenset(corrected_ways) if corrected_ways is not None else _NO_WAYS
+    )
 
     get = resident.get
-    for k, i in enumerate(indices):
+    for i in indices:
         line = lines[i]
         way = get(line)
         if stores[i]:
             if way is not None:
-                if way in unsafe:
-                    # Write hit would draw shared RNG: abort — unless
-                    # an earlier deferred fill already broke the
-                    # replay, in which case that offset wins.
-                    dirty = first_dirty_fill() if fills_ok is not None else -1
-                    return dirty if 0 <= dirty < k else k
                 write_hits += 1
                 del resident[line]
                 resident[line] = way
@@ -518,30 +465,16 @@ def replay_clean_set(
             resident[line] = way
             touched[way] = True
         else:
-            if free_i < n_free:
-                way = free_ways[free_i]
-            else:
-                victim = next(iter(resident))
-                way = resident[victim]
-            if way in unsafe:
-                if fills_ok is not None:
-                    d_ways.append(way)
-                    d_lines.append(line)
-                    d_offsets.append(k)
-                elif not fill_ok(way, line):
-                    return k  # fill would store unmasked errors: abort
             miss_append(i)
             if free_i < n_free:
+                way = free_ways[free_i]
                 free_i += 1
             else:
-                del resident[victim]
+                victim = next(iter(resident))
+                way = resident.pop(victim)
                 evictions += 1
             resident[line] = way
             touched[way] = True
-    if fills_ok is not None:
-        dirty = first_dirty_fill()
-        if dirty >= 0:
-            return dirty
     touch_order = [way for way in resident.values() if touched[way]]
     return (
         resident,

@@ -45,13 +45,12 @@ class EccCache:
         Associativity (Table 3: 4).
     l2_shape:
         Optional ``(n_l2_sets, l2_assoc)`` of the protected cache.
-        When given, flat numpy membership mirrors are maintained
-        alongside the key lists: a per-L2-line membership flag and a
-        per-L2-set live-entry count, making :meth:`contains` and
-        :meth:`has_entries_for` O(1) scalar probes instead of key-list
-        scans — the batched engine hits both on every set-inertness
-        check.  The mirrors are pure acceleration; the MRU-ordered key
-        lists stay authoritative for replacement.
+        When given, a flat per-L2-line membership mirror is maintained
+        alongside the key lists, making :meth:`contains` an O(1)
+        scalar probe instead of a key-list scan — every Killi hit,
+        write hit and eviction asks it.  The mirror is pure
+        acceleration; the MRU-ordered key lists stay authoritative for
+        replacement.
     """
 
     def __init__(
@@ -75,13 +74,11 @@ class EccCache:
         if l2_shape is not None:
             n_l2_sets, l2_assoc = l2_shape
             self._l2_assoc = l2_assoc
-            # Scalar reads/writes go through memoryviews: plain-int
-            # results at list-indexing speed, with the numpy arrays
+            # Scalar reads/writes go through a memoryview: plain-int
+            # results at list-indexing speed, with the numpy array
             # retained for vectorized consumers.
             self._member_np = np.zeros(n_l2_sets * l2_assoc, dtype=bool)
             self._member = memoryview(self._member_np)
-            self._count_np = np.zeros(n_l2_sets, dtype=np.int32)
-            self._count_for_set = memoryview(self._count_np)
         else:
             self._l2_assoc = None
 
@@ -94,22 +91,6 @@ class EccCache:
         if self._l2_assoc is not None:
             return self._member[l2_set * self._l2_assoc + l2_way]
         return (l2_set, l2_way) in self._sets[l2_set % self.n_sets]
-
-    def has_entries_for(self, l2_set: int) -> bool:
-        """Does any way of the L2 set currently hold an entry?
-
-        O(1) against the per-set live-entry counter when the L2 shape
-        is known (one scan of the ≤ assoc servicing entries otherwise)
-        — the batched engine's set-inertness probe: a set with no
-        entries can never be invalidated by another set's ECC-cache
-        contention.
-        """
-        if self._l2_assoc is not None:
-            return self._count_for_set[l2_set] != 0
-        for key in self._sets[l2_set % self.n_sets]:
-            if key[0] == l2_set:
-                return True
-        return False
 
     def touch(self, l2_set: int, l2_way: int) -> None:
         """Promote the entry to MRU (coordinated replacement)."""
@@ -141,10 +122,8 @@ class EccCache:
         if self._l2_assoc is not None:
             assoc = self._l2_assoc
             self._member[l2_set * assoc + l2_way] = True
-            self._count_for_set[l2_set] += 1
             if evicted is not None:
                 self._member[evicted[0] * assoc + evicted[1]] = False
-                self._count_for_set[evicted[0]] -= 1
         return evicted
 
     def remove(self, l2_set: int, l2_way: int) -> bool:
@@ -159,7 +138,6 @@ class EccCache:
             entries.remove(key)
             if self._l2_assoc is not None:
                 self._member[l2_set * self._l2_assoc + l2_way] = False
-                self._count_for_set[l2_set] -= 1
             return True
         return False
 
@@ -169,7 +147,6 @@ class EccCache:
             entries.clear()
         if self._l2_assoc is not None:
             self._member_np[:] = False
-            self._count_np[:] = 0
 
     @property
     def occupancy(self) -> int:

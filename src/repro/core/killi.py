@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hooks import AccessOutcome, ProtectionScheme, make_replay_guard
+from repro.cache.hooks import AccessOutcome, ProtectionScheme
 from repro.core.config import KilliConfig
 from repro.core.dfh import Classification, Dfh, DfhAction, classify
 from repro.core.ecc_cache import EccCache
@@ -105,18 +105,15 @@ class KilliScheme(ProtectionScheme):
         self._dfh_np = np.full(geometry.n_lines, _INITIAL, dtype=np.int8)
         self.dfh = memoryview(self._dfh_np)
         # Per-set DFH occupancy counters, maintained incrementally by
-        # _set_dfh so the set-inertness probes are O(1):
+        # _set_dfh so the fill-priority and interpreter probes are O(1):
         # - off-initial: lines in a state other than INITIAL (0 means
         #   every way still carries the same fill priority);
         # - unstable: lines in INITIAL or STABLE_1 (0 means every way
-        #   is STABLE_0 or DISABLED — the stabilised-set condition);
-        # - disabled: lines in DISABLED.
+        #   is STABLE_0 or DISABLED — the stabilised-set condition).
         self._off_initial_np = np.zeros(geometry.n_sets, dtype=np.int32)
         self._off_initial_in_set = memoryview(self._off_initial_np)
         self._unstable_np = np.full(geometry.n_sets, self._assoc, np.int32)
         self._unstable_in_set = memoryview(self._unstable_np)
-        self._dfh_disabled_np = np.zeros(geometry.n_sets, dtype=np.int32)
-        self._dfh_disabled_in_set = memoryview(self._dfh_disabled_np)
         # Transition counters as a dense 4x4 (old, new) array; the
         # dict-of-name-tuples shape tests and the harness consume is a
         # property view built on demand.
@@ -203,10 +200,6 @@ class KilliScheme(ProtectionScheme):
             self._unstable_in_set[set_index] += (
                 1 if (new == _INITIAL or new == _STABLE_1) else -1
             )
-        if old == _DISABLED:
-            self._dfh_disabled_in_set[set_index] -= 1
-        elif new == _DISABLED:
-            self._dfh_disabled_in_set[set_index] += 1
         self._transitions_mv[old, new] += 1
         if self.cache is not None:
             # A DFH transition changes this line's classification
@@ -383,122 +376,19 @@ class KilliScheme(ProtectionScheme):
         self.hits_served += info[1]
         self.sdc_events += info[2]
 
-    def set_replay_info(self, set_index: int):
-        """Scheme-inert probe: every way stable-clean and uncoupled.
-
-        A set qualifies when all of its lines are DFH b'00 with an
-        empty error vector, no *active* LV faults at the current
-        voltage, and no ECC-cache entry.  Such a set is inert for the
-        rest of the kernel:
-
-        - hits take the b'00 fast-clean path (``hits_served += 1``,
-          CLEAN, no epoch/ECC traffic) — the returned tuple;
-        - fills keep DFH b'00 (no ECC insert) and resample nothing
-          (no active faults -> ``errors.on_fill`` clears an already
-          empty row without consuming RNG);
-        - write hits likewise touch neither RNG nor ECC state;
-        - evictions train nothing (b'00 is not b'01) and remove no
-          entry;
-        - fill priorities are uniform (every way b'00) so victim
-          selection is first-invalid / plain LRU;
-        - no entries means no other set's ECC contention can reach in,
-          and its own accesses never create entries, faults or DFH
-          transitions — the condition is monotone within a kernel.
-        """
-        if self.soft_injector is not None:
-            return None
-        # All-STABLE_0 <=> no unstable (b'01/b'10) and no disabled way:
-        # two O(1) counter probes instead of a slice compare.
-        if self._unstable_in_set[set_index] or self._dfh_disabled_in_set[
-            set_index
-        ]:
-            return None
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        errors = self.errors
-        if errors.active_faults_in_range(base, stop):
-            return None
-        if errors.dirty_in_range(base, stop):
-            return None
-        if self.ecc.has_entries_for(set_index):
-            return None
-        return (False, 1, 0)
-
-    def apply_replay_bulk(self, info, count: int) -> None:
-        self.hits_served += info[1] * count
-        self.sdc_events += info[2] * count
-
-    def set_replay_profile(self, set_index: int):
-        """Guarded batched replay for stabilised sets.
-
-        Looser than :meth:`set_replay_info`: ways may be DISABLED
-        (inert — their state was cleared at disable time and the tag
-        store never offers them again) and lines may sit over *active*
-        LV faults, as long as every enabled way is DFH b'00, no error
-        vector is non-empty and no ECC-cache entry exists.  Hits then
-        all take the b'00 fast-clean path and evictions train nothing.
-
-        The two events such a set cannot replay out of order are
-        guarded instead of forbidden:
-
-        - a write hit on a line with active faults re-rolls masking
-          with the *shared* RNG (``unsafe_ways`` -> kernel abort);
-        - a fill whose deterministic masking coins leave unmasked
-          faults would store a non-empty error vector, breaking the
-          fast-clean invariant (batched ``fills_ok`` check -> kernel
-          abort at the first such fill).  Fills are RNG-free, so
-          predicting them with ``fills_would_be_clean`` is exact; the
-          salt replicates ``on_fill``'s (the cache tag,
-          ``line // n_sets``).
-
-        Aborted replays are discarded wholesale; the per-access path
-        then consumes the prefix plus the aborting access.
-        """
-        if self.soft_injector is not None:
-            return None
-        # Stabilised <=> no way in b'01/b'10: one O(1) counter probe.
-        # DISABLED ways are allowed here, unlike set_replay_info (they
-        # are inert — cleared at disable time and never offered again).
-        if self._unstable_in_set[set_index]:
-            return None
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        errors = self.errors
-        if errors.dirty_in_range(base, stop):
-            return None
-        if self.ecc.has_entries_for(set_index):
-            return None
-        if not errors.active_faults_in_range(base, stop):
-            return ((False, 1, 0), None, None)
-        dfh = self.dfh
-        unsafe = frozenset(
-            way
-            for way in range(self._assoc)
-            if dfh[base + way] == _STABLE_0
-            and errors.slot_has_active(base + way)
-        )
-        n_sets = self.geometry.n_sets
-
-        def fill_ok(way: int, line: int) -> bool:
-            return errors.fill_would_be_clean(base + way, line // n_sets)
-
-        def fills_ok(ways, line_nos) -> np.ndarray:
-            slots = base + np.asarray(ways, dtype=np.int64)
-            salts = np.asarray(line_nos, dtype=np.int64) // n_sets
-            return errors.fills_would_be_clean(slots, salts)
-
-        return ((False, 1, 0), None, make_replay_guard(unsafe, fill_ok, fills_ok))
-
     def batch_interpreter(self, cache):
         """Cluster-exact shadow interpreter for the batched engine.
 
-        Unlike the guarded set replay above, the interpreter
+        The interpreter
         (:class:`repro.core.killi_replay.KilliClusterInterpreter`)
         handles *every* set — DFH warmup, classification and ECC-cache
         contention included — aborting only at shared-RNG write hits.
+        It is Killi's only batching path: the scheme overrides the
+        behavioural hooks, so the per-set profile always refuses it.
         Gated to exactly this class (subclasses may change semantics
-        the interpreter replicates) and to runs without a soft-error
-        injector (whose per-hit sampling draws shared RNG).
+        the interpreter replicates, so they run per-access) and to runs
+        without a soft-error injector (whose per-hit sampling draws
+        shared RNG).
         """
         if type(self) is not KilliScheme:
             return None
@@ -571,7 +461,6 @@ class KilliScheme(ProtectionScheme):
         self._dfh_np[:] = _INITIAL
         self._off_initial_np[:] = 0
         self._unstable_np[:] = self._assoc
-        self._dfh_disabled_np[:] = 0
         self.ecc.clear()
         self.errors.clear_all()
 

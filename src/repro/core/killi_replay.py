@@ -104,7 +104,6 @@ class _SetShadow:
         "dfh",
         "off_d",
         "uns_d",
-        "dis_d",
         "triv",
         "quiet",
     )
@@ -291,7 +290,6 @@ class KilliClusterInterpreter:
         st.dfh = self._scheme._dfh_np[base : base + self._assoc].tolist()
         st.off_d = 0
         st.uns_d = 0
-        st.dis_d = 0
         st.quiet, st.triv = self._probe_set(set_index)
         self._sets[set_index] = st
         return st
@@ -346,10 +344,6 @@ class KilliClusterInterpreter:
             st.off_d -= 1
         if (old == _INI or old == _S1) != (new == _INI or new == _S1):
             st.uns_d += 1 if (new == _INI or new == _S1) else -1
-        if old == _DIS:
-            st.dis_d -= 1
-        elif new == _DIS:
-            st.dis_d += 1
         self._trans[(old << 2) | new] += 1
         if new == _S0 and st.quiet and not st.triv:
             # A quiet set whose last unstable way just stabilised (and
@@ -1075,7 +1069,6 @@ class KilliClusterInterpreter:
         scheme = self._scheme
         off_mv = scheme._off_initial_in_set
         uns_mv = scheme._unstable_in_set
-        dis_mv = scheme._dfh_disabled_in_set
         stamp_clear = [-1] * assoc
         for set_index, st in self._sets.items():
             way_lines = st.way_lines
@@ -1107,8 +1100,6 @@ class KilliClusterInterpreter:
                 off_mv[set_index] += st.off_d
             if st.uns_d:
                 uns_mv[set_index] += st.uns_d
-            if st.dis_d:
-                dis_mv[set_index] += st.dis_d
         if self._dfh_over:
             dfh_mv = self._dfh_mv
             for slot, value in self._dfh_over.items():
@@ -1118,7 +1109,7 @@ class KilliClusterInterpreter:
                 if count:
                     trans_mv[key >> 2, key & 3] += count
         # ECC cache: key-list writeback plus a membership diff for the
-        # O(1) mirrors.
+        # O(1) mirror.
         ecc = self._ecc
         entries = ecc._sets[self._cluster]
         new_entries = [
@@ -1127,16 +1118,13 @@ class KilliClusterInterpreter:
         if entries != new_entries:
             if ecc._l2_assoc is not None:
                 member = ecc._member
-                count_for_set = ecc._count_for_set
                 l2_assoc = ecc._l2_assoc
                 old_keys = set(entries)
                 new_keys = set(new_entries)
                 for key_set, key_way in old_keys - new_keys:
                     member[key_set * l2_assoc + key_way] = False
-                    count_for_set[key_set] -= 1
                 for key_set, key_way in new_keys - old_keys:
                     member[key_set * l2_assoc + key_way] = True
-                    count_for_set[key_set] += 1
             entries[:] = new_entries
         ecc.accesses += self._d_ecc_acc
         ecc.allocations += self._d_ecc_alloc

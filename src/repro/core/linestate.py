@@ -264,79 +264,6 @@ class LineErrorModel:
             offsets = self._ensure_active()
         return offsets[line_id] != offsets[line_id + 1]
 
-    def fill_would_be_clean(self, line_id: int, salt: int = 0) -> bool:
-        """Would :meth:`on_fill` leave this slot's error vector empty?
-
-        Pure prediction — evaluates the same deterministic masking
-        coins ``on_fill`` uses (fills never touch the shared RNG) and
-        mutates nothing.  Must stay in lockstep with ``on_fill``.
-        """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        start = offsets[line_id]
-        stop = offsets[line_id + 1]
-        if start == stop:
-            return True
-        positions = self._act_positions[start:stop]
-        return not self._masking_coins(line_id, salt, positions).any()
-
-    @staticmethod
-    def _masking_coins_many(
-        line_ids: np.ndarray, salts: np.ndarray, positions: np.ndarray
-    ) -> np.ndarray:
-        """Elementwise :meth:`_masking_coins` over aligned arrays.
-
-        Same splitmix64 mix per element — ``uint64`` multiplies wrap
-        exactly like the scalar path's ``& mask64``.
-        """
-        x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= line_ids.astype(np.uint64) * np.uint64(0xBF58476D1CE4E5B9)
-        x ^= (salts.astype(np.uint64) + np.uint64(1)) * np.uint64(
-            0x94D049BB133111EB
-        )
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
-
-    def fills_would_be_clean(self, line_ids, salts) -> np.ndarray:
-        """Batched :meth:`fill_would_be_clean` over aligned arrays.
-
-        One vectorized coin evaluation for a whole replay window's
-        candidate fills instead of a Python call per (slot, line)
-        pair.  Returns a bool array: True where ``on_fill(line_ids[i],
-        salts[i])`` would leave an empty error vector.
-        """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        line_ids = np.asarray(line_ids, dtype=np.int64)
-        salts = np.asarray(salts, dtype=np.int64)
-        off = np.asarray(offsets, dtype=np.int64)
-        starts = off[line_ids]
-        counts = off[line_ids + 1] - starts
-        clean = np.ones(len(line_ids), dtype=bool)
-        faulted = np.flatnonzero(counts)
-        if not len(faulted):
-            return clean
-        reps = counts[faulted]
-        # Concatenated per-pair aranges into the active-position CSR.
-        flat = np.arange(int(reps.sum()), dtype=np.int64)
-        flat -= np.repeat(np.cumsum(reps) - reps, reps)
-        positions = self._act_positions[np.repeat(starts[faulted], reps) + flat]
-        coins = self._masking_coins_many(
-            np.repeat(line_ids[faulted], reps),
-            np.repeat(salts[faulted], reps),
-            positions,
-        )
-        unmasked = np.zeros(len(faulted), dtype=bool)
-        np.logical_or.at(unmasked, np.repeat(np.arange(len(faulted)), reps), coins)
-        clean[faulted] = ~unmasked
-        return clean
-
     def predicted_fill_row(self, line_id: int, salt: int):
         """The packed row :meth:`on_fill` *would* store, or None if empty.
 
@@ -459,23 +386,10 @@ class LineErrorModel:
     def dirty_in_range(self, start: int, stop: int) -> bool:
         """Any line in ``[start, stop)`` with a non-empty error vector?
 
-        Set-level probe for the batched replay engine: a scheme-inert
-        set must have every resident line's effective vector empty.
+        Set-level probe behind the batched cluster interpreter's
+        quiet-set check (:mod:`repro.core.killi_replay`).
         """
         return any(self._weights[start:stop])
-
-    def active_faults_in_range(self, start: int, stop: int) -> bool:
-        """Any *active* LV fault (masked or not) in lines ``[start, stop)``?
-
-        O(1) via the active-fault CSR of the current voltage: lines
-        without active faults can never grow an error vector from their
-        own fills or write hits, which is what lets the batched engine
-        skip the per-access error-model calls for them.
-        """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        return offsets[stop] > offsets[start]
 
     def has_observable_faults(self, line_id: int) -> bool:
         """Would the inverted-write read pair observe any fault?

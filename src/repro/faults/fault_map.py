@@ -37,7 +37,12 @@ import numpy as np
 from repro.faults.cell_model import CellFaultModel, FaultMechanism
 from repro.utils.bitpack import pack_positions
 
-__all__ = ["LineRegion", "FaultMap"]
+__all__ = ["FLOOR_VOLTAGE", "LineRegion", "FaultMap"]
+
+#: Lowest voltage a default :class:`FaultMap` supports — the paper's
+#: lowest evaluated point (Table 7).  Every experiment cell builds its
+#: map with this floor, so scenario validation rejects lower voltages.
+FLOOR_VOLTAGE = 0.575
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ class FaultMap:
         line_bits: int = 539,
         cell_model: CellFaultModel | None = None,
         freq_ghz: float = 1.0,
-        floor_voltage: float = 0.575,
+        floor_voltage: float = FLOOR_VOLTAGE,
         rng: np.random.Generator | None = None,
         mechanism: FaultMechanism = FaultMechanism.COMBINED,
     ):

@@ -14,11 +14,14 @@ own tag/LRU substrate:
 
 - ``engine="batched"`` (default), on the struct-of-arrays substrate:
   each CU's private L1 stream is filtered in one pass, then the
-  L2-bound residue is partitioned by L2 set and every *scheme-inert*
-  set replays through the batched set kernel
+  L2-bound residue is batched by one of two paths.  Plain Killi runs
+  through its cluster interpreter
+  (:mod:`repro.core.killi_replay`); every other scheme partitions the
+  residue by L2 set, asks each set once for a replay profile, and
+  replays every profiled set through the batched set kernel
   (:func:`~repro.cache.soa.replay_clean_set`) — no per-access Python
-  call at all; sets with scheme-relevant lines (faulty, disabled,
-  ECC-cache-resident, DFH-transitioning) fall back to the exact
+  call at all.  Accesses neither path takes (refused sets, Killi's
+  shared-RNG write hits, non-batchable caches) run through the exact
   per-access path in original global order.  Bank conflicts and the
   stats deltas are applied in bulk.
 - ``engine="scalar"``, on the object substrate: the original
@@ -378,14 +381,6 @@ class GpuSimulator:
         order = np.lexsort((cus, pos))
         return base, (addrs_arr[order], stores_arr[order], cus[order], pos[order])
 
-    #: A set that fails its inertness probe is re-probed after this many
-    #: of its *own* accesses have run per-access; the interval doubles
-    #: per failed probe up to the MAX.  Probing only decides *when* a
-    #: set's tail starts batching — results are schedule-independent —
-    #: so both values are pure performance knobs, exposed for tests.
-    BATCH_PROBE_INTERVAL = 4
-    BATCH_PROBE_INTERVAL_MAX = 16
-
     def _run_batched(self, trace: Trace) -> list:
         """Set-partitioned batched replay of the L2-bound residue.
 
@@ -394,30 +389,32 @@ class GpuSimulator:
         pass (queue rank = ordinal within the (round, bank) group of
         the ordered residue — identical to the per-round ``bank_usage``
         dict of the scalar loop, and independent of which path replays
-        the access).  Stage 3 partitions the residue by L2 set:
+        the access).  Stage 3 batches the residue through one of two
+        paths, chosen once per kernel by
+        :func:`~repro.cache.hooks.batched_surface`:
 
-        - A set the cache hands a *replay profile* for
-          (:meth:`~repro.cache.core.CacheModel.set_replay_profile`)
-          is simulated by :func:`~repro.cache.soa.replay_clean_set` —
-          plain set-associative LRU over the set's subsequence, O(1)
-          per access, no scheme or stats dispatch.  The profile may
-          mark per-way CORRECTED hits (MBIST oracles' faulty-but-
-          correctable lines) and carry a guard that aborts the replay
-          on the rare events that must run in global order (shared-RNG
-          write hits, unmasking fills); an un-aborted replay consumes
-          the set's *entire remaining* subsequence at once, and
-          tag/LRU state plus the aggregate stat deltas are applied in
-          bulk afterwards
+        - A scheme with a batch interpreter (plain Killi) runs every
+          ECC-contention cluster through it (see
+          :mod:`repro.core.killi_replay`); only its shared-RNG write
+          hits run per-access, in global order.
+        - Otherwise the residue is partitioned by L2 set and each set
+          is asked once, before any access runs, for a *replay
+          profile* (:meth:`~repro.cache.core.CacheModel.set_replay_profile`).
+          A set with one is simulated by
+          :func:`~repro.cache.soa.replay_clean_set` — plain
+          set-associative LRU over the set's whole subsequence, O(1)
+          per access, no scheme or stats dispatch, with per-way
+          CORRECTED hits for the MBIST oracles' faulty-but-correctable
+          lines — and its tag/LRU state plus the aggregate stat deltas
+          are applied in bulk
           (:meth:`~repro.cache.core.CacheModel.commit_set_replays`).
-        - All other accesses run through ``l2.read`` / ``l2.write`` in
-          original global order — preserving the RNG draw sequence and
-          the ECC-cache interleave across sets, which is what keeps
-          cycles, stats and DFH state bit-identical to the reference.
 
-        Each set is probed on its first access and re-probed with
-        per-set exponential backoff while it stays dirty, so sets that
-        *become* inert mid-kernel — e.g. Killi sets finishing DFH
-        warmup — still batch their tails shortly after converging.
+        Every access neither path took — a refused set's, or the whole
+        residue when the cache is not batchable — runs through
+        ``l2.read`` / ``l2.write`` in original global order, preserving
+        the RNG draw sequence and the ECC-cache interleave across sets,
+        which is what keeps cycles, stats and scheme state
+        bit-identical to the reference.
         """
         n_cus = self.config.n_cus
         telemetry = METRICS.enabled
@@ -437,6 +434,7 @@ class GpuSimulator:
         geometry = self.config.l2
         n_sets = geometry.n_sets
         line_nos = r_addrs // geometry.line_bytes
+        set_idx = line_nos % n_sets
 
         # Stage 2: bank-conflict delays, state-free and exact.
         model_banks = self.config.model_bank_conflicts
@@ -456,15 +454,15 @@ class GpuSimulator:
             delay = np.empty(n, dtype=np.int64)
             delay[by_key] = (ordinal - group_start) * self.config.bank_conflict_penalty
 
-        lat = np.zeros(n, dtype=np.int64)  # batched accesses only
-        latency_py = [0] * n_cus  # fallback-path accumulation
+        lat = None  # per-access latency of the batched accesses
+        latency_py = [0] * n_cus  # per-access-path accumulation
         stores_list = r_stores.tolist()
         addrs_list = r_addrs.tolist()
         cus_list = r_cus.tolist()
-        clean_done: set = set()
-        miss_all: list = []
+        lines_list = line_nos.tolist()
+        loop_idx = range(n)  # accesses left to the per-access path
         pending: list = []  # deferred (set, way_lines, resident, touch_order)
-        n_fallback = 0
+        guard_aborts = 0
         l2_read = l2.read
         l2_write = l2.write
 
@@ -475,8 +473,6 @@ class GpuSimulator:
         # when one exists.
         surface = batched_surface(l2)
         interp = surface.interpreter if surface is not None else None
-        guard_aborts = 0
-        interp_done = False
         if interp is not None:
             # Stage 3': cluster interpretation.  The scheme's shared-
             # structure contention couples L2 sets only within ECC-set
@@ -492,15 +488,13 @@ class GpuSimulator:
             # draws RNG and clusters are state-disjoint, so the heap
             # order is the only order in which RNG is consumed — the
             # same order the scalar engine consumes it.
-            l2_set_idx = line_nos % n_sets
-            cluster_idx = l2_set_idx % interp.ecc_n_sets
+            cluster_idx = set_idx % interp.ecc_n_sets
             c_order = np.argsort(cluster_idx, kind="stable")
             uniq_c, c_starts = np.unique(
                 cluster_idx[c_order], return_index=True
             )
             c_bounds = np.append(c_starts[1:], n)
-            lines_list = line_nos.tolist()
-            sets_list = l2_set_idx.tolist()
+            sets_list = set_idx.tolist()
             lat_list = [0] * n
             cluster_groups: dict = {}
             heap = []
@@ -518,7 +512,6 @@ class GpuSimulator:
             while heap:
                 gi, c, k = heapq.heappop(heap)
                 lat_list[gi] = l2_write(addrs_list[gi])
-                n_fallback += 1
                 guard_aborts += 1
                 idxs = cluster_groups[c]
                 k = interp.run(
@@ -528,58 +521,43 @@ class GpuSimulator:
                 if k is not None:
                     heapq.heappush(heap, (idxs[k], c, k))
             lat = np.asarray(lat_list, dtype=np.int64)
-            interp_done = True
+            loop_idx = ()
         elif surface is not None:
-            set_idx = line_nos % n_sets
             # Stage 3: set partition.  Stable grouping keeps each set's
             # subsequence in original (round-major/CU-minor) order.
+            # Each set is asked for its profile exactly once: a set
+            # with one replays all of its accesses here, a refused set
+            # runs all of its accesses per-access below.
             set_order = np.argsort(set_idx, kind="stable")
             uniq_sets, starts = np.unique(set_idx[set_order], return_index=True)
             bounds = np.append(starts[1:], n)
-            groups = {
-                int(s): set_order[a:b]
-                for s, a, b in zip(uniq_sets, starts, bounds)
-            }
-            lines_list = line_nos.tolist()
-            sets_list = set_idx.tolist()
-            lat_tag = l2._lat_tag
+            replay_profile = l2.set_replay_profile
+            tags, lru = l2.tags, l2.lru
             lat_groups: dict = {}  # hit latency -> per-set index arrays
             bulk_hits: dict = {}  # replay info -> batched read hits
             agg = [0, 0, 0, 0, 0]  # reads, read_hits, writes, write_hits, evs
-            seen: dict = {}  # set -> accesses already run per-access
-            probe_left: dict = {}  # set -> own accesses until next probe
-            probe_iv: dict = {}  # set -> current backed-off interval
-            replay_profile = l2.set_replay_profile
-            tags, lru = l2.tags, l2.lru
-            iv0 = self.BATCH_PROBE_INTERVAL
-            iv_max = self.BATCH_PROBE_INTERVAL_MAX
+            miss_all: list = []
             corrected_all: list = []
-
-            def consume_tail(s, start, prof):
-                """Replay set ``s``'s remaining subsequence in batch.
-
-                Returns None on success.  On a guard abort, returns the
-                offset into the tail of the access that cannot replay —
-                nothing was committed, and the caller schedules the
-                per-access path to consume at least through that access
-                before re-probing (the replay prefix is exact, so the
-                same abort recurs until the event itself has run).
-                """
-                info, corrected_ways, guard = prof
-                idx_np = groups[s][start:]
+            refused: list = []
+            for s, a, b in zip(uniq_sets.tolist(), starts.tolist(), bounds.tolist()):
+                prof = replay_profile(s)
+                if prof is None:
+                    refused.append(s)
+                    continue
+                info, corrected_ways = prof
+                idx_np = set_order[a:b]
                 way_lines, seed, free_ways = export_set_state(tags, lru, s)
-                res = replay_clean_set(
-                    seed, free_ways, idx_np.tolist(), lines_list,
-                    stores_list, corrected_ways, guard,
+                resident, touch_order, rh, wh, ev, miss_positions, corr = (
+                    replay_clean_set(
+                        seed, free_ways, idx_np.tolist(), lines_list,
+                        stores_list, corrected_ways,
+                    )
                 )
-                if type(res) is int:
-                    return res
-                resident, touch_order, rh, wh, ev, miss_positions, corr = res
                 pending.append((s, way_lines, resident, touch_order))
                 reads_sub = rh + len(miss_positions)
                 agg[0] += reads_sub
                 agg[1] += rh
-                agg[2] += len(idx_np) - reads_sub
+                agg[2] += b - a - reads_sub
                 agg[3] += wh
                 agg[4] += ev
                 miss_all.extend(miss_positions)
@@ -587,100 +565,45 @@ class GpuSimulator:
                 bulk_hits[info] = bulk_hits.get(info, 0) + rh
                 hit_lat = l2._lat_hit_corrected if info[0] else l2._lat_hit
                 lat_groups.setdefault(hit_lat, []).append(idx_np)
-                clean_done.add(s)
-                return None
-
-            # Stage 3a: upfront probe.  A set that is already inert
-            # batches wholesale and its accesses never enter the loop
-            # at all — for statically-inert schemes (baseline, MBIST
-            # oracles) this removes the entire per-access iteration,
-            # not just the L2 dispatch.  Inertness is monotone, so
-            # probing before the first access instead of at it cannot
-            # change the replayed state.  A set that fails here keeps
-            # ``probe_left == 0`` and is re-probed at its first access,
-            # exactly as if the upfront probe had not happened.
-            for s in groups:
-                prof = replay_profile(s)
-                if prof is not None:
-                    k = consume_tail(s, 0, prof)
-                    if k is not None:
-                        # Guard abort before any access ran: the first
-                        # k accesses replay, the (k+1)-th cannot — run
-                        # all k+1 per-access, then re-probe.
-                        guard_aborts += 1
-                        probe_left[s] = k + 1
-
-            if len(clean_done) == len(groups):
+            if not refused:
                 loop_idx = ()
-            elif clean_done:
-                batched_sets = np.zeros(n_sets, dtype=bool)
-                batched_sets[np.fromiter(clean_done, dtype=np.int64)] = True
-                loop_idx = np.flatnonzero(~batched_sets[set_idx]).tolist()
+            elif pending:
+                refused_sets = np.zeros(n_sets, dtype=bool)
+                refused_sets[refused] = True
+                loop_idx = np.flatnonzero(refused_sets[set_idx]).tolist()
+
+        for i in loop_idx:
+            if stores_list[i]:
+                latency_py[cus_list[i]] += l2_write(addrs_list[i])
             else:
-                loop_idx = range(n)
+                latency_py[cus_list[i]] += l2_read(addrs_list[i])
 
-            for i in loop_idx:
-                s = sets_list[i]
-                if s in clean_done:
-                    continue
-                left = probe_left.get(s, 0)
-                if left > 0:
-                    probe_left[s] = left - 1
-                else:
-                    prof = replay_profile(s)
-                    if prof is not None:
-                        k = consume_tail(s, seen.get(s, 0), prof)
-                        if k is None:
-                            # Inert from here on: tail fully consumed.
-                            continue
-                        # Guard abort at tail offset k; this access is
-                        # offset 0 and runs below, so k more pass
-                        # per-access before the next probe.
-                        guard_aborts += 1
-                        probe_left[s] = k
-                    else:
-                        iv = probe_iv.get(s, iv0)
-                        probe_left[s] = iv
-                        if iv < iv_max:
-                            probe_iv[s] = iv * 2
-                seen[s] = seen.get(s, 0) + 1
-                if stores_list[i]:
-                    latency_py[cus_list[i]] += l2_write(addrs_list[i])
-                else:
-                    latency_py[cus_list[i]] += l2_read(addrs_list[i])
-                n_fallback += 1
-
-            if pending:
-                # Deferred state write-back, batched stat deltas and
-                # scheme bulk hooks all land through the transaction
-                # layer's single commit point; only the per-access
-                # latency classes stay engine-side.  ``corrected_all``
-                # are per-way CORRECTED hits (oracle faulty-but-within-
-                # budget lines): +1 cycle over their set's base hit
-                # latency, scheme-side effects already covered by the
-                # set's uniform ``info``.
-                l2.commit_set_replays(
-                    pending, agg, len(miss_all), bulk_hits, len(corrected_all)
+        if pending:
+            # Deferred state write-back, batched stat deltas and
+            # scheme bulk hooks all land through the transaction
+            # layer's single commit point; only the per-access
+            # latency classes stay engine-side.  ``corrected_all``
+            # are per-way CORRECTED hits (oracle faulty-but-within-
+            # budget lines): +1 cycle over their set's base hit
+            # latency, scheme-side effects already covered by the
+            # set's uniform ``info``.
+            l2.commit_set_replays(
+                pending, agg, len(miss_all), bulk_hits, len(corrected_all)
+            )
+            lat = np.zeros(n, dtype=np.int64)
+            lat_tag = l2._lat_tag
+            for hit_lat, arrs in lat_groups.items():
+                cat = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
+                lat[cat] = np.where(r_stores[cat], lat_tag, hit_lat)
+            if corrected_all:
+                lat[np.asarray(corrected_all, dtype=np.int64)] = (
+                    l2._lat_hit_corrected
                 )
-                for hit_lat, arrs in lat_groups.items():
-                    cat = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
-                    lat[cat] = np.where(r_stores[cat], lat_tag, hit_lat)
-                if corrected_all:
-                    lat[np.asarray(corrected_all, dtype=np.int64)] = (
-                        l2._lat_hit_corrected
-                    )
-                if miss_all:
-                    lat[np.asarray(miss_all, dtype=np.int64)] = l2._lat_miss
-        else:
-            for i in range(n):
-                if stores_list[i]:
-                    latency_py[cus_list[i]] += l2_write(addrs_list[i])
-                else:
-                    latency_py[cus_list[i]] += l2_read(addrs_list[i])
-            n_fallback = n
+            if miss_all:
+                lat[np.asarray(miss_all, dtype=np.int64)] = l2._lat_miss
 
         latency_np = np.zeros(n_cus, dtype=np.int64)
-        if pending or interp_done:
+        if lat is not None:
             np.add.at(latency_np, r_cus, lat)
         if model_banks:
             np.add.at(latency_np, r_cus, delay)
@@ -688,16 +611,21 @@ class GpuSimulator:
             METRICS.observe(
                 "engine.batched.l2_replay", time.perf_counter() - phase_started
             )
-            METRICS.incr("engine.batched.sets_batched", len(clean_done))
+            # Each fallback is counted once, under its cause: an
+            # interpreter abort, or an access no batching path took.
+            n_fallback = guard_aborts + len(loop_idx)
+            METRICS.incr("engine.batched.sets_batched", len(pending))
             METRICS.incr("engine.batched.accesses_batched", n - n_fallback)
             METRICS.incr("engine.batched.accesses_fallback", n_fallback)
             scheme_name = type(l2.scheme).__name__
-            METRICS.incr(
-                f"engine.batched.guard_aborts.{scheme_name}", guard_aborts
-            )
-            METRICS.incr(
-                f"engine.batched.fallback.{scheme_name}", n_fallback
-            )
+            if guard_aborts:
+                METRICS.incr(
+                    f"engine.batched.guard_aborts.{scheme_name}", guard_aborts
+                )
+            if loop_idx:
+                METRICS.incr(
+                    f"engine.batched.fallback.{scheme_name}", len(loop_idx)
+                )
         return [
             base[cu] + latency_py[cu] + int(latency_np[cu]) for cu in range(n_cus)
         ]

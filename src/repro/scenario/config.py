@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
@@ -175,6 +176,17 @@ def _section_from_dict(cls, data: dict, section: str, source: str):
     return cls(**data)
 
 
+def _check_number(value, name: str, integral: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real
+    number (an integer when ``integral``); booleans are neither."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(
+            f"{name} must be {'an integer' if integral else 'a number'}, "
+            f"got {value!r}"
+        )
+
+
 def _section_to_dict(section_obj) -> dict:
     out = {}
     for f in fields(section_obj):
@@ -300,9 +312,11 @@ class ScenarioConfig:
         """Resolve every plugin name and sanity-check scalar knobs.
 
         Raises ``KeyError`` for unknown registry names and
-        ``ValueError`` for invalid values; returns ``self`` so calls
-        chain.
+        ``ValueError`` for invalid values — including a mistyped
+        scalar and a voltage below the fault-map floor every cell is
+        built on; returns ``self`` so calls chain.
         """
+        from repro.faults.fault_map import FLOOR_VOLTAGE
         from repro.scenario.registries import (
             ENGINE_REGISTRY,
             SCHEME_REGISTRY,
@@ -313,14 +327,25 @@ class ScenarioConfig:
         factory.check_options(self.scheme.overrides, self.scheme.write_back)
         WORKLOAD_REGISTRY.resolve(self.workload.name)
         ENGINE_REGISTRY.resolve(self.engine.engine)
+        _check_number(
+            self.workload.accesses_per_cu, "workload.accesses_per_cu", True
+        )
+        _check_number(self.fault.seed, "fault.seed", True)
+        _check_number(self.fault.voltage, "fault.voltage")
         if self.workload.accesses_per_cu <= 0:
             raise ValueError("workload.accesses_per_cu must be positive")
         if self.fault.seed < 0:
             raise ValueError("fault.seed must be non-negative")
-        if not 0.0 < self.fault.voltage <= 1.5:
+        voltage = self.fault.voltage
+        if voltage < FLOOR_VOLTAGE:
             raise ValueError(
-                f"fault.voltage {self.fault.voltage} outside the modelled "
-                "normalized-VDD range (0, 1.5]"
+                f"fault.voltage {voltage} below the fault-map floor "
+                f"{FLOOR_VOLTAGE}"
+            )
+        if not voltage <= 1.5:
+            raise ValueError(
+                f"fault.voltage {voltage} outside the modelled "
+                f"normalized-VDD range [{FLOOR_VOLTAGE}, 1.5]"
             )
         return self
 

@@ -118,6 +118,8 @@ def _parse_killi(name: str) -> Optional[SchemeFactory]:
         ratio = int(tail)
     except ValueError:
         raise malformed from None
+    if ratio < 1:
+        raise malformed
     return SchemeFactory(
         name,
         kind="killi",

@@ -53,8 +53,7 @@ _WRITE_BACK_OK = ("baseline", "dected", "flair", "msecc") + tuple(
 
 #: Operating-voltage grid around the paper's LV point (0.625): lower
 #: voltages densify the active fault population, the nominal end
-#: leaves it empty.  0.575 is the fault-map floor — anything below
-#: raises at scheme construction, not at validate().
+#: leaves it empty.  0.575 is the fault-map floor.
 _VOLTAGES = (0.575, 0.575, 0.6, 0.625, 0.625, 0.65, 0.7)
 
 #: Small machine shapes (l2_size_bytes, l2_associativity).  Small L2s

@@ -118,7 +118,6 @@ class TestSemanticsBatchable:
 
     def test_unbatchable_cache_refuses_set_replay(self):
         wb = WriteBackCache(small_geometry())
-        assert wb.set_replay_info(0) is None
         assert wb.set_replay_profile(0) is None
 
 

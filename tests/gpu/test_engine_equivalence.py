@@ -6,8 +6,8 @@ reference (on the object substrate) produce bit-identical cycles,
 per-CU cycles and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
-traces, disabled ways, guard aborts, 100%-fallback schemes,
-write-back cells, multi-kernel runs).
+traces, disabled ways, 100%-fallback schemes, write-back cells,
+multi-kernel runs), plus the batched engine's single per-set probe.
 """
 
 import numpy as np
@@ -84,8 +84,10 @@ class TestRandomizedSweep:
     tags, recency orders, DFH state, RNG stream position — not just
     the result dict.  The scheme sample covers the inert baseline, all
     three MBIST-oracle families (per-way CORRECTED replay, disabled
-    ways, FLAIR's configuration-gated filtering) and two Killi ratios
-    (guarded replay, DFH warmup fallback).
+    ways, FLAIR's configuration-gated filtering), two Killi ratios
+    (the cluster interpreter and its shared-RNG aborts) and two
+    strong-code Killi variants (refused by every batching path, so
+    wholly per-access).
     """
 
     CASES = [
@@ -97,6 +99,8 @@ class TestRandomizedSweep:
         ("minife", "killi_1:64", 8),
         ("hpgmg", "dected", 9),
         ("pennant", "killi_1:8", 10),
+        ("xsbench", "killi+dected_1:8", 11),
+        ("nekbone", "killi+olsc-t11_1:8", 12),
     ]
 
     @pytest.mark.parametrize("workload,scheme,seed", CASES)
@@ -243,19 +247,6 @@ class FallbackScheme(UnprotectedScheme):
         self.fills += 1
 
 
-class AbortingScheme(UnprotectedScheme):
-    """Spurious guard aborts: the guard may abort any time (the engine
-    then falls back per-access, which is always exact), so an
-    over-eager guard must never change results — only slow things
-    down.  Way 0 is 'unsafe' and every third line 'unmaskable'."""
-
-    def set_replay_profile(self, set_index: int):
-        def fill_ok(way, line):
-            return line % 3 != 1
-
-        return ((False, 0, 0), None, (frozenset([0]), fill_ok))
-
-
 class TestBatchedFallback:
     def _counters(self):
         snap = METRICS.snapshot()
@@ -286,26 +277,55 @@ class TestBatchedFallback:
         finally:
             METRICS.disable()
 
-    def test_spurious_guard_aborts_are_exact(self):
-        rng = np.random.default_rng(12)
-        trace = random_trace(rng, footprint=32 * 1024)
+    def _cell_counters(self, scheme: str) -> dict:
+        """Batched-engine counters of one small cell (absent reads 0)."""
         METRICS.enable(propagate_env=False)
         try:
             METRICS.reset()
-            self.run_batched_vs_scalar(AbortingScheme, trace)
-            counters = self._counters()
-            # The guard aborts constantly but sets without unsafe events
-            # still batch.
-            assert counters.get("engine.batched.accesses_batched", 0) > 0
-            assert counters.get("engine.batched.accesses_fallback", 0) > 0
+            run_with("batched", "xsbench", scheme, accesses=400)
+            return {
+                key: value
+                for key, value in self._counters().items()
+                if key.startswith("engine.batched.")
+            }
         finally:
             METRICS.disable()
 
-    def test_small_probe_interval(self, monkeypatch):
-        """Aggressive re-probing changes scheduling, never results."""
-        monkeypatch.setattr(GpuSimulator, "BATCH_PROBE_INTERVAL", 1)
-        monkeypatch.setattr(GpuSimulator, "BATCH_PROBE_INTERVAL_MAX", 2)
-        assert_identical("xsbench", "killi_1:64", accesses=400)
+    @pytest.mark.parametrize("scheme", ["dected", "flair"])
+    def test_mbist_sets_batch_at_their_one_probe(self, scheme):
+        """Static profiles: every set batches, nothing falls back, and
+        no zero-valued per-scheme counter is emitted."""
+        counters = self._cell_counters(scheme)
+        assert counters.get("engine.batched.accesses_fallback", 0) == 0
+        assert counters.get("engine.batched.accesses_batched", 0) > 0
+        assert not [
+            key for key in counters
+            if key.startswith(("engine.batched.fallback.",
+                               "engine.batched.guard_aborts."))
+        ]
+
+    def test_strong_killi_is_refused_and_counted_once(self):
+        """Killi subclasses get no profile and no interpreter: every
+        access runs per-access, counted under ``fallback.<Scheme>``."""
+        counters = self._cell_counters("killi+olsc-t11_1:8")
+        fallback = counters.get("engine.batched.accesses_fallback", 0)
+        assert counters.get("engine.batched.accesses_batched", 0) == 0
+        assert fallback > 0
+        assert counters.get(
+            "engine.batched.fallback.KilliStrongScheme", 0
+        ) == fallback
+        assert "engine.batched.guard_aborts.KilliStrongScheme" not in counters
+
+    def test_killi_fallbacks_are_interpreter_aborts(self):
+        """Plain Killi falls back only at interpreter aborts, counted
+        once, under ``guard_aborts.<Scheme>``."""
+        counters = self._cell_counters("killi_1:8")
+        fallback = counters.get("engine.batched.accesses_fallback", 0)
+        assert fallback >= 1  # this cell does take an abort
+        assert counters.get(
+            "engine.batched.guard_aborts.KilliScheme", 0
+        ) == fallback
+        assert "engine.batched.fallback.KilliScheme" not in counters
 
     def test_corrected_way_replay(self):
         """Oracle sets containing correctable faulty ways batch with

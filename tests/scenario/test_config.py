@@ -116,6 +116,30 @@ class TestSchema:
             cell_scenario("fft", "baseline", accesses_per_cu=0).validate()
         with pytest.raises(ValueError, match="voltage"):
             cell_scenario("fft", "baseline", voltage=2.0).validate()
+        # The fault-map floor every cell is built on, for every scheme.
+        cell_scenario("fft", "dected", voltage=0.575).validate()
+        for scheme in ("baseline", "dected"):
+            with pytest.raises(ValueError, match="floor 0.575"):
+                cell_scenario("fft", scheme, voltage=0.55).validate()
+        # A Killi ECC-cache ratio below 1 is a malformed scheme name.
+        for scheme in ("killi_1:0", "killi_1:-4", "killi+olsc-t11_1:0"):
+            with pytest.raises(KeyError, match="unknown scheme"):
+                cell_scenario("fft", scheme).validate()
+        # Mistyped scalars fail typed, naming the field.
+        for knobs, field in [
+            ({"voltage": "abc"}, "fault.voltage"),
+            ({"voltage": True}, "fault.voltage"),
+            ({"accesses_per_cu": "abc"}, "workload.accesses_per_cu"),
+            ({"accesses_per_cu": True}, "workload.accesses_per_cu"),
+            ({"accesses_per_cu": 400.0}, "workload.accesses_per_cu"),
+            ({"seed": "x"}, "fault.seed"),
+            ({"seed": 1.5}, "fault.seed"),
+            ({"seed": False}, "fault.seed"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                cell_scenario("fft", "baseline", **knobs).validate()
+        # Integer voltages are still numbers.
+        cell_scenario("fft", "baseline", voltage=1).validate()
 
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):

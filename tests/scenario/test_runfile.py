@@ -167,6 +167,17 @@ class TestCli:
         bad.write_text('schema_version = 1\nname = "bad"\n\n[scheme]\nname = "nope"\n')
         assert cli_main(["scenario", "validate", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
+        # Below the fault-map floor: rejected before any simulation,
+        # by ``validate`` and ``run`` alike.
+        low = tmp_path / "low.toml"
+        low.write_text(
+            'schema_version = 1\nname = "low"\n\n[scheme]\nname = "baseline"\n'
+            '\n[workload]\naccesses_per_cu = 50\n\n[fault]\nvoltage = 0.55\n'
+        )
+        assert cli_main(["scenario", "validate", str(low)]) == 1
+        assert "floor 0.575" in capsys.readouterr().out
+        assert cli_main(["scenario", "run", str(low), "--no-progress"]) == 2
+        assert "floor 0.575" in capsys.readouterr().err
 
     def test_scenario_run_writes_json(self, tmp_path, capsys):
         out_json = tmp_path / "result.json"
