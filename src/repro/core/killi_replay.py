@@ -48,18 +48,16 @@ Commit equivalences (vs the per-access reference path)
   next hit reproduces the memoized replay bit-exactly (hit outcomes
   are deterministic), so this only costs one extra dispatch per line.
 - *Error rows*: per-slot fill/overwrite effects collapse to the last
-  event per slot; the commit replays it through the real
-  ``on_fill``/``clear``, reproducing exactly the row the per-access
-  sequence would have left (fills are salt-keyed and idempotent).
-  Slots whose events are no-ops (no active faults, clean row) are not
-  tracked at all.
+  event per slot; the commit stores that fill's predicted row (the
+  salt-keyed coins make it exactly the row ``on_fill`` would store) or
+  clears the slot, leaving the row the per-access sequence would have
+  left.  Slots whose events are no-ops (no active faults, clean row)
+  are not tracked at all.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-
-import numpy as np
 
 from repro.cache.soa import export_set_state
 from repro.core.dfh import Dfh, DfhAction, classify_cached
@@ -85,9 +83,6 @@ _PRIORITY = (1, 2, 0, 0)
 _PRIO_MAX = 2
 
 _CLEAN_SIG = Signals(0, True, True)
-
-#: Marker distinguishing "memoized as empty" from "not memoized".
-_EMPTY = object()
 
 
 class _SetShadow:
@@ -199,14 +194,12 @@ class KilliClusterInterpreter:
             self._act_off = offsets
             self._pure = None
         if self._pure is None:
-            dirty = np.asarray(errors._weights) != 0
             # A plain list, not a numpy array: the hot loop reads one
             # slot per hit and list indexing is the cheapest form.
-            self._pure = (
-                ((self._scheme._dfh_np == _S0) & ~dirty)
-                .astype(np.uint8)
-                .tolist()
-            )
+            self._pure = [
+                1 if value == _S0 and not row else 0
+                for value, row in zip(self._scheme._dfh_np.tolist(), errors._rows)
+            ]
             self._stale_slots.clear()
 
     def _begin(self, cluster: int) -> None:
@@ -411,11 +404,11 @@ class KilliClusterInterpreter:
         if slot in state or self._errors.is_dirty(slot):
             state[slot] = -1
 
-    def _row_of(self, slot: int, salt: int):
-        """Predicted packed row of a shadow-FILLED slot (None = clean)."""
+    def _row_of(self, slot: int, salt: int) -> int:
+        """Predicted int row of a shadow-FILLED slot (0 = clean)."""
         key = (slot, salt)
-        row = self._row_memo.get(key, _EMPTY)
-        if row is _EMPTY:
+        row = self._row_memo.get(key)
+        if row is None:
             row = self._errors.predicted_fill_row(slot, salt)
             self._row_memo[key] = row
         return row
@@ -426,7 +419,7 @@ class KilliClusterInterpreter:
             return self._errors.is_dirty(slot)
         if salt < 0:
             return False
-        return self._row_of(slot, salt) is not None
+        return self._row_of(slot, salt) != 0
 
     def _fast_clean(self, slot: int, value: int) -> bool:
         if self._is_dirty(slot):
@@ -439,7 +432,7 @@ class KilliClusterInterpreter:
         salt = self._slot_state.get(slot)
         if salt is None:
             return self._errors.has_observable_faults(slot)
-        if salt >= 0 and self._row_of(slot, salt) is not None:
+        if salt >= 0 and self._row_of(slot, salt):
             return True
         if not self._fault_map.has_faults(slot):
             return False
@@ -452,7 +445,7 @@ class KilliClusterInterpreter:
         if salt < 0:
             return _CLEAN_SIG
         row = self._row_of(slot, salt)
-        if row is None:
+        if not row:
             return _CLEAN_SIG
         key = (slot, salt, segments, use_ecc)
         sig = self._sig_memo.get(key)
@@ -468,12 +461,12 @@ class KilliClusterInterpreter:
         salt = self._slot_state.get(slot)
         if salt is None:
             return self._errors.observable_signals(slot, segments)
-        row = None if salt < 0 else self._row_of(slot, salt)
+        row = 0 if salt < 0 else self._row_of(slot, salt)
         key = (slot, salt, segments, "obs")
         sig = self._sig_memo.get(key)
         if sig is None:
             observed = self._errors.predicted_observable_row(slot, row)
-            if not observed.any():
+            if not observed:
                 sig = _CLEAN_SIG
             else:
                 sig = Signals(
@@ -497,10 +490,7 @@ class KilliClusterInterpreter:
             return self._errors.correction_is_sound(slot)
         if salt < 0:
             return True
-        row = self._row_of(slot, salt)
-        if row is None:
-            return True
-        return self._errors.row_correction_is_sound(row)
+        return self._errors.row_correction_is_sound(self._row_of(slot, salt))
 
     def _has_data_errors(self, slot: int) -> bool:
         salt = self._slot_state.get(slot)
@@ -508,10 +498,7 @@ class KilliClusterInterpreter:
             return self._errors.has_data_errors(slot)
         if salt < 0:
             return False
-        row = self._row_of(slot, salt)
-        if row is None:
-            return False
-        return self._errors.row_has_data_errors(row)
+        return self._errors.row_has_data_errors(self._row_of(slot, salt))
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
@@ -722,11 +709,9 @@ class KilliClusterInterpreter:
         pure = self._pure
         slot_state = self._slot_state
         slot_get = slot_state.get
-        # The weights list is only ever rebuilt by clear_all, which
-        # cannot run inside a transaction, so the identity is stable
-        # here; the commit replays row events through the real model
-        # only after the loop exits.
-        weights = self._errors._weights
+        # The real rows are only written by the commit, after the loop
+        # exits (clear_all empties the list in place).
+        rows = self._errors._rows
         row_of = self._row_of
         iwt = self._iwt
         fm_has_faults = self._fault_map.has_faults
@@ -836,7 +821,7 @@ class KilliClusterInterpreter:
                     d_mem_writes += 1
                     d_write_hits += 1
                     if slot in slot_state or (
-                        not pure[slot] and weights[slot]
+                        not pure[slot] and rows[slot]
                     ):
                         slot_state[slot] = -1
                     if slot in ecc_entries:
@@ -888,7 +873,7 @@ class KilliClusterInterpreter:
                     # _on_fill, inline (a free way is never DISABLED).
                     if act[slot + 1] > act[slot]:
                         slot_state[slot] = line // n_sets
-                    elif slot in slot_state or weights[slot]:
+                    elif slot in slot_state or rows[slot]:
                         slot_state[slot] = -1
                     if value == _INI or value == _S1:
                         d_ecc_acc += 1
@@ -910,11 +895,11 @@ class KilliClusterInterpreter:
                             evalue = est.dfh[ew]
                             esalt = slot_get(eslot)
                             if esalt is None:
-                                edirty = weights[eslot] != 0
+                                edirty = rows[eslot] != 0
                             elif esalt < 0:
                                 edirty = False
                             else:
-                                edirty = row_of(eslot, esalt) is not None
+                                edirty = row_of(eslot, esalt) != 0
                             if (
                                 edirty
                                 or (evalue != _INI and evalue != _S1)
@@ -978,11 +963,11 @@ class KilliClusterInterpreter:
             # _fast_clean, inline.
             salt = slot_get(slot)
             if salt is None:
-                dirty = weights[slot] != 0
+                dirty = rows[slot] != 0
             elif salt < 0:
                 dirty = False
             else:
-                dirty = row_of(slot, salt) is not None
+                dirty = row_of(slot, salt) != 0
             if dirty:
                 clean = False
             elif value != _INI or not iwt or not fm_has_faults(slot):
@@ -1129,14 +1114,18 @@ class KilliClusterInterpreter:
         ecc.accesses += self._d_ecc_acc
         ecc.allocations += self._d_ecc_alloc
         ecc.evictions += self._d_ecc_evict
-        # Error rows: replay the last event per slot through the real
-        # model (fills are salt-keyed and idempotent).
+        # Error rows: install the last event per slot.  A fill stores
+        # its predicted row, computed here only if no read needed it.
         errors = self._errors
+        row_memo = self._row_memo
         for slot, salt in self._slot_state.items():
             if salt < 0:
                 errors.clear(slot)
-            else:
-                errors.on_fill(slot, salt)
+                continue
+            row = row_memo.get((slot, salt))
+            if row is None:
+                row = errors.predicted_fill_row(slot, salt)
+            errors.store_row(slot, row)
         # Purity fixup: re-derive the bitmap for exactly the slots
         # whose DFH or error rows this transaction changed, from the
         # now-committed real state.

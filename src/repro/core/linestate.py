@@ -17,14 +17,16 @@ fair coin ("masked fault" when the coin lands on equal).  So:
   deterministic — exactly the persistence property the paper exploits;
 - soft errors XOR extra positions into the vector.
 
-Error vectors are stored as **packed uint64 bitmask rows** in one
-preallocated ``(n_lines, words)`` matrix; deriving the signals for a
-read is then a handful of masked popcounts against the precomputed
-tables of :class:`repro.kernels.LineSignalKernel` (and, because the
-vector only changes on fills/writes/soft errors, repeated reads hit a
-per-line memo).  The scalar set-walking path survives as
-:meth:`LineErrorModel.signals_for_positions` — the pinned reference
-the equivalence tests compare the packed path against.
+Each line's error vector is stored as a **Python int** in a plain list:
+bit ``o`` is LV offset ``o`` and 0 means clean.  A line holds a handful
+of set bits, so int arithmetic beats any numpy pass over a packed row,
+whose per-call overhead dwarfs the 539-bit payload: the masking coins
+are splitmix64 on ints, and deriving the signals for a read XOR-folds
+the set bits' entries of :class:`repro.kernels.LineSignalKernel`'s
+signature table (repeated reads hit a per-line memo, since the vector
+only changes on fills/writes/soft errors).  The scalar set-walking path
+survives as :meth:`LineErrorModel.signals_for_positions` — the pinned
+reference the equivalence tests compare the int path against.
 
 This is exact with respect to the bit-accurate data path (see
 :mod:`repro.core.datapath`, cross-validated in the test suite) and
@@ -42,9 +44,24 @@ from repro.core.layout import LineLayout
 from repro.ecc.secded import SecDedCode
 from repro.faults.fault_map import FaultMap
 from repro.kernels.classify import LineSignalKernel
-from repro.utils.bitpack import n_words, pack_positions, popcount64, unpack_positions
 
 __all__ = ["Signals", "LineErrorModel"]
+
+# splitmix64 constants of the masking coins (products wrap mod 2**64).
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _offsets_of(row: int) -> list:
+    """Set bits of an int error row (LV offsets), in increasing order."""
+    offsets = []
+    while row:
+        low = row & -row
+        offsets.append(low.bit_length() - 1)
+        row ^= low
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -107,8 +124,8 @@ class LineErrorModel:
         # CSR view (offsets list + positions array) of the faults
         # active at the operating voltage — pure in the voltage, so
         # built lazily and dropped by the voltage setter.  The fill
-        # path probes two offsets to detect the (dominant) "no active
-        # faults" case without touching any numpy machinery.
+        # path probes two offsets to detect the "no active faults" case
+        # without touching any numpy machinery.
         self._act_offsets = None
         self._act_positions = None
         self.voltage = voltage
@@ -125,14 +142,15 @@ class LineErrorModel:
         self.kernel = LineSignalKernel(
             self.layout, self._secded, interleaved=interleaved_parity
         )
-        self._words = n_words(self.layout.total_bits)
-        # Packed effective error vectors, one row per physical line,
-        # plus the cached row weight (popcount) for the dirty check.
-        self._rows = np.zeros((fault_map.n_lines, self._words), dtype=np.uint64)
-        # Row weights live in a plain list: the hot fill/read paths do
-        # scalar probes per access, where list indexing beats a numpy
-        # scalar read severalfold.
-        self._weights = [0] * fault_map.n_lines
+        # Effective error vectors as ints, one per physical line (bit o
+        # is LV offset o; 0 means clean, so the row is its own dirty
+        # flag).  A plain list: the hot fill/read paths probe one line
+        # per access, where list indexing is the cheapest form.
+        self._rows = [0] * fault_map.n_lines
+        # The position half of the masking-coin hash, per LV offset.
+        self._position_keys = [
+            (position * _GOLDEN) & _MASK64 for position in range(fault_map.line_bits)
+        ]
         # Read signals are pure in the row: memoise per line until the
         # next mutation (reads vastly outnumber writes).
         # line_id -> {(n_segments, use_ecc) | (n_segments, "observable"): Signals}
@@ -160,7 +178,7 @@ class LineErrorModel:
 
     def is_dirty(self, line_id: int) -> bool:
         """Fast check: does the line have a non-empty error vector?"""
-        return self._weights[line_id] != 0
+        return self._rows[line_id] != 0
 
     #: Probability that a write-through update toggles the masking
     #: state of each individual fault (new data at that bit position).
@@ -184,56 +202,27 @@ class LineErrorModel:
         self._act_positions = positions
         return offsets
 
-    def _active_positions(self, line_id: int) -> np.ndarray:
+    def _active_positions(self, line_id: int) -> list:
         offsets = self._act_offsets
         if offsets is None:
             offsets = self._ensure_active()
-        return self._act_positions[offsets[line_id] : offsets[line_id + 1]]
+        return self._act_positions[offsets[line_id] : offsets[line_id + 1]].tolist()
 
-    def _active_mask(self, line_id: int) -> np.ndarray:
-        """Packed mask of the line's active faults (cached in the map)."""
-        if self.lv_faults_in_ecc_cache:
-            return self.fault_map.packed_line_faults(
-                line_id, self.voltage, self.layout.total_bits
-            )
-        return pack_positions(
-            self._active_positions(line_id), self.layout.total_bits
-        )
+    def _active_mask(self, line_id: int) -> int:
+        """Int mask of the line's active faults."""
+        mask = 0
+        for position in self._active_positions(line_id):
+            mask |= 1 << position
+        return mask
 
-    @staticmethod
-    def _masking_coins(line_id: int, salt: int, positions: np.ndarray) -> np.ndarray:
-        """Deterministic fair coins per (line, data identity, fault).
-
-        A stuck-at cell is *masked* exactly when the written bit equals
-        its stuck value.  Data contents are identified by ``salt`` (the
-        cache tag): refilling the same address reinstalls the same
-        data, so the same faults are masked again — the property that
-        lets Killi's classification stabilise on read-mostly data.
-        """
-        mask64 = (1 << 64) - 1
-        x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= np.uint64((line_id * 0xBF58476D1CE4E5B9) & mask64)
-        x ^= np.uint64(((salt + 1) * 0x94D049BB133111EB) & mask64)
-        # splitmix64 finalizer
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
-
-    def _store_row(self, line_id: int, row: np.ndarray) -> None:
-        self._rows[line_id] = row
-        self._weights[line_id] = int(popcount64(row).sum())
-        self._signal_cache.pop(line_id, None)
-
-    def _clear_row(self, line_id: int) -> None:
-        # Weight zero implies the row is already all-zero and the
-        # signal cache holds (at most) "observable" entries, which are
-        # pure in (line, voltage) and stay correct across a clear.
-        if self._weights[line_id]:
-            self._rows[line_id] = 0
-            self._weights[line_id] = 0
+    def store_row(self, line_id: int, row: int) -> None:
+        """Install an int error row (e.g. one :meth:`predicted_fill_row`
+        returned) without firing the external-mutation hook."""
+        rows = self._rows
+        if rows[line_id] != row:
+            rows[line_id] = row
+            # Signals are pure in the row, so an unchanged row keeps
+            # its memo (including the "observable" entries).
             self._signal_cache.pop(line_id, None)
 
     def on_fill(self, line_id: int, salt: int = 0) -> None:
@@ -242,18 +231,7 @@ class LineErrorModel:
         Unmasked faults are determined by the deterministic coins;
         accumulated soft errors are overwritten.
         """
-        offsets = self._act_offsets
-        if offsets is None:
-            offsets = self._ensure_active()
-        start = offsets[line_id]
-        if start == offsets[line_id + 1]:
-            self._clear_row(line_id)
-            return
-        positions = self._act_positions[start : offsets[line_id + 1]]
-        unmasked = positions[self._masking_coins(line_id, salt, positions)]
-        self._store_row(
-            line_id, pack_positions(unmasked, self.layout.total_bits)
-        )
+        self.store_row(line_id, self.predicted_fill_row(line_id, salt))
 
     def slot_has_active(self, line_id: int) -> bool:
         """Any active LV faults in this physical slot at the current
@@ -264,13 +242,17 @@ class LineErrorModel:
             offsets = self._ensure_active()
         return offsets[line_id] != offsets[line_id + 1]
 
-    def predicted_fill_row(self, line_id: int, salt: int):
-        """The packed row :meth:`on_fill` *would* store, or None if empty.
+    def predicted_fill_row(self, line_id: int, salt: int) -> int:
+        """The int row :meth:`on_fill` stores (0 when every fault masks).
 
-        Pure, deterministic-coin prediction for the batched replay
-        interpreter: lets a replay classify hypothetically-filled
-        lines without mutating the model (the commit replays
-        ``on_fill`` with the same salt, reproducing this row exactly).
+        Deterministic fair coins per (line, data identity, fault): a
+        stuck-at cell is *masked* exactly when the written bit equals
+        its stuck value.  Data contents are identified by ``salt`` (the
+        cache tag), so refilling the same address reinstalls the same
+        data and masks the same faults again — the property that lets
+        Killi's classification stabilise on read-mostly data.  Pure,
+        so the batched replay interpreter classifies hypothetically
+        filled lines with it and its commit stores the predicted row.
         """
         offsets = self._act_offsets
         if offsets is None:
@@ -278,22 +260,29 @@ class LineErrorModel:
         start = offsets[line_id]
         stop = offsets[line_id + 1]
         if start == stop:
-            return None
-        positions = self._act_positions[start:stop]
-        unmasked = positions[self._masking_coins(line_id, salt, positions)]
-        if not len(unmasked):
-            return None
-        return pack_positions(unmasked, self.layout.total_bits)
+            return 0
+        keys = self._position_keys
+        key = ((line_id * _MIX1) ^ ((salt + 1) * _MIX2)) & _MASK64
+        row = 0
+        for position in self._act_positions[start:stop].tolist():
+            # splitmix64 finalizer of the (position, line, salt) hash.
+            x = keys[position] ^ key
+            x ^= x >> 30
+            x = (x * _MIX1) & _MASK64
+            x ^= x >> 27
+            x = (x * _MIX2) & _MASK64
+            x ^= x >> 31
+            if x >> 13 & 1:
+                row |= 1 << position
+        return row
 
-    def predicted_observable_row(self, line_id: int, row) -> np.ndarray:
+    def predicted_observable_row(self, line_id: int, row: int) -> int:
         """Observable (original + inverted image) vector for a stored row.
 
-        ``row`` is a packed vector or None (empty); the result ORs in
-        every active fault, mirroring :meth:`observable_signals` for a
-        hypothetical fill.
+        The result ORs every active fault into ``row``, mirroring
+        :meth:`observable_signals` for a hypothetical fill.
         """
-        mask = self._active_mask(line_id)
-        return mask if row is None else row | mask
+        return row | self._active_mask(line_id)
 
     def on_write_hit(self, line_id: int) -> None:
         """Write-through update of resident data.
@@ -310,13 +299,25 @@ class LineErrorModel:
         if start == stop:
             # No active faults: nothing persists and the overwrite
             # drops any accumulated soft errors.
-            self._clear_row(line_id)
+            self.store_row(line_id, 0)
             return
-        positions = self._act_positions[start:stop]
-        row = self._rows[line_id] & self._active_mask(line_id)  # soft errors overwritten
-        toggles = self.rng.random(len(positions)) < self.mask_flip_probability
-        row = row ^ pack_positions(positions[toggles], self.layout.total_bits)
-        self._store_row(line_id, row)
+        positions = self._act_positions[start:stop].tolist()
+        draws = self.rng.random(len(positions)).tolist()
+        flip = self.mask_flip_probability
+        active = toggles = 0
+        for position, draw in zip(positions, draws):
+            bit = 1 << position
+            active |= bit
+            if draw < flip:
+                toggles |= bit
+        # Soft errors are overwritten; toggled faults flip masking.
+        self.store_row(line_id, (self._rows[line_id] & active) ^ toggles)
+
+    def _check_offset(self, offset: int) -> int:
+        offset = int(offset)
+        if not 0 <= offset < self.layout.total_bits:
+            raise IndexError(f"offset {offset} outside the line layout")
+        return offset
 
     def set_effective(self, line_id: int, offsets) -> None:
         """Directly install an effective error vector (testing hook).
@@ -324,44 +325,43 @@ class LineErrorModel:
         Used by the cross-validation tests to mirror a bit-accurate
         data path's observed error vector into the sparse model.
         """
-        offsets = {int(o) for o in offsets}
+        row = 0
         for offset in offsets:
-            if not 0 <= offset < self.layout.total_bits:
-                raise IndexError(f"offset {offset} outside the line layout")
-        self._store_row(
-            line_id, pack_positions(sorted(offsets), self.layout.total_bits)
-        )
+            row |= 1 << self._check_offset(offset)
+        self.store_row(line_id, row)
         if self.external_mutation_hook is not None:
             self.external_mutation_hook()
 
     def add_soft_error(self, line_id: int, offsets) -> None:
         """XOR transient bit flips into the line's error vector."""
-        row = self._rows[line_id].copy()
+        row = self._rows[line_id]
         for offset in offsets:
-            offset = int(offset)
-            if not 0 <= offset < self.layout.total_bits:
-                raise IndexError(f"offset {offset} outside the line layout")
-            row[offset >> 6] ^= np.uint64(1) << np.uint64(offset & 63)
-        self._store_row(line_id, row)
+            row ^= 1 << self._check_offset(offset)
+        self.store_row(line_id, row)
         if self.external_mutation_hook is not None:
             self.external_mutation_hook()
 
     def clear(self, line_id: int) -> None:
         """Forget the line's error state (invalidation)."""
-        self._clear_row(line_id)
+        self.store_row(line_id, 0)
 
     def clear_all(self) -> None:
-        self._rows[:] = 0
-        self._weights = [0] * len(self._weights)
+        # In place: the batched interpreter holds the list.
+        self._rows[:] = [0] * len(self._rows)
         self._signal_cache.clear()
 
     # -- signal computation -------------------------------------------------
 
     def error_positions(self, line_id: int) -> frozenset:
         """The current effective error vector (LV offsets)."""
-        if not self._weights[line_id]:
-            return frozenset()
-        return frozenset(unpack_positions(self._rows[line_id]).tolist())
+        return frozenset(_offsets_of(self._rows[line_id]))
+
+    def error_rows(self) -> list:
+        """``[line, [offsets…]]`` of every line with a non-empty error
+        vector, by line: a representation-independent snapshot."""
+        return [
+            [line, _offsets_of(row)] for line, row in enumerate(self._rows) if row
+        ]
 
     def signals(self, line_id: int, n_segments: int, use_ecc: bool) -> Signals:
         """Controller-visible signals for a read of ``line_id``.
@@ -370,16 +370,15 @@ class LineErrorModel:
         during training, 4 afterwards); ``use_ecc`` is False for DFH
         b'00 lines whose ECC-cache entry has been freed.
         """
-        if not self._weights[line_id]:
+        row = self._rows[line_id]
+        if not row:
             return _CLEAN
         per_line = self._signal_cache.setdefault(line_id, {})
         key = (n_segments, use_ecc)
         cached = per_line.get(key)
         if cached is not None:
             return cached
-        signals = Signals(
-            *self.kernel.signals_row(self._rows[line_id], n_segments, use_ecc)
-        )
+        signals = Signals(*self.kernel.signals_row(row, n_segments, use_ecc))
         per_line[key] = signals
         return signals
 
@@ -389,7 +388,7 @@ class LineErrorModel:
         Set-level probe behind the batched cluster interpreter's
         quiet-set check (:mod:`repro.core.killi_replay`).
         """
-        return any(self._weights[start:stop])
+        return any(self._rows[start:stop])
 
     def has_observable_faults(self, line_id: int) -> bool:
         """Would the inverted-write read pair observe any fault?
@@ -398,11 +397,11 @@ class LineErrorModel:
         true when the effective vector is non-empty or the line has
         active (possibly masked) faults.
         """
-        if self._weights[line_id]:
+        if self._rows[line_id]:
             return True
         if not self.fault_map.has_faults(line_id):
             return False
-        return len(self._active_positions(line_id)) > 0
+        return self.slot_has_active(line_id)
 
     def observable_fault_positions(self, line_id: int) -> set:
         """All positions the inverted-write flow observes.
@@ -411,28 +410,26 @@ class LineErrorModel:
         active fault (a stuck cell disagrees with exactly one
         polarity) in addition to whatever soft errors are present.
         """
-        positions = set(unpack_positions(self._rows[line_id]).tolist())
-        active = self._active_positions(line_id)
-        positions.update(int(p) for p in active)
+        positions = set(_offsets_of(self._rows[line_id]))
+        positions.update(self._active_positions(line_id))
         return positions
 
     def observable_signals(self, line_id: int, n_segments: int) -> Signals:
-        """Signals of the inverted-write observation (packed fast path).
+        """Signals of the inverted-write observation (int fast path).
 
         Equivalent to ``signals_for_positions(
         observable_fault_positions(line_id), n_segments, use_ecc=True)``
-        but evaluated as packed-row popcounts: the observed vector is
-        the effective row OR-ed with the cached active-fault mask.
-        Memoised like :meth:`signals` (the active mask only changes
-        with the voltage, which resets the whole model).
+        but evaluated on the effective row OR-ed with the active-fault
+        mask.  Memoised like :meth:`signals` (the active mask only
+        changes with the voltage, which resets the whole model).
         """
         per_line = self._signal_cache.setdefault(line_id, {})
         key = (n_segments, "observable")
         cached = per_line.get(key)
         if cached is not None:
             return cached
-        row = self._rows[line_id] | self._active_mask(line_id)
-        if not row.any():
+        row = self.predicted_observable_row(line_id, self._rows[line_id])
+        if not row:
             signals = _CLEAN
         else:
             signals = Signals(*self.kernel.signals_row(row, n_segments, True))
@@ -445,8 +442,8 @@ class LineErrorModel:
         """Signals produced by an explicit error vector.
 
         This is the scalar reference implementation — it walks the
-        sparse offset set one position at a time.  The packed kernel
-        path (:meth:`signals`, :meth:`observable_signals`) is pinned
+        sparse offset set one position at a time.  The int-row path
+        (:meth:`signals`, :meth:`observable_signals`) is pinned
         bit-identical to it by the equivalence tests.
         """
         if not effective:
@@ -491,28 +488,23 @@ class LineErrorModel:
         issues CORRECT_AND_SEND on a heavier vector the result is a
         silent data corruption, which the harness counts.
         """
-        if not self._weights[line_id]:
-            return True
         return self.row_correction_is_sound(self._rows[line_id], use_ecc)
 
-    def row_correction_is_sound(self, row: np.ndarray, use_ecc: bool = True) -> bool:
-        """:meth:`correction_is_sound` for an explicit packed row."""
+    def row_correction_is_sound(self, row: int, use_ecc: bool = True) -> bool:
+        """:meth:`correction_is_sound` for an explicit int row."""
         kernel = self.kernel
-        mask = kernel.codeword_mask if use_ecc else kernel.data_mask
-        codeword_weight = int(popcount64(row & mask).sum())
-        if codeword_weight == 1:
+        mask = kernel.codeword_mask_int if use_ecc else kernel.data_mask_int
+        if (row & mask).bit_count() == 1:
             return True
         # Heavier vectors: sound only if no *data* bit is wrong after
         # the decoder's (mis)correction; conservatively require that
         # no data bits are flipped at all.
-        return int(popcount64(row & kernel.data_mask).sum()) == 0
+        return not row & kernel.data_mask_int
 
     def has_data_errors(self, line_id: int) -> bool:
         """Ground truth: does the line currently return corrupt data bits?"""
-        if not self._weights[line_id]:
-            return False
         return self.row_has_data_errors(self._rows[line_id])
 
-    def row_has_data_errors(self, row: np.ndarray) -> bool:
-        """:meth:`has_data_errors` for an explicit packed row."""
-        return bool(popcount64(row & self.kernel.data_mask).any())
+    def row_has_data_errors(self, row: int) -> bool:
+        """:meth:`has_data_errors` for an explicit int row."""
+        return (row & self.kernel.data_mask_int) != 0

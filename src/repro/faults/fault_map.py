@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.cell_model import CellFaultModel, FaultMechanism
-from repro.utils.bitpack import pack_positions
 
 __all__ = ["FLOOR_VOLTAGE", "LineRegion", "FaultMap"]
 
@@ -166,8 +165,6 @@ class FaultMap:
         # voltage -> (offsets, positions, values) of the *active* fault
         # subset, line-ordered — per-line queries are two plain slices.
         self._csr_vcache: dict = {}
-        # (line, voltage, n_bits) -> packed uint64 active-fault mask.
-        self._packed_cache: dict = {}
 
     def _active_at(self, voltage: float) -> np.ndarray:
         """Bulk mask: which of the map's faults are active at ``voltage``."""
@@ -267,29 +264,6 @@ class FaultMap:
         offsets, positions, values = self._active_csr(voltage)
         start, stop = offsets[line], offsets[line + 1]
         return positions[start:stop], values[start:stop]
-
-    def packed_line_faults(
-        self, line: int, voltage: float, n_bits: int | None = None
-    ) -> np.ndarray:
-        """Packed uint64 mask of the active faults in ``line`` at ``voltage``.
-
-        The mask covers offsets ``[0, n_bits)`` (``line_bits`` by
-        default; positions beyond ``n_bits`` are dropped).  Because the
-        active set is a pure function of (line, voltage), masks are
-        cached — the per-access packed-bit paths in
-        :mod:`repro.core.linestate` reuse them without re-packing.
-        """
-        if n_bits is None:
-            n_bits = self.line_bits
-        key = (line, voltage, n_bits)
-        cached = self._packed_cache.get(key)
-        if cached is not None:
-            return cached
-        positions, _ = self.line_faults(line, voltage)
-        mask = pack_positions(positions[positions < n_bits], n_bits)
-        mask.setflags(write=False)
-        self._packed_cache[key] = mask
-        return mask
 
     def fault_count(self, line: int, voltage: float, start: int = 0, stop: int | None = None) -> int:
         """Number of active faults in ``line`` within ``[start, stop)``."""

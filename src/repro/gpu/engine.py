@@ -124,8 +124,9 @@ def _scheme_observables(scheme) -> dict:
     """Scheme-side state visible to the harness, duck-typed.
 
     Every field the journal / :class:`~repro.harness.runner.CellResult`
-    can surface for a scheme is captured when present: the bulk tiers
-    must leave all of them bit-identical to the scalar reference.
+    can surface for a scheme is captured when present, plus the line
+    error vectors as sorted ``[line, [offsets…]]`` pairs: the bulk
+    tiers must leave all of them bit-identical to the scalar reference.
     ``transitions``'s tuple keys are flattened to ``"old->new"``
     strings so the snapshot stays canonically JSON-serialisable.
     """
@@ -153,6 +154,10 @@ def _scheme_observables(scheme) -> dict:
             "occupancy": int(ecc.occupancy),
         }
     errors = getattr(scheme, "errors", None)
+    if errors is not None:
+        # Every non-clean line's error offsets: a commit that stores a
+        # wrong row shows here before it changes any classification.
+        out["error_rows"] = errors.error_rows()
     rng = getattr(errors, "rng", None)
     if rng is not None:
         # The stream *position*: equal final states across engines
@@ -208,9 +213,9 @@ class GpuSimulator:
         Combines the L2 and per-CU L1 transaction-layer snapshots
         (:meth:`~repro.cache.core.CacheModel.state_snapshot`) with the
         scheme-side observables the harness reports — DFH state,
-        transition counts, ECC-cache counters, SDC events and the
-        shared RNG stream position.  This is the state the
-        differential executor (:mod:`repro.testing.differential`)
+        transition counts, ECC-cache counters, SDC events, the line
+        error vectors and the shared RNG stream position.  This is the
+        state the differential executor (:mod:`repro.testing.differential`)
         diffs between the two simulators; the engine and substrate
         names themselves are deliberately excluded.
         """

@@ -17,7 +17,9 @@ LV offset space (data | parity | checkbits — see
 
 Given those masks, classifying a million fault patterns is ~30 masked
 popcount passes over a ``(n, words)`` uint64 matrix — no per-pattern
-Python.  The scalar implementations
+Python.  A single line's error row is a Python int instead, which
+:meth:`LineSignalKernel.signals_row` folds through a per-offset
+signature table.  The scalar implementations
 (:meth:`repro.core.linestate.LineErrorModel.signals_for_positions`,
 :meth:`repro.analysis.montecarlo.CoverageSampler._classify_ok`) are
 kept as the pinned references; the equivalence tests in
@@ -41,7 +43,7 @@ _ONE = np.uint64(1)
 
 
 class RowSignals(NamedTuple):
-    """Controller-visible signals of one packed error row (plain scalars)."""
+    """Controller-visible signals of one error row (plain scalars)."""
 
     sp_mismatches: int
     syndrome_zero: bool
@@ -103,9 +105,10 @@ class LineSignalKernel:
         self._segment_masks: dict[int, np.ndarray] = {}
         self._signature_tables: dict[int, np.ndarray] = {}
         self._signature_ints: dict[int, list[int]] = {}
-        self._data_mask_int = int.from_bytes(
-            self.data_mask.astype("<u8").tobytes(), "little"
-        )
+        # The same masks as Python ints (bit o = LV offset o), for the
+        # int error rows of :class:`repro.core.linestate.LineErrorModel`.
+        self.data_mask_int = _as_int(self.data_mask)
+        self.codeword_mask_int = _as_int(self.codeword_mask)
 
     # -- mask construction ---------------------------------------------------
 
@@ -274,25 +277,22 @@ class LineSignalKernel:
         return sp, syndrome_zero, parity_ok, data_errors
 
     def signals_row(
-        self, row: np.ndarray, n_segments: int, use_ecc: bool = True
+        self, row: int, n_segments: int, use_ecc: bool = True
     ) -> RowSignals:
-        """Signals of one packed row via the signature-table fold.
+        """Signals of one int error row via the signature-table fold.
 
-        Pure Python big-int arithmetic: a line access sees a handful of
-        flipped bits, so iterating the set bits and XOR-folding their
-        signatures beats any per-mask numpy pass (whose per-call
-        overhead dwarfs the 539-bit payload).
+        ``row`` has bit ``o`` set for each flipped LV offset ``o``.  A
+        line access sees a handful of flipped bits, so iterating the
+        set bits and XOR-folding their signatures beats any per-mask
+        numpy pass (whose per-call overhead dwarfs the 539-bit payload).
         """
         table = self._signature_int_table(n_segments)
-        value = int.from_bytes(
-            np.ascontiguousarray(row).astype("<u8", copy=False).tobytes(), "little"
-        )
-        data_errors = (value & self._data_mask_int).bit_count()
+        data_errors = (row & self.data_mask_int).bit_count()
         folded = 0
-        while value:
-            low = value & -value
+        while row:
+            low = row & -row
             folded ^= table[low.bit_length() - 1]
-            value ^= low
+            row ^= low
         sp = (folded & ((1 << n_segments) - 1)).bit_count()
         if not use_ecc:
             return RowSignals(sp, True, True, data_errors)
@@ -300,3 +300,8 @@ class LineSignalKernel:
         syndrome_zero = ((folded >> n_segments) & ((1 << r) - 1)) == 0
         parity_ok = ((folded >> (n_segments + r)) & 1) == 0
         return RowSignals(sp, syndrome_zero, parity_ok, data_errors)
+
+
+def _as_int(packed: np.ndarray) -> int:
+    """A packed uint64 row as a Python int (bit o = offset o)."""
+    return int.from_bytes(packed.astype("<u8").tobytes(), "little")

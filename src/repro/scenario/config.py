@@ -63,6 +63,12 @@ SCHEMA_VERSION = 1
 
 # -- sections -----------------------------------------------------------------
 
+#: ``[gpu]`` counts that must be positive integers.
+_GPU_COUNTS = (
+    "n_cus", "l1_size_bytes", "l1_assoc", "l2_size_bytes",
+    "l2_line_bytes", "l2_associativity", "l2_banks",
+)
+
 
 @dataclass(frozen=True)
 class GpuSection:
@@ -100,6 +106,32 @@ class GpuSection:
             model_bank_conflicts=self.model_bank_conflicts,
             bank_conflict_penalty=self.bank_conflict_penalty,
         )
+
+    def check(self) -> None:
+        """Raise a ``ValueError`` naming the field of any geometry the
+        caches would reject, before a cell is built on it."""
+        for name in _GPU_COUNTS:
+            value = getattr(self, name)
+            _check_number(value, f"gpu.{name}", True)
+            pow2 = name in ("l2_line_bytes", "l2_banks")
+            if value <= 0 or (pow2 and value & (value - 1)):
+                kind = "a power of two" if pow2 else "positive"
+                raise ValueError(f"gpu.{name} must be {kind}, got {value}")
+        for size, assoc in (
+            ("l2_size_bytes", "l2_associativity"),
+            ("l1_size_bytes", "l1_assoc"),
+        ):
+            set_bytes = self.l2_line_bytes * getattr(self, assoc)
+            n_sets, rest = divmod(getattr(self, size), set_bytes)
+            if rest or n_sets & (n_sets - 1):
+                raise ValueError(
+                    f"gpu.{size} {getattr(self, size)} must be a power-of-two "
+                    f"multiple of gpu.l2_line_bytes * gpu.{assoc} ({set_bytes})"
+                )
+            if size == "l2_size_bytes" and self.l2_banks > n_sets:
+                raise ValueError(f"gpu.l2_banks exceeds the {n_sets} L2 sets")
+        # Backstop: any rule the cache geometry adds later fails here too.
+        self.to_gpu_config().l1_geometry()
 
 
 @dataclass(frozen=True)
@@ -313,8 +345,9 @@ class ScenarioConfig:
 
         Raises ``KeyError`` for unknown registry names and
         ``ValueError`` for invalid values — including a mistyped
-        scalar and a voltage below the fault-map floor every cell is
-        built on; returns ``self`` so calls chain.
+        scalar, a ``[gpu]`` geometry the caches reject and a voltage
+        below the fault-map floor every cell is built on; returns
+        ``self`` so calls chain.
         """
         from repro.faults.fault_map import FLOOR_VOLTAGE
         from repro.scenario.registries import (
@@ -327,6 +360,7 @@ class ScenarioConfig:
         factory.check_options(self.scheme.overrides, self.scheme.write_back)
         WORKLOAD_REGISTRY.resolve(self.workload.name)
         ENGINE_REGISTRY.resolve(self.engine.engine)
+        self.gpu.check()
         _check_number(
             self.workload.accesses_per_cu, "workload.accesses_per_cu", True
         )

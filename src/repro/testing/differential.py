@@ -8,7 +8,8 @@ simulator so the full observable state can be captured via
 :meth:`~repro.gpu.engine.GpuSimulator.state_snapshot`:
 cycles, per-CU cycles, every ``CacheStats`` counter of the L2 and all
 L1s, tag/LRU/dirty/disabled state, DFH state, transition counts,
-ECC-cache counters, memory traffic and the shared RNG stream position.
+ECC-cache counters, line error vectors, memory traffic and the shared
+RNG stream position.
 
 :func:`diff_scenario` runs the scenario through the reference
 simulator (the scalar engine on the object substrate) and through the

@@ -104,7 +104,6 @@ class ScenarioFuzzer:
         for _ in range(32):
             candidate = self._draw(rng)
             try:
-                candidate.gpu.to_gpu_config()  # geometry sanity
                 return candidate.validate()
             except (ValueError, KeyError):
                 continue  # resample: invalid knob combination

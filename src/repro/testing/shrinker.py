@@ -55,7 +55,6 @@ def shrink(
         nonlocal current
         try:
             candidate.validate()
-            candidate.gpu.to_gpu_config()
             ok = bool(interesting(candidate))
         except Exception:
             return False

@@ -1,11 +1,12 @@
 """Packed-bit (uint64 word) representations of sparse bit sets.
 
-The batched classification kernels (:mod:`repro.kernels`) and the
-packed per-line error tracker (:mod:`repro.core.linestate`) represent a
-set of bit offsets as a row of ``uint64`` words — offset ``o`` lives in
-word ``o >> 6``, bit ``o & 63``.  Membership tests, intersections and
-parities then become word-wide AND/XOR plus popcounts, which numpy
-evaluates across whole matrices at once.
+The batched classification kernels (:mod:`repro.kernels`, the ECC
+batch APIs and the Monte-Carlo sampler) represent a set of bit offsets
+as a row of ``uint64`` words — offset ``o`` lives in word ``o >> 6``,
+bit ``o & 63``.  Membership tests, intersections and parities then
+become word-wide AND/XOR plus popcounts, which numpy evaluates across
+whole matrices at once.  (A single line's error vector in
+:mod:`repro.core.linestate` is a Python int instead.)
 
 All helpers operate on either a single row (shape ``(words,)``) or a
 matrix of rows (shape ``(n, words)``).

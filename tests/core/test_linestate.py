@@ -1,5 +1,6 @@
 """Tests for the sparse per-line error model."""
 
+import numpy as np
 import pytest
 
 from repro.core.layout import LineLayout
@@ -107,6 +108,58 @@ class TestMaskingDeterminism:
         signals = model.signals(line, 16, True)
         assert signals.sp_mismatches == 0
         assert signals.syndrome_zero and signals.global_parity_ok
+
+
+def _masking_coins(line_id, salt, positions):
+    """The numpy splitmix64 masking coins: the pinned reference for the
+    int coins of ``LineErrorModel.predicted_fill_row``."""
+    mask64 = (1 << 64) - 1
+    x = positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= np.uint64((line_id * 0xBF58476D1CE4E5B9) & mask64)
+    x ^= np.uint64(((salt + 1) * 0x94D049BB133111EB) & mask64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return ((x >> np.uint64(13)) & np.uint64(1)).astype(bool)
+
+
+def _row(offsets):
+    return sum(1 << int(offset) for offset in offsets)
+
+
+class TestIntCoins:
+    def test_match_numpy_reference(self):
+        # 12k random (line, salt, 1-8 positions) cases, one per line of
+        # an explicit map, each filled with a random salt.
+        rng = np.random.default_rng(2024)
+        n_lines = 12_000
+        faults = {}
+        for line in range(n_lines):
+            k = int(rng.integers(1, 9))
+            positions = rng.choice(539, size=k, replace=False)
+            faults[line] = [(int(p), 0) for p in positions]
+        fault_map = FaultMap.from_faults(n_lines, faults)
+        model = LineErrorModel(fault_map, 0.625, np.random.default_rng(0))
+        salts = rng.integers(0, 1 << 40, size=n_lines).tolist()
+        for line, salt in enumerate(salts):
+            positions, _ = fault_map.line_faults(line, 0.625)
+            unmasked = positions[_masking_coins(line, salt, positions)]
+            assert model.predicted_fill_row(line, salt) == _row(unmasked)
+            model.on_fill(line, salt)
+            assert model.error_positions(line) == frozenset(map(int, unmasked))
+
+    def test_predicted_row_is_the_stored_row(self, model, dense_map):
+        # The interpreter commit stores predicted rows instead of
+        # replaying on_fill, so the two must agree on every faulty slot.
+        faulty = [line for line in range(256) if dense_map.fault_count(line, 0.625)]
+        assert len(faulty) > 200
+        for salt in (0, 7, 123_456_789):
+            for line in faulty:
+                predicted = model.predicted_fill_row(line, salt)
+                model.on_fill(line, salt)
+                assert _row(model.error_positions(line)) == predicted, (line, salt)
 
 
 class TestWriteHit:
@@ -268,7 +321,7 @@ class TestObservableFaults:
 
 
 class TestPackedScalarEquivalence:
-    """The packed tracker is pinned to the scalar signals_for_positions."""
+    """The int-row tracker is pinned to the scalar signals_for_positions."""
 
     @pytest.mark.parametrize("n_segments,use_ecc", [(16, True), (4, True), (4, False)])
     def test_signals_match_scalar_reference(self, model, n_segments, use_ecc):

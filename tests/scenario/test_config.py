@@ -140,6 +140,18 @@ class TestSchema:
                 cell_scenario("fft", "baseline", **knobs).validate()
         # Integer voltages are still numbers.
         cell_scenario("fft", "baseline", voltage=1).validate()
+        # [gpu] geometries the caches reject fail typed, naming the
+        # field, instead of inside the cell.
+        for knobs, field in [
+            ({"l2_associativity": 0}, "gpu.l2_associativity"),
+            ({"l1_assoc": 0}, "gpu.l1_assoc"),
+            ({"l2_banks": 3}, "gpu.l2_banks"),
+            ({"l2_size_bytes": 1000}, "gpu.l2_size_bytes"),
+            ({"l2_line_bytes": 48}, "gpu.l2_line_bytes"),
+            ({"n_cus": 0}, "gpu.n_cus"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                cell_scenario("fft", "baseline", gpu=GpuSection(**knobs)).validate()
 
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):

@@ -178,6 +178,16 @@ class TestCli:
         assert "floor 0.575" in capsys.readouterr().out
         assert cli_main(["scenario", "run", str(low), "--no-progress"]) == 2
         assert "floor 0.575" in capsys.readouterr().err
+        # A [gpu] geometry the caches reject: the same, naming the field.
+        banks = tmp_path / "banks.toml"
+        banks.write_text(
+            'schema_version = 1\nname = "banks"\n\n[workload]\naccesses_per_cu = 50\n'
+            '\n[gpu]\nl2_banks = 3\n'
+        )
+        assert cli_main(["scenario", "validate", str(banks)]) == 1
+        assert "gpu.l2_banks" in capsys.readouterr().out
+        assert cli_main(["scenario", "run", str(banks), "--no-progress"]) == 2
+        assert "gpu.l2_banks" in capsys.readouterr().err
 
     def test_scenario_run_writes_json(self, tmp_path, capsys):
         out_json = tmp_path / "result.json"

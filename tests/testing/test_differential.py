@@ -81,6 +81,25 @@ class TestDiffScenario:
         text = divergence.describe()
         assert "batched×soa diverges from scalar×object" in text
 
+    def test_planted_error_row_flip_is_caught(self):
+        # One wrong bit in one stored error row, planted after the last
+        # access so it cannot change any classification: only the
+        # snapshot's error rows can see it.
+        def flip_row_bit(simulator):
+            run = simulator.run
+
+            def run_then_flip(trace, engine=None):
+                result = run(trace, engine)
+                simulator.l2.scheme.errors._rows[0] ^= 1
+                return result
+
+            simulator.run = run_then_flip
+
+        divergence = diff_scenario(small_scenario(), plant=flip_row_bit)
+        assert divergence is not None
+        assert divergence.paths
+        assert all("/scheme/error_rows" in path for path in divergence.paths)
+
     def test_crash_is_a_divergence(self):
         def bomb(simulator):
             raise RuntimeError("planted crash")
