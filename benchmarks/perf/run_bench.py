@@ -398,11 +398,10 @@ def bench_l2_replay(accesses: int) -> dict:
     uniq, starts = np.unique(set_idx[order], return_index=True)
     bounds = np.append(starts[1:], accesses)
     pending = []
-    bulk_hits: dict = {}
     rh_total = wh_total = ev_total = n_writes = 0
     miss_total = 0
     for s, a, b in zip(uniq.tolist(), starts.tolist(), bounds.tolist()):
-        info, corrected_ways = batched.set_replay_profile(s)
+        corrected_ways = batched.set_replay_profile(s)
         way_lines, seed, free_ways = export_set_state(
             batched.tags, batched.lru, s
         )
@@ -411,8 +410,6 @@ def bench_l2_replay(accesses: int) -> dict:
             corrected_ways,
         )
         pending.append((s, way_lines, resident, touch_order))
-        if rh:
-            bulk_hits[info] = bulk_hits.get(info, 0) + rh
         rh_total += rh
         wh_total += wh
         ev_total += ev
@@ -422,7 +419,7 @@ def bench_l2_replay(accesses: int) -> dict:
         pending,
         (rh_total + miss_total, rh_total, n_writes, wh_total, ev_total),
         miss_total,
-        bulk_hits,
+        0,
     )
     batched_cycles = (
         rh_total * batched._lat_hit

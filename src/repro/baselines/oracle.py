@@ -15,6 +15,7 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import (
     BEHAVIOURAL_HOOKS,
+    NO_CORRECTED_WAYS,
     AccessOutcome,
     ProtectionScheme,
     hooks_unchanged,
@@ -77,10 +78,12 @@ class OracleEccScheme(ProtectionScheme):
         by_set = counts.reshape(geometry.n_sets, geometry.associativity)
         # Ways serving CORRECTED hits: faulty but within the ECC budget
         # (over-budget ways are disabled at attach and never hit).
+        # Fault-free sets share one empty frozenset: building one per
+        # set is measurable on campaigns of many short cells.
         self._corrected_ways = [
             frozenset(int(w) for w in np.flatnonzero((row > 0) & (row <= correct_t)))
             if has
-            else None
+            else NO_CORRECTED_WAYS
             for row, has in zip(by_set, (by_set > 0).any(axis=1))
         ]
         # May this instance's sets replay through the batched kernel?
@@ -93,10 +96,7 @@ class OracleEccScheme(ProtectionScheme):
         self._replay_hooks_clean = hooks_unchanged(
             type(self),
             hooks=tuple(h for h in BEHAVIOURAL_HOOKS if h != "is_line_usable"),
-            owners={
-                "on_read_hit": OracleEccScheme,
-                "hit_replay_info": OracleEccScheme,
-            },
+            owners={"on_read_hit": OracleEccScheme},
         )
 
     def attach(self, cache) -> None:
@@ -116,30 +116,19 @@ class OracleEccScheme(ProtectionScheme):
             return AccessOutcome.CORRECTED
         return AccessOutcome.CLEAN
 
-    def hit_replay_info(self, set_index: int, way: int):
-        # The fault population is static (that is what MBIST buys), so
-        # every hit replays identically — unless a subclass changed the
-        # hit path (e.g. the functional SECDED variant), in which case
-        # it must opt in on its own.
-        if type(self).on_read_hit is not OracleEccScheme.on_read_hit:
-            return None
-        line_id = self.geometry.line_id(set_index, way)
-        return (bool(self.fault_counts[line_id] > 0), 0, 0)
-
     def set_replay_profile(self, set_index: int):
         """Every set replays: the fault population is fully static.
 
-        Fault-free sets are uniform CLEAN; sets with correctable
-        faulty ways serve those ways' hits as CORRECTED
-        (``corrected_ways``); over-budget ways were disabled at attach
-        (invalid forever, excluded from the fill order by
-        ``export_set_state``).  No RNG, no shared structures, no state
-        transitions, so the profile holds for the whole run.
-        Subclasses that change a behavioural hook opt out.
+        The profile is the set's correctable faulty ways, whose hits
+        serve as CORRECTED (empty for a fault-free set); over-budget
+        ways were disabled at attach (invalid forever, excluded from
+        the fill order by ``export_set_state``).  No RNG, no shared
+        structures, no state transitions, so the profile holds for the
+        whole run.  Subclasses that change a behavioural hook opt out.
         """
         if not self._replay_hooks_clean:
             return None
-        return ((False, 0, 0), self._corrected_ways[set_index])
+        return self._corrected_ways[set_index]
 
     def on_reset(self) -> None:
         # The cache just re-enabled every way; MBIST runs again for the

@@ -18,13 +18,9 @@ The tag store and LRU state run on one of two substrates with the same
 contract: ``"soa"`` (flat numpy arrays + integer-age LRU, the default
 and the batched engine's) or ``"object"`` (per-line ``CacheLineState``
 + recency lists, the reference the scalar engine runs on —
-:mod:`repro.cache.object_store`).  Read hits
-additionally go through an epoch cache: once the scheme declares a
-line's hit behaviour stable
-(:meth:`~repro.cache.hooks.ProtectionScheme.hit_replay_info`), the
-outcome is memoized per (set, way) and replayed without scheme
-dispatch until a cache-visible event clears the line's stamp or a
-scheme event bumps the global epoch.
+:mod:`repro.cache.object_store`).  Every read hit asks the scheme
+(:meth:`~repro.cache.hooks.ProtectionScheme.on_read_hit`) for its
+outcome; there is one read-hit path.
 
 Formal access protocol: an access is an :class:`AccessTransaction`
 (address + direction), :meth:`CacheModel.execute` resolves it to a
@@ -166,9 +162,7 @@ _ACCESS_PROTOCOL = (
     "_miss",
     "_allocate",
     "_choose_victim",
-    "_memoize",
     "set_replay_profile",
-    "apply_set_replays",
     "commit_set_replays",
 )
 
@@ -239,16 +233,6 @@ class CacheModel:
         self._write_back = self.write_policy.write_back
         self._write_allocate = self.allocation_policy.write_allocate
         self._prefer_invalid = self.allocation_policy.prefer_invalid
-        # Epoch-cached hit path: per-line stamp + replay tuple.  A
-        # stamp equal to the current epoch *sum* (global epoch + the
-        # line's set epoch) means the memoized info is valid;
-        # cache-visible per-line events reset the stamp to -1,
-        # set-local scheme events (a DFH transition) bump that set's
-        # epoch, and global scheme events (resets, external error
-        # injection) bump the global epoch, invalidating every stamp
-        # at once.  Both counters are monotone nondecreasing, so the
-        # sum strictly increases on any relevant bump and a stale
-        # stamp can never read as valid again.
         self._assoc = geometry.associativity
         self._n_sets = geometry.n_sets
         self._line_bytes = geometry.line_bytes
@@ -265,11 +249,6 @@ class CacheModel:
             if self._write_back
             else self._lat_tag
         )
-        self.epoch = 0
-        self._set_epoch = [0] * geometry.n_sets
-        n_lines = geometry.n_sets * geometry.associativity
-        self._hit_stamp = [-1] * n_lines
-        self._hit_info = [None] * n_lines
         self.scheme.attach(self)
         # Skip the per-way usability call unless this scheme instance
         # can actually filter (type-level override check by default;
@@ -332,20 +311,6 @@ class CacheModel:
         self.read = checked_read
         self.write = checked_write
 
-    def bump_epoch(self) -> None:
-        """Invalidate every memoized hit (scheme-side state changed)."""
-        self.epoch += 1
-
-    def bump_set_epoch(self, set_index: int) -> None:
-        """Invalidate one set's memoized hits (set-local scheme event).
-
-        A DFH transition changes only its own line's classification;
-        lines outside the set keep their memoized outcomes, so a busy
-        kernel no longer re-dispatches every memoized hit in the L2
-        each time a single line somewhere retrains.
-        """
-        self._set_epoch[set_index] += 1
-
     # -- public access API ------------------------------------------------
 
     def execute(self, txn: AccessTransaction) -> int:
@@ -363,64 +328,16 @@ class CacheModel:
     def read(self, addr: int) -> int:
         """Read access; returns the latency in cycles.
 
-        Write-back caches route dirty-line hits through
-        :meth:`_read_dirty_hit` first: a detected-uncorrectable error
-        there is a DUE (the only copy was modified), and dirty hits
-        never consult the epoch cache — a stamp cannot be valid on a
-        dirty line (every path that dirties a line clears it, and the
-        dirty path does not memoize), so the full dispatch always runs.
+        Every hit asks the scheme for its outcome.  An error outcome
+        turns the hit into a miss that drops the copy and refetches;
+        on a write-back cache's dirty line it is also a DUE
+        (``due_on_dirty``): the only copy of the modified data is gone.
         """
-        if self._write_back:
-            way = self.tags.lookup(addr)
-            if way is not None:
-                set_index = (addr // self._line_bytes) % self._n_sets
-                if self.tags.is_dirty(set_index, way):
-                    return self._read_dirty_hit(addr, set_index, way)
         self.stats.reads += 1
         way = self.tags.lookup(addr)
-        if way is not None:
-            set_index = (addr // self._line_bytes) % self._n_sets
-            idx = set_index * self._assoc + way
-            if self._hit_stamp[idx] == self.epoch + self._set_epoch[set_index]:
-                # Memoized steady-state hit: skip scheme dispatch.
-                info = self._hit_info[idx]
-                self.stats.read_hits += 1
-                self.lru.touch(set_index, way)
-                self.scheme.apply_replay(info)
-                if info[0]:
-                    self.stats.corrected_reads += 1
-                    return self._lat_hit_corrected
-                return self._lat_hit
-            outcome = self.scheme.on_read_hit(set_index, way)
-            if outcome is AccessOutcome.CLEAN:
-                self.stats.read_hits += 1
-                self.lru.touch(set_index, way)
-                self._memoize(idx, set_index, way)
-                return self._lat_hit
-            if outcome is AccessOutcome.CORRECTED:
-                self.stats.read_hits += 1
-                self.stats.corrected_reads += 1
-                self.lru.touch(set_index, way)
-                self._memoize(idx, set_index, way)
-                return self._lat_hit_corrected
-            # Error-induced miss: drop the copy and refetch.
-            self._hit_stamp[idx] = -1
-            self.stats.error_induced_misses += 1
-            if outcome is AccessOutcome.DISABLE_MISS:
-                self.tags.disable(set_index, way)
-            else:
-                self.tags.invalidate(set_index, way)
-            self.lru.demote(set_index, way)
-            return self._lat_hit + self._miss(addr)
-        return self._miss(addr)
-
-    def _read_dirty_hit(self, addr: int, set_index: int, way: int) -> int:
-        """Read hit on a dirty line (write-back only).
-
-        Peek at the outcome path: a detected-uncorrectable error here
-        loses modified data — the stats record it as a DUE.
-        """
-        self.stats.reads += 1
+        if way is None:
+            return self._miss(addr)
+        set_index = (addr // self._line_bytes) % self._n_sets
         outcome = self.scheme.on_read_hit(set_index, way)
         if outcome is AccessOutcome.CLEAN:
             self.stats.read_hits += 1
@@ -431,29 +348,15 @@ class CacheModel:
             self.stats.corrected_reads += 1
             self.lru.touch(set_index, way)
             return self._lat_hit_corrected
-        # Data loss: the only copy was modified and is now gone.
-        self._hit_stamp[set_index * self._assoc + way] = -1
         self.stats.error_induced_misses += 1
-        self.stats.bump("due_on_dirty")
+        if self._write_back and self.tags.is_dirty(set_index, way):
+            self.stats.bump("due_on_dirty")
         if outcome is AccessOutcome.DISABLE_MISS:
             self.tags.disable(set_index, way)
         else:
             self.tags.invalidate(set_index, way)
         self.lru.demote(set_index, way)
         return self._lat_hit + self._miss(addr)
-
-    def _memoize(self, idx: int, set_index: int, way: int) -> None:
-        """Record the line's replay tuple if the scheme declares it stable.
-
-        Queried *after* ``on_read_hit`` returned (and the epoch sum is
-        read afterwards too), so transitions made during the call —
-        e.g. Killi's INITIAL -> STABLE_0 fast-clean promotion, which
-        bumps the set's epoch — can never leave a stale-valid entry.
-        """
-        info = self.scheme.hit_replay_info(set_index, way)
-        if info is not None:
-            self._hit_info[idx] = info
-            self._hit_stamp[idx] = self.epoch + self._set_epoch[set_index]
 
     def write(self, addr: int) -> int:
         """Write access; returns the latency in cycles.
@@ -473,8 +376,6 @@ class CacheModel:
         if way is not None:
             set_index = (addr // self._line_bytes) % self._n_sets
             self.stats.write_hits += 1
-            # The overwrite re-rolls the line's stored contents.
-            self._hit_stamp[set_index * self._assoc + way] = -1
             self.scheme.on_write_hit(set_index, way)
             if self._write_back and not self.tags.is_dirty(set_index, way):
                 self.tags.set_dirty(set_index, way, True)
@@ -495,7 +396,6 @@ class CacheModel:
             self.stats.bypasses += 1
             self.memory_writes += 1
             return self._lat_miss
-        self._hit_stamp[set_index * self._assoc + way] = -1
         self.scheme.on_write_hit(set_index, way)
         self.tags.set_dirty(set_index, way, True)
         self.scheme.on_dirty(set_index, way)
@@ -504,17 +404,18 @@ class CacheModel:
     # -- batched set replay ------------------------------------------------
 
     def set_replay_profile(self, set_index: int):
-        """Batched-replay profile ``(info, corrected_ways)``, or None.
+        """Batched-replay profile of a set: its CORRECTED ways, or None.
 
         The batched engine asks each set this once per kernel; None
-        sends the set's accesses down the per-access path.  Disabled
-        ways do not force a refusal — they are guaranteed invalid
-        (``disable`` invalidates first) and ``export_set_state``
-        excludes them from the fill order, which reproduces
-        ``_choose_victim``'s enabled-candidates path exactly.  Only
-        non-batchable scalar semantics, a *fully* disabled set (every
-        fill bypasses) and way-filtering schemes refuse at the cache
-        level; everything else is the scheme's call
+        sends the set's accesses down the per-access path, a frozenset
+        (empty for a uniform set) names the ways whose read hits
+        replay as CORRECTED.  Disabled ways do not force a refusal —
+        they are guaranteed invalid (``disable`` invalidates first) and
+        ``export_set_state`` excludes them from the fill order, which
+        reproduces ``_choose_victim``'s enabled-candidates path
+        exactly.  Only non-batchable scalar semantics, a *fully*
+        disabled set (every fill bypasses) and way-filtering schemes
+        refuse at the cache level; everything else is the scheme's call
         (:meth:`~repro.cache.hooks.ProtectionScheme.set_replay_profile`).
         """
         if not self.semantics_batchable:
@@ -525,51 +426,32 @@ class CacheModel:
             return None
         return self.scheme.set_replay_profile(set_index)
 
-    def apply_set_replays(self, pending) -> None:
-        """Write many replayed sets back at once (deferred application).
+    def commit_set_replays(
+        self, pending, agg, n_misses: int, n_corrected: int
+    ) -> None:
+        """Commit a batch of replayed sets: state and stats.
 
+        The single bulk-commit point of the transaction layer.
         ``pending`` holds ``(set_index, way_lines, resident,
         touch_order)`` tuples: the pre-replay state from
         :func:`~repro.cache.soa.export_set_state` and the kernel's
-        results.  Deferral is sound because a replayed set's remaining
-        accesses were all consumed by its replay and no other set reads
-        its tag/LRU state: an inert set holds no ECC-cache entries, so
-        cross-set ECC evictions can never reach into it mid-kernel.  The
-        numpy columns are written in one fancy-indexed pass
+        results, written back in one fancy-indexed pass
         (:func:`~repro.cache.soa.bulk_apply_set_replays`, SoA substrate
-        only — the batched engine's).  Every memoized hit stamp of a
-        replayed set is conservatively cleared — over-invalidation only
-        costs a re-memoization, never a behaviour change.
+        only — the batched engine's).  Deferral is sound because a
+        replayed set's remaining accesses were all consumed by its
+        replay and no other set reads its tag/LRU state: an inert set
+        holds no ECC-cache entries, so cross-set ECC evictions can
+        never reach into it mid-kernel.  ``agg`` is the aggregate
+        ``(reads, read_hits, writes, write_hits, evictions)`` counted
+        by the replay kernels; ``n_misses`` the read-miss count (every
+        batched miss fills — sets where a fill could bypass never
+        batch); ``n_corrected`` the read hits on the sets' CORRECTED
+        ways (the caller owns their latency class).  A replayed hit
+        has no scheme-side effect.  Memory traffic follows the
+        write-through protocol: one memory read per miss, one posted
+        memory write per store.
         """
         bulk_apply_set_replays(self.tags, self.lru, pending)
-        assoc = self._assoc
-        stamp = self._hit_stamp
-        blank = [-1] * assoc
-        for set_index, _, _, _ in pending:
-            base = set_index * assoc
-            stamp[base : base + assoc] = blank
-
-    def commit_set_replays(
-        self, pending, agg, n_misses: int, bulk_hits, n_corrected: int = 0
-    ) -> None:
-        """Commit a batch of replayed sets: state, stats and hooks.
-
-        The single bulk-commit point of the transaction layer.
-        ``pending`` is the deferred state write-back
-        (:meth:`apply_set_replays`); ``agg`` the aggregate ``(reads,
-        read_hits, writes, write_hits, evictions)`` counted by the
-        replay kernels; ``n_misses`` the read-miss count (every
-        batched miss fills — sets where a fill could bypass never
-        batch); ``bulk_hits`` maps each replay-info tuple to its
-        batched read-hit count, applied through the scheme's
-        :meth:`~repro.cache.hooks.ProtectionScheme.apply_replay_bulk`;
-        ``n_corrected`` counts per-way CORRECTED hits refining a CLEAN
-        ``info`` (their scheme-side effects already followed ``info``
-        — only the cache stat differs; the caller owns their latency
-        class).  Memory traffic follows the write-through protocol:
-        one memory read per miss, one posted memory write per store.
-        """
-        self.apply_set_replays(pending)
         st = self.stats
         agg_reads, agg_read_hits, agg_writes, agg_write_hits, agg_evs = agg
         st.reads += agg_reads
@@ -580,14 +462,9 @@ class CacheModel:
         st.writes += agg_writes
         st.write_hits += agg_write_hits
         st.write_misses += agg_writes - agg_write_hits
+        st.corrected_reads += n_corrected
         self.memory_reads += n_misses
         self.memory_writes += agg_writes
-        scheme = self.scheme
-        for info, hits in bulk_hits.items():
-            if info[0]:
-                st.corrected_reads += hits
-            scheme.apply_replay_bulk(info, hits)
-        st.corrected_reads += n_corrected
         if self._check_invariants:
             for set_index, _, _, _ in pending:
                 check_set_invariants(self, set_index)
@@ -613,12 +490,6 @@ class CacheModel:
         lightly used 2 MB cache stays small and digests of equal-state
         caches match regardless of how much of the geometry was
         touched.
-
-        Deliberately *excluded*: the epoch-cache memo state
-        (``_hit_stamp`` / ``_hit_info`` and the epoch counters) — it
-        is engine- and schedule-dependent by design and can never
-        change an access outcome, only whether scheme dispatch is
-        skipped.
         """
         tags = self.tags
         lru = self.lru
@@ -671,7 +542,6 @@ class CacheModel:
         if tags.is_dirty(set_index, way):
             self.memory_writes += 1  # write-back before dropping
         tags.invalidate(set_index, way)
-        self._hit_stamp[set_index * self._assoc + way] = -1
         self.lru.demote(set_index, way)
         self.stats.invalidations += 1
         if reason == "ecc_evict":
@@ -684,7 +554,6 @@ class CacheModel:
             for way in range(self.geometry.associativity):
                 self.tags.invalidate(set_index, way)
         self.tags.enable_all()
-        self.bump_epoch()
         self.scheme.on_reset()
 
     # -- miss path ---------------------------------------------------------
@@ -719,7 +588,6 @@ class CacheModel:
                     continue
                 tags.invalidate(set_index, victim)
             tags.insert(addr, victim)
-            self._hit_stamp[set_index * self._assoc + victim] = -1
             self.stats.fills += 1
             self.scheme.on_fill(set_index, victim)
             self.lru.touch(set_index, victim)

@@ -14,6 +14,8 @@ tier consumes instead of re-stating semantics inline:
 - :func:`hooks_unchanged` — the type-level "does this scheme override
   any behavioural hook?" probe behind the default set-replay profile
   and the MBIST oracles' static-batchability check;
+- :data:`NO_CORRECTED_WAYS` — the set-replay profile of a set whose
+  batched read hits all replay CLEAN, shared by every such set;
 - :func:`batched_surface` — the batched engine's single entry point
   for deciding whether a cache's scalar semantics may be replayed in
   bulk at all, replacing per-engine ``type(...)`` checks.
@@ -26,8 +28,8 @@ from typing import NamedTuple
 
 __all__ = [
     "AccessOutcome",
-    "PURE_CLEAN_HIT",
     "BEHAVIOURAL_HOOKS",
+    "NO_CORRECTED_WAYS",
     "hooks_unchanged",
     "BatchedSurface",
     "batched_surface",
@@ -55,10 +57,6 @@ class AccessOutcome(enum.Enum):
     access is converted into an error-induced cache miss."""
 
 
-#: Replay info for a hit that is CLEAN and has no stat side effects.
-PURE_CLEAN_HIT = (False, 0, 0)
-
-
 #: The hooks whose overriding makes a scheme behaviourally visible to
 #: the access path.  A scheme that inherits *all* of them unchanged is
 #: inert: every read hit is a pure CLEAN hit, fills/evictions have no
@@ -72,8 +70,6 @@ BEHAVIOURAL_HOOKS = (
     "fill_priority",
     "fill_priorities",
     "is_line_usable",
-    "hit_replay_info",
-    "apply_replay",
 )
 
 
@@ -103,13 +99,16 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
 # runs once per set per kernel, the answer never changes per class.
 _INERT_BY_CLASS: dict = {}
 
+#: The profile of a set whose read hits all replay CLEAN.
+NO_CORRECTED_WAYS: frozenset = frozenset()
+
 
 class BatchedSurface(NamedTuple):
     """What the batched engine may use of a cache: see :func:`batched_surface`."""
 
     cache: object
-    """The cache itself; ``set_replay_profile`` / ``apply_set_replays``
-    / ``commit_set_replays`` drive the per-set bulk path."""
+    """The cache itself; ``set_replay_profile`` / ``commit_set_replays``
+    drive the per-set bulk path."""
 
     interpreter: object
     """A scheme-exact batch interpreter
@@ -139,15 +138,6 @@ class ProtectionScheme:
     Subclasses override the hooks they need.  ``attach`` is called once
     by the cache so schemes that manage shared structures (Killi's ECC
     cache) can invalidate lines back through the cache.
-
-    Epoch-cached hit path: a scheme whose ``on_read_hit`` is *pure* for
-    a given line (outcome and side effects fixed until a scheme event)
-    may return a replay tuple from :meth:`hit_replay_info`; the cache
-    memoizes it and replays subsequent hits through
-    :meth:`apply_replay` without dispatching ``on_read_hit`` at all.
-    Any event that could change a memoized line's hit behaviour must
-    either be cache-visible (fill / invalidate / write hit, which clear
-    the per-line stamp) or bump the cache's global epoch.
     """
 
     def __init__(self):
@@ -226,50 +216,26 @@ class ProtectionScheme:
         return True up front."""
         return type(self).is_line_usable is not ProtectionScheme.is_line_usable
 
-    # -- epoch-cached hit path -------------------------------------------
-
-    def hit_replay_info(self, set_index: int, way: int):
-        """Replay tuple ``(corrected, hits_inc, sdc_inc)`` for a read
-        hit on (set, way), or None if the hit must go through
-        :meth:`on_read_hit`.
-
-        Only valid when the scheme guarantees the hit outcome and its
-        stat side effects stay fixed until a stamp-clearing cache event
-        or an epoch bump.  The base implementation covers schemes that
-        never fail — but only when ``on_read_hit`` is not overridden,
-        so unaware subclasses safely opt out.
-        """
-        if type(self).on_read_hit is not ProtectionScheme.on_read_hit:
-            return None
-        return PURE_CLEAN_HIT
-
-    def apply_replay(self, info) -> None:
-        """Apply the scheme-side stat effects of a memoized hit."""
-
     # -- batched set replay ----------------------------------------------
 
     def set_replay_profile(self, set_index: int):
-        """Batched-replay profile ``(info, corrected_ways)``, or None.
+        """Batched-replay profile of a set: its CORRECTED ways, or None.
 
         The batched engine asks each L2 set this once per kernel,
         before the set's first access.  A set with a profile replays
         its whole subsequence through
-        :func:`repro.cache.soa.replay_clean_set`; a refused set runs
-        per-access.  The profile is:
-
-        - ``info`` — the per-hit replay tuple ``(corrected, hits_inc,
-          sdc_inc)`` (as :meth:`hit_replay_info`) applied to the set's
-          read hits;
-        - ``corrected_ways`` — None, or the ways whose read hits
-          replay as CORRECTED (+1 cycle, ``corrected_reads``) instead
-          of ``info[0]``'s latency class.  Lets statically-
-          characterised schemes (the MBIST oracles) batch sets that
-          *contain* faulty-but-correctable lines.
+        :func:`repro.cache.soa.replay_clean_set`; a refused set (None)
+        runs per-access.  The profile is the frozenset of ways whose
+        read hits replay as CORRECTED (+1 cycle, ``corrected_reads``);
+        every other read hit replays CLEAN.  A non-empty set lets
+        statically-characterised schemes (the MBIST oracles) batch sets
+        that *contain* faulty-but-correctable lines.
 
         Because nothing re-checks the set afterwards, the profile must
         hold for the rest of the kernel:
 
-        - ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
+        - ``on_read_hit`` has no effect beyond its outcome, and
+          ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
           the set are pure no-ops (no state, stat, RNG or shared-
           structure effects);
         - victim selection reduces to first-invalid / plain LRU (no
@@ -286,7 +252,7 @@ class ProtectionScheme:
         if inert is None:
             inert = hooks_unchanged(cls)
             _INERT_BY_CLASS[cls] = inert
-        return (PURE_CLEAN_HIT, None) if inert else None
+        return NO_CORRECTED_WAYS if inert else None
 
     def batch_interpreter(self, cache):
         """Scheme-exact batch interpreter for the engine, or None.
@@ -300,19 +266,6 @@ class ProtectionScheme:
         batching the engine attempts for this scheme.
         """
         return None
-
-    def apply_replay_bulk(self, info, count: int) -> None:
-        """Apply ``count`` memoized hits' scheme-side effects at once.
-
-        The safe default loops :meth:`apply_replay`; schemes with
-        additive counters override with closed-form updates.  Schemes
-        that never override ``apply_replay`` (its base is a no-op)
-        skip the loop entirely.
-        """
-        if type(self).apply_replay is ProtectionScheme.apply_replay:
-            return
-        for _ in range(count):
-            self.apply_replay(info)
 
     def on_reset(self) -> None:
         """Voltage change / reboot: clear learned state (DFH reset)."""

@@ -386,17 +386,7 @@ def export_set_state(tags: SoaTagStore, lru: SoaLruState, set_index: int):
     return way_lines, seed, free_ways
 
 
-_NO_WAYS: frozenset = frozenset()
-
-
-def replay_clean_set(
-    seed,
-    free_ways,
-    indices,
-    lines,
-    stores,
-    corrected_ways=None,
-):
+def replay_clean_set(seed, free_ways, indices, lines, stores, corrected_ways):
     """Exact LRU replay of one scheme-inert set's access subsequence.
 
     Parameters
@@ -409,10 +399,10 @@ def replay_clean_set(
     lines / stores:
         Full residue columns (plain lists; indexed by ``indices``).
     corrected_ways:
-        Optional collection of ways whose read hits replay as
-        CORRECTED (+1 cycle, ``corrected_reads``) instead of CLEAN —
-        MBIST-oracle schemes serve faulty-but-correctable lines this
-        way.  None means every hit is uniform.
+        The set's replay profile: the frozenset of ways whose read hits
+        replay as CORRECTED (+1 cycle, ``corrected_reads``) instead of
+        CLEAN — MBIST-oracle schemes serve faulty-but-correctable lines
+        this way.  Empty means every hit is CLEAN.
 
     Returns ``(resident, touch_order, read_hits, write_hits, evictions,
     miss_positions, corrected_positions)``: the final line -> way map
@@ -443,9 +433,6 @@ def replay_clean_set(
     miss_append = miss_positions.append
     corrected_positions = []
     corrected_append = corrected_positions.append
-    corrected = (
-        frozenset(corrected_ways) if corrected_ways is not None else _NO_WAYS
-    )
 
     get = resident.get
     for i in indices:
@@ -459,7 +446,7 @@ def replay_clean_set(
                 touched[way] = True
         elif way is not None:
             read_hits += 1
-            if way in corrected:
+            if way in corrected_ways:
                 corrected_append(i)
             del resident[line]
             resident[line] = way

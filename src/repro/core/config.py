@@ -6,7 +6,10 @@ so experiments and ablations are driven from one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
+
+from repro.core.layout import LineLayout
 
 __all__ = ["KilliConfig"]
 
@@ -61,10 +64,30 @@ class KilliConfig:
     interleaved_parity: bool = True
 
     def __post_init__(self):
-        if self.ecc_ratio < 1:
-            raise ValueError("ecc_ratio must be >= 1")
-        if self.ecc_assoc < 1:
-            raise ValueError("ecc_assoc must be >= 1")
+        # Every field is a positive count or a bool switch; each check
+        # names the field, so a bad override fails before any cell runs.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            elif (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
+                raise ValueError(
+                    f"{f.name} must be a positive integer, got {value!r}"
+                )
+        layout = LineLayout()
+        for name in ("training_segments", "stable_segments"):
+            value = getattr(self, name)
+            if layout.data_bits % value or value > layout.max_parity_bits:
+                raise ValueError(
+                    f"{name} {value} must divide the {layout.data_bits} data "
+                    f"bits and be at most the {layout.max_parity_bits} parity "
+                    "bits per line"
+                )
         if self.training_segments % self.stable_segments:
             raise ValueError(
                 "training_segments must be a multiple of stable_segments"
@@ -72,5 +95,11 @@ class KilliConfig:
 
     def ecc_entries(self, n_l2_lines: int) -> int:
         """Number of ECC-cache entries for a given L2 size."""
-        entries = n_l2_lines // self.ecc_ratio
-        return max(entries, self.ecc_assoc)
+        entries = max(n_l2_lines // self.ecc_ratio, self.ecc_assoc)
+        if entries % self.ecc_assoc:
+            raise ValueError(
+                f"ecc_assoc {self.ecc_assoc} must divide the {entries} "
+                f"ECC-cache entries of a {n_l2_lines}-line L2 at "
+                f"1:{self.ecc_ratio}"
+            )
+        return entries

@@ -123,12 +123,6 @@ class KilliScheme(ProtectionScheme):
         self.hits_served = 0
         self._interp = None
 
-    def attach(self, cache) -> None:
-        super().attach(cache)
-        # External error injections (tests, campaigns) must invalidate
-        # the cache's memoized hit outcomes.
-        self.errors.external_mutation_hook = cache.bump_epoch
-
     def detach(self) -> None:
         super().detach()
         self.errors.external_mutation_hook = None
@@ -201,12 +195,6 @@ class KilliScheme(ProtectionScheme):
                 1 if (new == _INITIAL or new == _STABLE_1) else -1
             )
         self._transitions_mv[old, new] += 1
-        if self.cache is not None:
-            # A DFH transition changes this line's classification
-            # behaviour: invalidate the memoized hits of its own set.
-            # Memoized outcomes elsewhere in the L2 are untouched by a
-            # single line retraining, so they stay valid.
-            self.cache.bump_set_epoch(set_index)
 
     def _apply_classification(
         self, set_index: int, way: int, line_id: int, old: Dfh, cls: Classification
@@ -345,36 +333,6 @@ class KilliScheme(ProtectionScheme):
             signals.global_parity_ok,
         )
         return self._apply_classification(set_index, way, line_id, dfh, cls)
-
-    def hit_replay_info(self, set_index: int, way: int):
-        """Memoize steady-state b'00 hits (the common case after warmup).
-
-        A STABLE_0 line has no ECC entry and classifies with 4-bit
-        parity only; with no soft-error injector its signals — and thus
-        the outcome (always CLEAN here, else we would not be asked) and
-        the stat deltas — are fixed until the line's contents change
-        (fill / write hit, which clear the stamp) or a DFH transition
-        bumps the epoch.  Other DFH states touch the ECC cache on hits
-        and must take the full path.
-        """
-        if self.soft_injector is not None:
-            return None
-        line_id = self._line_id(set_index, way)
-        if int(self.dfh[line_id]) != _STABLE_0:
-            return None
-        # Replays of the SEND_CLEAN path: masked corrupt data slipping
-        # through is an SDC on every hit (matches _apply_classification).
-        sdc = (
-            1
-            if self.errors.is_dirty(line_id)
-            and self.errors.has_data_errors(line_id)
-            else 0
-        )
-        return (False, 1, sdc)
-
-    def apply_replay(self, info) -> None:
-        self.hits_served += info[1]
-        self.sdc_events += info[2]
 
     def batch_interpreter(self, cache):
         """Cluster-exact shadow interpreter for the batched engine.

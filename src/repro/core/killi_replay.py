@@ -38,15 +38,11 @@ cluster right after it.
 Commit equivalences (vs the per-access reference path)
 ------------------------------------------------------
 - *LRU*: touched ways are replayed through ``lru.touch`` in final
-  recency order — same convention as ``apply_set_replay``; absolute
-  clock values differ but the per-set age *order*, which is all the
-  replacement policy reads, is identical.  ``demote`` calls are
+  recency order — same convention as ``bulk_apply_set_replays``;
+  absolute clock values differ but the per-set age *order*, which is
+  all the replacement policy reads, is identical.  ``demote`` calls are
   skipped: a demoted way is invalid, and ages of invalid ways are
   never consulted until a refill touches them.
-- *Hit memo*: instead of replaying per-set epoch bumps, every
-  materialized set's hit stamps are cleared.  Re-memoization on the
-  next hit reproduces the memoized replay bit-exactly (hit outcomes
-  are deterministic), so this only costs one extra dispatch per line.
 - *Error rows*: per-slot fill/overwrite effects collapse to the last
   event per slot; the commit stores that fill's predicted row (the
   salt-keyed coins make it exactly the row ``on_fill`` would store) or
@@ -151,9 +147,11 @@ class KilliClusterInterpreter:
         # transition).  Kept in sync across kernels: commits refresh
         # exactly the slots whose DFH or error rows they changed,
         # engine-fallback write hits are re-checked via _stale_slots,
-        # and external error injections drop the whole map through the
-        # chained mutation hook.  Within a transaction the bitmap is
-        # only trusted for slots with no shadow row events.
+        # and error-vector edits outside the access path
+        # (``set_effective``, ``add_soft_error``, a reset's
+        # ``clear_all``) drop the whole map through the error model's
+        # mutation hook.  Within a transaction the bitmap is only
+        # trusted for slots with no shadow row events.
         self._pure = None
         # cluster -> slot whose RNG-abort write the engine replays
         # through the real per-access path before resuming the cluster.
@@ -161,14 +159,7 @@ class KilliClusterInterpreter:
         # calls interleave between the abort and the replay, so a global
         # stale set would be drained while the real row is still clean.
         self._stale_slots: dict = {}
-        prev_hook = self._errors.external_mutation_hook
-
-        def _on_external_mutation(*args):
-            self._pure = None
-            if prev_hook is not None:
-                prev_hook(*args)
-
-        self._errors.external_mutation_hook = _on_external_mutation
+        self._errors.external_mutation_hook = self._drop_purity
         # Armed invariants (REPRO_CHECK_INVARIANTS): each transaction
         # snapshots the shared RNG stream position at _begin and
         # asserts at _commit that the simulation window drew nothing
@@ -180,6 +171,11 @@ class KilliClusterInterpreter:
         self._begin(-1)
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _drop_purity(self) -> None:
+        """An error vector changed outside the access path: rebuild the
+        purity bitmap at the next :meth:`begin_kernel`."""
+        self._pure = None
 
     def begin_kernel(self) -> None:
         """Revalidate the voltage-keyed memos before a kernel runs."""
@@ -1048,13 +1044,11 @@ class KilliClusterInterpreter:
         cache = self._cache
         tags = cache.tags
         lru = cache.lru
-        stamp = cache._hit_stamp
         assoc = self._assoc
         line_bytes = self._line_bytes
         scheme = self._scheme
         off_mv = scheme._off_initial_in_set
         uns_mv = scheme._unstable_in_set
-        stamp_clear = [-1] * assoc
         for set_index, st in self._sets.items():
             way_lines = st.way_lines
             orig = st.orig
@@ -1075,12 +1069,10 @@ class KilliClusterInterpreter:
             touched = st.touched
             if touched:
                 # Final recency order; same convention as
-                # apply_set_replay (ages differ in value, not order).
+                # bulk_apply_set_replays (ages differ in value, not order).
                 for line, way in st.resident.items():
                     if way in touched:
                         lru.touch(set_index, way)
-            base = set_index * assoc
-            stamp[base : base + assoc] = stamp_clear
             if st.off_d:
                 off_mv[set_index] += st.off_d
             if st.uns_d:

@@ -155,9 +155,10 @@ class LineErrorModel:
         # next mutation (reads vastly outnumber writes).
         # line_id -> {(n_segments, use_ecc) | (n_segments, "observable"): Signals}
         self._signal_cache: dict = {}
-        # Called on *external* error-vector edits (set_effective /
-        # add_soft_error) so an owning scheme can invalidate memoized
-        # hit outcomes; wired up by the scheme's attach().
+        # Called on error-vector edits outside the access path
+        # (set_effective / add_soft_error / clear_all) so Killi's batch
+        # interpreter can drop its per-slot purity bitmap; the
+        # interpreter installs it.
         self.external_mutation_hook = None
         # LV offset of the boundary below which bits are always resident
         # in the (LV) main cache: data + the 4 stable parity bits.
@@ -346,9 +347,12 @@ class LineErrorModel:
         self.store_row(line_id, 0)
 
     def clear_all(self) -> None:
+        """Forget every line's error state (reset)."""
         # In place: the batched interpreter holds the list.
         self._rows[:] = [0] * len(self._rows)
         self._signal_cache.clear()
+        if self.external_mutation_hook is not None:
+            self.external_mutation_hook()
 
     # -- signal computation -------------------------------------------------
 

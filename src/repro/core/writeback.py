@@ -41,13 +41,6 @@ class KilliWriteBackScheme(KilliScheme):
             # Entry exists; upgrade its contents to DECTED (area-free).
             self.cache.stats.bump("dirty_dected_upgrades")
 
-    def hit_replay_info(self, set_index: int, way: int):
-        # A b'00 line with an on-demand SECDED entry takes the special
-        # path below (with ECC-cache touch side effects): full dispatch.
-        if self.ecc.contains(set_index, way):
-            return None
-        return super().hit_replay_info(set_index, way)
-
     def on_read_hit(self, set_index: int, way: int) -> AccessOutcome:
         line_id = self._line_id(set_index, way)
         if int(self.dfh[line_id]) == int(Dfh.STABLE_0) and self.ecc.contains(

@@ -538,23 +538,19 @@ class GpuSimulator:
             bounds = np.append(starts[1:], n)
             replay_profile = l2.set_replay_profile
             tags, lru = l2.tags, l2.lru
-            lat_groups: dict = {}  # hit latency -> per-set index arrays
-            bulk_hits: dict = {}  # replay info -> batched read hits
             agg = [0, 0, 0, 0, 0]  # reads, read_hits, writes, write_hits, evs
             miss_all: list = []
             corrected_all: list = []
             refused: list = []
             for s, a, b in zip(uniq_sets.tolist(), starts.tolist(), bounds.tolist()):
-                prof = replay_profile(s)
-                if prof is None:
+                corrected_ways = replay_profile(s)
+                if corrected_ways is None:
                     refused.append(s)
                     continue
-                info, corrected_ways = prof
-                idx_np = set_order[a:b]
                 way_lines, seed, free_ways = export_set_state(tags, lru, s)
                 resident, touch_order, rh, wh, ev, miss_positions, corr = (
                     replay_clean_set(
-                        seed, free_ways, idx_np.tolist(), lines_list,
+                        seed, free_ways, set_order[a:b].tolist(), lines_list,
                         stores_list, corrected_ways,
                     )
                 )
@@ -567,9 +563,6 @@ class GpuSimulator:
                 agg[4] += ev
                 miss_all.extend(miss_positions)
                 corrected_all.extend(corr)
-                bulk_hits[info] = bulk_hits.get(info, 0) + rh
-                hit_lat = l2._lat_hit_corrected if info[0] else l2._lat_hit
-                lat_groups.setdefault(hit_lat, []).append(idx_np)
             if not refused:
                 loop_idx = ()
             elif pending:
@@ -584,22 +577,17 @@ class GpuSimulator:
                 latency_py[cus_list[i]] += l2_read(addrs_list[i])
 
         if pending:
-            # Deferred state write-back, batched stat deltas and
-            # scheme bulk hooks all land through the transaction
-            # layer's single commit point; only the per-access
-            # latency classes stay engine-side.  ``corrected_all``
-            # are per-way CORRECTED hits (oracle faulty-but-within-
-            # budget lines): +1 cycle over their set's base hit
-            # latency, scheme-side effects already covered by the
-            # set's uniform ``info``.
-            l2.commit_set_replays(
-                pending, agg, len(miss_all), bulk_hits, len(corrected_all)
-            )
-            lat = np.zeros(n, dtype=np.int64)
-            lat_tag = l2._lat_tag
-            for hit_lat, arrs in lat_groups.items():
-                cat = arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
-                lat[cat] = np.where(r_stores[cat], lat_tag, hit_lat)
+            # Deferred state write-back and batched stat deltas land
+            # through the transaction layer's single commit point; only
+            # the latencies stay engine-side.  A batched access is a
+            # posted store or a hit unless it missed, or hit one of the
+            # per-way CORRECTED lines (``corrected_all``: oracle
+            # faulty-but-within-budget lines, +1 cycle).  Refused sets'
+            # accesses already counted their latency per access.
+            l2.commit_set_replays(pending, agg, len(miss_all), len(corrected_all))
+            lat = np.where(r_stores, l2._lat_tag, l2._lat_hit)
+            if loop_idx:
+                lat[loop_idx] = 0
             if corrected_all:
                 lat[np.asarray(corrected_all, dtype=np.int64)] = (
                     l2._lat_hit_corrected

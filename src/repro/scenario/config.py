@@ -345,9 +345,10 @@ class ScenarioConfig:
 
         Raises ``KeyError`` for unknown registry names and
         ``ValueError`` for invalid values — including a mistyped
-        scalar, a ``[gpu]`` geometry the caches reject and a voltage
-        below the fault-map floor every cell is built on; returns
-        ``self`` so calls chain.
+        scalar, a ``[gpu]`` geometry the caches reject, a
+        ``[scheme.config]`` override the scheme rejects on that
+        geometry and a voltage below the fault-map floor every cell is
+        built on; returns ``self`` so calls chain.
         """
         from repro.faults.fault_map import FLOOR_VOLTAGE
         from repro.scenario.registries import (
@@ -357,10 +358,12 @@ class ScenarioConfig:
         )
 
         factory = SCHEME_REGISTRY.resolve(self.scheme.name)
-        factory.check_options(self.scheme.overrides, self.scheme.write_back)
         WORKLOAD_REGISTRY.resolve(self.workload.name)
         ENGINE_REGISTRY.resolve(self.engine.engine)
         self.gpu.check()
+        factory.check_options(
+            self.scheme.overrides, self.scheme.write_back, self.gpu.to_gpu_config()
+        )
         _check_number(
             self.workload.accesses_per_cu, "workload.accesses_per_cu", True
         )

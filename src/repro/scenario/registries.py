@@ -126,10 +126,13 @@ class SchemeFactory:
         """Construct the protection scheme."""
         return self._builder(self, ctx)
 
-    def check_options(self, overrides: Optional[dict], write_back: bool) -> None:
-        """Validate Killi-only options without constructing anything."""
+    def check_options(
+        self, overrides: Optional[dict], write_back: bool, gpu_config
+    ) -> None:
+        """Validate Killi-only options for ``gpu_config`` without
+        constructing the scheme."""
         if self._validate_options is not None:
-            self._validate_options(self, dict(overrides or {}), write_back)
+            self._validate_options(self, dict(overrides or {}), write_back, gpu_config)
         elif (overrides or write_back) and not self.accepts_overrides:
             raise ValueError(
                 f"scheme_config/write_back only apply to Killi schemes, "

@@ -83,7 +83,9 @@ def _build_killi(factory: SchemeFactory, ctx: SchemeBuildContext):
     return KilliScheme(ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng)
 
 
-def _check_killi_options(factory: SchemeFactory, overrides: dict, write_back: bool):
+def _check_killi_options(
+    factory: SchemeFactory, overrides: dict, write_back: bool, gpu_config
+):
     unknown = sorted(set(overrides) - (_KILLI_FIELDS - {"ecc_ratio"}))
     if unknown:
         raise ValueError(
@@ -92,6 +94,12 @@ def _check_killi_options(factory: SchemeFactory, overrides: dict, write_back: bo
         )
     if write_back and factory.params["code"] is not None:
         raise ValueError("write-back strong-code Killi is not modelled")
+    # The config checks its own values; the ECC-cache shape needs the L2.
+    try:
+        config = KilliConfig(ecc_ratio=factory.params["ecc_ratio"], **overrides)
+        config.ecc_entries(gpu_config.l2.n_lines)
+    except ValueError as error:
+        raise ValueError(f"scheme.config: {error}") from None
 
 
 def _parse_killi(name: str) -> Optional[SchemeFactory]:

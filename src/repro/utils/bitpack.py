@@ -21,11 +21,8 @@ import numpy as np
 __all__ = [
     "n_words",
     "pack_positions",
-    "pack_positions_matrix",
     "pack_bit_matrix",
-    "unpack_positions",
     "popcount64",
-    "mask_from_bool",
 ]
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -76,34 +73,6 @@ def pack_positions(positions, n_bits: int) -> np.ndarray:
     return row
 
 
-def pack_positions_matrix(
-    offsets: np.ndarray, valid: np.ndarray, n_bits: int
-) -> np.ndarray:
-    """Pack per-row offset lists into a ``(n, words)`` uint64 matrix.
-
-    ``offsets`` has shape ``(n, k_max)``; ``valid`` is a same-shape
-    boolean mask selecting which entries are real (rows may hold fewer
-    than ``k_max`` offsets).  Invalid entries are ignored; their values
-    need not be in range.
-    """
-    offsets = np.asarray(offsets)
-    valid = np.asarray(valid, dtype=bool)
-    if offsets.shape != valid.shape or offsets.ndim != 2:
-        raise ValueError("offsets and valid must share a (n, k) shape")
-    n, k_max = offsets.shape
-    packed = np.zeros((n, n_words(n_bits)), dtype=np.uint64)
-    rows_base = np.arange(n)
-    # One vectorized scatter per offset column: within a column each
-    # row contributes at most one bit, so the |= has no write races.
-    for j in range(k_max):
-        rows = rows_base[valid[:, j]]
-        if rows.size == 0:
-            continue
-        column = offsets[rows, j].astype(np.uint64)
-        packed[rows, column >> _SIX] |= _ONE << (column & _SIXTY_THREE)
-    return packed
-
-
 def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(n, n_bits)`` 0/1 matrix into ``(n, words)`` uint64 rows."""
     bits = np.asarray(bits, dtype=np.uint8)
@@ -121,25 +90,3 @@ def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
         column = bits[:, offset].astype(np.uint64)
         packed[:, offset >> 6] |= column << np.uint64(offset & 63)
     return packed  # pragma: no cover
-
-
-def unpack_positions(row: np.ndarray) -> np.ndarray:
-    """Bit offsets set in a packed row, in increasing order."""
-    row = np.ascontiguousarray(row, dtype=np.uint64)
-    if _LITTLE_ENDIAN:
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        return np.nonzero(bits)[0]
-    positions = []  # pragma: no cover
-    for word_index, word in enumerate(row):  # pragma: no cover
-        word = int(word)
-        while word:
-            low = word & -word
-            positions.append((word_index << 6) + low.bit_length() - 1)
-            word ^= low
-    return np.asarray(positions, dtype=np.intp)  # pragma: no cover
-
-
-def mask_from_bool(member: np.ndarray) -> np.ndarray:
-    """Pack a boolean membership vector of length ``n_bits`` into a row."""
-    member = np.asarray(member, dtype=bool)
-    return pack_positions(np.nonzero(member)[0], len(member))

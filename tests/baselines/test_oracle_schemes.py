@@ -6,6 +6,7 @@ from repro.baselines import DectedScheme, FlairScheme, MsEccScheme, SecDedLineSc
 from repro.baselines.oracle import OracleEccScheme
 from repro.cache.geometry import CacheGeometry
 from repro.cache.core import WriteThroughCache
+from repro.cache.hooks import NO_CORRECTED_WAYS
 from repro.faults.fault_map import FaultMap
 
 GEO = CacheGeometry(size_bytes=16 * 1024, line_bytes=64, associativity=4)
@@ -101,6 +102,23 @@ class TestOracleAccessPath:
         cache, _ = build(FlairScheme, faults)
         cache.reset()
         assert cache.tags.line(0, 0).disabled
+
+
+    def test_replay_profile_is_the_corrected_ways(self):
+        """A set's batched-replay profile is the frozenset of its
+        correctable faulty ways; fault-free sets share one empty
+        frozenset, and a set with every way disabled refuses."""
+        faults = {
+            GEO.line_id(1, 2): [(1, 1)],
+            GEO.line_id(1, 3): [(1, 1), (2, 1), (3, 1)],  # over budget
+        }
+        for way in range(4):
+            faults[GEO.line_id(2, way)] = [(1, 1), (2, 1), (3, 1)]
+        cache, _ = build(DectedScheme, faults)
+        assert cache.set_replay_profile(0) is NO_CORRECTED_WAYS
+        assert cache.set_replay_profile(3) is NO_CORRECTED_WAYS
+        assert cache.set_replay_profile(1) == frozenset({2})
+        assert cache.set_replay_profile(2) is None
 
 
 class TestWholeSetDisabled:

@@ -43,6 +43,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             KilliConfig(training_segments=10, stable_segments=4)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"stable_segments": 0}, "stable_segments must be a positive"),
+        ({"stable_segments": -4}, "stable_segments must be a positive"),
+        ({"training_segments": "16"}, "training_segments must be a positive"),
+        ({"ecc_ratio": True}, "ecc_ratio must be a positive"),
+        ({"ecc_assoc": 4.0}, "ecc_assoc must be a positive"),
+        ({"training_segments": 1024}, "training_segments 1024 must divide"),
+        ({"training_segments": 32}, "training_segments 32 must divide"),
+        ({"stable_segments": 3}, "stable_segments 3 must divide"),
+        ({"train_on_evict": "no"}, "train_on_evict must be a bool"),
+        ({"priority_replacement": 1}, "priority_replacement must be a bool"),
+    ])
+    def test_bad_override_names_the_field(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            KilliConfig(**overrides)
+
+    def test_ecc_assoc_must_divide_the_entries(self):
+        config = KilliConfig(ecc_ratio=64, ecc_assoc=3)
+        with pytest.raises(ValueError, match="ecc_assoc 3"):
+            config.ecc_entries(32768)
+        with pytest.raises(ValueError, match="ecc_assoc"):
+            KilliScheme(
+                GEO, FaultMap.from_faults(GEO.n_lines, {}), 0.625,
+                KilliConfig(ecc_ratio=2, ecc_assoc=3),
+            )
+
     def test_ecc_entries_floor(self):
         config = KilliConfig(ecc_ratio=100000, ecc_assoc=4)
         assert config.ecc_entries(1024) == 4  # at least one full set

@@ -1,4 +1,4 @@
-"""Killi batching: cluster interpreter, per-set epochs, batch kernels.
+"""Killi batching: cluster interpreter, external injection, batch kernels.
 
 The batched engine runs Killi cells through a cluster-exact shadow
 interpreter (:mod:`repro.core.killi_replay`) instead of the per-access
@@ -9,8 +9,7 @@ loop.  These tests pin the pieces that make that sound:
   SDC events, ECC-cache counters);
 - a directed shared-RNG write hit that must abort the interpreter and
   replay through the real path, bit-identically;
-- per-set epoch isolation (a DFH transition in one set must not evict
-  memoized hits in another);
+- error vectors injected between kernels reaching the interpreter;
 - the ECC cache's O(1) membership mirror against the plain key lists;
 - the precomputed Table 2 kernels against the reference dispatch.
 """
@@ -46,6 +45,24 @@ def build_sim(engine, scheme_name, seed, voltage=0.625):
     )
     sim = GpuSimulator(gpu_config, scheme, engine=engine)
     return sim, scheme
+
+
+def single_cu_trace(name, gpu_config, addrs, stores):
+    """A kernel whose only traffic is CU 0's ``addrs`` (no compute gaps)."""
+    streams = [
+        CuStream(
+            addrs=np.array(addrs, dtype=np.int64),
+            is_store=np.array(stores, dtype=bool),
+            gaps=np.zeros(len(addrs), dtype=np.int64),
+        )
+    ]
+    for _ in range(gpu_config.n_cus - 1):
+        streams.append(CuStream(
+            addrs=np.array([], dtype=np.int64),
+            is_store=np.array([], dtype=bool),
+            gaps=np.array([], dtype=np.int64),
+        ))
+    return Trace(name, streams)
 
 
 def scheme_state_key(result, sim, scheme):
@@ -156,20 +173,7 @@ class TestDirectedRngAbort:
         for k in range(6):
             addrs.append((other + k * n_sets) * line_bytes)
             stores.append(k % 2 == 1)
-        streams = [
-            CuStream(
-                addrs=np.array(addrs, dtype=np.int64),
-                is_store=np.array(stores),
-                gaps=np.zeros(len(addrs), dtype=np.int64),
-            )
-        ]
-        for _ in range(gpu_config.n_cus - 1):
-            streams.append(CuStream(
-                addrs=np.array([], dtype=np.int64),
-                is_store=np.array([], dtype=bool),
-                gaps=np.array([], dtype=np.int64),
-            ))
-        return Trace("directed-abort", streams)
+        return single_cu_trace("directed-abort", gpu_config, addrs, stores)
 
     def test_abort_is_taken_and_exact(self):
         seed = 21
@@ -195,55 +199,85 @@ class TestDirectedRngAbort:
             METRICS.disable()
 
 
-class TestPerSetEpochs:
-    """A DFH transition invalidates memoized hits only in its own set."""
+class TestExternalInjection:
+    """Error vectors edited between kernels (``set_effective``,
+    ``add_soft_error``, the ``clear_all`` of a reset) must reach the
+    interpreter: the error model's mutation hook drops its per-slot
+    purity bitmap, so the next kernel classifies the edited lines
+    instead of serving them as pure hits."""
 
-    def _memoized_cache(self):
-        sim, scheme = build_sim("batched", "killi_1:8", 21)
+    SEED = 21
+
+    def _targets(self, sim, scheme, count=2):
+        """Resident, clean STABLE_0 lines of distinct sets that CU 0's
+        L1 does not hold, as ``(slot, addr)`` pairs."""
         l2 = sim.l2
-        errors = scheme.errors
         assoc = scheme.geometry.associativity
         n_sets = scheme.geometry.n_sets
-        clean_sets = [
-            s for s in range(n_sets)
-            if not any(errors.slot_has_active(s * assoc + w) for w in range(2))
-        ]
-        set_a, set_b = clean_sets[0], clean_sets[1]
         line_bytes = scheme.geometry.line_bytes
-        addr_a, addr_b = set_a * line_bytes, set_b * line_bytes
-        for addr in (addr_a, addr_b):
-            l2.read(addr)  # miss + fill (INITIAL)
-            l2.read(addr)  # dispatched hit: promote to b'00, memoize
-        # From here on every read hit must come from the memo.
-        def no_dispatch(set_index, way):
-            raise AssertionError("memoized hit was re-dispatched")
+        found, sets = [], set()
+        for slot in range(scheme.geometry.n_lines):
+            set_index, way = divmod(slot, assoc)
+            if set_index in sets or not l2.tags.is_valid(set_index, way):
+                continue
+            if scheme.dfh[slot] != int(Dfh.STABLE_0) or scheme.errors.is_dirty(slot):
+                continue
+            addr = (l2.tags.tag_at(set_index, way) * n_sets + set_index) * line_bytes
+            if sim.l1s[0].tags.lookup(addr) is not None:
+                continue
+            found.append((slot, addr))
+            sets.add(set_index)
+            if len(found) == count:
+                return found
+        pytest.fail("no resident clean STABLE_0 lines after the first kernel")
 
-        scheme.on_read_hit = no_dispatch
-        return l2, scheme, set_a, addr_a, addr_b
+    def _kernel(self, sim, index):
+        return workload_trace(
+            "xsbench", 1200, n_cus=sim.config.n_cus,
+            rng=RngFactory(self.SEED).stream(f"trace/k{index}"),
+        )
 
-    def test_transition_in_a_keeps_b_memoized(self):
-        l2, scheme, set_a, addr_a, addr_b = self._memoized_cache()
-        l2.read(addr_b)  # sanity: memo actually serves B
-        # A real transition in set A (way 1 is still untouched INITIAL).
-        scheme._set_dfh(set_a * scheme.geometry.associativity + 1,
-                        int(Dfh.INITIAL), int(Dfh.STABLE_1))
-        l2.read(addr_b)  # set B untouched: still memoized
-        with pytest.raises(AssertionError, match="re-dispatched"):
-            l2.read(addr_a)  # set A's epoch moved: must re-dispatch
+    def _run(self, engine):
+        sim, scheme = build_sim(engine, "killi_1:8", self.SEED)
+        sim.run(self._kernel(sim, 0))
+        (slot_a, addr_a), (slot_b, addr_b) = self._targets(sim, scheme)
+        # A: two data bits in different stable parity segments (bit o
+        # is in segment o % 4); B: one transient data-bit flip.  Both
+        # are detectable on a b'00 read.
+        scheme.errors.set_effective(slot_a, [0, 129])
+        scheme.errors.add_soft_error(slot_b, [7])
+        reads = [addr_a, addr_b, addr_a]
+        result = sim.run(
+            single_cu_trace("injected-reads", sim.config, reads, [False] * 3)
+        )
+        return (
+            (slot_a, slot_b),
+            result.l2_stats.as_dict(),
+            sim.state_snapshot()["scheme"],
+            sim.state_digest(),
+        )
 
-    def test_global_epoch_still_invalidates_everything(self):
-        l2, scheme, set_a, addr_a, addr_b = self._memoized_cache()
-        l2.read(addr_b)
-        l2.bump_epoch()
-        with pytest.raises(AssertionError, match="re-dispatched"):
-            l2.read(addr_b)
+    def test_injection_between_kernels_reaches_the_interpreter(self):
+        reference = self._run("scalar")
+        assert reference[1]["error_induced_misses"] >= 2
+        batched = self._run("batched")
+        assert batched[0] == reference[0]  # same target lines
+        assert batched[1] == reference[1]
+        assert batched[2] == reference[2]  # error_rows, DFH, counters
+        assert batched[3] == reference[3]
 
-    def test_write_hit_clears_only_its_line(self):
-        l2, scheme, set_a, addr_a, addr_b = self._memoized_cache()
-        l2.write(addr_a)
-        l2.read(addr_b)  # untouched line: still memoized
-        with pytest.raises(AssertionError, match="re-dispatched"):
-            l2.read(addr_a)
+    def test_reset_between_kernels_reaches_the_interpreter(self):
+        """A reset without a voltage change re-enters training on every
+        line; no slot the first kernel left pure may stay pure."""
+
+        def run(engine):
+            sim, _ = build_sim(engine, "killi_1:8", self.SEED)
+            sim.run(self._kernel(sim, 0))
+            sim.l2.reset()
+            result = sim.run(self._kernel(sim, 1))
+            return result.l2_stats.as_dict(), sim.state_digest()
+
+        assert run("batched") == run("scalar")
 
 
 class TestEccCacheMirrors:

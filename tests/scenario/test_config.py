@@ -152,6 +152,31 @@ class TestSchema:
         ]:
             with pytest.raises(ValueError, match=field):
                 cell_scenario("fft", "baseline", gpu=GpuSection(**knobs)).validate()
+        # [scheme.config] overrides are checked by value, not only by
+        # name, and the ECC-cache shape against the [gpu] geometry.
+        for overrides, field in [
+            ({"stable_segments": 0}, "stable_segments"),
+            ({"stable_segments": -4}, "stable_segments"),
+            ({"training_segments": "16"}, "training_segments"),
+            ({"training_segments": 1024}, "training_segments"),
+            ({"training_segments": 32}, "training_segments"),
+            ({"ecc_assoc": 3}, "ecc_assoc"),
+            ({"train_on_evict": "no"}, "train_on_evict"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                cell_scenario(
+                    "nekbone", "killi_1:64", scheme_config=overrides
+                ).validate()
+        # 12 ways fill the 12-entry floor of a 512-line L2 at 1:64 but
+        # cannot divide the 512 entries of the default 32768-line L2.
+        small = GpuSection(l2_size_bytes=512 * 64, l2_associativity=4, l2_banks=4)
+        cell_scenario(
+            "fft", "killi_1:64", gpu=small, scheme_config={"ecc_assoc": 12}
+        ).validate()
+        with pytest.raises(ValueError, match="ecc_assoc 12"):
+            cell_scenario(
+                "fft", "killi_1:64", scheme_config={"ecc_assoc": 12}
+            ).validate()
 
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):

@@ -188,6 +188,17 @@ class TestCli:
         assert "gpu.l2_banks" in capsys.readouterr().out
         assert cli_main(["scenario", "run", str(banks), "--no-progress"]) == 2
         assert "gpu.l2_banks" in capsys.readouterr().err
+        # A [scheme.config] override Killi would choke on mid-cell.
+        segments = tmp_path / "segments.toml"
+        segments.write_text(
+            'schema_version = 1\nname = "segments"\n\n[scheme]\n'
+            'name = "killi_1:64"\n\n[scheme.config]\nstable_segments = 0\n'
+            '\n[workload]\nname = "nekbone"\naccesses_per_cu = 50\n'
+        )
+        assert cli_main(["scenario", "validate", str(segments)]) == 1
+        assert "stable_segments" in capsys.readouterr().out
+        assert cli_main(["scenario", "run", str(segments), "--no-progress"]) == 2
+        assert "stable_segments" in capsys.readouterr().err
 
     def test_scenario_run_writes_json(self, tmp_path, capsys):
         out_json = tmp_path / "result.json"
