@@ -59,16 +59,7 @@ from repro.cache.core import (
     WriteBackCache,
     WriteThroughCache,
 )
-from repro.core.dfh import (
-    ACTION_CORRECT_AND_SEND,
-    ACTION_ERROR_MISS,
-    ACTION_SEND_CLEAN,
-    Dfh,
-    DfhAction,
-    classify,
-    classify_batch,
-    classify_cached,
-)
+from repro.core.dfh import Dfh, classify, classify_cached
 from repro.core.linestate import LineErrorModel
 from repro.faults.cell_model import CellFaultModel
 from repro.faults.fault_map import FaultMap
@@ -441,18 +432,17 @@ def bench_l2_replay(accesses: int) -> dict:
 
 
 def bench_killi_classify(ops: int) -> dict:
-    """Table 2 classification dispatch: reference vs cached vs batch.
+    """Table 2 classification dispatch: reference vs cached.
 
     A seeded stream of ``ops`` (DFH state, signal triple) rows spanning
-    every accessible cell of Table 2, classified three ways: the
+    every accessible cell of Table 2, classified two ways: the
     reference per-row dispatch (``classify``, with enum identity
-    checks and a fresh ``Classification`` per call), the interned
-    table lookup (``classify_cached`` — the per-access engines' hit
-    path), and the flat-array window kernel (``classify_batch`` — the
-    form the batched engine's cluster interpreter leans on).  Every
-    distinct cell in the stream is cross-checked against the reference
-    encoding, so the bench doubles as an agreement test of the lookup
-    tables.
+    checks and a fresh ``Classification`` per call) and the interned
+    table lookup (``classify_cached`` — the form ``Table2Policy``
+    decides through, on both the per-access path and the cluster
+    interpreter).  Every distinct cell in the stream is cross-checked
+    against the reference encoding, so the bench doubles as an
+    agreement test of the lookup table.
     """
     rng = np.random.default_rng(43)
     dfh = rng.integers(0, 3, size=ops).astype(np.int8)
@@ -471,26 +461,9 @@ def bench_killi_classify(ops: int) -> dict:
 
     reference_s, _ = _timed(run_reference)
     cached_s, _ = _timed(run_cached)
-    batch_s, _ = _timed(lambda: classify_batch(dfh, sp, syn, gp))
 
-    action_code = {
-        DfhAction.SEND_CLEAN: ACTION_SEND_CLEAN,
-        DfhAction.CORRECT_AND_SEND: ACTION_CORRECT_AND_SEND,
-        DfhAction.ERROR_MISS: ACTION_ERROR_MISS,
-    }
-    combos = sorted(set(rows))
-    c_nxt, c_act, c_free = classify_batch(
-        np.array([c[0] for c in combos], dtype=np.int8),
-        np.array([c[1] for c in combos]),
-        np.array([c[2] for c in combos]),
-        np.array([c[3] for c in combos]),
-    )
-    for i, (d, s, y, g) in enumerate(combos):
-        cls = classify(Dfh(d), s, y, g)
-        assert (int(c_nxt[i]), int(c_act[i]), bool(c_free[i])) == (
-            int(cls.next_dfh), action_code[cls.action], cls.free_ecc_entry
-        ), "classify_batch diverged from the reference dispatch"
-        assert classify_cached(d, s, y, g) == cls, (
+    for d, s, y, g in sorted(set(rows)):
+        assert classify_cached(d, s, y, g) == classify(Dfh(d), s, y, g), (
             "classify_cached diverged from the reference dispatch"
         )
 
@@ -498,9 +471,7 @@ def bench_killi_classify(ops: int) -> dict:
         "ops": ops,
         "reference_ns_per_op": round(reference_s / ops * 1e9, 1),
         "cached_ns_per_op": round(cached_s / ops * 1e9, 1),
-        "batch_ns_per_op": round(batch_s / ops * 1e9, 2),
         "speedup_cached": round(reference_s / cached_s, 2),
-        "speedup_batch": round(reference_s / batch_s, 1),
         "kernels_bit_identical": True,
     }
 
@@ -778,7 +749,7 @@ _BASELINE_HEADLINE_KEYS = {
     "hierarchy": ("soa_ns_per_access",),
     "cache_core": ("soa_ns_per_access",),
     "l2_replay": ("batched_ns_per_access",),
-    "killi_classify": ("cached_ns_per_op", "batch_ns_per_op"),
+    "killi_classify": ("cached_ns_per_op",),
     "fuzz_overhead": ("disarmed_ns_per_access",),
     "fig6": ("seconds",),
     "fig4_slice": ("seconds",),
@@ -950,10 +921,9 @@ def main(argv=None) -> int:
         sizes["killi_classify_ops"]
     )
     print(
-        f"  killi_cls: {killi_cls['batch_ns_per_op']:6.1f} ns/op batch "
+        f"  killi_cls: {killi_cls['cached_ns_per_op']:6.1f} ns/op cached "
         f"vs {killi_cls['reference_ns_per_op']:6.1f} reference  "
-        f"(batch {killi_cls['speedup_batch']:.0f}x, cached "
-        f"{killi_cls['speedup_cached']:.1f}x)"
+        f"({killi_cls['speedup_cached']:.1f}x)"
     )
 
     results["benchmarks"]["fuzz_overhead"] = fuzz_ov = bench_fuzz_overhead(
@@ -1003,8 +973,6 @@ def main(argv=None) -> int:
             slower.append(f"l2_replay ({l2_replay['speedup_batched']}x)")
         if killi_cls["speedup_cached"] < 1.0:
             slower.append(f"killi_classify cached ({killi_cls['speedup_cached']}x)")
-        if killi_cls["speedup_batch"] < 1.0:
-            slower.append(f"killi_classify batch ({killi_cls['speedup_batch']}x)")
         if fuzz_ov["disarmed_overhead_pct"] >= 2.0:
             slower.append(
                 "invariant layer not a no-op when disarmed "

@@ -13,6 +13,8 @@
   from them.
 - :mod:`repro.core.ecc_cache` — the small set-associative ECC cache
   holding checkbits + extra parity for lines in DFH b'01 / b'10.
+- :mod:`repro.core.policy` — Killi's decision rules: Table 2 for the
+  SECDED ECC cache and the Section 5.2/5.5 strong-code rule.
 - :mod:`repro.core.killi` — :class:`KilliScheme`, the protection scheme
   that plugs the above into the write-through cache.
 - :mod:`repro.core.datapath` — the bit-accurate data path (real
@@ -35,7 +37,6 @@ from repro.core.killi import KilliScheme
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel, Signals
 from repro.core.scrubber import Scrubber
-from repro.core.strong import KilliStrongScheme
 from repro.core.writeback import KilliWriteBackScheme
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "Signals",
     "EccCache",
     "KilliScheme",
-    "KilliStrongScheme",
     "Scrubber",
     "KilliWriteBackScheme",
     "BitAccurateDataPath",

@@ -25,8 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Dfh",
     "DfhAction",
@@ -36,13 +34,6 @@ __all__ = [
     "classify_b10",
     "classify",
     "classify_cached",
-    "classify_batch",
-    "ACTION_SEND_CLEAN",
-    "ACTION_CORRECT_AND_SEND",
-    "ACTION_ERROR_MISS",
-    "CLASSIFY_NEXT",
-    "CLASSIFY_ACTION",
-    "CLASSIFY_FREE",
 ]
 
 
@@ -198,52 +189,27 @@ def classify(
     raise ValueError("disabled lines are never accessed (Table 2 last row)")
 
 
-# -- precomputed classification tables -------------------------------------
+# -- precomputed classification table --------------------------------------
 #
 # Table 2 is tiny: 3 accessible DFH states x 3 segmented-parity buckets
 # (0 / 1 / 2-or-more mismatches) x 2 syndrome values x 2 global-parity
-# values.  The tables below enumerate every cell *through the reference
-# functions above*, so they cannot drift from the row-by-row encoding —
-# they are a lookup-speed view, not a re-implementation.  ``CLASSIFY_*``
-# are indexed ``[dfh, min(sp_mismatches, 2), syndrome_zero,
-# global_parity_ok]``; the scalar table holds the (interned, frozen)
-# ``Classification`` instances for per-access dispatch without any
-# branch chain.
+# values.  The table below enumerates every cell *through the reference
+# functions above*, so it cannot drift from the row-by-row encoding —
+# it is a lookup-speed view, not a re-implementation.  It is indexed
+# ``[dfh][min(sp_mismatches, 2)][syndrome_zero][global_parity_ok]`` and
+# holds the (interned, frozen) ``Classification`` instances, so the
+# per-access dispatch runs without any branch chain.
 
-#: Integer action encodings used by the flat arrays.
-ACTION_SEND_CLEAN = 0
-ACTION_CORRECT_AND_SEND = 1
-ACTION_ERROR_MISS = 2
-
-_ACTION_CODE = {
-    DfhAction.SEND_CLEAN: ACTION_SEND_CLEAN,
-    DfhAction.CORRECT_AND_SEND: ACTION_CORRECT_AND_SEND,
-    DfhAction.ERROR_MISS: ACTION_ERROR_MISS,
-}
-
-
-def _build_tables():
-    table = [[[[None] * 2 for _ in range(2)] for _ in range(3)] for _ in range(3)]
-    nxt = np.zeros((3, 3, 2, 2), dtype=np.int8)
-    act = np.zeros((3, 3, 2, 2), dtype=np.int8)
-    free = np.zeros((3, 3, 2, 2), dtype=bool)
-    for dfh in (Dfh.STABLE_0, Dfh.INITIAL, Dfh.STABLE_1):
-        for sp in range(3):
-            for syn in (False, True):
-                for gp in (False, True):
-                    cls = classify(dfh, sp, syn, gp)
-                    table[dfh][sp][syn][gp] = cls
-                    # int() the booleans: numpy would treat bare bool
-                    # scalars in an index tuple as 0-d masks (False
-                    # selects nothing), not as positions.
-                    cell = (int(dfh), sp, int(syn), int(gp))
-                    nxt[cell] = int(cls.next_dfh)
-                    act[cell] = _ACTION_CODE[cls.action]
-                    free[cell] = cls.free_ecc_entry
-    return table, nxt, act, free
-
-
-_TABLE, CLASSIFY_NEXT, CLASSIFY_ACTION, CLASSIFY_FREE = _build_tables()
+_TABLE = [
+    [
+        [
+            [classify(dfh, sp, syn, gp) for gp in (False, True)]
+            for syn in (False, True)
+        ]
+        for sp in range(3)
+    ]
+    for dfh in (Dfh.STABLE_0, Dfh.INITIAL, Dfh.STABLE_1)
+]
 
 
 def classify_cached(
@@ -259,27 +225,3 @@ def classify_cached(
         raise ValueError("disabled lines are never accessed (Table 2 last row)")
     sp = sp_mismatches if sp_mismatches < 2 else 2
     return _TABLE[dfh][sp][syndrome_zero][global_parity_ok]
-
-
-def classify_batch(dfh, sp_mismatches, syndrome_zero, global_parity_ok):
-    """Vectorized Table 2 over aligned numpy arrays.
-
-    Evaluates a whole window of (DFH state, signal triple) rows at
-    once and returns ``(next_dfh, action, free_ecc_entry)`` arrays,
-    with actions encoded as ``ACTION_SEND_CLEAN`` /
-    ``ACTION_CORRECT_AND_SEND`` / ``ACTION_ERROR_MISS``.  Every row
-    must be an accessible state (DFH != b'11), exactly as the scalar
-    dispatch requires.
-    """
-    dfh = np.asarray(dfh, dtype=np.int8)
-    if np.any(dfh == 3):
-        raise ValueError("disabled lines are never accessed (Table 2 last row)")
-    sp = np.minimum(np.asarray(sp_mismatches, dtype=np.int8), 2)
-    syn = np.asarray(syndrome_zero, dtype=np.int8)
-    gp = np.asarray(global_parity_ok, dtype=np.int8)
-    idx = ((dfh * 3 + sp) * 2 + syn) * 2 + gp
-    return (
-        CLASSIFY_NEXT.ravel()[idx],
-        CLASSIFY_ACTION.ravel()[idx],
-        CLASSIFY_FREE.ravel()[idx],
-    )

@@ -1,17 +1,18 @@
 """Killi protection scheme (paper Section 4).
 
-Glues together the DFH state machine (Table 2), the per-line error
-model, and the ECC cache into a :class:`repro.cache.ProtectionScheme`
-that the write-through L2 drives.  Responsibilities:
+Glues together the DFH decision rule (:mod:`repro.core.policy`: Table 2
+for the SECDED ECC cache, or the Section 5.2/5.5 strong-code rule), the
+per-line error model, and the ECC cache into a
+:class:`repro.cache.ProtectionScheme` that the write-through L2 drives.
+Responsibilities:
 
 - **Fill** — resample unmasked faults for the new contents; lines in
   DFH b'01 / b'10 allocate an ECC-cache entry, possibly evicting (and
   thereby invalidating) another L2 line's entry — the contention
   mechanism behind Figure 4/5's sensitivity to ECC-cache size.
-- **Read hit** — derive the (segmented parity, syndrome, global
-  parity) signals, classify per Table 2, update DFH, and translate the
-  action to a cache outcome (clean hit / corrected hit / error-induced
-  miss that invalidates or disables the line).
+- **Read hit** — ask the rule for the line's next DFH state and
+  outcome, and translate it to a cache outcome (clean hit / corrected
+  hit / error-induced miss that invalidates or disables the line).
 - **Eviction** — optional training: b'01 lines are classified from
   their evicted contents (Section 4.4), so DFH warmup does not require
   a hit.
@@ -29,10 +30,11 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme
 from repro.core.config import KilliConfig
-from repro.core.dfh import Classification, Dfh, DfhAction, classify
+from repro.core.dfh import Dfh
 from repro.core.ecc_cache import EccCache
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel
+from repro.core.policy import CORRECTED, RETRAIN, StrongCodePolicy, Table2Policy
 from repro.faults.fault_map import FaultMap
 from repro.faults.soft_errors import SoftErrorInjector
 
@@ -45,6 +47,13 @@ _INITIAL = int(Dfh.INITIAL)
 _STABLE_1 = int(Dfh.STABLE_1)
 _DISABLED = int(Dfh.DISABLED)
 _NAMES = tuple(Dfh(v).name for v in range(4))
+#: Cache outcome per policy outcome code.
+_OUTCOMES = (
+    AccessOutcome.CLEAN,
+    AccessOutcome.CORRECTED,
+    AccessOutcome.RETRAIN_MISS,
+    AccessOutcome.DISABLE_MISS,
+)
 
 
 class KilliScheme(ProtectionScheme):
@@ -65,6 +74,10 @@ class KilliScheme(ProtectionScheme):
         Stream for fault-masking coin flips.
     soft_injector:
         Optional transient-error injector exercised on read hits.
+    code:
+        Registry name of a ``t``-error-correcting ECC-cache code
+        ("dected", "olsc-t11", ...) for the Section 5.2/5.5 variant;
+        None (default) stores SECDED and classifies by Table 2.
     """
 
     def __init__(
@@ -75,6 +88,7 @@ class KilliScheme(ProtectionScheme):
         config: KilliConfig | None = None,
         rng: np.random.Generator | None = None,
         soft_injector: SoftErrorInjector | None = None,
+        code: str | None = None,
     ):
         super().__init__()
         self.geometry = geometry
@@ -95,10 +109,18 @@ class KilliScheme(ProtectionScheme):
             l2_shape=(geometry.n_sets, geometry.associativity),
         )
         self.soft_injector = soft_injector
+        self.policy = (
+            Table2Policy(self.errors, self.config)
+            if code is None
+            else StrongCodePolicy(self.errors, self.config, code)
+        )
+        # The error model's int rows (0 = clean); it edits the list in
+        # place, so this alias stays current.
+        self._rows = self.errors._rows
         self._assoc = geometry.associativity
         # DFH states live in a flat int8 array so vectorized consumers
-        # (histograms, the batched classification kernel) can read them
-        # wholesale.  Scalar probes/writes — every access path — go
+        # (histograms, the batch interpreter's set exports) can read
+        # them wholesale.  Scalar probes/writes — every access path — go
         # through a memoryview over the same buffer: plain-int results
         # at list-indexing speed, where numpy scalar access is
         # severalfold slower.  Entries are always plain ints (0..3).
@@ -139,43 +161,6 @@ class KilliScheme(ProtectionScheme):
     def _dfh(self, line_id: int) -> Dfh:
         return Dfh(int(self.dfh[line_id]))
 
-    def _fast_clean(self, line_id: int, dfh: int) -> bool:
-        """May classification trivially conclude "no errors"?
-
-        False when the error vector is non-empty, or when inverted
-        write training is on and the line has real (possibly masked)
-        faults that the inverted read pair would expose.  ``dfh``
-        compares as an int (plain value or IntEnum both work).
-        """
-        if self.errors.is_dirty(line_id):
-            return False
-        if (
-            dfh == _INITIAL
-            and self.config.inverted_write_training
-            and self.errors.fault_map.has_faults(line_id)
-        ):
-            return not self.errors.has_observable_faults(line_id)
-        return True
-
-    def _signals(self, line_id: int, dfh: Dfh):
-        if dfh is Dfh.INITIAL:
-            if self.config.inverted_write_training:
-                # Section 5.6.2: the original+inverted read pair
-                # observes every active fault, masked or not.
-                return self.errors.observable_signals(
-                    line_id, self.config.training_segments
-                )
-            return self.errors.signals(
-                line_id, self.config.training_segments, use_ecc=True
-            )
-        if dfh is Dfh.STABLE_1:
-            return self.errors.signals(
-                line_id, self.config.stable_segments, use_ecc=True
-            )
-        return self.errors.signals(
-            line_id, self.config.stable_segments, use_ecc=False
-        )
-
     def _set_dfh(self, line_id: int, old: int, new: int) -> None:
         # old/new compare and index as ints (IntEnum callers included).
         if old == new:
@@ -195,44 +180,6 @@ class KilliScheme(ProtectionScheme):
                 1 if (new == _INITIAL or new == _STABLE_1) else -1
             )
         self._transitions_mv[old, new] += 1
-
-    def _apply_classification(
-        self, set_index: int, way: int, line_id: int, old: Dfh, cls: Classification
-    ) -> AccessOutcome:
-        """Commit a Table 2 classification and map it to a cache outcome."""
-        self._set_dfh(line_id, old, cls.next_dfh)
-        if cls.free_ecc_entry:
-            self.ecc.remove(set_index, way)
-
-        if cls.action is DfhAction.ERROR_MISS:
-            # The cache will invalidate or disable the line; drop our
-            # per-content state now (the tag store won't call back).
-            self.ecc.remove(set_index, way)
-            self.errors.clear(line_id)
-            if cls.next_dfh is Dfh.DISABLED:
-                return AccessOutcome.DISABLE_MISS
-            return AccessOutcome.RETRAIN_MISS
-
-        self.hits_served += 1
-        if cls.action is DfhAction.CORRECT_AND_SEND:
-            if not self.errors.correction_is_sound(line_id):
-                self.sdc_events += 1
-            if self.cache is not None:
-                self.cache.stats.bump("ecc_corrections")
-            # The line still needs its checkbits: promote the entry.
-            if self.ecc.contains(set_index, way):
-                self.ecc.touch(set_index, way)
-            return AccessOutcome.CORRECTED
-
-        # SEND_CLEAN: ground-truth corrupt data slipping through is an SDC
-        # (e.g. masked multi-bit faults that unmask in the same segment).
-        if self.errors.has_data_errors(line_id):
-            self.sdc_events += 1
-        if cls.next_dfh in (Dfh.INITIAL, Dfh.STABLE_1) and self.ecc.contains(
-            set_index, way
-        ):
-            self.ecc.touch(set_index, way)
-        return AccessOutcome.CLEAN
 
     # -- ProtectionScheme hooks ---------------------------------------------
 
@@ -274,31 +221,19 @@ class KilliScheme(ProtectionScheme):
             return
         if value not in (_INITIAL, _STABLE_1):
             raise AssertionError("ECC entry existed for an unprotected line")
-        if self._fast_clean(line_id, value):
-            # Clean signals classify straight to b'00; line stays valid.
-            self._set_dfh(line_id, value, _STABLE_0)
-            self.cache.stats.bump("ecc_evict_reclassified_clean")
-            return
-        dfh = Dfh(value)
-        signals = self._signals(line_id, dfh)
-        cls = classify(
-            dfh,
-            signals.sp_mismatches,
-            signals.syndrome_zero,
-            signals.global_parity_ok,
-        )
-        self._set_dfh(line_id, dfh, cls.next_dfh)
-        if cls.next_dfh is Dfh.STABLE_0:
+        nxt = self.policy.evicted(value, line_id, self._rows[line_id])
+        self._set_dfh(line_id, value, nxt)
+        if nxt == _STABLE_0:
             # Fault-free: 4-bit parity suffices; the line stays valid.
             self.cache.stats.bump("ecc_evict_reclassified_clean")
             return
-        if cls.next_dfh is Dfh.DISABLED:
+        if nxt == _DISABLED:
             self.cache.tags.disable(set_index, way)
             self.cache.lru.demote(set_index, way)
             self.cache.stats.bump("ecc_evict_disables")
             self.errors.clear(line_id)
             return
-        # Still needs SECDED (b'01 unresolved or b'10): unprotected
+        # Still needs checkbits (b'01 unresolved or b'10): unprotected
         # data cannot stay resident.
         self.cache.invalidate_line(set_index, way, reason="ecc_evict")
 
@@ -308,31 +243,31 @@ class KilliScheme(ProtectionScheme):
             offsets = self.soft_injector.sample_event(self.layout.total_bits)
             if offsets is not None:
                 self.errors.add_soft_error(line_id, offsets)
-        else:
-            # Fast paths for lines whose classification is trivially
-            # clean — by far the most common case.  Clean signals
-            # classify b'00 as-is and b'01 / b'10 back to b'00
-            # (freeing the ECC entry), exactly what the full Table 2
-            # path would do.
-            value = self.dfh[line_id]
-            if self._fast_clean(line_id, value):
-                if value == _STABLE_0:
-                    self.hits_served += 1
-                    return AccessOutcome.CLEAN
-                if value == _INITIAL or value == _STABLE_1:
-                    self._set_dfh(line_id, value, _STABLE_0)
-                    self.ecc.remove(set_index, way)
-                    self.hits_served += 1
-                    return AccessOutcome.CLEAN
-        dfh = self._dfh(line_id)
-        signals = self._signals(line_id, dfh)
-        cls = classify(
-            dfh,
-            signals.sp_mismatches,
-            signals.syndrome_zero,
-            signals.global_parity_ok,
-        )
-        return self._apply_classification(set_index, way, line_id, dfh, cls)
+        value = self.dfh[line_id]
+        row = self._rows[line_id]
+        if not row and value == _STABLE_0:
+            # A clean b'00 line: by far the most common hit.
+            self.hits_served += 1
+            return AccessOutcome.CLEAN
+        nxt, outcome, sdc = self.policy.read_hit(value, line_id, row)
+        self._set_dfh(line_id, value, nxt)
+        if outcome >= RETRAIN:
+            # The cache will invalidate or disable the line; drop our
+            # per-content state now (the tag store won't call back).
+            self.ecc.remove(set_index, way)
+            self.errors.clear(line_id)
+            return _OUTCOMES[outcome]
+        self.hits_served += 1
+        self.sdc_events += sdc
+        if nxt == _STABLE_0:
+            # 4-bit parity suffices: free the entry (b'00 has none).
+            self.ecc.remove(set_index, way)
+        elif self.ecc.contains(set_index, way):
+            # The line still needs its checkbits: promote the entry.
+            self.ecc.touch(set_index, way)
+        if outcome == CORRECTED and self.cache is not None:
+            self.cache.stats.bump("ecc_corrections")
+        return _OUTCOMES[outcome]
 
     def batch_interpreter(self, cache):
         """Cluster-exact shadow interpreter for the batched engine.
@@ -343,10 +278,11 @@ class KilliScheme(ProtectionScheme):
         contention included — aborting only at shared-RNG write hits.
         It is Killi's only batching path: the scheme overrides the
         behavioural hooks, so the per-set profile always refuses it.
-        Gated to exactly this class (subclasses may change semantics
-        the interpreter replicates, so they run per-access) and to runs
-        without a soft-error injector (whose per-hit sampling draws
-        shared RNG).
+        The interpreter decides through the scheme's own policy, so
+        both rules batch.  Gated to exactly this class (subclasses may
+        change semantics the interpreter replicates, so they run
+        per-access) and to runs without a soft-error injector (whose
+        per-hit sampling draws shared RNG).
         """
         if type(self) is not KilliScheme:
             return None
@@ -374,20 +310,10 @@ class KilliScheme(ProtectionScheme):
         if value == _INITIAL and self.config.train_on_evict:
             # Section 4.4: classify the evicted contents so training
             # progresses without waiting for a hit.
-            dfh = Dfh.INITIAL
-            if self._fast_clean(line_id, value):
-                self._set_dfh(line_id, value, _STABLE_0)
-            else:
-                signals = self._signals(line_id, dfh)
-                cls = classify(
-                    dfh,
-                    signals.sp_mismatches,
-                    signals.syndrome_zero,
-                    signals.global_parity_ok,
-                )
-                self._set_dfh(line_id, dfh, cls.next_dfh)
-                if cls.next_dfh is Dfh.DISABLED:
-                    self.cache.tags.disable(set_index, way)
+            nxt = self.policy.evicted(value, line_id, self._rows[line_id])
+            self._set_dfh(line_id, value, nxt)
+            if nxt == _DISABLED:
+                self.cache.tags.disable(set_index, way)
         self.ecc.remove(set_index, way)
         self.errors.clear(line_id)
 
@@ -421,6 +347,7 @@ class KilliScheme(ProtectionScheme):
         self._unstable_np[:] = self._assoc
         self.ecc.clear()
         self.errors.clear_all()
+        self.policy.clear()
 
     def change_voltage(self, voltage: float) -> None:
         """Move the LV array to a new operating point (paper Sec 2.4).

@@ -6,9 +6,14 @@ the busiest part of the kernel — DFH warmup, ECC-cache contention,
 faulted-line classification — on the per-access Python path.  This
 module batches the *general* case instead: a shadow interpreter that
 simulates an arbitrary access subsequence with full Killi semantics
-(Table 2 classification, ECC-cache contention, eviction training,
-victim priorities) against copy-on-write state, then commits the net
-effect to the real cache/scheme structures in bulk.
+(DFH classification, ECC-cache contention, eviction training, victim
+priorities) against copy-on-write state, then commits the net effect
+to the real cache/scheme structures in bulk.
+
+The interpreter knows no decision rule.  Every classification asks the
+scheme's policy (:mod:`repro.core.policy`: Table 2, or the strong-code
+rule of Sections 5.2/5.5) with the slot's shadow error row, exactly as
+the scheme's own hooks ask it with the real row, so both rules batch.
 
 Why clusters
 ------------
@@ -56,8 +61,8 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.cache.soa import export_set_state
-from repro.core.dfh import Dfh, DfhAction, classify_cached
-from repro.core.linestate import Signals
+from repro.core.dfh import Dfh
+from repro.core.policy import CLEAN, CORRECTED, DISABLE, RETRAIN
 from repro.testing.invariants import (
     InvariantError,
     check_set_invariants,
@@ -77,8 +82,6 @@ _DIS = int(Dfh.DISABLED)
 #: a later way once the maximum has been seen.
 _PRIORITY = (1, 2, 0, 0)
 _PRIO_MAX = 2
-
-_CLEAN_SIG = Signals(0, True, True)
 
 
 class _SetShadow:
@@ -116,7 +119,6 @@ class KilliClusterInterpreter:
         self._scheme = scheme
         self._cache = cache
         self._errors = scheme.errors
-        self._fault_map = scheme.errors.fault_map
         self._ecc = scheme.ecc
         self.ecc_n_sets = scheme.ecc.n_sets
         self._ecc_assoc = scheme.ecc.assoc
@@ -126,19 +128,19 @@ class KilliClusterInterpreter:
         self._line_bytes = geometry.line_bytes
         self._dfh_mv = scheme.dfh
         config = scheme.config
-        self._iwt = config.inverted_write_training
         self._train_on_evict = config.train_on_evict
         self._prio_repl = config.priority_replacement
-        self._train_segs = config.training_segments
-        self._stable_segs = config.stable_segments
+        # The scheme's decision rule.  Only a rule that sees masked
+        # faults can find a clean-row b'01 line dirty (when its slot has
+        # active faults); the inline clean-row fast paths check that.
+        self._policy = scheme.policy
+        self._masked = scheme.policy.sees_masked_faults
         self._lat_hit = cache._lat_hit
         self._lat_hit_corrected = cache._lat_hit_corrected
         self._lat_miss = cache._lat_miss
         self._lat_tag = cache._lat_tag
-        # Memos pure in (slot, salt[, segments, use_ecc]) at a fixed
-        # voltage: predicted fill rows and their signal signatures.
+        # Predicted fill rows, pure in (slot, salt) at a fixed voltage.
         self._row_memo: dict = {}
-        self._sig_memo: dict = {}
         self._memo_voltage = None
         self._act_off = None
         # Per-slot purity bitmap: pure[slot] == 1 iff the slot is
@@ -185,7 +187,6 @@ class KilliClusterInterpreter:
             offsets = errors._ensure_active()
         if errors.voltage != self._memo_voltage or offsets is not self._act_off:
             self._row_memo.clear()
-            self._sig_memo.clear()
             self._memo_voltage = errors.voltage
             self._act_off = offsets
             self._pure = None
@@ -315,10 +316,6 @@ class KilliClusterInterpreter:
                 return quiet, False
         return quiet, True
 
-    def _dfh_at(self, slot: int) -> int:
-        value = self._dfh_over.get(slot)
-        return self._dfh_mv[slot] if value is None else value
-
     def _set_dfh(self, st: _SetShadow, slot: int, old: int, new: int) -> None:
         if old == new:
             return
@@ -409,92 +406,12 @@ class KilliClusterInterpreter:
             self._row_memo[key] = row
         return row
 
-    def _is_dirty(self, slot: int) -> bool:
+    def _row(self, slot: int) -> int:
+        """The slot's shadow int error row (0 = clean)."""
         salt = self._slot_state.get(slot)
         if salt is None:
-            return self._errors.is_dirty(slot)
-        if salt < 0:
-            return False
-        return self._row_of(slot, salt) != 0
-
-    def _fast_clean(self, slot: int, value: int) -> bool:
-        if self._is_dirty(slot):
-            return False
-        if value == _INI and self._iwt and self._fault_map.has_faults(slot):
-            return not self._has_observable(slot)
-        return True
-
-    def _has_observable(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.has_observable_faults(slot)
-        if salt >= 0 and self._row_of(slot, salt):
-            return True
-        if not self._fault_map.has_faults(slot):
-            return False
-        return self._has_active(slot)
-
-    def _sig(self, slot: int, segments: int, use_ecc: bool) -> Signals:
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.signals(slot, segments, use_ecc)
-        if salt < 0:
-            return _CLEAN_SIG
-        row = self._row_of(slot, salt)
-        if not row:
-            return _CLEAN_SIG
-        key = (slot, salt, segments, use_ecc)
-        sig = self._sig_memo.get(key)
-        if sig is None:
-            sig = Signals(
-                *self._errors.kernel.signals_row(row, segments, use_ecc)
-            )
-            self._sig_memo[key] = sig
-        return sig
-
-    def _obs_signals(self, slot: int) -> Signals:
-        segments = self._train_segs
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.observable_signals(slot, segments)
-        row = 0 if salt < 0 else self._row_of(slot, salt)
-        key = (slot, salt, segments, "obs")
-        sig = self._sig_memo.get(key)
-        if sig is None:
-            observed = self._errors.predicted_observable_row(slot, row)
-            if not observed:
-                sig = _CLEAN_SIG
-            else:
-                sig = Signals(
-                    *self._errors.kernel.signals_row(observed, segments, True)
-                )
-            self._sig_memo[key] = sig
-        return sig
-
-    def _signals(self, slot: int, value: int) -> Signals:
-        if value == _INI:
-            if self._iwt:
-                return self._obs_signals(slot)
-            return self._sig(slot, self._train_segs, True)
-        if value == _S1:
-            return self._sig(slot, self._stable_segs, True)
-        return self._sig(slot, self._stable_segs, False)
-
-    def _correction_sound(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.correction_is_sound(slot)
-        if salt < 0:
-            return True
-        return self._errors.row_correction_is_sound(self._row_of(slot, salt))
-
-    def _has_data_errors(self, slot: int) -> bool:
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors.has_data_errors(slot)
-        if salt < 0:
-            return False
-        return self._errors.row_has_data_errors(self._row_of(slot, salt))
+            return self._errors._rows[slot]
+        return 0 if salt < 0 else self._row_of(slot, salt)
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
@@ -503,38 +420,27 @@ class KilliClusterInterpreter:
             return True
         return self._scheme._off_initial_in_set[set_index] + st.off_d == 0
 
-    def _classify_hit(
-        self, st: _SetShadow, set_index: int, way: int, slot: int, value: int
+    def _apply_hit(
+        self, st: _SetShadow, set_index: int, way: int, slot: int, value: int, row: int
     ) -> int:
-        """Full Table 2 read-hit path; returns 0 CLEAN, 1 CORRECTED,
-        2 retrain miss, 3 disable miss (as `_apply_classification`)."""
-        sig = self._signals(slot, value)
-        cls = classify_cached(
-            value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
-        )
-        nxt = int(cls.next_dfh)
-        if cls.free_ecc_entry:
+        """The policy's read-hit decision, applied to the shadow state
+        as ``KilliScheme.on_read_hit`` applies it; returns the outcome."""
+        nxt, outcome, sdc = self._policy.read_hit(value, slot, row)
+        if nxt == _S0 or outcome >= RETRAIN:
             # Before the transition: the triv-upgrade probe in
             # _set_dfh must see the freed entry.
             self._ecc_remove(set_index, way)
         self._set_dfh(st, slot, value, nxt)
-        if cls.action is DfhAction.ERROR_MISS:
-            self._ecc_remove(set_index, way)
+        if outcome >= RETRAIN:
             self._track_clear(slot)
-            return 3 if nxt == _DIS else 2
+            return outcome
         self._d_hits_served += 1
-        if cls.action is DfhAction.CORRECT_AND_SEND:
-            if not self._correction_sound(slot):
-                self._d_sdc += 1
+        self._d_sdc += sdc
+        if outcome == CORRECTED:
             self._d_ecc_corrections += 1
-            if self._ecc_contains(set_index, way):
-                self._ecc_touch(set_index, way)
-            return 1
-        if self._has_data_errors(slot):
-            self._d_sdc += 1
-        if (nxt == _INI or nxt == _S1) and self._ecc_contains(set_index, way):
+        if nxt != _S0 and self._ecc_contains(set_index, way):
             self._ecc_touch(set_index, way)
-        return 0
+        return outcome
 
     def _invalidate_line(self, st: _SetShadow, set_index: int, way: int) -> None:
         """Shadow ``cache.invalidate_line(..., reason="ecc_evict")``."""
@@ -558,22 +464,10 @@ class KilliClusterInterpreter:
         st.triv = False
         slot = set_index * self._assoc + way
         value = st.dfh[way]
-        if value == _S0:
-            if self._has_data_errors(slot):
-                self._d_sdc += 1
-            self._invalidate_line(st, set_index, way)
-            return
+        # Only the write-back variant (never interpreted) protects b'00.
         if value != _INI and value != _S1:
             raise AssertionError("ECC entry existed for an unprotected line")
-        if self._fast_clean(slot, value):
-            self._set_dfh(st, slot, value, _S0)
-            self._d_reclass_clean += 1
-            return
-        sig = self._signals(slot, value)
-        cls = classify_cached(
-            value, sig.sp_mismatches, sig.syndrome_zero, sig.global_parity_ok
-        )
-        nxt = int(cls.next_dfh)
+        nxt = self._policy.evicted(value, slot, self._row(slot))
         self._set_dfh(st, slot, value, nxt)
         if nxt == _S0:
             self._d_reclass_clean += 1
@@ -599,24 +493,14 @@ class KilliClusterInterpreter:
         # _set_dfh sees the freed entry.
         self._ecc_remove(set_index, way)
         if value == _INI and self._train_on_evict:
-            if self._fast_clean(slot, value):
-                self._set_dfh(st, slot, value, _S0)
-            else:
-                sig = self._signals(slot, value)
-                cls = classify_cached(
-                    value,
-                    sig.sp_mismatches,
-                    sig.syndrome_zero,
-                    sig.global_parity_ok,
-                )
-                nxt = int(cls.next_dfh)
-                self._set_dfh(st, slot, value, nxt)
-                if nxt == _DIS:
-                    line = st.way_lines[way]
-                    del st.resident[line]
-                    st.way_lines[way] = -1
-                    st.disabled.add(way)
-                    st.new_disabled.add(way)
+            nxt = self._policy.evicted(value, slot, self._row(slot))
+            self._set_dfh(st, slot, value, nxt)
+            if nxt == _DIS:
+                line = st.way_lines[way]
+                del st.resident[line]
+                st.way_lines[way] = -1
+                st.disabled.add(way)
+                st.new_disabled.add(way)
         self._track_clear(slot)
 
     def _on_fill(self, st: _SetShadow, set_index: int, way: int, line: int) -> None:
@@ -709,8 +593,7 @@ class KilliClusterInterpreter:
         # exits (clear_all empties the list in place).
         rows = self._errors._rows
         row_of = self._row_of
-        iwt = self._iwt
-        fm_has_faults = self._fault_map.has_faults
+        masked = self._masked
         allocate = self._allocate
         materialize = self._materialize
         ecc_entries = self._ecc_entries
@@ -891,18 +774,18 @@ class KilliClusterInterpreter:
                             evalue = est.dfh[ew]
                             esalt = slot_get(eslot)
                             if esalt is None:
-                                edirty = rows[eslot] != 0
+                                erow = rows[eslot]
                             elif esalt < 0:
-                                edirty = False
+                                erow = 0
                             else:
-                                edirty = row_of(eslot, esalt) != 0
+                                erow = row_of(eslot, esalt)
                             if (
-                                edirty
+                                erow
                                 or (evalue != _INI and evalue != _S1)
                                 or (
-                                    iwt
+                                    masked
                                     and evalue == _INI
-                                    and fm_has_faults(eslot)
+                                    and act[eslot + 1] > act[eslot]
                                 )
                             ):
                                 # Anything but the provably-clean
@@ -910,8 +793,9 @@ class KilliClusterInterpreter:
                                 # eviction handler.
                                 self._handle_ecc_eviction(es, ew)
                             else:
-                                # Clean INITIAL/STABLE_1 -> STABLE_0
-                                # (_set_dfh + _fast_clean, inline).
+                                # A clean row reclassifies INITIAL /
+                                # STABLE_1 -> STABLE_0 under either
+                                # policy (_set_dfh, inline).
                                 pure[eslot] = 0
                                 dfh_over[eslot] = _S0
                                 est.dfh[ew] = _S0
@@ -956,21 +840,19 @@ class KilliClusterInterpreter:
                 j += 1
                 continue
             value = st.dfh[way]
-            # _fast_clean, inline.
+            # _row, inline.
             salt = slot_get(slot)
             if salt is None:
-                dirty = rows[slot] != 0
+                row = rows[slot]
             elif salt < 0:
-                dirty = False
+                row = 0
             else:
-                dirty = row_of(slot, salt) != 0
-            if dirty:
-                clean = False
-            elif value != _INI or not iwt or not fm_has_faults(slot):
-                clean = True
-            else:
-                clean = not self._has_observable(slot)
-            if clean:
+                row = row_of(slot, salt)
+            if not row and (
+                value != _INI or not masked or act[slot + 1] <= act[slot]
+            ):
+                # A clean row serves clean and settles at STABLE_0
+                # under either policy.
                 if value != _S0:
                     # Remove before the transition so the triv-upgrade
                     # probe in _set_dfh sees the freed entry.
@@ -981,16 +863,16 @@ class KilliClusterInterpreter:
                 # guard until the commit fixup re-derives them.
                 pure[slot] = 1
                 d_hits_served += 1
-                outcome = 0
+                outcome = CLEAN
             else:
-                outcome = self._classify_hit(st, set_index, way, slot, value)
-            if outcome == 0:
+                outcome = self._apply_hit(st, set_index, way, slot, value, row)
+            if outcome == CLEAN:
                 d_read_hits += 1
                 del resident[line]
                 resident[line] = way
                 st.touched.add(way)
                 lat[gi] = lat_hit
-            elif outcome == 1:
+            elif outcome == CORRECTED:
                 d_read_hits += 1
                 self._d_corrected += 1
                 del resident[line]
@@ -1001,7 +883,7 @@ class KilliClusterInterpreter:
                 self._d_error_misses += 1
                 del resident[line]
                 st.way_lines[way] = -1
-                if outcome == 3:
+                if outcome == DISABLE:
                     st.disabled.add(way)
                     st.new_disabled.add(way)
                 else:

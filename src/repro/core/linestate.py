@@ -153,7 +153,7 @@ class LineErrorModel:
         ]
         # Read signals are pure in the row: memoise per line until the
         # next mutation (reads vastly outnumber writes).
-        # line_id -> {(n_segments, use_ecc) | (n_segments, "observable"): Signals}
+        # line_id -> {(n_segments, use_ecc): Signals}
         self._signal_cache: dict = {}
         # Called on error-vector edits outside the access path
         # (set_effective / add_soft_error / clear_all) so Killi's batch
@@ -223,7 +223,7 @@ class LineErrorModel:
         if rows[line_id] != row:
             rows[line_id] = row
             # Signals are pure in the row, so an unchanged row keeps
-            # its memo (including the "observable" entries).
+            # its memo.
             self._signal_cache.pop(line_id, None)
 
     def on_fill(self, line_id: int, salt: int = 0) -> None:
@@ -280,8 +280,9 @@ class LineErrorModel:
     def predicted_observable_row(self, line_id: int, row: int) -> int:
         """Observable (original + inverted image) vector for a stored row.
 
-        The result ORs every active fault into ``row``, mirroring
-        :meth:`observable_signals` for a hypothetical fill.
+        The result ORs every active fault into ``row``: the int form of
+        :meth:`observable_fault_positions`, for the real row or a
+        hypothetical fill's.
         """
         return row | self._active_mask(line_id)
 
@@ -394,19 +395,6 @@ class LineErrorModel:
         """
         return any(self._rows[start:stop])
 
-    def has_observable_faults(self, line_id: int) -> bool:
-        """Would the inverted-write read pair observe any fault?
-
-        Cheap form of ``observable_fault_positions(line_id) != set()``:
-        true when the effective vector is non-empty or the line has
-        active (possibly masked) faults.
-        """
-        if self._rows[line_id]:
-            return True
-        if not self.fault_map.has_faults(line_id):
-            return False
-        return self.slot_has_active(line_id)
-
     def observable_fault_positions(self, line_id: int) -> set:
         """All positions the inverted-write flow observes.
 
@@ -418,28 +406,6 @@ class LineErrorModel:
         positions.update(self._active_positions(line_id))
         return positions
 
-    def observable_signals(self, line_id: int, n_segments: int) -> Signals:
-        """Signals of the inverted-write observation (int fast path).
-
-        Equivalent to ``signals_for_positions(
-        observable_fault_positions(line_id), n_segments, use_ecc=True)``
-        but evaluated on the effective row OR-ed with the active-fault
-        mask.  Memoised like :meth:`signals` (the active mask only
-        changes with the voltage, which resets the whole model).
-        """
-        per_line = self._signal_cache.setdefault(line_id, {})
-        key = (n_segments, "observable")
-        cached = per_line.get(key)
-        if cached is not None:
-            return cached
-        row = self.predicted_observable_row(line_id, self._rows[line_id])
-        if not row:
-            signals = _CLEAN
-        else:
-            signals = Signals(*self.kernel.signals_row(row, n_segments, True))
-        per_line[key] = signals
-        return signals
-
     def signals_for_positions(
         self, effective, n_segments: int, use_ecc: bool
     ) -> Signals:
@@ -447,8 +413,8 @@ class LineErrorModel:
 
         This is the scalar reference implementation — it walks the
         sparse offset set one position at a time.  The int-row path
-        (:meth:`signals`, :meth:`observable_signals`) is pinned
-        bit-identical to it by the equivalence tests.
+        (:meth:`signals`, and ``LineSignalKernel.signals_row`` on any
+        row) is pinned bit-identical to it by the equivalence tests.
         """
         if not effective:
             return _CLEAN

@@ -14,8 +14,8 @@ own tag/LRU substrate:
 
 - ``engine="batched"`` (default), on the struct-of-arrays substrate:
   each CU's private L1 stream is filtered in one pass, then the
-  L2-bound residue is batched by one of two paths.  Plain Killi runs
-  through its cluster interpreter
+  L2-bound residue is batched by one of two paths.  Killi, under
+  either decision policy, runs through its cluster interpreter
   (:mod:`repro.core.killi_replay`); every other scheme partitions the
   residue by L2 set, asks each set once for a replay profile, and
   replays every profiled set through the batched set kernel
@@ -398,10 +398,10 @@ class GpuSimulator:
         paths, chosen once per kernel by
         :func:`~repro.cache.hooks.batched_surface`:
 
-        - A scheme with a batch interpreter (plain Killi) runs every
-          ECC-contention cluster through it (see
-          :mod:`repro.core.killi_replay`); only its shared-RNG write
-          hits run per-access, in global order.
+        - A scheme with a batch interpreter (Killi, Table 2 or
+          strong-code) runs every ECC-contention cluster through it
+          (see :mod:`repro.core.killi_replay`); only its shared-RNG
+          write hits run per-access, in global order.
         - Otherwise the residue is partitioned by L2 set and each set
           is asked once, before any access runs, for a *replay
           profile* (:meth:`~repro.cache.core.CacheModel.set_replay_profile`).

@@ -1,10 +1,11 @@
-"""Batched fault-pattern classification kernels.
+"""Fault-pattern classification kernels.
 
-Packed-bit (uint64) implementations of the signal machinery that the
+Signature-table implementations of the signal machinery that the
 scalar paths in :mod:`repro.core.linestate` and
-:mod:`repro.analysis.montecarlo` evaluate one pattern at a time:
-segmented-parity membership, SECDED syndromes and global parity, all
-as table lookups plus popcounts over whole error-pattern matrices.
+:mod:`repro.analysis.montecarlo` evaluate one fault at a time:
+segmented-parity membership, SECDED syndromes and global parity, as an
+XOR-fold of per-offset signatures over one int error row or over whole
+error-pattern matrices.
 """
 
 from repro.kernels.classify import LineSignalKernel, RowSignals

@@ -1,30 +1,24 @@
-"""Vectorized Table-2 signal evaluation over packed error vectors.
+"""Table-2 signal evaluation over error vectors, by signature fold.
 
-Every Killi signal is linear in the error vector, so each one reduces
-to *"does this bit set intersect that precomputed mask an odd number
-of times?"* — a word-wide AND plus a popcount parity.  This module
-precomputes, once per line layout, the packed membership masks in the
-LV offset space (data | parity | checkbits — see
-:class:`repro.core.layout.LineLayout`):
+Every Killi signal is linear in the error vector, so flipping LV offset
+``o`` (in the data | parity | checkbits space of
+:class:`repro.core.layout.LineLayout`) XORs a fixed *signature* into
+the signal state: its parity-segment membership, its SECDED syndrome
+column and its codeword membership (whose fold is the global-parity
+mismatch).  This module precomputes, once per line layout, that
+per-offset signature table, plus the data and codeword masks (as
+Python ints) for ground-truth corrupt-bit and codeword-fault counting.
 
-- one mask per parity segment (the segment's data members plus its own
-  LV-resident parity bit);
-- one mask per SECDED syndrome bit (positions whose Hamming column
-  code has that bit set; the global parity bit belongs to none);
-- the codeword mask (data + all checkbits) whose weight parity is the
-  global-parity signal and whose weight is the codeword fault count;
-- the plain data mask for ground-truth corrupt-bit counting.
-
-Given those masks, classifying a million fault patterns is ~30 masked
-popcount passes over a ``(n, words)`` uint64 matrix — no per-pattern
-Python.  A single line's error row is a Python int instead, which
-:meth:`LineSignalKernel.signals_row` folds through a per-offset
-signature table.  The scalar implementations
+Two evaluators fold the table: :meth:`LineSignalKernel.signals_row`
+over one line's error row held as a Python int (the simulator's hot
+path), and :meth:`LineSignalKernel.signals_from_offsets` over a whole
+matrix of fault patterns given as offset lists (the Monte-Carlo
+sampler), with no per-pattern Python.  The scalar implementations
 (:meth:`repro.core.linestate.LineErrorModel.signals_for_positions`,
 :meth:`repro.analysis.montecarlo.CoverageSampler._classify_ok`) are
 kept as the pinned references; the equivalence tests in
 ``tests/ecc/test_batch_kernels.py`` and ``tests/core/test_linestate.py``
-hold the two bit-identical.
+hold them bit-identical.
 """
 
 from __future__ import annotations
@@ -35,11 +29,9 @@ import numpy as np
 
 from repro.core.layout import LineLayout
 from repro.ecc.secded import SecDedCode
-from repro.utils.bitpack import n_words, pack_positions, popcount64
+from repro.utils.bitpack import popcount64
 
 __all__ = ["LineSignalKernel", "RowSignals"]
-
-_ONE = np.uint64(1)
 
 
 class RowSignals(NamedTuple):
@@ -52,7 +44,7 @@ class RowSignals(NamedTuple):
 
 
 class LineSignalKernel:
-    """Precomputed packed masks + batched signal evaluation for one layout.
+    """Precomputed signature table + signal evaluation for one layout.
 
     Parameters
     ----------
@@ -60,7 +52,7 @@ class LineSignalKernel:
         LV bit layout of a protected line.
     secded:
         The SECDED instance whose column codes define the syndrome
-        masks; constructed for ``layout.data_bits`` when omitted.
+        signatures; constructed for ``layout.data_bits`` when omitted.
     interleaved:
         Data-bit-to-segment mapping: ``offset % n_segments`` when True
         (the paper's interleaving), ``offset // segment_width``
@@ -80,66 +72,19 @@ class LineSignalKernel:
         if self.secded.k != self.layout.data_bits:
             raise ValueError("SECDED data width does not match the layout")
         self.interleaved = interleaved
-        self.words = n_words(self.layout.total_bits)
-
-        total = self.layout.total_bits
-        data_offsets = np.arange(self.layout.data_bits)
-        check_offsets = np.arange(self.layout.check_offset, total)
-        self.data_mask = pack_positions(data_offsets, total)
-        self.checkbit_mask = pack_positions(check_offsets, total)
-        self.codeword_mask = self.data_mask | self.checkbit_mask
-
-        # Syndrome bit-slice masks in LV offset space.  LV offset ->
-        # codeword position is the identity for data bits and
-        # data_bits + i for checkbit i; the global parity bit (the last
-        # checkbit) has no column code and joins no mask.
-        codes = self.secded.column_codes
-        lv_of_codeword = np.concatenate(
-            [data_offsets, self.layout.check_offset + np.arange(self.secded.r)]
-        )
-        self.syndrome_masks = np.zeros((self.secded.r, self.words), dtype=np.uint64)
-        for j in range(self.secded.r):
-            members = lv_of_codeword[np.nonzero((codes >> j) & 1)[0]]
-            self.syndrome_masks[j] = pack_positions(members, total)
-
-        self._segment_masks: dict[int, np.ndarray] = {}
         self._signature_tables: dict[int, np.ndarray] = {}
         self._signature_ints: dict[int, list[int]] = {}
-        # The same masks as Python ints (bit o = LV offset o), for the
-        # int error rows of :class:`repro.core.linestate.LineErrorModel`.
-        self.data_mask_int = _as_int(self.data_mask)
-        self.codeword_mask_int = _as_int(self.codeword_mask)
-
-    # -- mask construction ---------------------------------------------------
-
-    def segment_masks(self, n_segments: int) -> np.ndarray:
-        """Packed per-segment membership masks, shape ``(n_segments, words)``.
-
-        Each segment owns its data members plus its own LV-resident
-        parity bit, so a flipped parity bit mismatches its segment
-        exactly as in hardware.  Parity bits beyond ``n_segments``
-        (unused in the stable 4-segment configuration) belong to no
-        segment.
-        """
-        cached = self._segment_masks.get(n_segments)
-        if cached is not None:
-            return cached
+        # Masks as Python ints (bit o = LV offset o), for the int error
+        # rows of :class:`repro.core.linestate.LineErrorModel`: the data
+        # bits, and the codeword (data + all checkbits).
         layout = self.layout
-        if layout.data_bits % n_segments:
-            raise ValueError("data bits must divide evenly into segments")
-        data_offsets = np.arange(layout.data_bits)
-        if self.interleaved:
-            segment_of = data_offsets % n_segments
-        else:
-            segment_of = data_offsets // (layout.data_bits // n_segments)
-        masks = np.zeros((n_segments, self.words), dtype=np.uint64)
-        for segment in range(n_segments):
-            members = list(data_offsets[segment_of == segment])
-            if segment < layout.max_parity_bits:
-                members.append(layout.parity_offset + segment)
-            masks[segment] = pack_positions(members, layout.total_bits)
-        self._segment_masks[n_segments] = masks
-        return masks
+        self.data_mask_int = (1 << layout.data_bits) - 1
+        self.codeword_mask_int = self.data_mask_int | (
+            ((1 << (layout.total_bits - layout.check_offset)) - 1)
+            << layout.check_offset
+        )
+
+    # -- signature tables ------------------------------------------------------
 
     def _signature_int_table(self, n_segments: int) -> list[int]:
         """The :meth:`signature_table` as a plain Python ``int`` list."""
@@ -194,44 +139,7 @@ class LineSignalKernel:
         self._signature_tables[n_segments] = table
         return table
 
-    # -- batched evaluation ---------------------------------------------------
-
-    def codeword_weights(self, packed: np.ndarray) -> np.ndarray:
-        """Number of codeword (data + checkbit) flips per packed row."""
-        packed = np.atleast_2d(np.asarray(packed, dtype=np.uint64))
-        return popcount64(packed & self.codeword_mask).sum(axis=1, dtype=np.int64)
-
-    def data_weights(self, packed: np.ndarray) -> np.ndarray:
-        """Number of flipped *data* bits per packed row (ground truth)."""
-        packed = np.atleast_2d(np.asarray(packed, dtype=np.uint64))
-        return popcount64(packed & self.data_mask).sum(axis=1, dtype=np.int64)
-
-    def signals_matrix(
-        self, packed: np.ndarray, n_segments: int, use_ecc: bool = True
-    ):
-        """Evaluate all Table-2 signals for a matrix of packed rows.
-
-        Returns ``(sp_mismatches, syndrome_zero, global_parity_ok,
-        data_error_bits)`` as aligned arrays — the batched equivalent
-        of :meth:`repro.core.linestate.LineErrorModel.signals_for_positions`.
-        Without ECC the syndrome is reported zero and the parity ok,
-        exactly like the scalar path for DFH b'00 lines.
-        """
-        packed = np.atleast_2d(np.asarray(packed, dtype=np.uint64))
-        n = packed.shape[0]
-        seg_masks = self.segment_masks(n_segments)
-        overlap = popcount64(packed[:, None, :] & seg_masks[None, :, :])
-        odd_segments = (overlap.sum(axis=2, dtype=np.uint64) & _ONE) != 0
-        sp = odd_segments.sum(axis=1, dtype=np.int64)
-        data_errors = self.data_weights(packed)
-        if not use_ecc:
-            ones = np.ones(n, dtype=bool)
-            return sp, ones, ones.copy(), data_errors
-        overlap = popcount64(packed[:, None, :] & self.syndrome_masks[None, :, :])
-        syndrome_bits = (overlap.sum(axis=2, dtype=np.uint64) & _ONE) != 0
-        syndrome_zero = ~syndrome_bits.any(axis=1)
-        parity_ok = (self.codeword_weights(packed) & 1) == 0
-        return sp, syndrome_zero, parity_ok, data_errors
+    # -- evaluation -------------------------------------------------------------
 
     def codeword_weights_from_offsets(
         self, offsets: np.ndarray, valid: np.ndarray
@@ -254,10 +162,11 @@ class LineSignalKernel:
 
         ``offsets`` is ``(n, k_max)`` with per-row validity mask
         ``valid`` (invalid entries must still index the table — use 0).
-        One gather + XOR-fold of the :meth:`signature_table` replaces
-        the per-mask popcount passes of :meth:`signals_matrix`; the two
-        paths are equivalent and both pinned against the scalar
-        reference.  Returns the same tuple as :meth:`signals_matrix`.
+        One gather + XOR-fold of the :meth:`signature_table`, pinned
+        against the scalar reference.  Returns ``(sp_mismatches,
+        syndrome_zero, global_parity_ok, data_error_bits)`` as aligned
+        arrays; without ECC the syndrome is reported zero and the
+        parity ok, exactly like the scalar path for DFH b'00 lines.
         """
         table = self.signature_table(n_segments)
         contributions = np.where(valid, table[offsets], np.uint64(0))
@@ -300,8 +209,3 @@ class LineSignalKernel:
         syndrome_zero = ((folded >> n_segments) & ((1 << r) - 1)) == 0
         parity_ok = ((folded >> (n_segments + r)) & 1) == 0
         return RowSignals(sp, syndrome_zero, parity_ok, data_errors)
-
-
-def _as_int(packed: np.ndarray) -> int:
-    """A packed uint64 row as a Python int (bit o = offset o)."""
-    return int.from_bytes(packed.astype("<u8").tobytes(), "little")

@@ -26,7 +26,7 @@ from dataclasses import fields
 from typing import Iterable, List, Optional
 
 from repro.core import KilliConfig, KilliScheme, KilliWriteBackScheme
-from repro.core.strong import KilliStrongScheme
+from repro.core.policy import StrongCodePolicy
 from repro.ecc.registry import CODE_REGISTRY
 from repro.scenario.registries import (
     SCHEME_REGISTRY,
@@ -76,11 +76,9 @@ def _build_killi(factory: SchemeFactory, ctx: SchemeBuildContext):
         return KilliWriteBackScheme(
             ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng
         )
-    if code is not None:
-        return KilliStrongScheme(
-            ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng, code=code
-        )
-    return KilliScheme(ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng)
+    return KilliScheme(
+        ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng, code=code
+    )
 
 
 def _check_killi_options(
@@ -98,6 +96,8 @@ def _check_killi_options(
     try:
         config = KilliConfig(ecc_ratio=factory.params["ecc_ratio"], **overrides)
         config.ecc_entries(gpu_config.l2.n_lines)
+        if factory.params["code"] is not None:
+            StrongCodePolicy.check(config)
     except ValueError as error:
         raise ValueError(f"scheme.config: {error}") from None
 
@@ -131,7 +131,7 @@ def _parse_killi(name: str) -> Optional[SchemeFactory]:
     return SchemeFactory(
         name,
         kind="killi",
-        scheme_class=KilliStrongScheme if code is not None else KilliScheme,
+        scheme_class=KilliScheme,
         params={"ecc_ratio": ratio, "code": code},
         accepts_overrides=True,
         builder=_build_killi,

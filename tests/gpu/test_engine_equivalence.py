@@ -15,6 +15,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import UnprotectedScheme
+from repro.core.killi import KilliScheme
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import GpuSimulator
 from repro.harness.runner import CellSpec, fault_map_for, make_scheme, run_cell
@@ -85,9 +86,8 @@ class TestRandomizedSweep:
     the result dict.  The scheme sample covers the inert baseline, all
     three MBIST-oracle families (per-way CORRECTED replay, disabled
     ways, FLAIR's configuration-gated filtering), two Killi ratios
-    (the cluster interpreter and its shared-RNG aborts) and two
-    strong-code Killi variants (refused by every batching path, so
-    wholly per-access).
+    and two strong-code Killi variants (both decision policies through
+    the cluster interpreter and its shared-RNG aborts).
     """
 
     CASES = [
@@ -277,19 +277,26 @@ class TestBatchedFallback:
         finally:
             METRICS.disable()
 
-    def _cell_counters(self, scheme: str) -> dict:
-        """Batched-engine counters of one small cell (absent reads 0)."""
+    def _cell(self, scheme: str):
+        """Batched-engine counters (absent reads 0), result and
+        simulator of one small cell."""
         METRICS.enable(propagate_env=False)
         try:
             METRICS.reset()
-            run_with("batched", "xsbench", scheme, accesses=400)
-            return {
+            result, simulator = run_with(
+                "batched", "xsbench", scheme, accesses=400
+            )
+            counters = {
                 key: value
                 for key, value in self._counters().items()
                 if key.startswith("engine.batched.")
             }
+            return counters, result, simulator
         finally:
             METRICS.disable()
+
+    def _cell_counters(self, scheme: str) -> dict:
+        return self._cell(scheme)[0]
 
     @pytest.mark.parametrize("scheme", ["dected", "flair"])
     def test_mbist_sets_batch_at_their_one_probe(self, scheme):
@@ -305,27 +312,42 @@ class TestBatchedFallback:
         ]
 
     def test_strong_killi_is_refused_and_counted_once(self):
-        """Killi subclasses get no profile and no interpreter: every
-        access runs per-access, counted under ``fallback.<Scheme>``."""
-        counters = self._cell_counters("killi+olsc-t11_1:8")
+        """Strong-code Killi is a plain ``KilliScheme``: the per-set
+        profile refuses every set, so the cluster interpreter is its
+        only batching path, and each L2 access is counted exactly once
+        — batched, or as an abort under ``guard_aborts.KilliScheme``."""
+        counters, result, simulator = self._cell("killi+olsc-t11_1:8")
+        l2 = simulator.l2
+        assert type(l2.scheme) is KilliScheme
+        assert all(
+            l2.set_replay_profile(s) is None
+            for s in range(l2.geometry.n_sets)
+        )
+        assert counters.get("engine.batched.sets_batched", 0) == 0
+        batched = counters.get("engine.batched.accesses_batched", 0)
         fallback = counters.get("engine.batched.accesses_fallback", 0)
-        assert counters.get("engine.batched.accesses_batched", 0) == 0
-        assert fallback > 0
-        assert counters.get(
-            "engine.batched.fallback.KilliStrongScheme", 0
-        ) == fallback
-        assert "engine.batched.guard_aborts.KilliStrongScheme" not in counters
-
-    def test_killi_fallbacks_are_interpreter_aborts(self):
-        """Plain Killi falls back only at interpreter aborts, counted
-        once, under ``guard_aborts.<Scheme>``."""
-        counters = self._cell_counters("killi_1:8")
-        fallback = counters.get("engine.batched.accesses_fallback", 0)
-        assert fallback >= 1  # this cell does take an abort
+        assert batched + fallback == result.l2_stats.as_dict()["accesses"]
         assert counters.get(
             "engine.batched.guard_aborts.KilliScheme", 0
         ) == fallback
-        assert "engine.batched.fallback.KilliScheme" not in counters
+        assert not [
+            key for key in counters
+            if key.startswith("engine.batched.fallback.")
+        ]
+
+    def test_killi_fallbacks_are_interpreter_aborts(self):
+        """Killi under either decision policy (Table 2, strong code)
+        batches and falls back only at interpreter aborts, counted
+        once, under ``guard_aborts.<Scheme>``."""
+        for scheme in ("killi_1:8", "killi+olsc-t11_1:8"):
+            counters = self._cell_counters(scheme)
+            assert counters.get("engine.batched.accesses_batched", 0) > 0
+            fallback = counters.get("engine.batched.accesses_fallback", 0)
+            assert fallback >= 1, scheme  # each cell does take an abort
+            assert counters.get(
+                "engine.batched.guard_aborts.KilliScheme", 0
+            ) == fallback, scheme
+            assert "engine.batched.fallback.KilliScheme" not in counters
 
     def test_corrected_way_replay(self):
         """Oracle sets containing correctable faulty ways batch with

@@ -11,22 +11,13 @@ loop.  These tests pin the pieces that make that sound:
   replay through the real path, bit-identically;
 - error vectors injected between kernels reaching the interpreter;
 - the ECC cache's O(1) membership mirror against the plain key lists;
-- the precomputed Table 2 kernels against the reference dispatch.
+- the interned Table 2 lookup against the reference dispatch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dfh import (
-    ACTION_CORRECT_AND_SEND,
-    ACTION_ERROR_MISS,
-    ACTION_SEND_CLEAN,
-    Dfh,
-    DfhAction,
-    classify,
-    classify_batch,
-    classify_cached,
-)
+from repro.core.dfh import Dfh, classify, classify_cached
 from repro.core.ecc_cache import EccCache
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import GpuSimulator
@@ -85,6 +76,16 @@ def scheme_state_key(result, sim, scheme):
     )
 
 
+def _case_id(workload, scheme, seed, accesses, voltage, overrides, l2_kib):
+    parts = [workload, scheme, str(seed), str(accesses)]
+    if voltage != 0.625:
+        parts.append(str(voltage))
+    parts += [f"{key}={value}" for key, value in sorted(overrides.items())]
+    if l2_kib is not None:
+        parts.append(f"l2={l2_kib}KiB")
+    return "-".join(parts)
+
+
 class TestInterpreterEquivalence:
     """Batched-vs-scalar sweep pinned on DFH/SDC/ECC scheme state.
 
@@ -92,29 +93,55 @@ class TestInterpreterEquivalence:
     whose canonical snapshot carries everything the hand-rolled
     ``scheme_state_key`` sweep this replaced compared — DFH histogram,
     transition counts, SDC events, ECC-cache counters, shared-RNG
-    stream position — plus full tag/recency state.
+    stream position — plus full tag/recency state.  Both decision
+    policies run through the interpreter, below the SECDED Vmin too
+    (0.600 V, where DECTED lines with 3+ faults disable), and every
+    ``KilliConfig`` switch the interpreter reads is set in some case.
+    Eviction training only shows once sets fill, so its cases shrink
+    the L2 (``l2_kib``; None keeps the default GPU).
     """
 
     CASES = [
-        ("xsbench", "killi_1:8", 21, 3000),
-        ("fft", "killi_1:8", 5, 2500),
-        ("comd", "killi_1:64", 7, 2500),
+        ("xsbench", "killi_1:8", 21, 3000, 0.625, {}, None),
+        ("fft", "killi_1:8", 5, 2500, 0.625, {}, None),
+        ("comd", "killi_1:64", 7, 2500, 0.625, {}, None),
+        ("fft", "killi+dected_1:8", 5, 1500, 0.600, {}, None),
+        ("nekbone", "killi+olsc-t11_1:8", 42, 1500, 0.600, {}, None),
+        ("fft", "killi_1:8", 5, 1500, 0.600, {"inverted_write_training": True}, None),
+        ("xsbench", "killi_1:8", 3, 1500, 0.600, {"training_segments": 8}, None),
+        ("xsbench", "killi+dected_1:8", 3, 1500, 0.600, {"training_segments": 8}, None),
+        ("comd", "killi_1:16", 9, 1500, 0.600, {"train_on_evict": False}, 256),
+        ("comd", "killi+dected_1:2", 9, 1500, 0.600, {"train_on_evict": False}, 256),
+        (
+            "miniamr", "killi_1:8", 4, 1500, 0.6125,
+            {"priority_replacement": False}, None,
+        ),
+        (
+            "miniamr", "killi+tecqed_1:8", 4, 1500, 0.6125,
+            {"priority_replacement": False}, None,
+        ),
     ]
 
-    @pytest.mark.parametrize("workload,scheme_name,seed,accesses", CASES)
+    @pytest.mark.parametrize(
+        "workload,scheme_name,seed,accesses,voltage,overrides,l2_kib",
+        [pytest.param(*case, id=_case_id(*case)) for case in CASES],
+    )
     def test_scheme_state_bit_identical(
-        self, workload, scheme_name, seed, accesses
+        self, workload, scheme_name, seed, accesses, voltage, overrides, l2_kib
     ):
-        from repro.scenario.config import cell_scenario
+        from repro.scenario.config import GpuSection, cell_scenario
         from repro.testing.differential import diff_scenario, run_scenario
 
+        gpu = GpuSection()
+        if l2_kib is not None:
+            gpu = GpuSection(l2_size_bytes=l2_kib * 1024)
         scenario = cell_scenario(
-            workload, scheme_name, voltage=0.625, seed=seed,
-            accesses_per_cu=accesses,
+            workload, scheme_name, voltage=voltage, seed=seed,
+            accesses_per_cu=accesses, scheme_config=overrides, gpu=gpu,
         )
         reference = run_scenario(scenario, "scalar")
         histogram = reference.snapshot["scheme"]["dfh_histogram"]
-        assert sum(histogram.values()) == GpuConfig().l2.n_lines
+        assert sum(histogram.values()) == gpu.to_gpu_config().l2.n_lines
         divergence = diff_scenario(scenario)
         assert divergence is None, divergence.describe()
 
@@ -356,29 +383,3 @@ class TestBatchKernels:
     def test_cached_rejects_disabled(self):
         with pytest.raises(ValueError):
             classify_cached(3, 0, True, True)
-
-    def test_batch_matches_reference_everywhere(self):
-        dfhs = np.array([int(c[0]) for c in SIGNAL_SPACE], dtype=np.int8)
-        sps = np.array([c[1] for c in SIGNAL_SPACE], dtype=np.int64)
-        syns = np.array([c[2] for c in SIGNAL_SPACE])
-        gps = np.array([c[3] for c in SIGNAL_SPACE])
-        nxt, act, free = classify_batch(dfhs, sps, syns, gps)
-        code = {
-            DfhAction.SEND_CLEAN: ACTION_SEND_CLEAN,
-            DfhAction.CORRECT_AND_SEND: ACTION_CORRECT_AND_SEND,
-            DfhAction.ERROR_MISS: ACTION_ERROR_MISS,
-        }
-        for i, (dfh, sp, syn, gp) in enumerate(SIGNAL_SPACE):
-            cls = classify(dfh, sp, syn, gp)
-            assert nxt[i] == int(cls.next_dfh)
-            assert act[i] == code[cls.action]
-            assert free[i] == cls.free_ecc_entry
-
-    def test_batch_rejects_disabled(self):
-        with pytest.raises(ValueError):
-            classify_batch(
-                np.array([0, 3], dtype=np.int8),
-                np.zeros(2, dtype=np.int64),
-                np.ones(2, dtype=bool),
-                np.ones(2, dtype=bool),
-            )

@@ -177,6 +177,17 @@ class TestSchema:
             cell_scenario(
                 "fft", "killi_1:64", scheme_config={"ecc_assoc": 12}
             ).validate()
+        # Inverted write training is a Table 2 mechanism: the strong-code
+        # rule rejects it instead of silently ignoring it.
+        iwt = {"inverted_write_training": True}
+        cell_scenario("nekbone", "killi_1:8", scheme_config=iwt).validate()
+        for scheme in ("killi+olsc-t11_1:8", "killi+dected_1:2"):
+            with pytest.raises(
+                ValueError, match="scheme.config: inverted_write_training"
+            ):
+                cell_scenario(
+                    "nekbone", scheme, voltage=0.6, scheme_config=iwt
+                ).validate()
 
     def test_scheme_options_validated_against_factory(self):
         with pytest.raises(ValueError, match="only apply to Killi"):

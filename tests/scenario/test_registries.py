@@ -8,7 +8,7 @@ from repro.cache.core import CacheModel
 from repro.cache.object_store import SetAssocCache
 from repro.cache.soa import SoaTagStore
 from repro.core import KilliScheme
-from repro.core.strong import KilliStrongScheme
+from repro.core.policy import StrongCodePolicy, Table2Policy
 from repro.faults import FaultMap
 from repro.gpu import GpuConfig, GpuSimulator
 from repro.harness.runner import make_scheme, scheme_names
@@ -47,7 +47,7 @@ class TestSchemeRegistry:
         assert "killi+olsc-t11_1:8" in names
         assert "killi+dected_1:2" in names
         factory = resolve_scheme("killi+olsc-t11_1:8")
-        assert factory.scheme_class is KilliStrongScheme
+        assert factory.scheme_class is KilliScheme
         assert factory.params == {"ecc_ratio": 8, "code": "olsc-t11"}
         # Non-enumerated in-family instances still resolve.
         assert resolve_scheme("killi_1:512").params["ecc_ratio"] == 512
@@ -83,6 +83,14 @@ class TestSchemeRegistry:
         built = make_scheme("killi_1:64", gpu_config, fault_map, 0.625, rngs)
         assert isinstance(built, KilliScheme)
         assert built.config.ecc_ratio == 64
+        assert isinstance(built.policy, Table2Policy)
+        # A strong ECC-cache code is a policy choice, not a subclass.
+        strong = make_scheme(
+            "killi+olsc-t11_1:8", gpu_config, fault_map, 0.625, rngs
+        )
+        assert type(strong) is KilliScheme
+        assert isinstance(strong.policy, StrongCodePolicy)
+        assert strong.policy.correct_t == 11
         assert isinstance(
             make_scheme("baseline", gpu_config, fault_map, 0.625, rngs),
             UnprotectedScheme,

@@ -199,6 +199,20 @@ class TestCli:
         assert "stable_segments" in capsys.readouterr().out
         assert cli_main(["scenario", "run", str(segments), "--no-progress"]) == 2
         assert "stable_segments" in capsys.readouterr().err
+        # An override the strong-code rule does not model.
+        strong = tmp_path / "strong.toml"
+        strong.write_text(
+            'schema_version = 1\nname = "strong"\n\n[scheme]\n'
+            'name = "killi+olsc-t11_1:8"\n\n[scheme.config]\n'
+            'inverted_write_training = true\n'
+            '\n[workload]\nname = "nekbone"\naccesses_per_cu = 50\n'
+            '\n[fault]\nvoltage = 0.6\n'
+        )
+        assert cli_main(["scenario", "validate", str(strong)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "inverted_write_training" in out
+        assert cli_main(["scenario", "run", str(strong), "--no-progress"]) == 2
+        assert "inverted_write_training" in capsys.readouterr().err
 
     def test_scenario_run_writes_json(self, tmp_path, capsys):
         out_json = tmp_path / "result.json"
