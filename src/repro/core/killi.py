@@ -126,16 +126,12 @@ class KilliScheme(ProtectionScheme):
         # severalfold slower.  Entries are always plain ints (0..3).
         self._dfh_np = np.full(geometry.n_lines, _INITIAL, dtype=np.int8)
         self.dfh = memoryview(self._dfh_np)
-        # Per-set DFH occupancy counters, maintained incrementally by
-        # _set_dfh so the fill-priority and interpreter probes are O(1):
-        # - off-initial: lines in a state other than INITIAL (0 means
-        #   every way still carries the same fill priority);
-        # - unstable: lines in INITIAL or STABLE_1 (0 means every way
-        #   is STABLE_0 or DISABLED — the stabilised-set condition).
+        # Per-set count of lines in a state other than INITIAL,
+        # maintained incrementally by _set_dfh so the fill-priority
+        # probes are O(1) (0 means every way still carries the same
+        # fill priority).
         self._off_initial_np = np.zeros(geometry.n_sets, dtype=np.int32)
         self._off_initial_in_set = memoryview(self._off_initial_np)
-        self._unstable_np = np.full(geometry.n_sets, self._assoc, np.int32)
-        self._unstable_in_set = memoryview(self._unstable_np)
         # Transition counters as a dense 4x4 (old, new) array; the
         # dict-of-name-tuples shape tests and the harness consume is a
         # property view built on demand.
@@ -147,7 +143,6 @@ class KilliScheme(ProtectionScheme):
 
     def detach(self) -> None:
         super().detach()
-        self.errors.external_mutation_hook = None
         self._interp = None
 
     # -- internals ---------------------------------------------------------
@@ -173,12 +168,6 @@ class KilliScheme(ProtectionScheme):
             self._off_initial_in_set[set_index] += 1
         elif new == _INITIAL:
             self._off_initial_in_set[set_index] -= 1
-        if (old == _INITIAL or old == _STABLE_1) != (
-            new == _INITIAL or new == _STABLE_1
-        ):
-            self._unstable_in_set[set_index] += (
-                1 if (new == _INITIAL or new == _STABLE_1) else -1
-            )
         self._transitions_mv[old, new] += 1
 
     # -- ProtectionScheme hooks ---------------------------------------------
@@ -344,7 +333,6 @@ class KilliScheme(ProtectionScheme):
     def on_reset(self) -> None:
         self._dfh_np[:] = _INITIAL
         self._off_initial_np[:] = 0
-        self._unstable_np[:] = self._assoc
         self.ecc.clear()
         self.errors.clear_all()
         self.policy.clear()

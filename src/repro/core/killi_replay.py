@@ -97,9 +97,6 @@ class _SetShadow:
         "touched",
         "dfh",
         "off_d",
-        "uns_d",
-        "triv",
-        "quiet",
     )
 
 
@@ -143,25 +140,6 @@ class KilliClusterInterpreter:
         self._row_memo: dict = {}
         self._memo_voltage = None
         self._act_off = None
-        # Per-slot purity bitmap: pure[slot] == 1 iff the slot is
-        # STABLE_0 with an empty real error vector, so a read hit on it
-        # is a pure LRU touch (serve clean, no classification, no
-        # transition).  Kept in sync across kernels: commits refresh
-        # exactly the slots whose DFH or error rows they changed,
-        # engine-fallback write hits are re-checked via _stale_slots,
-        # and error-vector edits outside the access path
-        # (``set_effective``, ``add_soft_error``, a reset's
-        # ``clear_all``) drop the whole map through the error model's
-        # mutation hook.  Within a transaction the bitmap is only
-        # trusted for slots with no shadow row events.
-        self._pure = None
-        # cluster -> slot whose RNG-abort write the engine replays
-        # through the real per-access path before resuming the cluster.
-        # The refresh must wait for that resume: other clusters' _begin
-        # calls interleave between the abort and the replay, so a global
-        # stale set would be drained while the real row is still clean.
-        self._stale_slots: dict = {}
-        self._errors.external_mutation_hook = self._drop_purity
         # Armed invariants (REPRO_CHECK_INVARIANTS): each transaction
         # snapshots the shared RNG stream position at _begin and
         # asserts at _commit that the simulation window drew nothing
@@ -174,13 +152,8 @@ class KilliClusterInterpreter:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _drop_purity(self) -> None:
-        """An error vector changed outside the access path: rebuild the
-        purity bitmap at the next :meth:`begin_kernel`."""
-        self._pure = None
-
     def begin_kernel(self) -> None:
-        """Revalidate the voltage-keyed memos before a kernel runs."""
+        """Revalidate the voltage-keyed row memo before a kernel runs."""
         errors = self._errors
         offsets = errors._act_offsets
         if offsets is None:
@@ -189,27 +162,8 @@ class KilliClusterInterpreter:
             self._row_memo.clear()
             self._memo_voltage = errors.voltage
             self._act_off = offsets
-            self._pure = None
-        if self._pure is None:
-            # A plain list, not a numpy array: the hot loop reads one
-            # slot per hit and list indexing is the cheapest form.
-            self._pure = [
-                1 if value == _S0 and not row else 0
-                for value, row in zip(self._scheme._dfh_np.tolist(), errors._rows)
-            ]
-            self._stale_slots.clear()
 
     def _begin(self, cluster: int) -> None:
-        slot = self._stale_slots.pop(cluster, None)
-        if slot is not None:
-            # This cluster's aborted write hit has now been replayed by
-            # the engine through the real per-access path (it always is
-            # before the cluster resumes); re-derive the slot's purity.
-            self._pure[slot] = (
-                1
-                if self._dfh_mv[slot] == _S0 and not self._errors.is_dirty(slot)
-                else 0
-            )
         self._cluster = cluster
         self._sets: dict = {}
         self._dfh_over: dict = {}
@@ -279,71 +233,19 @@ class KilliClusterInterpreter:
         base = set_index * self._assoc
         st.dfh = self._scheme._dfh_np[base : base + self._assoc].tolist()
         st.off_d = 0
-        st.uns_d = 0
-        st.quiet, st.triv = self._probe_set(set_index)
         self._sets[set_index] = st
         return st
-
-    def _probe_set(self, set_index: int):
-        """``(quiet, triv)`` micro-fast-path flags of a set.
-
-        ``quiet``: no slot in the set has active LV faults or a dirty
-        real error vector.  Both are fixed for the whole transaction
-        (the CSR only changes with voltage, real rows only at commit),
-        and a quiet set can never acquire shadow row events — every
-        track_fill/track_clear on it is a no-op.
-
-        ``triv``: quiet, and additionally every way is STABLE_0 (or
-        DISABLED) with no ECC-cache entry pointing at the set.  Such a
-        set replays as pure dict-LRU: accesses have no scheme effect
-        beyond ``hits_served``.  Trivality is monotone within a
-        transaction (fills stay STABLE_0 and insert nothing); a quiet
-        set whose last unstable way reclassifies to STABLE_0 mid-run
-        is *upgraded* to triv at that transition (see ``_set_dfh``).
-        Shadow ECC state is authoritative — the whole servicing ECC
-        set belongs to this cluster.
-        """
-        base = set_index * self._assoc
-        stop = base + self._assoc
-        act = self._act_off
-        quiet = act[stop] <= act[base] and not self._errors.dirty_in_range(
-            base, stop
-        )
-        if not quiet or self._scheme._unstable_in_set[set_index]:
-            return quiet, False
-        for key in self._ecc_entries:
-            if base <= key < stop:
-                return quiet, False
-        return quiet, True
 
     def _set_dfh(self, st: _SetShadow, slot: int, old: int, new: int) -> None:
         if old == new:
             return
-        # Conservative: any transition drops purity; the commit fixup
-        # (and the fast-clean hit path) restore it exactly.
-        self._pure[slot] = 0
         self._dfh_over[slot] = new
         st.dfh[slot % self._assoc] = new
         if old == _INI:
             st.off_d += 1
         elif new == _INI:
             st.off_d -= 1
-        if (old == _INI or old == _S1) != (new == _INI or new == _S1):
-            st.uns_d += 1 if (new == _INI or new == _S1) else -1
         self._trans[(old << 2) | new] += 1
-        if new == _S0 and st.quiet and not st.triv:
-            # A quiet set whose last unstable way just stabilised (and
-            # that holds no ECC entry) is pure dict-LRU from here on.
-            assoc = self._assoc
-            set_index = slot // assoc
-            if self._scheme._unstable_in_set[set_index] + st.uns_d == 0:
-                base = set_index * assoc
-                stop = base + assoc
-                for key in self._ecc_entries:
-                    if base <= key < stop:
-                        break
-                else:
-                    st.triv = True
 
     # -- shadow ECC cache --------------------------------------------------
 
@@ -427,8 +329,6 @@ class KilliClusterInterpreter:
         as ``KilliScheme.on_read_hit`` applies it; returns the outcome."""
         nxt, outcome, sdc = self._policy.read_hit(value, slot, row)
         if nxt == _S0 or outcome >= RETRAIN:
-            # Before the transition: the triv-upgrade probe in
-            # _set_dfh must see the freed entry.
             self._ecc_remove(set_index, way)
         self._set_dfh(st, slot, value, nxt)
         if outcome >= RETRAIN:
@@ -459,9 +359,6 @@ class KilliClusterInterpreter:
         st = self._sets.get(set_index)
         if st is None:
             st = self._materialize(set_index)
-        # An entry pointed at this set, so it was never trivial; keep
-        # the flag honest even if a future refactor relaxes that.
-        st.triv = False
         slot = set_index * self._assoc + way
         value = st.dfh[way]
         # Only the write-back variant (never interpreted) protects b'00.
@@ -489,8 +386,6 @@ class KilliClusterInterpreter:
     def _on_evict(self, st: _SetShadow, set_index: int, way: int) -> None:
         slot = set_index * self._assoc + way
         value = st.dfh[way]
-        # Remove before any transition so the triv-upgrade probe in
-        # _set_dfh sees the freed entry.
         self._ecc_remove(set_index, way)
         if value == _INI and self._train_on_evict:
             nxt = self._policy.evicted(value, slot, self._row(slot))
@@ -586,7 +481,6 @@ class KilliClusterInterpreter:
         assoc = self._assoc
         sets = self._sets
         act = self._act_off
-        pure = self._pure
         slot_state = self._slot_state
         slot_get = slot_state.get
         # The real rows are only written by the commit, after the loop
@@ -603,7 +497,6 @@ class KilliClusterInterpreter:
         prio = _PRIORITY
         prio_repl = self._prio_repl
         off_init = self._scheme._off_initial_in_set
-        uns_mv = self._scheme._unstable_in_set
         lat_hit = self._lat_hit
         lat_tag = self._lat_tag
         lat_miss = self._lat_miss
@@ -614,7 +507,7 @@ class KilliClusterInterpreter:
         # fields compose with the flush).
         d_reads = d_read_hits = d_read_misses = d_mem_reads = 0
         d_writes = d_mem_writes = d_write_hits = d_write_misses = 0
-        d_hits_served = pure_hits = d_fills = 0
+        d_hits_served = d_fills = 0
         d_ecc_acc = d_ecc_alloc = d_ecc_evict = d_reclass = 0
         n = len(idxs)
         j = start
@@ -628,50 +521,6 @@ class KilliClusterInterpreter:
                 st = materialize(set_index)
             resident = st.resident
             way = resident.get(line)
-            if st.triv:
-                # Pure dict-LRU: no scheme dispatch, no row checks.
-                if stores[gi]:
-                    d_writes += 1
-                    d_mem_writes += 1
-                    if way is None:
-                        d_write_misses += 1
-                    else:
-                        d_write_hits += 1
-                        del resident[line]
-                        resident[line] = way
-                        st.touched.add(way)
-                    lat[gi] = lat_tag
-                elif way is not None:
-                    d_reads += 1
-                    d_read_hits += 1
-                    d_hits_served += 1
-                    del resident[line]
-                    resident[line] = way
-                    st.touched.add(way)
-                    lat[gi] = lat_hit
-                else:
-                    d_reads += 1
-                    d_read_misses += 1
-                    d_mem_reads += 1
-                    free = st.free
-                    if free:
-                        victim = free.pop(0)
-                    elif resident:
-                        vline, victim = next(iter(resident.items()))
-                        self._d_evictions += 1
-                        del resident[vline]
-                    else:
-                        self._d_bypasses += 1
-                        lat[gi] = lat_miss
-                        j += 1
-                        continue
-                    st.way_lines[victim] = line
-                    resident[line] = victim
-                    d_fills += 1
-                    st.touched.add(victim)
-                    lat[gi] = lat_miss
-                j += 1
-                continue
             if stores[gi]:
                 if way is not None:
                     slot = set_index * assoc + way
@@ -679,16 +528,15 @@ class KilliClusterInterpreter:
                         # Shared-RNG masking re-roll: cannot simulate.
                         # Commit the exact prefix and hand this access
                         # to the per-access path.
-                        self._stale_slots[self._cluster] = slot
                         self._d_reads += d_reads
-                        self._d_read_hits += d_read_hits + pure_hits
+                        self._d_read_hits += d_read_hits
                         self._d_read_misses += d_read_misses
                         self._d_mem_reads += d_mem_reads
                         self._d_writes += d_writes
                         self._d_mem_writes += d_mem_writes
                         self._d_write_hits += d_write_hits
                         self._d_write_misses += d_write_misses
-                        self._d_hits_served += d_hits_served + pure_hits
+                        self._d_hits_served += d_hits_served
                         self._d_fills += d_fills
                         self._d_ecc_acc += d_ecc_acc
                         self._d_ecc_alloc += d_ecc_alloc
@@ -699,9 +547,7 @@ class KilliClusterInterpreter:
                     d_writes += 1
                     d_mem_writes += 1
                     d_write_hits += 1
-                    if slot in slot_state or (
-                        not pure[slot] and rows[slot]
-                    ):
+                    if slot in slot_state or rows[slot]:
                         slot_state[slot] = -1
                     if slot in ecc_entries:
                         # _ecc_touch, inline.
@@ -770,7 +616,6 @@ class KilliClusterInterpreter:
                             est = sets.get(es)
                             if est is None:
                                 est = materialize(es)
-                            est.triv = False
                             evalue = est.dfh[ew]
                             esalt = slot_get(eslot)
                             if esalt is None:
@@ -796,27 +641,12 @@ class KilliClusterInterpreter:
                                 # A clean row reclassifies INITIAL /
                                 # STABLE_1 -> STABLE_0 under either
                                 # policy (_set_dfh, inline).
-                                pure[eslot] = 0
                                 dfh_over[eslot] = _S0
                                 est.dfh[ew] = _S0
                                 if evalue == _INI:
                                     est.off_d += 1
-                                est.uns_d -= 1
                                 trans[evalue << 2] += 1
                                 d_reclass += 1
-                                if (
-                                    est.quiet
-                                    and not est.triv
-                                    and uns_mv[es] + est.uns_d == 0
-                                ):
-                                    # Triv upgrade (see _set_dfh).
-                                    ebase = eslot - ew
-                                    estop = ebase + assoc
-                                    for k2 in ecc_entries:
-                                        if ebase <= k2 < estop:
-                                            break
-                                    else:
-                                        est.triv = True
                         else:
                             ecc_entries.insert(0, slot)
                     st.touched.add(victim)
@@ -829,16 +659,6 @@ class KilliClusterInterpreter:
                 j += 1
                 continue
             slot = set_index * assoc + way
-            if pure[slot] and slot not in slot_state:
-                # Pure hit: STABLE_0 on a really-clean untracked slot —
-                # an LRU touch and nothing else.
-                pure_hits += 1
-                del resident[line]
-                resident[line] = way
-                st.touched.add(way)
-                lat[gi] = lat_hit
-                j += 1
-                continue
             value = st.dfh[way]
             # _row, inline.
             salt = slot_get(slot)
@@ -854,14 +674,8 @@ class KilliClusterInterpreter:
                 # A clean row serves clean and settles at STABLE_0
                 # under either policy.
                 if value != _S0:
-                    # Remove before the transition so the triv-upgrade
-                    # probe in _set_dfh sees the freed entry.
                     self._ecc_remove(set_index, way)
                     self._set_dfh(st, slot, value, _S0)
-                # Shadow-clean and now STABLE_0; tracked slots are
-                # still fenced off the pure path by the slot_state
-                # guard until the commit fixup re-derives them.
-                pure[slot] = 1
                 d_hits_served += 1
                 outcome = CLEAN
             else:
@@ -895,14 +709,14 @@ class KilliClusterInterpreter:
                 lat[gi] = lat_error
             j += 1
         self._d_reads += d_reads
-        self._d_read_hits += d_read_hits + pure_hits
+        self._d_read_hits += d_read_hits
         self._d_read_misses += d_read_misses
         self._d_mem_reads += d_mem_reads
         self._d_writes += d_writes
         self._d_mem_writes += d_mem_writes
         self._d_write_hits += d_write_hits
         self._d_write_misses += d_write_misses
-        self._d_hits_served += d_hits_served + pure_hits
+        self._d_hits_served += d_hits_served
         self._d_fills += d_fills
         self._d_ecc_acc += d_ecc_acc
         self._d_ecc_alloc += d_ecc_alloc
@@ -930,7 +744,6 @@ class KilliClusterInterpreter:
         line_bytes = self._line_bytes
         scheme = self._scheme
         off_mv = scheme._off_initial_in_set
-        uns_mv = scheme._unstable_in_set
         for set_index, st in self._sets.items():
             way_lines = st.way_lines
             orig = st.orig
@@ -957,8 +770,6 @@ class KilliClusterInterpreter:
                         lru.touch(set_index, way)
             if st.off_d:
                 off_mv[set_index] += st.off_d
-            if st.uns_d:
-                uns_mv[set_index] += st.uns_d
         if self._dfh_over:
             dfh_mv = self._dfh_mv
             for slot, value in self._dfh_over.items():
@@ -1000,16 +811,6 @@ class KilliClusterInterpreter:
             if row is None:
                 row = errors.predicted_fill_row(slot, salt)
             errors.store_row(slot, row)
-        # Purity fixup: re-derive the bitmap for exactly the slots
-        # whose DFH or error rows this transaction changed, from the
-        # now-committed real state.
-        pure = self._pure
-        dfh_mv = self._dfh_mv
-        is_dirty = errors.is_dirty
-        for slot in self._dfh_over:
-            pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
-        for slot in self._slot_state:
-            pure[slot] = 1 if dfh_mv[slot] == _S0 and not is_dirty(slot) else 0
         stats = cache.stats
         stats.reads += self._d_reads
         stats.read_hits += self._d_read_hits

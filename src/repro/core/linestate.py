@@ -155,11 +155,6 @@ class LineErrorModel:
         # next mutation (reads vastly outnumber writes).
         # line_id -> {(n_segments, use_ecc): Signals}
         self._signal_cache: dict = {}
-        # Called on error-vector edits outside the access path
-        # (set_effective / add_soft_error / clear_all) so Killi's batch
-        # interpreter can drop its per-slot purity bitmap; the
-        # interpreter installs it.
-        self.external_mutation_hook = None
         # LV offset of the boundary below which bits are always resident
         # in the (LV) main cache: data + the 4 stable parity bits.
         self._cache_resident_stop = self.layout.parity_offset + 4
@@ -218,7 +213,7 @@ class LineErrorModel:
 
     def store_row(self, line_id: int, row: int) -> None:
         """Install an int error row (e.g. one :meth:`predicted_fill_row`
-        returned) without firing the external-mutation hook."""
+        returned)."""
         rows = self._rows
         if rows[line_id] != row:
             rows[line_id] = row
@@ -331,8 +326,6 @@ class LineErrorModel:
         for offset in offsets:
             row |= 1 << self._check_offset(offset)
         self.store_row(line_id, row)
-        if self.external_mutation_hook is not None:
-            self.external_mutation_hook()
 
     def add_soft_error(self, line_id: int, offsets) -> None:
         """XOR transient bit flips into the line's error vector."""
@@ -340,8 +333,6 @@ class LineErrorModel:
         for offset in offsets:
             row ^= 1 << self._check_offset(offset)
         self.store_row(line_id, row)
-        if self.external_mutation_hook is not None:
-            self.external_mutation_hook()
 
     def clear(self, line_id: int) -> None:
         """Forget the line's error state (invalidation)."""
@@ -352,8 +343,6 @@ class LineErrorModel:
         # In place: the batched interpreter holds the list.
         self._rows[:] = [0] * len(self._rows)
         self._signal_cache.clear()
-        if self.external_mutation_hook is not None:
-            self.external_mutation_hook()
 
     # -- signal computation -------------------------------------------------
 
@@ -386,14 +375,6 @@ class LineErrorModel:
         signals = Signals(*self.kernel.signals_row(row, n_segments, use_ecc))
         per_line[key] = signals
         return signals
-
-    def dirty_in_range(self, start: int, stop: int) -> bool:
-        """Any line in ``[start, stop)`` with a non-empty error vector?
-
-        Set-level probe behind the batched cluster interpreter's
-        quiet-set check (:mod:`repro.core.killi_replay`).
-        """
-        return any(self._rows[start:stop])
 
     def observable_fault_positions(self, line_id: int) -> set:
         """All positions the inverted-write flow observes.

@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ecc.base import BlockCode, DecodeResult, DecodeStatus
-from repro.utils.bitpack import n_words, pack_positions, popcount64
 
 __all__ = ["SecDedCode", "secded_checkbits"]
 
@@ -76,7 +75,6 @@ class SecDedCode(BlockCode):
         check_codes = [1 << j for j in range(self.r)]
         self._codes = np.array(data_codes + check_codes, dtype=np.int64)
         self._position_of_code = {int(c): i for i, c in enumerate(self._codes)}
-        self._slice_masks: np.ndarray | None = None
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         self._check_data_length(data)
@@ -89,62 +87,10 @@ class SecDedCode(BlockCode):
         word[self.n - 1] = np.count_nonzero(word[: self.n - 1]) & 1
         return word
 
-    # -- batched packed-bit kernels ------------------------------------------
-
     @property
     def column_codes(self) -> np.ndarray:
         """Column code per codeword position 0..n-2 (global parity has none)."""
         return self._codes
-
-    def syndrome_slice_masks(self) -> np.ndarray:
-        """Per-syndrome-bit packed membership masks over codeword positions.
-
-        Row ``j`` is a ``uint64``-packed mask of the codeword positions
-        whose column code has bit ``j`` set; syndrome bit ``j`` of an
-        error vector is then the parity of ``popcount(error & mask_j)``.
-        The global parity position (``n - 1``) belongs to no mask.
-        Shape ``(r, ceil(n / 64))``; computed once and cached.
-        """
-        if self._slice_masks is None:
-            masks = np.zeros((self.r, n_words(self.n)), dtype=np.uint64)
-            for j in range(self.r):
-                members = np.nonzero((self._codes >> j) & 1)[0]
-                masks[j] = pack_positions(members, self.n)
-            self._slice_masks = masks
-        return self._slice_masks
-
-    def syndromes_of_error_matrix(self, packed_errors: np.ndarray) -> np.ndarray:
-        """Syndromes of many error vectors at once.
-
-        ``packed_errors`` is a ``(n_patterns, ceil(n / 64))`` uint64
-        matrix of packed codeword-position error vectors (see
-        :mod:`repro.utils.bitpack`).  Returns the int64 syndrome of each
-        row — the batched equivalent of
-        :meth:`syndrome_of_error_positions`, evaluated bit-sliced:
-        one AND + popcount pass per syndrome bit, no per-pattern work.
-        """
-        packed_errors = np.atleast_2d(np.asarray(packed_errors, dtype=np.uint64))
-        masks = self.syndrome_slice_masks()
-        if packed_errors.shape[1] != masks.shape[1]:
-            raise ValueError(
-                f"expected {masks.shape[1]} words per row, "
-                f"got {packed_errors.shape[1]}"
-            )
-        overlap = popcount64(packed_errors[:, None, :] & masks[None, :, :])
-        odd = overlap.sum(axis=2, dtype=np.uint64) & np.uint64(1)
-        weights = (np.int64(1) << np.arange(self.r, dtype=np.int64))[None, :]
-        return (odd.astype(np.int64) * weights).sum(axis=1)
-
-    def parity_flips_of_error_matrix(self, packed_errors: np.ndarray) -> np.ndarray:
-        """Whether each error vector flips the overall (global) parity.
-
-        True where the packed row has odd weight over all ``n``
-        codeword positions — the batched complement of
-        ``DecodeResult.global_parity_ok``.
-        """
-        packed_errors = np.atleast_2d(np.asarray(packed_errors, dtype=np.uint64))
-        weight = popcount64(packed_errors).sum(axis=1, dtype=np.uint64)
-        return (weight & np.uint64(1)).astype(bool)
 
     def syndrome_of_error_positions(self, positions) -> int:
         """Syndrome produced by flipping the given codeword positions.

@@ -32,6 +32,12 @@ import sys
 from repro.harness import experiments
 from repro.metrics import METRICS
 from repro.harness.runner import CampaignError
+from repro.scenario.registries import (
+    ENGINE_REGISTRY,
+    SCHEME_REGISTRY,
+    WORKLOAD_REGISTRY,
+)
+from repro.scenario.registry import Registry
 from repro.utils.tables import format_table
 
 __all__ = ["main", "scenario_main"]
@@ -67,15 +73,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _engine_name(text: str) -> str:
-    from repro.scenario.registries import ENGINE_REGISTRY
+def _registered(registry: Registry):
+    """argparse ``type=`` accepting the names ``registry`` resolves, so
+    a bad name exits 2 naming it before anything runs."""
 
-    if text not in ENGINE_REGISTRY:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {text!r}; expected one of "
-            f"{tuple(ENGINE_REGISTRY.names())}"
-        )
-    return text
+    def name(text: str) -> str:
+        try:
+            registry.resolve(text)
+        except KeyError as error:
+            raise argparse.ArgumentTypeError(error.args[0]) from None
+        return text
+
+    return name
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -391,11 +400,6 @@ def _scenario_list(args) -> int:
     import glob
     import os
 
-    from repro.scenario.registries import (
-        ENGINE_REGISTRY,
-        SCHEME_REGISTRY,
-        WORKLOAD_REGISTRY,
-    )
     from repro.scenario.runfile import load_scenario
 
     paths = sorted(
@@ -487,22 +491,25 @@ def main(argv=None) -> int:
         help="which table/figure to regenerate",
     )
     parser.add_argument(
-        "--accesses", type=int, default=30000,
+        "--accesses", type=_positive_int, default=30000,
         help="accesses per CU for simulation experiments (default 30000)",
     )
     parser.add_argument(
-        "--workloads", nargs="*", default=None,
+        "--workloads", nargs="*", type=_registered(WORKLOAD_REGISTRY),
+        default=None,
         help="restrict Figure 4/5 to these workloads",
     )
     parser.add_argument(
-        "--schemes", nargs="*", default=None,
+        "--schemes", nargs="*", type=_registered(SCHEME_REGISTRY),
+        default=None,
         help="restrict Figure 4/5 to these scheme names — any name the "
              "scheme registry resolves, including killi+<code>_1:<ratio> "
              "strong-code variants (baseline is always included)",
     )
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_nonnegative_int, default=42)
     parser.add_argument(
-        "--engine", type=_engine_name, default="batched", metavar="NAME",
+        "--engine", type=_registered(ENGINE_REGISTRY), default="batched",
+        metavar="NAME",
         help="simulator for Figure 4/5 cells: batched (default) or the "
              "scalar reference; both are pinned bit-identical, so this "
              "only changes wall-clock time",

@@ -1,9 +1,8 @@
 """Scalar-vs-batched equivalence for the packed classification kernels.
 
-The batched SECDED / segmented-parity / line-signal kernels are pure
+The batched segmented-parity / line-signal kernels are pure
 reimplementations of scalar reference paths that stay in the tree;
-these tests pin the two together on golden patterns and on random
-error matrices.
+these tests pin the two together on random error matrices.
 """
 
 import numpy as np
@@ -15,12 +14,6 @@ from repro.ecc.parity import SegmentedParity
 from repro.ecc.secded import SecDedCode
 from repro.faults.fault_map import FaultMap
 from repro.kernels.classify import LineSignalKernel
-from repro.utils.bitpack import pack_positions
-
-
-@pytest.fixture(scope="module")
-def secded():
-    return SecDedCode(512)
 
 
 @pytest.fixture(scope="module")
@@ -37,57 +30,6 @@ def _reference_model(interleaved: bool = True) -> LineErrorModel:
         np.random.default_rng(0),
         interleaved_parity=interleaved,
     )
-
-
-class TestSecDedBatch:
-    def test_golden_pinned_syndromes(self, secded):
-        # Column codes are the non-powers-of-two in increasing order:
-        # position 0 -> 3, 1 -> 5, 2 -> 6; checkbit j -> 1 << j; the
-        # global parity position (n - 1) contributes nothing.
-        cases = [
-            ([], 0),
-            ([0], 3),
-            ([1], 5),
-            ([0, 1], 3 ^ 5),
-            ([0, 1, 2], 3 ^ 5 ^ 6),
-            ([512], 1),  # checkbit 0
-            ([513], 2),  # checkbit 1
-            ([522], 0),  # global parity: no column code
-            ([0, 522], 3),
-        ]
-        packed = np.stack(
-            [pack_positions(positions, secded.n) for positions, _ in cases]
-        )
-        syndromes = secded.syndromes_of_error_matrix(packed)
-        for (positions, expected), got in zip(cases, syndromes):
-            assert int(got) == expected, positions
-            assert secded.syndrome_of_error_positions(positions) == expected
-
-    def test_matches_scalar_on_random_matrices(self, secded, rng):
-        rows = []
-        expected = []
-        for _ in range(200):
-            k = int(rng.integers(0, 8))
-            positions = rng.choice(secded.n, size=k, replace=False)
-            rows.append(pack_positions(positions, secded.n))
-            expected.append(secded.syndrome_of_error_positions(positions))
-        got = secded.syndromes_of_error_matrix(np.stack(rows))
-        assert got.tolist() == expected
-
-    def test_parity_flips_match_weight_parity(self, secded, rng):
-        rows = []
-        weights = []
-        for _ in range(100):
-            k = int(rng.integers(0, 9))
-            positions = rng.choice(secded.n, size=k, replace=False)
-            rows.append(pack_positions(positions, secded.n))
-            weights.append(k)
-        flips = secded.parity_flips_of_error_matrix(np.stack(rows))
-        assert flips.tolist() == [w % 2 == 1 for w in weights]
-
-    def test_word_count_validated(self, secded):
-        with pytest.raises(ValueError):
-            secded.syndromes_of_error_matrix(np.zeros((2, 3), dtype=np.uint64))
 
 
 class TestSegmentedParityBatch:

@@ -163,6 +163,24 @@ class TestSyndromeOfErrorPositions:
         # XOR of the same column twice cancels.
         assert code.syndrome_of_error_positions([5, 5]) == 0
 
+    def test_golden_pinned_syndromes(self, code):
+        # Column codes are the non-powers-of-two in increasing order:
+        # position 0 -> 3, 1 -> 5, 2 -> 6; checkbit j -> 1 << j; the
+        # global parity position (n - 1) contributes nothing.
+        cases = [
+            ([], 0),
+            ([0], 3),
+            ([1], 5),
+            ([0, 1], 3 ^ 5),
+            ([0, 1, 2], 3 ^ 5 ^ 6),
+            ([512], 1),  # checkbit 0
+            ([513], 2),  # checkbit 1
+            ([522], 0),  # global parity: no column code
+            ([0, 522], 3),
+        ]
+        for positions, expected in cases:
+            assert code.syndrome_of_error_positions(positions) == expected, positions
+
 
 class TestSmallCodes:
     @pytest.mark.parametrize("k", [8, 32, 64, 128])

@@ -98,7 +98,9 @@ class TestInterpreterEquivalence:
     (0.600 V, where DECTED lines with 3+ faults disable), and every
     ``KilliConfig`` switch the interpreter reads is set in some case.
     Eviction training only shows once sets fill, so its cases shrink
-    the L2 (``l2_kib``; None keeps the default GPU).
+    the L2 (``l2_kib``; None keeps the default GPU).  The two filled
+    xsbench cases at 0.625 V also pin stabilised sets, where every way
+    has settled at b'00 and most accesses are clean hits and refills.
     """
 
     CASES = [
@@ -120,6 +122,8 @@ class TestInterpreterEquivalence:
             "miniamr", "killi+tecqed_1:8", 4, 1500, 0.6125,
             {"priority_replacement": False}, None,
         ),
+        ("xsbench", "killi_1:8", 21, 3000, 0.625, {}, 256),
+        ("xsbench", "killi+dected_1:8", 21, 3000, 0.625, {}, 256),
     ]
 
     @pytest.mark.parametrize(
@@ -229,9 +233,8 @@ class TestDirectedRngAbort:
 class TestExternalInjection:
     """Error vectors edited between kernels (``set_effective``,
     ``add_soft_error``, the ``clear_all`` of a reset) must reach the
-    interpreter: the error model's mutation hook drops its per-slot
-    purity bitmap, so the next kernel classifies the edited lines
-    instead of serving them as pure hits."""
+    interpreter: the next kernel reads the edited rows and classifies
+    those lines instead of serving them as clean hits."""
 
     SEED = 21
 
@@ -295,7 +298,8 @@ class TestExternalInjection:
 
     def test_reset_between_kernels_reaches_the_interpreter(self):
         """A reset without a voltage change re-enters training on every
-        line; no slot the first kernel left pure may stay pure."""
+        line; the next kernel must find every line back at b'01, not in
+        the state the first kernel left it."""
 
         def run(engine):
             sim, _ = build_sim(engine, "killi_1:8", self.SEED)

@@ -169,6 +169,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 4" in out and "Figure 5" in out
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--schemes", "killi_1:0"),
+            ("--schemes", "nope"),
+            ("--workloads", "nope"),
+            ("--accesses", "0"),
+            ("--accesses", "-5"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_perf_input_is_a_usage_error(self, flag, value, monkeypatch, capsys):
+        """A bad name or count exits 2 naming the value, before any
+        cell simulates."""
+        from repro.harness import cli
+
+        def simulate(**kwargs):
+            pytest.fail("a cell simulated")
+
+        monkeypatch.setattr(cli.experiments, "fig4_fig5_performance", simulate)
+        base = ["fig4", "--workloads", "nekbone", "--schemes", "baseline",
+                "--accesses", "10"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(base + [flag, value])
+        assert exit_info.value.code == 2
+        assert value in capsys.readouterr().err
+
     def test_sec55_command(self, capsys):
         from repro.harness.cli import main
 

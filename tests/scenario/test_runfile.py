@@ -235,12 +235,14 @@ class TestCli:
         assert code == 0
         assert "killi+olsc-t11_1:8" in capsys.readouterr().out
 
-    def test_schemes_flag_rejects_unknown_scheme(self):
-        with pytest.raises(KeyError, match="nope"):
+    def test_schemes_flag_rejects_unknown_scheme(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             cli_main([
                 "fig4", "--accesses", "300", "--workloads", "nekbone",
                 "--schemes", "nope",
             ])
+        assert exit_info.value.code == 2
+        assert "unknown scheme 'nope'" in capsys.readouterr().err
 
     def test_retired_engine_and_substrate_knobs_fail_typed(self, tmp_path, capsys):
         """The ``vectorized`` engine and every substrate knob are gone:
