@@ -68,7 +68,6 @@ from repro.harness.experiments import fig6_coverage
 from repro.metrics import METRICS
 from repro.harness.runner import (
     LV_VOLTAGE,
-    CellSpec,
     fault_map_for,
     run_cell,
     trace_for,
@@ -487,7 +486,7 @@ def bench_fig6() -> dict:
 
 def _fig4_cell(workload, scheme, accesses, engine):
     """One timed fig4 cell; returns (result dict sans timing, seconds)."""
-    spec = CellSpec(
+    spec = cell_scenario(
         workload=workload, scheme=scheme, voltage=LV_VOLTAGE, seed=42,
         accesses_per_cu=accesses, engine=engine,
     )

@@ -46,45 +46,6 @@ class MsEccScheme(OracleEccScheme):
         )
 
 
-def _register_axis_schemes() -> None:
-    """Self-register the experiment-axis baseline names.
-
-    The scheme registry's lazy loader imports this module, so
-    ``baseline`` / ``dected`` / ``flair`` / ``msecc`` resolve through
-    :data:`repro.scenario.registries.SCHEME_REGISTRY` without the
-    harness hardcoding them anywhere.
-    """
-    from repro.cache.hooks import UnprotectedScheme
-    from repro.scenario.registries import SCHEME_REGISTRY, SchemeFactory
-
-    def _build_baseline(factory, ctx):
-        ctx.require_plain(factory.name)
-        return UnprotectedScheme()
-
-    def _build_oracle(factory, ctx):
-        ctx.require_plain(factory.name)
-        return factory.scheme_class(ctx.geometry, ctx.fault_map, ctx.voltage)
-
-    SCHEME_REGISTRY.register(
-        "baseline",
-        SchemeFactory(
-            "baseline",
-            kind="baseline",
-            scheme_class=UnprotectedScheme,
-            builder=_build_baseline,
-        ),
-    )
-    for name, cls in (
-        ("dected", DectedScheme),
-        ("flair", FlairScheme),
-        ("msecc", MsEccScheme),
-    ):
-        SCHEME_REGISTRY.register(
-            name,
-            SchemeFactory(name, kind="oracle", scheme_class=cls, builder=_build_oracle),
-        )
-
-
 class FlairScheme(OracleEccScheme):
     """FLAIR (Qureshi & Chishti, DSN'13).
 
@@ -132,6 +93,3 @@ class FlairScheme(OracleEccScheme):
         # Only the optional training window ever filters; the default
         # (pre-trained DFH, as the paper simulates FLAIR) never does.
         return self.model_training
-
-
-_register_axis_schemes()

@@ -52,12 +52,11 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.hierarchy import SimpleL1
 from repro.gpu.l1filter import run_l1_stream_memo
 from repro.metrics import METRICS
-from repro.scenario.registries import ENGINE_REGISTRY
 from repro.traces.base import Trace
 
 __all__ = ["ENGINES", "KernelResult", "GpuSimulator", "substrate_of"]
 
-#: The built-in inner-loop implementations (registry may hold more).
+#: The two simulators, by name: the engine table.
 ENGINES = ("scalar", "batched")
 
 
@@ -68,21 +67,6 @@ def substrate_of(engine: str) -> str:
     runs on the struct-of-arrays substrate its bulk kernels address.
     """
     return "object" if engine == "scalar" else "soa"
-
-
-def _resolve_engine(engine: str):
-    """The registered inner loop for ``engine`` (``(sim, trace) -> cycles``).
-
-    Engines are an open axis: built-ins register at the bottom of this
-    module, third-party loops via ``ENGINE_REGISTRY.register``.  The
-    historical ``ValueError`` is preserved for unknown names.
-    """
-    try:
-        return ENGINE_REGISTRY.resolve(engine)
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {tuple(ENGINE_REGISTRY.names())}"
-        ) from None
 
 
 @dataclass
@@ -190,7 +174,8 @@ class GpuSimulator:
         l2_scheme: ProtectionScheme | None = None,
         engine: str = "batched",
     ):
-        _resolve_engine(engine)
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.config = config if config is not None else GpuConfig()
         self.engine = engine
         substrate = substrate_of(engine)
@@ -256,7 +241,6 @@ class GpuSimulator:
         caches were built on that engine's substrate.
         """
         engine = engine if engine is not None else self.engine
-        inner_loop = _resolve_engine(engine)
         if engine != self.engine:
             raise ValueError(
                 f"this simulator was built for engine {self.engine!r}; "
@@ -273,7 +257,10 @@ class GpuSimulator:
         telemetry = METRICS.enabled
         if telemetry:
             kernel_started = time.perf_counter()
-        cycles = inner_loop(self, trace)
+        if engine == "scalar":
+            cycles = self._run_scalar(trace)
+        else:
+            cycles = self._run_batched(trace)
         if telemetry:
             METRICS.observe(
                 f"engine.{engine}.kernel", time.perf_counter() - kernel_started
@@ -636,8 +623,3 @@ class GpuSimulator:
         view in ``l2_stats_cumulative``/``l1_stats_cumulative``.
         """
         return [self.run(trace) for trace in traces]
-
-
-# Built-in inner loops: ``(simulator, trace) -> per-CU cycle list``.
-ENGINE_REGISTRY.register("scalar", GpuSimulator._run_scalar)
-ENGINE_REGISTRY.register("batched", GpuSimulator._run_batched)

@@ -1,11 +1,10 @@
 """Experiment harness.
 
 One runner per table/figure of the paper's evaluation (see DESIGN.md's
-experiment index), a registry-backed scheme factory shared by all of
-them (:mod:`repro.scenario`), a parallel cell-execution engine
+experiment index), a scheme factory shared by all of them
+(:mod:`repro.scenario.schemes`), a parallel cell-execution engine
 (:mod:`repro.harness.runner`) every simulation campaign goes through —
-accepting both legacy :class:`CellSpec` cells and declarative
-:class:`~repro.scenario.config.ScenarioConfig` scenarios — and a CLI
+one :class:`~repro.scenario.config.ScenarioConfig` per cell — and a CLI
 (``killi-experiment``) that prints the regenerated rows/series next to
 the paper's numbers recorded in EXPERIMENTS.md, plus
 ``killi-experiment scenario run|validate|list`` for committed scenario
@@ -30,7 +29,6 @@ from repro.harness.results import PerfPoint, PerformanceMatrix
 from repro.harness.runner import (
     CampaignError,
     CellResult,
-    CellSpec,
     make_scheme,
     run_cell,
     run_cells,
@@ -56,7 +54,6 @@ __all__ = [
     "table7_olsc",
     "PerfPoint",
     "PerformanceMatrix",
-    "CellSpec",
     "CellResult",
     "run_cell",
     "run_cells",

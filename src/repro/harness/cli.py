@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
+from repro.gpu.engine import ENGINES
 from repro.harness import experiments
 from repro.metrics import METRICS
 from repro.harness.runner import CampaignError
-from repro.scenario.registries import (
-    ENGINE_REGISTRY,
-    SCHEME_REGISTRY,
-    WORKLOAD_REGISTRY,
-)
-from repro.scenario.registry import Registry
+from repro.scenario.config import check_engine
+from repro.scenario.schemes import known_schemes, resolve_scheme
+from repro.traces.workloads import resolve_workload, workload_names
 from repro.utils.tables import format_table
 
 __all__ = ["main", "scenario_main"]
@@ -73,13 +72,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _registered(registry: Registry):
-    """argparse ``type=`` accepting the names ``registry`` resolves, so
-    a bad name exits 2 naming it before anything runs."""
+def _registered(resolve):
+    """argparse ``type=`` accepting the names ``resolve`` accepts, so a
+    bad name exits 2 naming it before anything runs."""
 
     def name(text: str) -> str:
         try:
-            registry.resolve(text)
+            resolve(text)
         except KeyError as error:
             raise argparse.ArgumentTypeError(error.args[0]) from None
         return text
@@ -172,7 +171,7 @@ def _run_fig6() -> None:
     _print_series("Figure 6: % lines correctly classified", experiments.fig6_coverage())
 
 
-def _run_perf(args) -> None:
+def _run_perf(args):
     matrix = experiments.fig4_fig5_performance(
         workloads=args.workloads or None,
         schemes=args.schemes or None,
@@ -197,6 +196,7 @@ def _run_perf(args) -> None:
         [(k, f"{v:.1f}") for k, v in table6.items()],
         title="Table 6: normalized power (with measured memory traffic)",
     ))
+    return matrix
 
 
 def _run_table4() -> None:
@@ -259,10 +259,15 @@ def _run_sec55(args) -> None:
     ))
 
 
-def _export_csv(args) -> None:
-    """Write the selected experiment's raw data as CSV files."""
-    import os
+#: Experiments with a CSV form (``fig4``/``fig5`` share one file).
+_CSV_EXPERIMENTS = (
+    "fig1", "fig2", "fig6", "table4", "table5", "table6", "fig4", "fig5",
+)
 
+
+def _export_csv(args, matrix) -> None:
+    """Write the selected experiment's raw data as CSV files; the
+    Figure 4/5 ``matrix`` is the one :func:`_run_perf` computed."""
     from repro.harness.export import (
         matrix_to_csv,
         nested_table_to_csv,
@@ -296,17 +301,7 @@ def _export_csv(args) -> None:
             nested_table_to_csv({k: {"power_pct": v} for k, v in table.items()},
                                 row_label="scheme"),
         )
-    elif name in ("fig4", "fig5"):
-        matrix = experiments.fig4_fig5_performance(
-            workloads=args.workloads or None,
-            schemes=args.schemes or None,
-            accesses_per_cu=args.accesses,
-            seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            retries=args.retries,
-            timeout=args.timeout,
-        )
+    else:
         write_csv(path("fig4_fig5"), matrix_to_csv(matrix))
     print(f"CSV written under {args.csv}/")
 
@@ -331,6 +326,9 @@ def _scenario_run(args) -> int:
         scenario.validate()
     except (OSError, KeyError, ValueError) as error:
         print(f"invalid scenario {args.file}: {error}", file=sys.stderr)
+        return 2
+    if args.json and not _writable(args.json):
+        print(f"--json {args.json}: cannot write this file", file=sys.stderr)
         return 2
     if args.telemetry:
         METRICS.enable()
@@ -377,6 +375,16 @@ def _scenario_run(args) -> int:
     return 0
 
 
+def _writable(path: str) -> bool:
+    """Whether ``path`` can be written: an existing writable file, or a
+    new file in an existing writable directory."""
+    if os.path.isdir(path):
+        return False
+    if os.path.exists(path):
+        return os.access(path, os.W_OK)
+    return os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+
+
 def _scenario_validate(args) -> int:
     from repro.scenario.runfile import load_scenario
 
@@ -398,7 +406,6 @@ def _scenario_validate(args) -> int:
 
 def _scenario_list(args) -> int:
     import glob
-    import os
 
     from repro.scenario.runfile import load_scenario
 
@@ -425,12 +432,12 @@ def _scenario_list(args) -> int:
     else:
         print(f"no scenario files under {args.dir}/")
     print()
-    for label, registry in (
-        ("schemes", SCHEME_REGISTRY),
-        ("workloads", WORKLOAD_REGISTRY),
-        ("engines", ENGINE_REGISTRY),
+    for label, names in (
+        ("schemes", known_schemes()),
+        ("workloads", workload_names()),
+        ("engines", ENGINES),
     ):
-        print(f"{label}: {', '.join(registry.names())}")
+        print(f"{label}: {', '.join(names)}")
     return 0
 
 
@@ -460,7 +467,7 @@ def scenario_main(argv=None) -> int:
     val_p.add_argument("files", nargs="+", help="scenario .toml/.json files")
 
     list_p = sub.add_parser(
-        "list", help="list scenario files and registered plugin names"
+        "list", help="list scenario files and the scheme/workload/engine names"
     )
     list_p.add_argument("--dir", default="examples/scenarios")
 
@@ -495,20 +502,20 @@ def main(argv=None) -> int:
         help="accesses per CU for simulation experiments (default 30000)",
     )
     parser.add_argument(
-        "--workloads", nargs="*", type=_registered(WORKLOAD_REGISTRY),
+        "--workloads", nargs="*", type=_registered(resolve_workload),
         default=None,
         help="restrict Figure 4/5 to these workloads",
     )
     parser.add_argument(
-        "--schemes", nargs="*", type=_registered(SCHEME_REGISTRY),
+        "--schemes", nargs="*", type=_registered(resolve_scheme),
         default=None,
-        help="restrict Figure 4/5 to these scheme names — any name the "
-             "scheme registry resolves, including killi+<code>_1:<ratio> "
-             "strong-code variants (baseline is always included)",
+        help="restrict Figure 4/5 to these scheme names — any scheme "
+             "name, including killi+<code>_1:<ratio> strong-code "
+             "variants (baseline is always included)",
     )
     parser.add_argument("--seed", type=_nonnegative_int, default=42)
     parser.add_argument(
-        "--engine", type=_registered(ENGINE_REGISTRY), default="batched",
+        "--engine", type=_registered(check_engine), default="batched",
         metavar="NAME",
         help="simulator for Figure 4/5 cells: batched (default) or the "
              "scalar reference; both are pinned bit-identical, so this "
@@ -531,17 +538,20 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--csv", metavar="DIR", default=None,
-        help="also write the experiment's data as CSV into DIR",
+        help="also write the experiment's data as CSV into DIR "
+             f"({', '.join(_CSV_EXPERIMENTS)} only)",
     )
     args = parser.parse_args(argv)
+    if args.csv and args.experiment not in _CSV_EXPERIMENTS:
+        parser.error(f"--csv: {args.experiment} has no CSV form")
+    if args.csv and os.path.exists(args.csv) and not os.path.isdir(args.csv):
+        parser.error(f"--csv {args.csv}: exists and is not a directory")
     if args.quick:
         args.accesses = 5000
     if args.telemetry:
         METRICS.enable()
     try:
-        if args.csv:
-            _export_csv(args)
-
+        matrix = None
         analytic = {
             "fig1": _run_fig1,
             "fig2": _run_fig2,
@@ -552,7 +562,7 @@ def main(argv=None) -> int:
             "table7": _run_table7,
         }
         if args.experiment in ("fig4", "fig5"):
-            _run_perf(args)
+            matrix = _run_perf(args)
         elif args.experiment == "sec55":
             _run_sec55(args)
         elif args.experiment == "all":
@@ -562,6 +572,8 @@ def main(argv=None) -> int:
             _run_perf(args)
         else:
             analytic[args.experiment]()
+        if args.csv:
+            _export_csv(args, matrix)
     except CampaignError as error:
         _report_campaign_failure(error)
         _finish_telemetry(args)

@@ -126,6 +126,7 @@ class RunJournal:
         timeout: Optional[float] = None,
         cache_dir: Optional[str] = None,
         resumed_from: Optional[str] = None,
+        results_version: Optional[int] = None,
     ) -> None:
         record = {
             "event": "start",
@@ -142,6 +143,8 @@ class RunJournal:
             record["cache_dir"] = os.fspath(cache_dir)
         if resumed_from is not None:
             record["resumed_from"] = os.fspath(resumed_from)
+        if results_version is not None:
+            record["results_version"] = results_version
         self.write(record)
 
     def cell(

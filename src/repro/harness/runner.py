@@ -63,17 +63,13 @@ from repro.gpu import GpuSimulator
 from repro.harness.journal import CellFailure, RunJournal, finished_fingerprints
 from repro.harness.results import PerfPoint
 from repro.scenario.config import ScenarioConfig, as_scenario
-from repro.scenario.schemes import (
-    LV_VOLTAGE,
-    make_scheme,
-    scheme_names,
-)
+from repro.scenario.schemes import LV_VOLTAGE, make_scheme, scheme_names
 from repro.traces import workload_trace_memo
 from repro.metrics import METRICS
 from repro.utils.rng import RngFactory
 
 __all__ = [
-    "CellSpec",
+    "LV_VOLTAGE",
     "CellResult",
     "CellFailure",
     "CampaignError",
@@ -86,9 +82,11 @@ __all__ = [
 
 _LOG = logging.getLogger("repro.harness")
 
-#: Bump when CellResult's serialised shape changes: invalidates every
-#: on-disk cache entry written by an older layout.
-SCHEMA_VERSION = 1
+#: Version of the simulated results.  Bump on any change that alters a
+#: :class:`CellResult` for an unchanged scenario (or its serialised
+#: shape): it invalidates every on-disk cache entry written before, and
+#: ``tests/golden/results.json`` must then be re-recorded.
+RESULTS_VERSION = 1
 
 
 # -- memoised deterministic inputs -------------------------------------------
@@ -109,13 +107,9 @@ def trace_for(workload: str, accesses_per_cu: int, n_cus: int, seed: int):
     """The (deterministic) kernel trace for a (workload, seed) pair.
 
     Derived from the seed's ``"trace/<workload>"`` stream; memoised
-    because every scheme cell of a workload replays the same trace.
-    Delegates to the fingerprint-keyed memo in
-    :func:`repro.traces.workloads.workload_trace_memo`, which (unlike
-    the name-blind ``lru_cache`` it replaced) keys on the registered
-    workload's generative identity, so plugin re-registration can
-    never serve a stale trace.  Traces are read-only (the engine
-    copies them into flat arrays).
+    (by :func:`repro.traces.workloads.workload_trace_memo`) because
+    every scheme cell of a workload replays the same trace.  Traces are
+    read-only (the engine copies them into flat arrays).
     """
     return workload_trace_memo(
         workload, accesses_per_cu, n_cus=n_cus, seed=seed
@@ -123,58 +117,6 @@ def trace_for(workload: str, accesses_per_cu: int, n_cus: int, seed: int):
 
 
 # -- cell specification and result -------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One independent experiment cell (compatibility shim).
-
-    The typed schema now lives in
-    :class:`~repro.scenario.config.ScenarioConfig`; ``CellSpec`` keeps
-    the historical flat call shape and delegates normalisation and
-    fingerprinting to its scenario projection, so the two construction
-    paths can never drift apart.  The tuple (workload, scheme, voltage,
-    seed, accesses_per_cu, scheme_config, write_back) fully determines
-    the simulation via named RNG streams; ``engine`` picks the
-    simulator, which never changes the numbers (both are pinned
-    bit-equivalent), so it is excluded from the cache fingerprint.
-    """
-
-    workload: str
-    scheme: str
-    voltage: float = LV_VOLTAGE
-    seed: int = 42
-    accesses_per_cu: int = 30000
-    scheme_config: tuple = ()
-    """KilliConfig overrides as sorted (field, value) pairs; pass a
-    plain dict — it is normalised on construction."""
-    write_back: bool = False
-    engine: str = "batched"
-
-    def __post_init__(self):
-        if isinstance(self.scheme_config, dict):
-            object.__setattr__(
-                self, "scheme_config", tuple(sorted(self.scheme_config.items()))
-            )
-        else:
-            object.__setattr__(self, "scheme_config", tuple(self.scheme_config))
-
-    @property
-    def scheme_overrides(self) -> dict:
-        return dict(self.scheme_config)
-
-    def to_scenario(self) -> ScenarioConfig:
-        """The typed scenario equivalent of this cell."""
-        return ScenarioConfig.from_cell_spec(self)
-
-    def fingerprint(self) -> str:
-        """Stable content key for the on-disk result cache.
-
-        Delegates to the scenario's canonical fingerprint, which is
-        byte-compatible with the payload this class used to hash —
-        pre-existing result caches stay warm.
-        """
-        return self.to_scenario().fingerprint()
 
 
 @dataclass
@@ -238,10 +180,8 @@ class CellResult:
 def run_cell(spec) -> CellResult:
     """Execute one cell: fresh GPU, deterministic inputs, full metrics.
 
-    ``spec`` may be a legacy :class:`CellSpec` or a
-    :class:`~repro.scenario.config.ScenarioConfig`; both normalise to
-    the same scenario and produce bit-identical results.  Pure function
-    of ``spec``: reproduces exactly what the serial Figure 4/5 loop
+    ``spec`` is a :class:`~repro.scenario.config.ScenarioConfig`.  Pure
+    function of ``spec``: reproduces exactly what the serial Figure 4/5 loop
     computed for the same (workload, scheme, voltage, seed) — same
     fault-map stream, same trace stream, same per-cell scheme RNG
     namespace.
@@ -337,7 +277,7 @@ def _load_cached(cache_dir: str, fingerprint: str) -> Optional[CellResult]:
     try:
         with open(path) as handle:
             payload = json.load(handle)
-        if payload.get("schema") != SCHEMA_VERSION:
+        if payload.get("schema") != RESULTS_VERSION:
             _quarantine(path)
             return None
         result = CellResult.from_dict(payload["result"])
@@ -370,7 +310,7 @@ def _store_cached(
     if fingerprint is None:
         fingerprint = scenario.fingerprint()
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": RESULTS_VERSION,
         "spec": scenario.to_dict(),
         "result": result.to_dict(),
     }
@@ -769,10 +709,9 @@ def run_cells(
     Parameters
     ----------
     specs:
-        Cells to run — legacy :class:`CellSpec` objects,
-        :class:`~repro.scenario.config.ScenarioConfig` scenarios, or a
-        mix.  Results come back in the same order.  Specs sharing a
-        fingerprint are simulated once and fanned back out.
+        Cells to run, as :class:`~repro.scenario.config.ScenarioConfig`
+        scenarios.  Results come back in the same order.  Specs sharing
+        a fingerprint are simulated once and fanned back out.
     jobs:
         Worker processes; ``1`` runs in-process (no pool).  Results
         are bit-identical either way.
@@ -837,6 +776,7 @@ def run_cells(
                 timeout=timeout,
                 cache_dir=cache_dir,
                 resumed_from=resume,
+                results_version=RESULTS_VERSION,
             )
         for fingerprint in groups:
             cached = _load_cached(cache_dir, fingerprint) if cache_dir else None

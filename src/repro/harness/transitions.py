@@ -70,21 +70,21 @@ def power_transition_experiment(
     The workload is split into ``n_transitions + 1`` phases; between
     phases the L2 enters/leaves the LV state.  Both strategies execute
     identical traffic; they differ in what a transition costs.  The
-    contenders are experiment-axis scheme names resolved through the
-    registry: any Killi-family name for the transition-free side, any
-    oracle (MBIST-trained) scheme for the stalling side.
+    contenders are experiment-axis scheme names: any Killi-family name
+    for the transition-free side, any oracle (MBIST-trained) scheme for
+    the stalling side.
     """
-    killi_factory = resolve_scheme(killi_scheme_name)
-    if killi_factory.kind != "killi":
+    killi_entry = resolve_scheme(killi_scheme_name)
+    if killi_entry.kind != "killi":
         raise ValueError(
             f"killi_scheme_name must be a Killi-family scheme, "
-            f"got {killi_scheme_name!r} ({killi_factory.kind})"
+            f"got {killi_scheme_name!r} ({killi_entry.kind})"
         )
-    mbist_factory = resolve_scheme(mbist_scheme_name)
-    if mbist_factory.kind != "oracle":
+    mbist_entry = resolve_scheme(mbist_scheme_name)
+    if mbist_entry.kind != "oracle":
         raise ValueError(
             f"mbist_scheme_name must be an MBIST-trained (oracle) scheme, "
-            f"got {mbist_scheme_name!r} ({mbist_factory.kind})"
+            f"got {mbist_scheme_name!r} ({mbist_entry.kind})"
         )
     rngs = RngFactory(seed)
     gpu_config = GpuConfig()
@@ -102,12 +102,10 @@ def power_transition_experiment(
     reference_cycles = sum(r.cycles for r in reference.run_kernels(phases))
 
     # Killi: each transition is a DFH reset; execution continues.
-    killi_config = KilliConfig(ecc_ratio=killi_factory.params["ecc_ratio"])
-    killi_kwargs = {"rng": rngs.stream("mask")}
-    if killi_factory.params.get("code") is not None:
-        killi_kwargs["code"] = killi_factory.params["code"]
-    killi_scheme = killi_factory.scheme_class(
-        gpu_config.l2, fault_map, voltage, killi_config, **killi_kwargs
+    killi_scheme = killi_entry.cls(
+        gpu_config.l2, fault_map, voltage,
+        KilliConfig(ecc_ratio=killi_entry.ecc_ratio),
+        rng=rngs.stream("mask"), code=killi_entry.code,
     )
     killi_sim = GpuSimulator(gpu_config, killi_scheme)
     killi_cycles = 0
@@ -129,7 +127,7 @@ def power_transition_experiment(
     # pass and restarts the cache cold; execution then proceeds with
     # the oracle fault map.
     mbist_stall = gpu_config.l2.n_lines * mbist_cycles_per_line
-    flair_scheme = mbist_factory.scheme_class(gpu_config.l2, fault_map, voltage)
+    flair_scheme = mbist_entry.cls(gpu_config.l2, fault_map, voltage)
     flair_sim = GpuSimulator(gpu_config, flair_scheme)
     flair_cycles = 0
     stall_total = 0

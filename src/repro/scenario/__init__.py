@@ -4,41 +4,18 @@
   :class:`ScenarioConfig` dataclass tree (gpu + scheme + workload +
   fault + engine sections) with TOML/JSON serialisation, schema-version
   checks and canonical fingerprinting;
-- :mod:`repro.scenario.registry` / ``registries`` — string-keyed
-  plugin registries for protection schemes, workload generators and
-  engines (built-ins self-register from the modules
-  that own them; third-party code registers without touching the
-  harness);
-- :mod:`repro.scenario.schemes` — the Killi scheme family and the
-  registry-backed ``make_scheme`` / ``scheme_names``;
+- :mod:`repro.scenario.schemes` — the scheme-name table (the four
+  MBIST names plus the Killi grammar), ``make_scheme`` and
+  ``scheme_names``;
 - :mod:`repro.scenario.runfile` — committed ``.toml`` scenario files:
   load / validate / expand / run through the parallel runner
   (``killi-experiment scenario run|list|validate`` on the CLI).
 
-This ``__init__`` is import-light on purpose: only the registries are
-loaded eagerly (they are the self-registration target for every other
-layer), while the config/schemes/runfile symbols resolve lazily via
-PEP 562 so that ``repro.baselines`` & friends can register during
-their own import without cycles.
+The symbols resolve lazily via PEP 562, so importing
+``repro.scenario`` stays cheap.
 """
 
-from repro.scenario.registries import (
-    ENGINE_REGISTRY,
-    SCHEME_REGISTRY,
-    WORKLOAD_REGISTRY,
-    SchemeBuildContext,
-    SchemeFactory,
-)
-from repro.scenario.registry import Registry
-
 __all__ = [
-    "Registry",
-    "SCHEME_REGISTRY",
-    "WORKLOAD_REGISTRY",
-    "ENGINE_REGISTRY",
-    "SchemeBuildContext",
-    "SchemeFactory",
-    # lazy (PEP 562):
     "SCHEMA_VERSION",
     "ScenarioConfig",
     "GpuSection",

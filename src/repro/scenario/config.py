@@ -28,9 +28,8 @@ cache.  The fingerprint is computed from a canonical payload in which
   cache entries).
 
 For a default-``gpu`` scenario the payload is byte-identical to the
-one the legacy :class:`~repro.harness.runner.CellSpec` hashed, so
-pre-existing result caches stay warm; ``CellSpec`` itself survives as
-a thin compatibility shim whose ``fingerprint()`` delegates here.
+one the flat per-cell spec of earlier releases hashed, so pre-existing
+result caches stay warm.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ __all__ = [
     "ScenarioConfig",
     "cell_scenario",
     "as_scenario",
+    "check_engine",
 ]
 
 #: Scenario schema version.  Bump on any change to the canonical
@@ -140,9 +140,8 @@ class SchemeSection:
 
     ``config`` holds :class:`~repro.core.KilliConfig` field overrides
     (ablation switches) as sorted ``(field, value)`` pairs — pass a
-    plain dict, it is normalised on construction (this is the
-    canonicalisation :class:`~repro.harness.runner.CellSpec` used to
-    hand-roll).  ``write_back`` swaps in the write-back Killi variant.
+    plain dict, it is normalised on construction.  ``write_back``
+    swaps in the write-back Killi variant.
     """
 
     name: str = "baseline"
@@ -341,9 +340,9 @@ class ScenarioConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ScenarioConfig":
-        """Resolve every plugin name and sanity-check scalar knobs.
+        """Resolve every axis name and sanity-check scalar knobs.
 
-        Raises ``KeyError`` for unknown registry names and
+        Raises ``KeyError`` for unknown scheme/workload/engine names and
         ``ValueError`` for invalid values — including a mistyped
         scalar, a ``[gpu]`` geometry the caches reject, a
         ``[scheme.config]`` override the scheme rejects on that
@@ -351,18 +350,16 @@ class ScenarioConfig:
         built on; returns ``self`` so calls chain.
         """
         from repro.faults.fault_map import FLOOR_VOLTAGE
-        from repro.scenario.registries import (
-            ENGINE_REGISTRY,
-            SCHEME_REGISTRY,
-            WORKLOAD_REGISTRY,
-        )
+        from repro.scenario.schemes import check_options, resolve_scheme
+        from repro.traces.workloads import resolve_workload
 
-        factory = SCHEME_REGISTRY.resolve(self.scheme.name)
-        WORKLOAD_REGISTRY.resolve(self.workload.name)
-        ENGINE_REGISTRY.resolve(self.engine.engine)
+        entry = resolve_scheme(self.scheme.name)
+        resolve_workload(self.workload.name)
+        check_engine(self.engine.engine)
         self.gpu.check()
-        factory.check_options(
-            self.scheme.overrides, self.scheme.write_back, self.gpu.to_gpu_config()
+        check_options(
+            entry, self.scheme.overrides, self.scheme.write_back,
+            self.gpu.to_gpu_config(),
         )
         _check_number(
             self.workload.accesses_per_cu, "workload.accesses_per_cu", True
@@ -386,47 +383,6 @@ class ScenarioConfig:
             )
         return self
 
-    # -- CellSpec compatibility --------------------------------------------
-
-    def to_cell_spec(self):
-        """Project onto the legacy :class:`~repro.harness.runner.CellSpec`.
-
-        Only default-``gpu`` scenarios are expressible; everything else
-        must run through the scenario path directly.
-        """
-        if self.gpu != GpuSection():
-            raise ValueError(
-                "a scenario with a non-default [gpu] section cannot be "
-                "expressed as a legacy CellSpec; run it as a scenario"
-            )
-        from repro.harness.runner import CellSpec
-
-        return CellSpec(
-            workload=self.workload.name,
-            scheme=self.scheme.name,
-            voltage=self.fault.voltage,
-            seed=self.fault.seed,
-            accesses_per_cu=self.workload.accesses_per_cu,
-            scheme_config=self.scheme.config,
-            write_back=self.scheme.write_back,
-            engine=self.engine.engine,
-        )
-
-    @classmethod
-    def from_cell_spec(cls, spec) -> "ScenarioConfig":
-        return cls(
-            scheme=SchemeSection(
-                name=spec.scheme,
-                config=spec.scheme_config,
-                write_back=spec.write_back,
-            ),
-            workload=WorkloadSection(
-                name=spec.workload, accesses_per_cu=spec.accesses_per_cu
-            ),
-            fault=FaultSection(voltage=spec.voltage, seed=spec.seed),
-            engine=EngineSection(engine=spec.engine),
-        )
-
     def replace(self, **sections) -> "ScenarioConfig":
         """``dataclasses.replace`` shorthand (sections may be dicts)."""
         return dataclasses.replace(self, **sections)
@@ -449,8 +405,7 @@ def cell_scenario(
 ) -> ScenarioConfig:
     """Build a single-cell scenario from flat (workload, scheme, ...) knobs.
 
-    This is the construction path the per-figure harness runners use;
-    it mirrors the old ``CellSpec(...)`` call shape one-for-one.
+    This is the construction path every per-figure harness runner uses.
     """
     return ScenarioConfig(
         scheme=SchemeSection(name=scheme, config=scheme_config, write_back=write_back),
@@ -462,12 +417,16 @@ def cell_scenario(
 
 
 def as_scenario(spec) -> ScenarioConfig:
-    """Normalise a ``ScenarioConfig`` or legacy ``CellSpec`` to a scenario."""
+    """``spec`` itself, checked to be a :class:`ScenarioConfig`."""
     if isinstance(spec, ScenarioConfig):
         return spec
-    to_scenario = getattr(spec, "to_scenario", None)
-    if to_scenario is not None:
-        return to_scenario()
-    raise TypeError(
-        f"expected a ScenarioConfig or CellSpec, got {type(spec).__name__}"
-    )
+    raise TypeError(f"expected a ScenarioConfig, got {type(spec).__name__}")
+
+
+def check_engine(name: str) -> str:
+    """``name`` if it names a simulator (``KeyError`` naming it if not)."""
+    from repro.gpu.engine import ENGINES
+
+    if name not in ENGINES:
+        raise KeyError(f"unknown engine {name!r}; known: {list(ENGINES)}")
+    return name

@@ -66,7 +66,10 @@ class ScenarioMatrix:
 
     def __post_init__(self):
         for axis in ("workloads", "schemes", "voltages", "seeds"):
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+            value = getattr(self, axis)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"[matrix] {axis} must be a list, got {value!r}")
+            object.__setattr__(self, axis, tuple(value))
 
     @classmethod
     def from_dict(cls, data: dict, source: str) -> "ScenarioMatrix":

@@ -1,47 +1,37 @@
-"""The Killi scheme family + the experiment-axis scheme factory.
+"""The experiment-axis scheme names: one table, parsed once.
 
-The scheme axis of every experiment resolves through
-:data:`~repro.scenario.registries.SCHEME_REGISTRY`:
-
-- the four MBIST-based names (``baseline``, ``dected``, ``flair``,
-  ``msecc``) self-register from :mod:`repro.baselines`;
-- this module registers the parameterised **Killi family** —
-  ``killi_1:<ratio>`` (SECDED ECC cache) and
-  ``killi+<code>_1:<ratio>`` (strong ECC-cache code, e.g.
-  ``killi+olsc-t11_1:8`` for Section 5.5) — whose name grammar is
-  parsed exactly once, here, by the registered family parser;
-- third-party schemes register their own names without touching any
-  harness module.
-
-:func:`make_scheme` and :func:`scheme_names` are the historical
-harness entry points, reimplemented on top of the registry (and
-re-exported unchanged from :mod:`repro.harness.runner`).  Malformed
+A scheme name is either one of the four MBIST-characterised names
+(``baseline``, ``dected``, ``flair``, ``msecc``) or a **Killi** name:
+``killi_1:<ratio>`` (SECDED ECC cache) or ``killi+<code>_1:<ratio>``
+(strong ECC-cache code, e.g. ``killi+olsc-t11_1:8`` for Section 5.5).
+:func:`resolve_scheme` decodes a name into a :class:`SchemeEntry`
+exactly once; :func:`make_scheme` builds from that record.  Malformed
 names of any shape raise ``KeyError`` naming the offending string —
-``killi_1:abc`` no longer leaks a bare ``ValueError`` from ``int()``.
+``killi_1:abc`` never leaks a bare ``ValueError`` from ``int()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional
 
+from repro.baselines import DectedScheme, FlairScheme, MsEccScheme
+from repro.cache.hooks import UnprotectedScheme
 from repro.core import KilliConfig, KilliScheme, KilliWriteBackScheme
 from repro.core.policy import StrongCodePolicy
 from repro.ecc.registry import CODE_REGISTRY
-from repro.scenario.registries import (
-    SCHEME_REGISTRY,
-    SchemeBuildContext,
-    SchemeFactory,
-)
 
 __all__ = [
     "KILLI_RATIOS",
     "LV_VOLTAGE",
     "STRONG_CODES",
     "STRONG_RATIOS",
+    "SchemeEntry",
+    "check_options",
+    "known_schemes",
     "make_scheme",
-    "scheme_names",
     "resolve_scheme",
+    "scheme_names",
 ]
 
 #: Killi ECC-cache ratios the paper sweeps (Figures 4/5, Table 6).
@@ -59,58 +49,40 @@ STRONG_CODES = ("dected", "tecqed", "6ec7ed", "olsc-t4", "olsc-t8", "olsc-t11")
 #: sizes Killi 1:8 at 0.600 VDD and 1:2 at 0.575 VDD).
 STRONG_RATIOS = (8, 2)
 
+#: The MBIST-characterised names -> (kind, class), in axis order.
+_MBIST = {
+    "baseline": ("baseline", UnprotectedScheme),
+    "dected": ("oracle", DectedScheme),
+    "flair": ("oracle", FlairScheme),
+    "msecc": ("oracle", MsEccScheme),
+}
+
 _KILLI_FIELDS = {f.name for f in fields(KilliConfig)}
 
 
-# -- the Killi family ---------------------------------------------------------
+@dataclass(frozen=True)
+class SchemeEntry:
+    """One decoded scheme name.
 
-
-def _build_killi(factory: SchemeFactory, ctx: SchemeBuildContext):
-    ratio = factory.params["ecc_ratio"]
-    code = factory.params["code"]
-    config = KilliConfig(ecc_ratio=ratio, **ctx.overrides)
-    rng = ctx.rngs.stream(f"killi-mask/{ratio}")
-    if ctx.write_back:
-        if code is not None:
-            raise ValueError("write-back strong-code Killi is not modelled")
-        return KilliWriteBackScheme(
-            ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng
-        )
-    return KilliScheme(
-        ctx.geometry, ctx.fault_map, ctx.voltage, config, rng=rng, code=code
-    )
-
-
-def _check_killi_options(
-    factory: SchemeFactory, overrides: dict, write_back: bool, gpu_config
-):
-    unknown = sorted(set(overrides) - (_KILLI_FIELDS - {"ecc_ratio"}))
-    if unknown:
-        raise ValueError(
-            f"unknown KilliConfig override(s) {unknown} for {factory.name!r}; "
-            f"known: {sorted(_KILLI_FIELDS - {'ecc_ratio'})}"
-        )
-    if write_back and factory.params["code"] is not None:
-        raise ValueError("write-back strong-code Killi is not modelled")
-    # The config checks its own values; the ECC-cache shape needs the L2.
-    try:
-        config = KilliConfig(ecc_ratio=factory.params["ecc_ratio"], **overrides)
-        config.ecc_entries(gpu_config.l2.n_lines)
-        if factory.params["code"] is not None:
-            StrongCodePolicy.check(config)
-    except ValueError as error:
-        raise ValueError(f"scheme.config: {error}") from None
-
-
-def _parse_killi(name: str) -> Optional[SchemeFactory]:
-    """Family parser: decode ``killi[_1:<r>]`` / ``killi+<code>_1:<r>``.
-
-    Returns ``None`` for names outside the family; raises
-    ``KeyError(name)`` for malformed in-family names (the one
-    consistent error type for every bad scheme name).
+    ``kind`` is ``"baseline"`` (fault-free), ``"oracle"`` (MBIST plus
+    per-line ECC) or ``"killi"``; ``ecc_ratio`` and ``code`` (the
+    strong ECC-cache code, ``None`` for SECDED) are set for Killi only.
     """
+
+    name: str
+    kind: str
+    cls: type
+    ecc_ratio: Optional[int] = None
+    code: Optional[str] = None
+
+
+def resolve_scheme(name: str) -> SchemeEntry:
+    """Decode ``name`` (``KeyError`` naming it if unknown or malformed)."""
+    if name in _MBIST:
+        kind, cls = _MBIST[name]
+        return SchemeEntry(name, kind, cls)
     if not name.startswith("killi"):
-        return None
+        raise KeyError(f"unknown scheme {name!r}; known: {known_schemes()}")
     malformed = KeyError(f"unknown scheme {name!r}")
     code: Optional[str] = None
     if name.startswith("killi+"):
@@ -128,41 +100,41 @@ def _parse_killi(name: str) -> Optional[SchemeFactory]:
         raise malformed from None
     if ratio < 1:
         raise malformed
-    return SchemeFactory(
-        name,
-        kind="killi",
-        scheme_class=KilliScheme,
-        params={"ecc_ratio": ratio, "code": code},
-        accepts_overrides=True,
-        builder=_build_killi,
-        validate_options=_check_killi_options,
-    )
+    return SchemeEntry(name, "killi", KilliScheme, ecc_ratio=ratio, code=code)
 
 
-def _enumerate_killi() -> Iterable[str]:
-    """Canonical family instances for ``SCHEME_REGISTRY.names()``.
-
-    Covers the Figure 4/5 SECDED sweep and the Section 5.5 / Table 4
-    strong-code variants, so CLI ``--schemes`` filtering can name them.
-    """
-    for ratio in KILLI_RATIOS:
-        yield f"killi_1:{ratio}"
-    for code in STRONG_CODES:
-        for ratio in STRONG_RATIOS:
-            yield f"killi+{code}_1:{ratio}"
+def _require_plain(entry: SchemeEntry, overrides, write_back: bool) -> None:
+    """Reject Killi-only options for a non-Killi scheme."""
+    if overrides or write_back:
+        raise ValueError(
+            f"scheme_config/write_back only apply to Killi schemes, got {entry.name!r}"
+        )
 
 
-SCHEME_REGISTRY.register_family(
-    _parse_killi, enumerate=_enumerate_killi, label="killi"
-)
-
-
-# -- historical entry points, now registry-backed ----------------------------
-
-
-def resolve_scheme(name: str) -> SchemeFactory:
-    """The registered factory for ``name`` (KeyError on unknown names)."""
-    return SCHEME_REGISTRY.resolve(name)
+def check_options(
+    entry: SchemeEntry, overrides: dict, write_back: bool, gpu_config
+) -> None:
+    """Validate ``entry``'s options for ``gpu_config`` without
+    constructing the scheme."""
+    if entry.kind != "killi":
+        _require_plain(entry, overrides, write_back)
+        return
+    unknown = sorted(set(overrides) - (_KILLI_FIELDS - {"ecc_ratio"}))
+    if unknown:
+        raise ValueError(
+            f"unknown KilliConfig override(s) {unknown} for {entry.name!r}; "
+            f"known: {sorted(_KILLI_FIELDS - {'ecc_ratio'})}"
+        )
+    if write_back and entry.code is not None:
+        raise ValueError("write-back strong-code Killi is not modelled")
+    # The config checks its own values; the ECC-cache shape needs the L2.
+    try:
+        config = KilliConfig(ecc_ratio=entry.ecc_ratio, **overrides)
+        config.ecc_entries(gpu_config.l2.n_lines)
+        if entry.code is not None:
+            StrongCodePolicy.check(config)
+    except ValueError as error:
+        raise ValueError(f"scheme.config: {error}") from None
 
 
 def make_scheme(
@@ -176,22 +148,25 @@ def make_scheme(
 ):
     """Build a protection scheme by its experiment-axis name.
 
-    Recognised names: everything in ``SCHEME_REGISTRY`` — the four
-    baselines, the Killi family, and any third-party registration.
     ``scheme_config`` overrides :class:`~repro.core.KilliConfig`
     fields (ablation switches); ``write_back`` swaps in the
     write-back Killi variant.  Both only apply to Killi schemes.
     """
-    factory = SCHEME_REGISTRY.resolve(name)
-    ctx = SchemeBuildContext(
-        gpu_config=gpu_config,
-        fault_map=fault_map,
-        voltage=voltage,
-        rngs=rngs,
-        overrides=dict(scheme_config or {}),
-        write_back=write_back,
-    )
-    return factory.build(ctx)
+    entry = resolve_scheme(name)
+    overrides = dict(scheme_config or {})
+    geometry = gpu_config.l2
+    if entry.kind != "killi":
+        _require_plain(entry, overrides, write_back)
+        if entry.kind == "baseline":
+            return entry.cls()
+        return entry.cls(geometry, fault_map, voltage)
+    config = KilliConfig(ecc_ratio=entry.ecc_ratio, **overrides)
+    rng = rngs.stream(f"killi-mask/{entry.ecc_ratio}")
+    if write_back:
+        if entry.code is not None:
+            raise ValueError("write-back strong-code Killi is not modelled")
+        return KilliWriteBackScheme(geometry, fault_map, voltage, config, rng=rng)
+    return KilliScheme(geometry, fault_map, voltage, config, rng=rng, code=entry.code)
 
 
 def scheme_names(
@@ -203,11 +178,18 @@ def scheme_names(
 
     ``strong_codes`` appends the ``killi+<code>_1:<strong_ratio>``
     strong-code variants (Section 5.5) — e.g.
-    ``scheme_names(strong_codes=("olsc-t11",))``.  The full registry
-    enumeration is ``SCHEME_REGISTRY.names()``.
+    ``scheme_names(strong_codes=("olsc-t11",))``.
     """
     return (
-        ["baseline", "dected", "flair", "msecc"]
+        list(_MBIST)
         + [f"killi_1:{r}" for r in ratios]
         + [f"killi+{code}_1:{strong_ratio}" for code in strong_codes]
     )
+
+
+def known_schemes() -> List[str]:
+    """Every named variant: the Figure 4/5 axis, then the Section 5.5 /
+    Table 4 strong-code variants (other Killi ratios resolve too)."""
+    return scheme_names() + [
+        f"killi+{code}_1:{ratio}" for code in STRONG_CODES for ratio in STRONG_RATIOS
+    ]

@@ -1,7 +1,7 @@
 """Seeded, size-bounded scenario fuzzer.
 
 Generates *valid* :class:`~repro.scenario.config.ScenarioConfig`s by
-sampling every axis the registries expose — schemes (including Killi
+sampling every experiment axis — schemes (including Killi
 ratios and strong-code variants), workloads, fault densities (via the
 operating voltage), experiment seeds, machine shapes — under a hard
 size bound, so each fuzzed scenario stays cheap enough to run through
@@ -25,7 +25,7 @@ from repro.scenario.config import (
     SchemeSection,
     WorkloadSection,
 )
-from repro.scenario.registries import WORKLOAD_REGISTRY
+from repro.traces.workloads import workload_names
 
 __all__ = ["ScenarioFuzzer"]
 
@@ -94,7 +94,7 @@ class ScenarioFuzzer:
         self.seed = int(seed)
         self.max_accesses = int(max_accesses)
         self.workloads = (
-            list(workloads) if workloads is not None else WORKLOAD_REGISTRY.names()
+            list(workloads) if workloads is not None else workload_names()
         )
         self.schemes = list(schemes) if schemes is not None else list(_SCHEMES)
 

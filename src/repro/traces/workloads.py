@@ -24,7 +24,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.scenario.registries import WORKLOAD_REGISTRY
 from repro.traces.base import Trace
 from repro.traces.generators import WorkloadSpec, generate_trace
 from repro.metrics import METRICS
@@ -32,7 +31,7 @@ from repro.utils.rng import RngFactory
 
 __all__ = [
     "WORKLOADS",
-    "register_workload",
+    "resolve_workload",
     "trace_fingerprint",
     "workload_names",
     "workload_trace",
@@ -41,26 +40,10 @@ __all__ = [
 
 _MB = 1024 * 1024
 
-#: name -> spec, in the figures' display order.  Populated through
-#: :func:`register_workload`, which also places each generator in
-#: :data:`repro.scenario.registries.WORKLOAD_REGISTRY` — the axis the
-#: scenario layer (and any third-party workload plugin) resolves.
-WORKLOADS: Dict[str, WorkloadSpec] = {}
-
-
-def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
-    """Register a workload generator under ``spec.name``.
-
-    Third-party workloads call this (or ``WORKLOAD_REGISTRY.register``
-    directly with a ``(name, accesses_per_cu, n_cus, rng) -> Trace``
-    callable) to become addressable from scenarios and the CLI.
-    """
-    WORKLOAD_REGISTRY.register(spec.name, spec)
-    WORKLOADS[spec.name] = spec
-    return spec
-
-
-_BUILTIN_SPECS = [
+#: name -> spec, in the figures' display order: the workload axis.
+WORKLOADS: Dict[str, WorkloadSpec] = {
+    spec.name: spec
+    for spec in (
         WorkloadSpec(
             name="xsbench",
             footprint_bytes=int(2.4 * _MB),
@@ -161,16 +144,21 @@ _BUILTIN_SPECS = [
             mean_gap=8.0,
             description="adaptive mesh refinement blocks around L2 capacity",
         ),
-    ]
-
-for _spec in _BUILTIN_SPECS:
-    register_workload(_spec)
-del _spec
+    )
+}
 
 
 def workload_names() -> List[str]:
-    """All registered workload names, built-ins first in display order."""
-    return WORKLOAD_REGISTRY.names()
+    """All workload names, in display order."""
+    return list(WORKLOADS)
+
+
+def resolve_workload(name: str) -> WorkloadSpec:
+    """The spec named ``name`` (``KeyError`` naming it if unknown)."""
+    try:
+        return WORKLOADS[name]
+    except KeyError:
+        raise KeyError(f"unknown workload {name!r}; known: {workload_names()}") from None
 
 
 def workload_trace(
@@ -180,13 +168,9 @@ def workload_trace(
     rng: np.random.Generator | None = None,
 ) -> Trace:
     """Generate the named workload's trace."""
-    try:
-        entry = WORKLOAD_REGISTRY.resolve(name)
-    except KeyError:
-        raise KeyError(f"unknown workload {name!r}; known: {workload_names()}") from None
-    if isinstance(entry, WorkloadSpec):
-        return generate_trace(entry, accesses_per_cu, n_cus=n_cus, rng=rng)
-    return entry(name, accesses_per_cu, n_cus, rng)
+    return generate_trace(
+        resolve_workload(name), accesses_per_cu, n_cus=n_cus, rng=rng
+    )
 
 
 # -- fingerprint-keyed trace memoization -------------------------------------
@@ -199,34 +183,10 @@ _TRACE_MEMO_MAX = 64
 def trace_fingerprint(
     name: str, accesses_per_cu: int, n_cus: int, seed: int
 ) -> tuple:
-    """Content key of a deterministic workload trace.
-
-    Captures everything the generated trace is a pure function of: the
-    shape arguments, the seed (the RNG stream is derived from it), and
-    the *generative identity* of whatever is currently registered under
-    ``name`` — the spec's full parameter tuple for built-in/declarative
-    workloads, the function's module-qualified name for plugin
-    generators.  Re-registering a workload with different parameters
-    therefore changes the fingerprint, so stale traces can never be
-    served.
-    """
-    try:
-        entry = WORKLOAD_REGISTRY.resolve(name)
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; known: {workload_names()}"
-        ) from None
-    if isinstance(entry, WorkloadSpec):
-        identity: tuple = ("spec",) + tuple(
-            getattr(entry, field) for field in entry.__dataclass_fields__
-        )
-    else:
-        identity = (
-            "callable",
-            getattr(entry, "__module__", ""),
-            getattr(entry, "__qualname__", repr(entry)),
-        )
-    return (name, identity, accesses_per_cu, n_cus, seed)
+    """Content key of a deterministic workload trace: the workload's
+    full spec, the shape arguments and the seed its RNG stream is
+    derived from."""
+    return (resolve_workload(name), accesses_per_cu, n_cus, seed)
 
 
 def workload_trace_memo(

@@ -18,10 +18,11 @@ from repro.cache.hooks import UnprotectedScheme
 from repro.core.killi import KilliScheme
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import GpuSimulator
-from repro.harness.runner import CellSpec, fault_map_for, make_scheme, run_cell
+from repro.harness.runner import fault_map_for, make_scheme, run_cell
 from repro.traces import workload_trace
 from repro.traces.base import CuStream, Trace
 from repro.metrics import METRICS
+from repro.scenario.config import cell_scenario
 from repro.utils.rng import RngFactory
 
 ENGINES = ("scalar", "batched")
@@ -105,7 +106,6 @@ class TestRandomizedSweep:
 
     @pytest.mark.parametrize("workload,scheme,seed", CASES)
     def test_fuzzed_cell(self, workload, scheme, seed):
-        from repro.scenario.config import cell_scenario
         from repro.testing.differential import diff_scenario
 
         rng = np.random.default_rng(seed)
@@ -362,7 +362,7 @@ class TestBatchedFallback:
         for scheme in ("killi_1:8", "killi_1:64"):
             ref = None
             for engine in ENGINES:
-                spec = CellSpec(
+                spec = cell_scenario(
                     workload="fft", scheme=scheme, seed=13,
                     accesses_per_cu=400, write_back=True, engine=engine,
                 )
@@ -409,10 +409,3 @@ class TestEngineSelection:
             assert cache.substrate == substrate
             assert type(cache.tags) is stores[0]
             assert type(cache.lru) is stores[1]
-
-    def test_registry_lists_all_engines(self):
-        from repro.scenario.registries import ENGINE_REGISTRY
-
-        names = ENGINE_REGISTRY.names()
-        for engine in ENGINES:
-            assert engine in names

@@ -17,21 +17,21 @@ import pytest
 from repro.harness.faultinject import INJECT_ENV, InjectedWorkerFault, maybe_inject
 from repro.harness.runner import (
     CampaignError,
-    CellSpec,
     _store_cached,
     run_cells,
 )
 from repro.metrics import METRICS
+from repro.scenario.config import cell_scenario
 
 ACCESSES = 200
 
 
 def specs_pair():
     return [
-        CellSpec(workload="nekbone", scheme="baseline",
-                 seed=11, accesses_per_cu=ACCESSES),
-        CellSpec(workload="nekbone", scheme="killi_1:64",
-                 seed=11, accesses_per_cu=ACCESSES),
+        cell_scenario(workload="nekbone", scheme="baseline",
+                      seed=11, accesses_per_cu=ACCESSES),
+        cell_scenario(workload="nekbone", scheme="killi_1:64",
+                      seed=11, accesses_per_cu=ACCESSES),
     ]
 
 
@@ -268,7 +268,7 @@ class TestCacheHardening:
             def to_dict(self):
                 return {"bad": {1, 2, 3}}  # sets are not JSON
 
-        stored = _store_cached(str(tmp_path), spec.to_scenario(),
+        stored = _store_cached(str(tmp_path), spec,
                                Unserialisable(), fingerprint="feedface")
         assert stored is False
         assert list(tmp_path.glob("*.tmp")) == []
@@ -277,7 +277,7 @@ class TestCacheHardening:
     def test_store_success_reports_true(self, tmp_path):
         spec = specs_pair()[0]
         result = run_cells([spec])[0]
-        assert _store_cached(str(tmp_path), spec.to_scenario(), result) is True
+        assert _store_cached(str(tmp_path), spec, result) is True
         assert (tmp_path / f"{spec.fingerprint()}.json").exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -293,12 +293,12 @@ class TestJournalPrefixResume:
 
     def specs(self):
         return [
-            CellSpec(workload="nekbone", scheme="baseline",
-                     seed=11, accesses_per_cu=ACCESSES),
-            CellSpec(workload="nekbone", scheme="killi_1:64",
-                     seed=11, accesses_per_cu=ACCESSES),
-            CellSpec(workload="fft", scheme="killi_1:8",
-                     seed=7, accesses_per_cu=ACCESSES),
+            cell_scenario(workload="nekbone", scheme="baseline",
+                          seed=11, accesses_per_cu=ACCESSES),
+            cell_scenario(workload="nekbone", scheme="killi_1:64",
+                          seed=11, accesses_per_cu=ACCESSES),
+            cell_scenario(workload="fft", scheme="killi_1:8",
+                          seed=7, accesses_per_cu=ACCESSES),
         ]
 
     def test_every_line_prefix_is_resumable(self, tmp_path):

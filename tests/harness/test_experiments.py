@@ -209,6 +209,52 @@ class TestCli:
             assert main([name, "--csv", str(tmp_path)]) == 0
             assert (tmp_path / filename).exists()
 
+    def test_csv_reuses_the_campaign_on_the_chosen_engine(self, tmp_path, capsys):
+        """``--csv`` writes the matrix the run computed: each cell
+        simulates once, on the ``--engine`` asked for."""
+        from repro.harness.cli import main
+        from repro.metrics import METRICS
+
+        base = ["fig4", "--accesses", "200", "--workloads", "nekbone",
+                "--schemes", "baseline", "dected"]
+        METRICS.reset()
+        try:
+            assert main(base + ["--csv", str(tmp_path / "scalar"),
+                                "--engine", "scalar", "--telemetry"]) == 0
+            snapshot = METRICS.snapshot()
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        assert snapshot["counters"]["cells.simulated"] == 2
+        assert snapshot["timers"]["engine.scalar.kernel"]["count"] == 2
+        assert "engine.batched.kernel" not in snapshot["timers"]
+        assert main(base + ["--csv", str(tmp_path / "batched"),
+                            "--engine", "batched"]) == 0
+        scalar_csv = (tmp_path / "scalar" / "fig4_fig5.csv").read_text()
+        assert scalar_csv == (tmp_path / "batched" / "fig4_fig5.csv").read_text()
+
+    @pytest.mark.parametrize("experiment", ["table7", "sec55", "all"])
+    def test_csv_without_a_csv_form_is_a_usage_error(
+        self, experiment, tmp_path, capsys
+    ):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([experiment, "--accesses", "10", "--csv", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert f"{experiment} has no CSV form" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_onto_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        target = tmp_path / "taken"
+        target.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table4", "--csv", str(target)])
+        assert exit_info.value.code == 2
+        assert str(target) in capsys.readouterr().err
+
     def test_csv_export_perf(self, tmp_path, capsys):
         from repro.harness.cli import main
 

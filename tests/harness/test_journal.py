@@ -13,14 +13,15 @@ from repro.harness.journal import (
     finished_fingerprints,
     read_journal,
 )
-from repro.harness.runner import CellSpec, run_cells
+from repro.harness.runner import RESULTS_VERSION, run_cells
+from repro.scenario.config import ScenarioConfig, cell_scenario
 
 ACCESSES = 200
 
 
-def spec(scheme: str) -> CellSpec:
-    return CellSpec(workload="nekbone", scheme=scheme,
-                    seed=11, accesses_per_cu=ACCESSES)
+def spec(scheme: str) -> ScenarioConfig:
+    return cell_scenario(workload="nekbone", scheme=scheme,
+                         seed=11, accesses_per_cu=ACCESSES)
 
 
 def comparable(cell) -> dict:
@@ -179,6 +180,7 @@ class TestJournalThroughRunner:
         assert events[0]["event"] == "start"
         assert events[0]["total"] == 3
         assert events[0]["unique"] == 2
+        assert events[0]["results_version"] == RESULTS_VERSION
         cells = [e for e in events if e["event"] == "cell"]
         assert len(cells) == 3
         assert {c["index"] for c in cells} == {0, 1, 2}

@@ -13,7 +13,6 @@ import pytest
 from repro.gpu import GpuConfig, GpuSimulator
 from repro.harness.export import cells_to_csv
 from repro.harness.runner import (
-    CellSpec,
     CellResult,
     fault_map_for,
     make_scheme,
@@ -21,6 +20,7 @@ from repro.harness.runner import (
     run_cells,
     trace_for,
 )
+from repro.scenario.config import cell_scenario
 from repro.utils.rng import RngFactory
 
 ACCESSES = 400
@@ -28,7 +28,7 @@ ACCESSES = 400
 
 def small_specs():
     return [
-        CellSpec(workload=w, scheme=s, seed=11, accesses_per_cu=ACCESSES)
+        cell_scenario(workload=w, scheme=s, seed=11, accesses_per_cu=ACCESSES)
         for w in ("nekbone", "fft")
         for s in ("baseline", "killi_1:64")
     ]
@@ -45,8 +45,8 @@ def comparable(cell: CellResult) -> dict:
 class TestRunCell:
     def test_matches_direct_simulation(self):
         """run_cell reproduces a hand-built serial simulation exactly."""
-        spec = CellSpec(workload="nekbone", scheme="killi_1:64",
-                        seed=11, accesses_per_cu=ACCESSES)
+        spec = cell_scenario(workload="nekbone", scheme="killi_1:64",
+                             seed=11, accesses_per_cu=ACCESSES)
         cell = run_cell(spec)
 
         gpu_config = GpuConfig()
@@ -54,7 +54,7 @@ class TestRunCell:
         fault_map = fault_map_for(gpu_config.l2.n_lines, 11)
         trace = trace_for("nekbone", ACCESSES, gpu_config.n_cus, 11)
         scheme = make_scheme(
-            "killi_1:64", gpu_config, fault_map, spec.voltage,
+            "killi_1:64", gpu_config, fault_map, spec.fault.voltage,
             rngs.child("nekbone/killi_1:64"),
         )
         simulator = GpuSimulator(gpu_config, scheme)
@@ -67,10 +67,10 @@ class TestRunCell:
         assert cell.fingerprint == spec.fingerprint()
 
     def test_engine_variants_identical(self):
-        a = run_cell(CellSpec("fft", "killi_1:64", seed=4,
-                              accesses_per_cu=ACCESSES, engine="scalar"))
-        b = run_cell(CellSpec("fft", "killi_1:64", seed=4,
-                              accesses_per_cu=ACCESSES, engine="batched"))
+        a = run_cell(cell_scenario("fft", "killi_1:64", seed=4,
+                                   accesses_per_cu=ACCESSES, engine="scalar"))
+        b = run_cell(cell_scenario("fft", "killi_1:64", seed=4,
+                                   accesses_per_cu=ACCESSES, engine="batched"))
         assert comparable(a) == comparable(b)
 
     @pytest.mark.parametrize("scheme", ["baseline", "dected", "killi_1:8"])
@@ -82,22 +82,22 @@ class TestRunCell:
         gc.collect()
         gc.disable()
         try:
-            run_cell(CellSpec("fft", scheme, voltage=0.6, seed=4,
-                              accesses_per_cu=ACCESSES))
+            run_cell(cell_scenario("fft", scheme, voltage=0.6, seed=4,
+                                   accesses_per_cu=ACCESSES))
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_strong_scheme_cell(self):
-        cell = run_cell(CellSpec("nekbone", "killi+olsc-t11_1:8",
-                                 voltage=0.6, seed=11, accesses_per_cu=ACCESSES))
+        cell = run_cell(cell_scenario("nekbone", "killi+olsc-t11_1:8", voltage=0.6,
+                                      seed=11, accesses_per_cu=ACCESSES))
         assert cell.cycles > 0
         assert cell.dfh is not None
 
     def test_scheme_config_overrides(self):
-        plain = run_cell(CellSpec("nekbone", "killi_1:64", seed=11,
-                                  accesses_per_cu=ACCESSES))
-        overridden = run_cell(CellSpec(
+        plain = run_cell(cell_scenario("nekbone", "killi_1:64", seed=11,
+                                       accesses_per_cu=ACCESSES))
+        overridden = run_cell(cell_scenario(
             "nekbone", "killi_1:64", seed=11, accesses_per_cu=ACCESSES,
             scheme_config={"train_on_evict": False},
         ))
@@ -106,40 +106,39 @@ class TestRunCell:
         assert overridden.cycles > 0
 
     def test_write_back_cell(self):
-        cell = run_cell(CellSpec("nekbone", "killi_1:64", seed=11,
-                                 accesses_per_cu=ACCESSES, write_back=True))
+        cell = run_cell(cell_scenario("nekbone", "killi_1:64", seed=11,
+                                      accesses_per_cu=ACCESSES, write_back=True))
         assert cell.memory_writes > 0
         assert "due_on_dirty" in cell.l2 or cell.l2["writes"] >= 0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
-            run_cell(CellSpec("nekbone", "nope", accesses_per_cu=ACCESSES))
+            run_cell(cell_scenario("nekbone", "nope", accesses_per_cu=ACCESSES))
 
     def test_non_killi_rejects_killi_knobs(self):
         with pytest.raises(ValueError):
-            run_cell(CellSpec("nekbone", "baseline", accesses_per_cu=ACCESSES,
-                              scheme_config={"train_on_evict": False}))
+            run_cell(cell_scenario("nekbone", "baseline", accesses_per_cu=ACCESSES,
+                                   scheme_config={"train_on_evict": False}))
 
 
 class TestFingerprint:
     def test_stable_for_equal_specs(self):
-        a = CellSpec("fft", "killi_1:64", seed=1)
-        b = CellSpec("fft", "killi_1:64", seed=1)
+        a = cell_scenario("fft", "killi_1:64", seed=1)
+        b = cell_scenario("fft", "killi_1:64", seed=1)
         assert a.fingerprint() == b.fingerprint()
 
     def test_sensitive_to_every_axis(self):
-        base = CellSpec("fft", "killi_1:64", voltage=0.625, seed=1,
-                        accesses_per_cu=100)
+        knobs = dict(voltage=0.625, seed=1, accesses_per_cu=100)
+        base = cell_scenario("fft", "killi_1:64", **knobs)
         variants = [
-            dataclasses.replace(base, workload="nekbone"),
-            dataclasses.replace(base, scheme="killi_1:16"),
-            dataclasses.replace(base, voltage=0.65),
-            dataclasses.replace(base, seed=2),
-            dataclasses.replace(base, accesses_per_cu=200),
-            dataclasses.replace(base, write_back=True),
-            CellSpec("fft", "killi_1:64", voltage=0.625, seed=1,
-                     accesses_per_cu=100,
-                     scheme_config={"train_on_evict": False}),
+            cell_scenario("nekbone", "killi_1:64", **knobs),
+            cell_scenario("fft", "killi_1:16", **knobs),
+            cell_scenario("fft", "killi_1:64", **{**knobs, "voltage": 0.65}),
+            cell_scenario("fft", "killi_1:64", **{**knobs, "seed": 2}),
+            cell_scenario("fft", "killi_1:64", **{**knobs, "accesses_per_cu": 200}),
+            cell_scenario("fft", "killi_1:64", write_back=True, **knobs),
+            cell_scenario("fft", "killi_1:64",
+                          scheme_config={"train_on_evict": False}, **knobs),
         ]
         prints = {v.fingerprint() for v in variants}
         assert len(prints) == len(variants)
@@ -147,16 +146,16 @@ class TestFingerprint:
 
     def test_engine_excluded(self):
         # Engines are pinned bit-equivalent, so cached results are shared.
-        a = CellSpec("fft", "baseline", engine="scalar")
-        b = CellSpec("fft", "baseline", engine="batched")
+        a = cell_scenario("fft", "baseline", engine="scalar")
+        b = cell_scenario("fft", "baseline", engine="batched")
         assert a.fingerprint() == b.fingerprint()
 
     def test_scheme_config_dict_normalised(self):
-        a = CellSpec("fft", "killi_1:64",
-                     scheme_config={"a": 1, "train_on_evict": False})
-        b = CellSpec("fft", "killi_1:64",
-                     scheme_config={"train_on_evict": False, "a": 1})
-        assert a.scheme_config == b.scheme_config
+        a = cell_scenario("fft", "killi_1:64",
+                          scheme_config={"a": 1, "train_on_evict": False})
+        b = cell_scenario("fft", "killi_1:64",
+                          scheme_config={"train_on_evict": False, "a": 1})
+        assert a.scheme.config == b.scheme.config
         assert a.fingerprint() == b.fingerprint()
 
 
@@ -173,7 +172,7 @@ class TestRunCells:
         specs = small_specs()
         results = run_cells(specs, jobs=2)
         assert [(c.workload, c.scheme) for c in results] == [
-            (s.workload, s.scheme) for s in specs
+            (s.workload.name, s.scheme.name) for s in specs
         ]
 
     def test_progress_callback(self):
@@ -208,7 +207,9 @@ class TestResultCache:
     def test_changed_spec_misses(self, tmp_path):
         spec = small_specs()[0]
         run_cells([spec], cache_dir=str(tmp_path))
-        changed = dataclasses.replace(spec, seed=spec.seed + 1)
+        changed = spec.replace(
+            fault=dataclasses.replace(spec.fault, seed=spec.fault.seed + 1)
+        )
         result, = run_cells([changed], cache_dir=str(tmp_path))
         assert not result.from_cache
 

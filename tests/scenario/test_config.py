@@ -2,17 +2,14 @@
 
 import hashlib
 import json
-from dataclasses import asdict
 
 import pytest
 
-from repro.harness.runner import CellSpec
 from repro.scenario.config import (
     SCHEMA_VERSION,
     EngineSection,
     GpuSection,
     ScenarioConfig,
-    as_scenario,
     cell_scenario,
 )
 
@@ -45,37 +42,27 @@ class TestFingerprintStability:
         round_tripped = ScenarioConfig.from_json(original.to_json())
         assert round_tripped.fingerprint() == original.fingerprint()
 
-    def test_cell_spec_shim_hashes_identically(self):
-        spec = CellSpec(
-            "fft", "killi_1:64",
-            voltage=0.65, seed=7, accesses_per_cu=1234,
-            scheme_config={"priority_replacement": False, "dfh_bits": 2},
-        )
-        scenario = cell_scenario(
-            "fft", "killi_1:64",
-            voltage=0.65, seed=7, accesses_per_cu=1234,
-            scheme_config={"dfh_bits": 2, "priority_replacement": False},
-        )
-        assert spec.fingerprint() == scenario.fingerprint()
-        assert spec.to_scenario() == scenario
-        assert as_scenario(spec) == scenario
-        assert scenario.to_cell_spec() == spec
-
     def test_byte_compatible_with_legacy_cellspec_payload(self):
-        """The exact payload the pre-scenario CellSpec hashed."""
-        spec = CellSpec(
+        """The exact flat payload earlier releases hashed per cell."""
+        scenario = cell_scenario(
             "nekbone", "killi_1:32",
             voltage=0.6, seed=3, accesses_per_cu=500,
             scheme_config={"dfh_bits": 3}, write_back=False,
         )
-        payload = asdict(spec)
-        del payload["engine"]
-        payload["schema"] = 1
+        payload = {
+            "workload": "nekbone",
+            "scheme": "killi_1:32",
+            "voltage": 0.6,
+            "seed": 3,
+            "accesses_per_cu": 500,
+            "scheme_config": [["dfh_bits", 3]],
+            "write_back": False,
+            "schema": 1,
+        }
         legacy = hashlib.sha256(
             json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest()
-        assert spec.fingerprint() == legacy
-        assert spec.to_scenario().fingerprint() == legacy
+        assert scenario.fingerprint() == legacy
 
     def test_engine_and_substrate_do_not_change_the_fingerprint(self):
         # The engine also fixes the substrate, so one axis covers both.
@@ -198,13 +185,6 @@ class TestSchema:
             cell_scenario(
                 "fft", "killi_1:64", scheme_config={"not_a_field": 1}
             ).validate()
-
-    def test_non_default_gpu_not_expressible_as_cell_spec(self):
-        scenario = cell_scenario("fft", "baseline").replace(
-            gpu=GpuSection(n_cus=4)
-        )
-        with pytest.raises(ValueError, match="non-default"):
-            scenario.to_cell_spec()
 
     def test_gpu_section_materialises_gpu_config(self):
         gpu = GpuSection(n_cus=4, l2_size_bytes=512 * 1024).to_gpu_config()

@@ -1,4 +1,4 @@
-"""Scenario files: loading, expansion, equivalence with the legacy path."""
+"""Scenario files: loading, expansion, equivalence with flat-built cells."""
 
 import json
 import os
@@ -6,8 +6,8 @@ import os
 import pytest
 
 from repro.harness.cli import main as cli_main
-from repro.harness.runner import CellSpec, run_cell, run_cells
-from repro.scenario.config import ScenarioConfig
+from repro.harness.runner import run_cell, run_cells
+from repro.scenario.config import ScenarioConfig, cell_scenario
 from repro.scenario.runfile import (
     Scenario,
     ScenarioMatrix,
@@ -93,43 +93,23 @@ class TestExpansion:
 
 
 class TestEquivalence:
-    """A scenario run must be bit-identical to the legacy CellSpec run."""
+    """A scenario file's cells are the cells built flat from its fields."""
 
     def test_ci_smoke_scenario_matches_legacy_cells(self):
         scenario = load_scenario(os.path.join(EXAMPLES, "ci_smoke.toml"))
-        via_scenario = run_cells(scenario.validate())
-        via_legacy = run_cells(
-            [
-                CellSpec(
-                    workload=cell.workload.name,
-                    scheme=cell.scheme.name,
-                    voltage=cell.fault.voltage,
-                    seed=cell.fault.seed,
-                    accesses_per_cu=cell.workload.accesses_per_cu,
-                )
-                for cell in scenario.expand()
-            ]
-        )
-        for a, b in zip(via_scenario, via_legacy):
-            assert a.cycles == b.cycles
-            assert a.instructions == b.instructions
-            assert a.l2 == b.l2
-            assert a.memory_reads == b.memory_reads
-            assert a.memory_writes == b.memory_writes
-            assert a.disabled_fraction == b.disabled_fraction
-            assert a.dfh == b.dfh
-            assert a.fingerprint == b.fingerprint
-
-    def test_run_cell_accepts_both_spec_types(self):
-        spec = CellSpec("nekbone", "killi_1:64", accesses_per_cu=300)
-        a = run_cell(spec)
-        b = run_cell(spec.to_scenario())
-        assert (a.cycles, a.l2, a.dfh) == (b.cycles, b.l2, b.dfh)
+        assert scenario.expand() == [
+            cell_scenario("nekbone", scheme, voltage=0.625, seed=42,
+                          accesses_per_cu=400)
+            for scheme in ("baseline", "killi_1:64")
+        ]
 
     def test_result_cache_shared_between_paths(self, tmp_path):
-        spec = CellSpec("nekbone", "baseline", accesses_per_cu=300)
+        spec = cell_scenario("nekbone", "baseline", accesses_per_cu=300)
+        scenario = Scenario.from_dict(
+            {"name": "one", "workload": {"accesses_per_cu": 300}}
+        )
         first = run_cells([spec], cache_dir=str(tmp_path))
-        second = run_cells([spec.to_scenario()], cache_dir=str(tmp_path))
+        second = run_cells(scenario.expand(), cache_dir=str(tmp_path))
         assert not first[0].from_cache
         assert second[0].from_cache
         assert second[0].cycles == first[0].cycles
@@ -227,6 +207,45 @@ class TestCli:
         assert len(payload["cells"]) == 2
         assert "ci-smoke" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("axis,value", [
+        ("voltages", "0.6"),
+        ("workloads", '"fft"'),
+        ("schemes", '"baseline"'),
+        ("seeds", '"abc"'),
+    ])
+    def test_matrix_axis_must_be_a_list(self, axis, value, tmp_path, capsys):
+        """A scalar ``[matrix]`` axis fails typed, naming the axis: never
+        a traceback, never a string split into characters."""
+        path = tmp_path / "scalar.toml"
+        path.write_text(
+            f'schema_version = 1\nname = "scalar"\n\n[matrix]\n{axis} = {value}\n'
+            '\n[workload]\naccesses_per_cu = 50\n'
+        )
+        assert cli_main(["scenario", "validate", str(path)]) == 1
+        assert f"FAIL {path}: [matrix] {axis} must be a list" in capsys.readouterr().out
+        assert cli_main(["scenario", "run", str(path), "--no-progress"]) == 2
+        assert f"[matrix] {axis} must be a list" in capsys.readouterr().err
+        assert cli_main(["scenario", "list", "--dir", str(tmp_path)]) == 0
+        assert "<invalid>" in capsys.readouterr().out
+
+    def test_scenario_run_unwritable_json_fails_before_running(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.scenario.runfile as runfile
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a cell simulated")
+
+        monkeypatch.setattr(runfile, "run_scenario", simulate)
+        target = str(tmp_path / "missing" / "x.json")
+        code = cli_main([
+            "scenario", "run", os.path.join(EXAMPLES, "ci_smoke.toml"),
+            "--no-progress", "--json", target,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert target in err and "Traceback" not in err
+
     def test_schemes_flag_accepts_strong_variants(self, capsys):
         code = cli_main([
             "fig4", "--accesses", "300", "--workloads", "nekbone",
@@ -255,7 +274,9 @@ class TestCli:
         with pytest.raises(KeyError, match=r"known: \['scalar', 'batched'\]"):
             load_scenario(str(vectorized)).validate()
         with pytest.raises(ValueError, match=r"expected one of \('scalar', 'batched'\)"):
-            run_cell(CellSpec("fft", "baseline", accesses_per_cu=10, engine="vectorized"))
+            run_cell(
+                cell_scenario("fft", "baseline", accesses_per_cu=10, engine="vectorized")
+            )
         substrate = tmp_path / "substrate.toml"
         substrate.write_text(
             'schema_version = 1\nname = "s"\n\n[engine]\nsubstrate = "soa"\n'
