@@ -515,11 +515,10 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
     Older BENCH files carry the same geomean under its former name,
     ``speedup_vectorized``.
 
-    ``killi_speedup_batched_min`` records the worst Killi cell (the
-    cluster interpreter's abort protocol bounds it).
+    ``killi_speedup_batched_min`` records the worst Killi cell.
     ``batched_telemetry`` captures the engine's batched/fallback
-    counters accumulated over the panel (each fallback once, under its
-    cause: a Killi interpreter abort or a refused set's access).
+    counters accumulated over the panel (a fallback is a refused set's
+    access; the Killi interpreter batches every access).
     """
     workloads = list(_FIG4_WORKLOADS)
     schemes = list(_FIG4_SCHEMES)

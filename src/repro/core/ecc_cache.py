@@ -44,20 +44,20 @@ class EccCache:
     assoc:
         Associativity (Table 3: 4).
     l2_shape:
-        Optional ``(n_l2_sets, l2_assoc)`` of the protected cache.
-        When given, a flat per-L2-line membership mirror is maintained
-        alongside the key lists, making :meth:`contains` an O(1)
-        scalar probe instead of a key-list scan — every Killi hit,
-        write hit and eviction asks it.  The mirror is pure
-        acceleration; the MRU-ordered key lists stay authoritative for
-        replacement.
+        ``(n_l2_sets, l2_assoc)`` of the protected cache.  A flat
+        per-L2-line membership mirror is maintained alongside the key
+        lists, making :meth:`contains` an O(1) scalar probe instead of
+        a key-list scan — every Killi hit, write hit and eviction asks
+        it.  The mirror is pure acceleration; the MRU-ordered key lists
+        stay authoritative for replacement.
     """
 
     def __init__(
         self,
         n_entries: int,
         assoc: int = 4,
-        l2_shape: Optional[Tuple[int, int]] = None,
+        *,
+        l2_shape: Tuple[int, int],
     ):
         if n_entries < assoc:
             raise ValueError("need at least one full set of entries")
@@ -71,16 +71,13 @@ class EccCache:
         self.allocations = 0
         self.evictions = 0
         self.accesses = 0
-        if l2_shape is not None:
-            n_l2_sets, l2_assoc = l2_shape
-            self._l2_assoc = l2_assoc
-            # Scalar reads/writes go through a memoryview: plain-int
-            # results at list-indexing speed, with the numpy array
-            # retained for vectorized consumers.
-            self._member_np = np.zeros(n_l2_sets * l2_assoc, dtype=bool)
-            self._member = memoryview(self._member_np)
-        else:
-            self._l2_assoc = None
+        n_l2_sets, l2_assoc = l2_shape
+        self._l2_assoc = l2_assoc
+        # Scalar reads/writes go through a memoryview: plain-int
+        # results at list-indexing speed, with the numpy array
+        # retained for vectorized consumers.
+        self._member_np = np.zeros(n_l2_sets * l2_assoc, dtype=bool)
+        self._member = memoryview(self._member_np)
 
     def index_of(self, l2_set: int) -> int:
         """ECC set servicing an L2 set (address-derived)."""
@@ -88,9 +85,7 @@ class EccCache:
 
     def contains(self, l2_set: int, l2_way: int) -> bool:
         """Is (l2_set, l2_way) currently protected?"""
-        if self._l2_assoc is not None:
-            return self._member[l2_set * self._l2_assoc + l2_way]
-        return (l2_set, l2_way) in self._sets[l2_set % self.n_sets]
+        return self._member[l2_set * self._l2_assoc + l2_way]
 
     def touch(self, l2_set: int, l2_way: int) -> None:
         """Promote the entry to MRU (coordinated replacement)."""
@@ -119,34 +114,26 @@ class EccCache:
             evicted = entries.pop()
             self.evictions += 1
         entries.insert(0, key)
-        if self._l2_assoc is not None:
-            assoc = self._l2_assoc
-            self._member[l2_set * assoc + l2_way] = True
-            if evicted is not None:
-                self._member[evicted[0] * assoc + evicted[1]] = False
+        assoc = self._l2_assoc
+        self._member[l2_set * assoc + l2_way] = True
+        if evicted is not None:
+            self._member[evicted[0] * assoc + evicted[1]] = False
         return evicted
 
     def remove(self, l2_set: int, l2_way: int) -> bool:
         """Free the entry for (l2_set, l2_way); True if one existed."""
-        if self._l2_assoc is not None and not self._member[
-            l2_set * self._l2_assoc + l2_way
-        ]:
+        slot = l2_set * self._l2_assoc + l2_way
+        if not self._member[slot]:
             return False
-        entries = self._sets[l2_set % self.n_sets]
-        key = (l2_set, l2_way)
-        if key in entries:
-            entries.remove(key)
-            if self._l2_assoc is not None:
-                self._member[l2_set * self._l2_assoc + l2_way] = False
-            return True
-        return False
+        self._sets[l2_set % self.n_sets].remove((l2_set, l2_way))
+        self._member[slot] = False
+        return True
 
     def clear(self) -> None:
         """Drop every entry (DFH reset)."""
         for entries in self._sets:
             entries.clear()
-        if self._l2_assoc is not None:
-            self._member_np[:] = False
+        self._member_np[:] = False
 
     @property
     def occupancy(self) -> int:

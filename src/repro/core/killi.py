@@ -259,19 +259,20 @@ class KilliScheme(ProtectionScheme):
         return _OUTCOMES[outcome]
 
     def batch_interpreter(self, cache):
-        """Cluster-exact shadow interpreter for the batched engine.
+        """Shadow interpreter for the batched engine.
 
         The interpreter
         (:class:`repro.core.killi_replay.KilliClusterInterpreter`)
-        handles *every* set — DFH warmup, classification and ECC-cache
-        contention included — aborting only at shared-RNG write hits.
-        It is Killi's only batching path: the scheme overrides the
-        behavioural hooks, so the per-set profile always refuses it.
-        The interpreter decides through the scheme's own policy, so
-        both rules batch.  Gated to exactly this class (subclasses may
-        change semantics the interpreter replicates, so they run
-        per-access) and to runs without a soft-error injector (whose
-        per-hit sampling draws shared RNG).
+        handles *every* access — DFH warmup, classification, ECC-cache
+        contention and the shared-RNG write hits included — in one
+        global-order pass per kernel.  It is Killi's only batching
+        path: the scheme overrides the behavioural hooks, so the
+        per-set profile always refuses it.  The interpreter decides
+        through the scheme's own policy, so both rules batch.  Gated
+        to exactly this class (subclasses may change semantics the
+        interpreter replicates, so they run per-access) and to runs
+        without a soft-error injector (whose per-hit sampling draws
+        shared RNG).
         """
         if type(self) is not KilliScheme:
             return None

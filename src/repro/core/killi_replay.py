@@ -1,44 +1,38 @@
-"""Cluster-exact batched replay interpreter for Killi.
+"""Batched replay interpreter for Killi.
 
 The batched engine's probe path (:func:`repro.cache.soa.replay_clean_set`)
 only batches *scheme-inert* sets; for Killi at low voltage that leaves
 the busiest part of the kernel — DFH warmup, ECC-cache contention,
 faulted-line classification — on the per-access Python path.  This
 module batches the *general* case instead: a shadow interpreter that
-simulates an arbitrary access subsequence with full Killi semantics
+simulates a kernel's whole L2-bound residue with full Killi semantics
 (DFH classification, ECC-cache contention, eviction training, victim
-priorities) against copy-on-write state, then commits the net effect
-to the real cache/scheme structures in bulk.
+priorities) against copy-on-write tag, LRU, DFH and ECC-cache state,
+then commits the net effect to the real cache/scheme structures in
+bulk.
 
 The interpreter knows no decision rule.  Every classification asks the
 scheme's policy (:mod:`repro.core.policy`: Table 2, or the strong-code
-rule of Sections 5.2/5.5) with the slot's shadow error row, exactly as
-the scheme's own hooks ask it with the real row, so both rules batch.
+rule of Sections 5.2/5.5) with the slot's error row, exactly as the
+scheme's own hooks ask it, so both rules batch.
 
-Why clusters
-------------
-ECC-cache contention couples L2 sets: an insert into ECC set ``c`` can
-evict — and thereby invalidate or disable — a line of any L2 set with
-``l2_set % ecc.n_sets == c``.  That is the *only* cross-set coupling in
-the scheme, so the L2-bound stream partitions exactly into independent
-*clusters* (one per ECC set), each of which can be interpreted as a
-unit in its original access order.
-
-Why commits are exact
----------------------
+Why one pass in global order
+----------------------------
 Every event in the model is deterministic except one: a write hit on a
 slot with active LV faults re-rolls fault masking with the *shared*
-RNG stream (:meth:`~repro.core.linestate.LineErrorModel.on_write_hit`).
-The interpreter therefore simulates with pure predictions only — fills
-use the deterministic masking coins
-(:meth:`~repro.core.linestate.LineErrorModel.predicted_fill_row`) —
-and *aborts* when it reaches a shared-RNG write hit, before touching
-anything for that access.  Because the simulated prefix is exact, it
-is committed rather than discarded; the engine then runs the aborting
-access through the real per-access path (consuming the RNG draw at the
-correct point of the global order — see the abort min-heap in
-:meth:`~repro.gpu.engine.GpuSimulator._run_batched`) and resumes the
-cluster right after it.
+RNG stream (:meth:`~repro.core.linestate.LineErrorModel.write_hit_row`).
+The interpreter walks the residue once, in the order the scalar engine
+reaches the L2, and simulates that write hit in place, so every draw
+happens at the same point of the stream as in the scalar engine.
+Fills use the deterministic masking coins
+(:meth:`~repro.core.linestate.LineErrorModel.predicted_fill_row`),
+memoised per (slot, salt).  Error rows are written straight through to
+the error model: nothing else reads them while the residue runs.
+
+ECC-cache contention couples L2 sets: an insert into ECC set ``c`` can
+evict — and thereby invalidate or disable — a line of any L2 set with
+``l2_set % ecc.n_sets == c``.  Each such *cluster* has one shadow ECC
+set, shared by the shadows of its L2 sets.
 
 Commit equivalences (vs the per-access reference path)
 ------------------------------------------------------
@@ -48,12 +42,8 @@ Commit equivalences (vs the per-access reference path)
   all the replacement policy reads, is identical.  ``demote`` calls are
   skipped: a demoted way is invalid, and ages of invalid ways are
   never consulted until a refill touches them.
-- *Error rows*: per-slot fill/overwrite effects collapse to the last
-  event per slot; the commit stores that fill's predicted row (the
-  salt-keyed coins make it exactly the row ``on_fill`` would store) or
-  clears the slot, leaving the row the per-access sequence would have
-  left.  Slots whose events are no-ops (no active faults, clean row)
-  are not tracked at all.
+- *Error rows*: already in the error model; the commit has none to
+  write.
 """
 
 from __future__ import annotations
@@ -63,11 +53,7 @@ from bisect import insort
 from repro.cache.soa import export_set_state
 from repro.core.dfh import Dfh
 from repro.core.policy import CLEAN, CORRECTED, DISABLE, RETRAIN
-from repro.testing.invariants import (
-    InvariantError,
-    check_set_invariants,
-    invariants_enabled,
-)
+from repro.testing.invariants import check_set_invariants, invariants_enabled
 
 __all__ = ["KilliClusterInterpreter"]
 
@@ -85,31 +71,34 @@ _PRIO_MAX = 2
 
 
 class _SetShadow:
-    """Copy-on-write replay state of one L2 set."""
+    """Copy-on-write replay state of one L2 set.
+
+    ``disabled``, ``new_disabled`` and ``touched`` are way bitmasks;
+    ``ecc`` is the shadow ECC set of the set's cluster, shared with
+    every other set of that cluster.
+    """
 
     __slots__ = (
         "resident",
         "way_lines",
-        "orig",
         "free",
         "disabled",
         "new_disabled",
         "touched",
         "dfh",
         "off_d",
+        "ecc",
     )
 
 
 class KilliClusterInterpreter:
-    """Shadow interpreter over one ECC-contention cluster at a time.
+    """Shadow interpreter over a kernel's L2-bound residue.
 
     Created once per (scheme, cache) pair via
     :meth:`~repro.core.killi.KilliScheme.batch_interpreter`; the engine
-    calls :meth:`run` per cluster (and per resume after an abort).
-    Each ``run`` is one transaction: simulate from ``start``, commit
-    the exact net effect, and return either None (subsequence fully
-    consumed) or the offset of the first access that needs the real
-    per-access path (a shared-RNG write hit).
+    calls :meth:`run` once per kernel.  Each ``run`` is one
+    transaction: simulate the whole residue in global order, then
+    commit the exact net effect.
     """
 
     def __init__(self, scheme, cache):
@@ -117,7 +106,7 @@ class KilliClusterInterpreter:
         self._cache = cache
         self._errors = scheme.errors
         self._ecc = scheme.ecc
-        self.ecc_n_sets = scheme.ecc.n_sets
+        self._ecc_n_sets = scheme.ecc.n_sets
         self._ecc_assoc = scheme.ecc.assoc
         geometry = cache.geometry
         self._assoc = geometry.associativity
@@ -140,15 +129,9 @@ class KilliClusterInterpreter:
         self._row_memo: dict = {}
         self._memo_voltage = None
         self._act_off = None
-        # Armed invariants (REPRO_CHECK_INVARIANTS): each transaction
-        # snapshots the shared RNG stream position at _begin and
-        # asserts at _commit that the simulation window drew nothing
-        # (RNG-draw-count conservation between the batched and scalar
-        # paths), then re-checks every committed set's structure.
+        # Armed invariants (REPRO_CHECK_INVARIANTS): the commit
+        # re-checks every committed set's structure.
         self._check_invariants = invariants_enabled()
-        self._rng_mark = None
-        self._cluster = -1
-        self._begin(-1)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -163,21 +146,15 @@ class KilliClusterInterpreter:
             self._memo_voltage = errors.voltage
             self._act_off = offsets
 
-    def _begin(self, cluster: int) -> None:
-        self._cluster = cluster
+    def _begin(self) -> None:
         self._sets: dict = {}
+        # Shadow ECC sets by cluster, MRU first, as flat slot ints
+        # (set * assoc + way): the hot paths already have the slot in
+        # hand, so membership tests are int compares with no tuple
+        # allocation.
+        self._ecc_sets: dict = {}
         self._dfh_over: dict = {}
         self._trans = [0] * 16  # flat (old << 2 | new) transition counts
-        self._slot_state: dict = {}
-        # Shadow ECC keys as flat slot ints (set * assoc + way): the
-        # hot paths already have the slot in hand, so membership tests
-        # are int compares with no tuple allocation.
-        assoc = self._assoc
-        self._ecc_entries: list = (
-            [key_set * assoc + key_way for key_set, key_way in self._ecc._sets[cluster]]
-            if cluster >= 0
-            else []
-        )
         self._d_ecc_acc = 0
         self._d_ecc_alloc = 0
         self._d_ecc_evict = 0
@@ -186,7 +163,6 @@ class KilliClusterInterpreter:
         self._d_read_misses = 0
         self._d_writes = 0
         self._d_write_hits = 0
-        self._d_write_misses = 0
         self._d_evictions = 0
         self._d_fills = 0
         self._d_bypasses = 0
@@ -194,45 +170,47 @@ class KilliClusterInterpreter:
         self._d_corrected = 0
         self._d_invalidations = 0
         self._d_ecc_evict_inval = 0
-        self._d_mem_reads = 0
-        self._d_mem_writes = 0
         self._d_hits_served = 0
         self._d_sdc = 0
         self._d_ecc_corrections = 0
         self._d_reclass_clean = 0
         self._d_evict_disables = 0
-        if self._check_invariants and cluster >= 0:
-            self._rng_mark = repr(self._errors.rng.bit_generator.state)
 
     # -- shadow state ------------------------------------------------------
 
     def _materialize(self, set_index: int) -> _SetShadow:
         tags = self._cache.tags
+        # Fresh lists (a slice, a comprehension): the shadow may
+        # mutate them.
         way_lines, seed, free_ways = export_set_state(
             tags, self._cache.lru, set_index
         )
         st = _SetShadow()
-        st.way_lines = list(way_lines)
-        st.orig = list(way_lines)
+        st.way_lines = way_lines
         st.resident = dict(seed)
-        st.free = list(free_ways)
+        st.free = free_ways
+        disabled = 0
         if tags.disabled_in_set[set_index]:
-            st.disabled = {
-                way
-                for way in range(self._assoc)
-                if tags.is_disabled(set_index, way)
-            }
-        else:
-            st.disabled = set()
-        st.new_disabled = set()
-        st.touched = set()
+            for way in range(self._assoc):
+                if tags.is_disabled(set_index, way):
+                    disabled |= 1 << way
+        st.disabled = disabled
+        st.new_disabled = 0
+        st.touched = 0
         # Per-way DFH values as a plain list: the overlay dict never
         # holds a slot before its set materializes (every write goes
         # through _set_dfh, which needs the shadow), so the real array
         # is authoritative here; _set_dfh keeps the copy in sync.
-        base = set_index * self._assoc
-        st.dfh = self._scheme._dfh_np[base : base + self._assoc].tolist()
+        assoc = self._assoc
+        base = set_index * assoc
+        st.dfh = self._scheme._dfh_np[base : base + assoc].tolist()
         st.off_d = 0
+        cluster = set_index % self._ecc_n_sets
+        ecc = self._ecc_sets.get(cluster)
+        if ecc is None:
+            ecc = [s * assoc + w for s, w in self._ecc._sets[cluster]]
+            self._ecc_sets[cluster] = ecc
+        st.ecc = ecc
         self._sets[set_index] = st
         return st
 
@@ -249,71 +227,42 @@ class KilliClusterInterpreter:
 
     # -- shadow ECC cache --------------------------------------------------
 
-    def _ecc_contains(self, set_index: int, way: int) -> bool:
-        return set_index * self._assoc + way in self._ecc_entries
-
-    def _ecc_touch(self, set_index: int, way: int) -> None:
+    def _ecc_touch(self, st: _SetShadow, slot: int) -> None:
         self._d_ecc_acc += 1
-        entries = self._ecc_entries
-        key = set_index * self._assoc + way
-        entries.remove(key)
-        entries.insert(0, key)
+        entries = st.ecc
+        entries.remove(slot)
+        entries.insert(0, slot)
 
-    def _ecc_insert(self, set_index: int, way: int):
-        """Insert; returns the evicted slot key or None."""
+    def _ecc_insert(self, st: _SetShadow, slot: int):
+        """Insert; returns the evicted slot or None."""
         self._d_ecc_acc += 1
-        entries = self._ecc_entries
-        key = set_index * self._assoc + way
-        if key in entries:
-            raise ValueError(f"ECC entry for slot {key} already present")
+        entries = st.ecc
+        if slot in entries:
+            raise ValueError(f"ECC entry for slot {slot} already present")
         self._d_ecc_alloc += 1
         evicted = None
         if len(entries) >= self._ecc_assoc:
             evicted = entries.pop()
             self._d_ecc_evict += 1
-        entries.insert(0, key)
+        entries.insert(0, slot)
         return evicted
 
-    def _ecc_remove(self, set_index: int, way: int) -> None:
-        key = set_index * self._assoc + way
-        entries = self._ecc_entries
-        if key in entries:
-            entries.remove(key)
+    @staticmethod
+    def _ecc_remove(st: _SetShadow, slot: int) -> None:
+        entries = st.ecc
+        if slot in entries:
+            entries.remove(slot)
 
-    # -- shadow error model ------------------------------------------------
-
-    def _has_active(self, slot: int) -> bool:
-        act = self._act_off
-        return act[slot + 1] > act[slot]
-
-    def _track_fill(self, slot: int, salt: int) -> None:
-        """Shadow ``errors.on_fill``; untracked no-op fills stay no-ops."""
-        state = self._slot_state
-        if self._has_active(slot):
-            state[slot] = salt
-        elif slot in state or self._errors.is_dirty(slot):
-            state[slot] = -1
-
-    def _track_clear(self, slot: int) -> None:
-        state = self._slot_state
-        if slot in state or self._errors.is_dirty(slot):
-            state[slot] = -1
+    # -- error rows --------------------------------------------------------
 
     def _row_of(self, slot: int, salt: int) -> int:
-        """Predicted int row of a shadow-FILLED slot (0 = clean)."""
+        """Predicted int row of a fill of an active slot (0 = clean)."""
         key = (slot, salt)
         row = self._row_memo.get(key)
         if row is None:
             row = self._errors.predicted_fill_row(slot, salt)
             self._row_memo[key] = row
         return row
-
-    def _row(self, slot: int) -> int:
-        """The slot's shadow int error row (0 = clean)."""
-        salt = self._slot_state.get(slot)
-        if salt is None:
-            return self._errors._rows[slot]
-        return 0 if salt < 0 else self._row_of(slot, salt)
 
     # -- scheme semantics (mirrors KilliScheme / WriteThroughCache) --------
 
@@ -322,24 +271,22 @@ class KilliClusterInterpreter:
             return True
         return self._scheme._off_initial_in_set[set_index] + st.off_d == 0
 
-    def _apply_hit(
-        self, st: _SetShadow, set_index: int, way: int, slot: int, value: int, row: int
-    ) -> int:
+    def _apply_hit(self, st: _SetShadow, slot: int, value: int, row: int) -> int:
         """The policy's read-hit decision, applied to the shadow state
         as ``KilliScheme.on_read_hit`` applies it; returns the outcome."""
         nxt, outcome, sdc = self._policy.read_hit(value, slot, row)
         if nxt == _S0 or outcome >= RETRAIN:
-            self._ecc_remove(set_index, way)
+            self._ecc_remove(st, slot)
         self._set_dfh(st, slot, value, nxt)
         if outcome >= RETRAIN:
-            self._track_clear(slot)
+            self._errors.clear(slot)
             return outcome
         self._d_hits_served += 1
         self._d_sdc += sdc
         if outcome == CORRECTED:
             self._d_ecc_corrections += 1
-        if nxt != _S0 and self._ecc_contains(set_index, way):
-            self._ecc_touch(set_index, way)
+        if nxt != _S0 and slot in st.ecc:
+            self._ecc_touch(st, slot)
         return outcome
 
     def _invalidate_line(self, st: _SetShadow, set_index: int, way: int) -> None:
@@ -352,8 +299,9 @@ class KilliClusterInterpreter:
         insort(st.free, way)
         self._d_invalidations += 1
         self._d_ecc_evict_inval += 1
-        self._ecc_remove(set_index, way)
-        self._track_clear(set_index * self._assoc + way)
+        slot = set_index * self._assoc + way
+        self._ecc_remove(st, slot)
+        self._errors.clear(slot)
 
     def _handle_ecc_eviction(self, set_index: int, way: int) -> None:
         st = self._sets.get(set_index)
@@ -364,7 +312,7 @@ class KilliClusterInterpreter:
         # Only the write-back variant (never interpreted) protects b'00.
         if value != _INI and value != _S1:
             raise AssertionError("ECC entry existed for an unprotected line")
-        nxt = self._policy.evicted(value, slot, self._row(slot))
+        nxt = self._policy.evicted(value, slot, self._errors._rows[slot])
         self._set_dfh(st, slot, value, nxt)
         if nxt == _S0:
             self._d_reclass_clean += 1
@@ -376,36 +324,41 @@ class KilliClusterInterpreter:
                 st.way_lines[way] = -1
             elif way in st.free:
                 st.free.remove(way)
-            st.disabled.add(way)
-            st.new_disabled.add(way)
+            st.disabled |= 1 << way
+            st.new_disabled |= 1 << way
             self._d_evict_disables += 1
-            self._track_clear(slot)
+            self._errors.clear(slot)
             return
         self._invalidate_line(st, set_index, way)
 
     def _on_evict(self, st: _SetShadow, set_index: int, way: int) -> None:
         slot = set_index * self._assoc + way
         value = st.dfh[way]
-        self._ecc_remove(set_index, way)
+        self._ecc_remove(st, slot)
         if value == _INI and self._train_on_evict:
-            nxt = self._policy.evicted(value, slot, self._row(slot))
+            nxt = self._policy.evicted(value, slot, self._errors._rows[slot])
             self._set_dfh(st, slot, value, nxt)
             if nxt == _DIS:
                 line = st.way_lines[way]
                 del st.resident[line]
                 st.way_lines[way] = -1
-                st.disabled.add(way)
-                st.new_disabled.add(way)
-        self._track_clear(slot)
+                st.disabled |= 1 << way
+                st.new_disabled |= 1 << way
+        self._errors.clear(slot)
 
     def _on_fill(self, st: _SetShadow, set_index: int, way: int, line: int) -> None:
         slot = set_index * self._assoc + way
         value = st.dfh[way]
         if value == _DIS:
             raise AssertionError("fill into a disabled line")
-        self._track_fill(slot, line // self._n_sets)
+        # errors.on_fill, through the row memo.
+        act = self._act_off
+        if act[slot + 1] > act[slot]:
+            self._errors.store_row(slot, self._row_of(slot, line // self._n_sets))
+        else:
+            self._errors.clear(slot)
         if value == _INI or value == _S1:
-            evicted = self._ecc_insert(set_index, way)
+            evicted = self._ecc_insert(st, slot)
             if evicted is not None:
                 assoc = self._assoc
                 self._handle_ecc_eviction(evicted // assoc, evicted % assoc)
@@ -417,7 +370,7 @@ class KilliClusterInterpreter:
                 return next(iter(resident.values())), True
             if self._uniform(st, set_index):
                 return st.free[0], False
-        elif len(st.disabled) == self._assoc:
+        elif st.disabled.bit_count() == self._assoc:
             return None, False
         invalid = st.free  # invalid enabled ways, ascending (both branches)
         if invalid:
@@ -447,7 +400,7 @@ class KilliClusterInterpreter:
             if has_data:
                 self._d_evictions += 1
                 self._on_evict(st, set_index, victim)
-                if victim in st.disabled:
+                if st.disabled >> victim & 1:
                     continue  # training disabled the victim: retry
                 vline = st.way_lines[victim]
                 del st.resident[vline]
@@ -458,39 +411,33 @@ class KilliClusterInterpreter:
             st.resident[line] = victim
             self._d_fills += 1
             self._on_fill(st, set_index, victim, line)
-            st.touched.add(victim)
+            st.touched |= 1 << victim
             return victim
         return None
 
     # -- transaction driver ------------------------------------------------
 
-    def run(self, cluster, idxs, start, lines, stores, lat, set_idx):
-        """Interpret one cluster's subsequence from offset ``start``.
+    def run(self, lines, stores, lat, set_idx) -> None:
+        """Interpret a kernel's L2-bound residue and commit it.
 
-        ``idxs`` are the cluster's positions in the global residue (in
-        original order); ``lines``/``stores``/``set_idx``/``lat`` are
-        the global per-access arrays (``set_idx`` holds each access's
-        precomputed L2 set index; ``lat`` receives each simulated
-        access's latency).  Returns None when the subsequence was fully
-        consumed or the offset of the first access that must run
-        per-access (a shared-RNG write hit).  Either way the simulated
-        prefix is committed before returning.
+        ``lines``/``stores``/``set_idx`` are the residue's per-access
+        line numbers, store flags and L2 set indices, in the order the
+        scalar engine reaches the L2; ``lat`` receives each access's
+        latency.
         """
-        self._begin(cluster)
+        self._begin()
         n_sets = self._n_sets
         assoc = self._assoc
         sets = self._sets
         act = self._act_off
-        slot_state = self._slot_state
-        slot_get = slot_state.get
-        # The real rows are only written by the commit, after the loop
-        # exits (clear_all empties the list in place).
-        rows = self._errors._rows
+        errors = self._errors
+        rows = errors._rows
+        store_row = errors.store_row
+        write_hit_row = errors.write_hit_row
         row_of = self._row_of
         masked = self._masked
         allocate = self._allocate
         materialize = self._materialize
-        ecc_entries = self._ecc_entries
         ecc_assoc = self._ecc_assoc
         dfh_over = self._dfh_over
         trans = self._trans
@@ -505,69 +452,44 @@ class KilliClusterInterpreter:
         # The hot counters accumulate in locals and flush on exit (all
         # deltas are additive, so helpers mutating the same self._d_*
         # fields compose with the flush).
-        d_reads = d_read_hits = d_read_misses = d_mem_reads = 0
-        d_writes = d_mem_writes = d_write_hits = d_write_misses = 0
+        d_reads = d_read_hits = d_read_misses = 0
+        d_writes = d_write_hits = 0
         d_hits_served = d_fills = 0
         d_ecc_acc = d_ecc_alloc = d_ecc_evict = d_reclass = 0
-        n = len(idxs)
-        j = start
-        while j < n:
-            gi = idxs[j]
-            line = lines[gi]
-            set_index = set_idx[gi]
+        for gi, (line, set_index, is_store) in enumerate(
+            zip(lines, set_idx, stores)
+        ):
             try:
                 st = sets[set_index]
             except KeyError:
                 st = materialize(set_index)
             resident = st.resident
             way = resident.get(line)
-            if stores[gi]:
+            if is_store:
+                d_writes += 1
                 if way is not None:
+                    d_write_hits += 1
                     slot = set_index * assoc + way
                     if act[slot + 1] > act[slot]:
-                        # Shared-RNG masking re-roll: cannot simulate.
-                        # Commit the exact prefix and hand this access
-                        # to the per-access path.
-                        self._d_reads += d_reads
-                        self._d_read_hits += d_read_hits
-                        self._d_read_misses += d_read_misses
-                        self._d_mem_reads += d_mem_reads
-                        self._d_writes += d_writes
-                        self._d_mem_writes += d_mem_writes
-                        self._d_write_hits += d_write_hits
-                        self._d_write_misses += d_write_misses
-                        self._d_hits_served += d_hits_served
-                        self._d_fills += d_fills
-                        self._d_ecc_acc += d_ecc_acc
-                        self._d_ecc_alloc += d_ecc_alloc
-                        self._d_ecc_evict += d_ecc_evict
-                        self._d_reclass_clean += d_reclass
-                        self._commit()
-                        return j
-                    d_writes += 1
-                    d_mem_writes += 1
-                    d_write_hits += 1
-                    if slot in slot_state or rows[slot]:
-                        slot_state[slot] = -1
-                    if slot in ecc_entries:
+                        # The masking re-roll draws shared RNG, here at
+                        # the scalar engine's point of the stream.
+                        store_row(slot, write_hit_row(slot, rows[slot]))
+                    elif rows[slot]:
+                        store_row(slot, 0)
+                    ecc = st.ecc
+                    if slot in ecc:
                         # _ecc_touch, inline.
                         d_ecc_acc += 1
-                        ecc_entries.remove(slot)
-                        ecc_entries.insert(0, slot)
+                        ecc.remove(slot)
+                        ecc.insert(0, slot)
                     del resident[line]
                     resident[line] = way
-                    st.touched.add(way)
-                else:
-                    d_writes += 1
-                    d_mem_writes += 1
-                    d_write_misses += 1
+                    st.touched |= 1 << way
                 lat[gi] = lat_tag
-                j += 1
                 continue
             d_reads += 1
             if way is None:
                 d_read_misses += 1
-                d_mem_reads += 1
                 free = st.free
                 if free:
                     # Inline fill fast path: with an invalid enabled way
@@ -597,35 +519,29 @@ class KilliClusterInterpreter:
                     value = st.dfh[victim]
                     # _on_fill, inline (a free way is never DISABLED).
                     if act[slot + 1] > act[slot]:
-                        slot_state[slot] = line // n_sets
-                    elif slot in slot_state or rows[slot]:
-                        slot_state[slot] = -1
+                        store_row(slot, row_of(slot, line // n_sets))
+                    elif rows[slot]:
+                        store_row(slot, 0)
                     if value == _INI or value == _S1:
                         d_ecc_acc += 1
-                        if slot in ecc_entries:
+                        ecc = st.ecc
+                        if slot in ecc:
                             raise ValueError(
                                 f"ECC entry for slot {slot} already present"
                             )
                         d_ecc_alloc += 1
-                        if len(ecc_entries) >= ecc_assoc:
-                            eslot = ecc_entries.pop()
+                        if len(ecc) >= ecc_assoc:
+                            eslot = ecc.pop()
                             d_ecc_evict += 1
-                            ecc_entries.insert(0, slot)
+                            ecc.insert(0, slot)
                             es = eslot // assoc
                             ew = eslot - es * assoc
                             est = sets.get(es)
                             if est is None:
                                 est = materialize(es)
                             evalue = est.dfh[ew]
-                            esalt = slot_get(eslot)
-                            if esalt is None:
-                                erow = rows[eslot]
-                            elif esalt < 0:
-                                erow = 0
-                            else:
-                                erow = row_of(eslot, esalt)
                             if (
-                                erow
+                                rows[eslot]
                                 or (evalue != _INI and evalue != _S1)
                                 or (
                                     masked
@@ -648,74 +564,60 @@ class KilliClusterInterpreter:
                                 trans[evalue << 2] += 1
                                 d_reclass += 1
                         else:
-                            ecc_entries.insert(0, slot)
-                    st.touched.add(victim)
+                            ecc.insert(0, slot)
+                    st.touched |= 1 << victim
                     lat[gi] = lat_miss
-                    j += 1
                     continue
                 if allocate(st, set_index, line) is None:
                     self._d_bypasses += 1
                 lat[gi] = lat_miss
-                j += 1
                 continue
             slot = set_index * assoc + way
             value = st.dfh[way]
-            # _row, inline.
-            salt = slot_get(slot)
-            if salt is None:
-                row = rows[slot]
-            elif salt < 0:
-                row = 0
-            else:
-                row = row_of(slot, salt)
+            row = rows[slot]
             if not row and (
                 value != _INI or not masked or act[slot + 1] <= act[slot]
             ):
                 # A clean row serves clean and settles at STABLE_0
                 # under either policy.
                 if value != _S0:
-                    self._ecc_remove(set_index, way)
+                    self._ecc_remove(st, slot)
                     self._set_dfh(st, slot, value, _S0)
                 d_hits_served += 1
                 outcome = CLEAN
             else:
-                outcome = self._apply_hit(st, set_index, way, slot, value, row)
+                outcome = self._apply_hit(st, slot, value, row)
             if outcome == CLEAN:
                 d_read_hits += 1
                 del resident[line]
                 resident[line] = way
-                st.touched.add(way)
+                st.touched |= 1 << way
                 lat[gi] = lat_hit
             elif outcome == CORRECTED:
                 d_read_hits += 1
                 self._d_corrected += 1
                 del resident[line]
                 resident[line] = way
-                st.touched.add(way)
+                st.touched |= 1 << way
                 lat[gi] = lat_corrected
             else:
                 self._d_error_misses += 1
                 del resident[line]
                 st.way_lines[way] = -1
                 if outcome == DISABLE:
-                    st.disabled.add(way)
-                    st.new_disabled.add(way)
+                    st.disabled |= 1 << way
+                    st.new_disabled |= 1 << way
                 else:
                     insort(st.free, way)
                 d_read_misses += 1
-                d_mem_reads += 1
                 if allocate(st, set_index, line) is None:
                     self._d_bypasses += 1
                 lat[gi] = lat_error
-            j += 1
         self._d_reads += d_reads
         self._d_read_hits += d_read_hits
         self._d_read_misses += d_read_misses
-        self._d_mem_reads += d_mem_reads
         self._d_writes += d_writes
-        self._d_mem_writes += d_mem_writes
         self._d_write_hits += d_write_hits
-        self._d_write_misses += d_write_misses
         self._d_hits_served += d_hits_served
         self._d_fills += d_fills
         self._d_ecc_acc += d_ecc_acc
@@ -723,22 +625,13 @@ class KilliClusterInterpreter:
         self._d_ecc_evict += d_ecc_evict
         self._d_reclass_clean += d_reclass
         self._commit()
-        return None
 
     # -- commit ------------------------------------------------------------
 
     def _commit(self) -> None:
-        if self._check_invariants and self._rng_mark is not None:
-            state = repr(self._errors.rng.bit_generator.state)
-            if state != self._rng_mark:
-                raise InvariantError(
-                    "[REPRO_CHECK_INVARIANTS] batched cluster simulation "
-                    f"drew shared RNG (cluster {self._cluster}): the "
-                    "interpreter window must be RNG-free — only the real "
-                    "per-access path may consume the stream"
-                )
         cache = self._cache
         tags = cache.tags
+        line_at = tags._line_at
         lru = cache.lru
         assoc = self._assoc
         line_bytes = self._line_bytes
@@ -746,14 +639,15 @@ class KilliClusterInterpreter:
         off_mv = scheme._off_initial_in_set
         for set_index, st in self._sets.items():
             way_lines = st.way_lines
-            orig = st.orig
+            base = set_index * assoc
+            orig = line_at[base : base + assoc]  # untouched by the walk
             new_disabled = st.new_disabled
             if new_disabled or way_lines != orig:
                 # Pass 1: clear every changed way so a line that moved
                 # between ways cannot have its index entry popped by the
                 # overwrite-insert of its old way.
                 for way in range(assoc):
-                    if way in new_disabled:
+                    if new_disabled >> way & 1:
                         tags.disable(set_index, way)
                     elif way_lines[way] != orig[way] and orig[way] >= 0:
                         tags.invalidate(set_index, way)
@@ -765,8 +659,8 @@ class KilliClusterInterpreter:
             if touched:
                 # Final recency order; same convention as
                 # bulk_apply_set_replays (ages differ in value, not order).
-                for line, way in st.resident.items():
-                    if way in touched:
+                for way in st.resident.values():
+                    if touched >> way & 1:
                         lru.touch(set_index, way)
             if st.off_d:
                 off_mv[set_index] += st.off_d
@@ -779,45 +673,30 @@ class KilliClusterInterpreter:
                 if count:
                     trans_mv[key >> 2, key & 3] += count
         # ECC cache: key-list writeback plus a membership diff for the
-        # O(1) mirror.
+        # O(1) mirror, which is indexed by the same flat slot.
         ecc = self._ecc
-        entries = ecc._sets[self._cluster]
-        new_entries = [
-            (key // assoc, key % assoc) for key in self._ecc_entries
-        ]
-        if entries != new_entries:
-            if ecc._l2_assoc is not None:
-                member = ecc._member
-                l2_assoc = ecc._l2_assoc
-                old_keys = set(entries)
-                new_keys = set(new_entries)
-                for key_set, key_way in old_keys - new_keys:
-                    member[key_set * l2_assoc + key_way] = False
-                for key_set, key_way in new_keys - old_keys:
-                    member[key_set * l2_assoc + key_way] = True
-            entries[:] = new_entries
+        member = ecc._member
+        for cluster, shadow in self._ecc_sets.items():
+            entries = ecc._sets[cluster]
+            new_entries = [divmod(slot, assoc) for slot in shadow]
+            if entries != new_entries:
+                old_slots = {s * assoc + w for s, w in entries}
+                new_slots = set(shadow)
+                for slot in old_slots - new_slots:
+                    member[slot] = False
+                for slot in new_slots - old_slots:
+                    member[slot] = True
+                entries[:] = new_entries
         ecc.accesses += self._d_ecc_acc
         ecc.allocations += self._d_ecc_alloc
         ecc.evictions += self._d_ecc_evict
-        # Error rows: install the last event per slot.  A fill stores
-        # its predicted row, computed here only if no read needed it.
-        errors = self._errors
-        row_memo = self._row_memo
-        for slot, salt in self._slot_state.items():
-            if salt < 0:
-                errors.clear(slot)
-                continue
-            row = row_memo.get((slot, salt))
-            if row is None:
-                row = errors.predicted_fill_row(slot, salt)
-            errors.store_row(slot, row)
         stats = cache.stats
         stats.reads += self._d_reads
         stats.read_hits += self._d_read_hits
         stats.read_misses += self._d_read_misses
         stats.writes += self._d_writes
         stats.write_hits += self._d_write_hits
-        stats.write_misses += self._d_write_misses
+        stats.write_misses += self._d_writes - self._d_write_hits
         stats.evictions += self._d_evictions
         stats.fills += self._d_fills
         stats.bypasses += self._d_bypasses
@@ -831,8 +710,9 @@ class KilliClusterInterpreter:
             stats.bump("ecc_evict_reclassified_clean", self._d_reclass_clean)
         if self._d_evict_disables:
             stats.bump("ecc_evict_disables", self._d_evict_disables)
-        cache.memory_reads += self._d_mem_reads
-        cache.memory_writes += self._d_mem_writes
+        # Write-through: every read miss fetches, every store posts.
+        cache.memory_reads += self._d_read_misses
+        cache.memory_writes += self._d_writes
         scheme.hits_served += self._d_hits_served
         scheme.sdc_events += self._d_sdc
         if self._check_invariants:

@@ -231,7 +231,7 @@ class LineErrorModel:
 
     def slot_has_active(self, line_id: int) -> bool:
         """Any active LV faults in this physical slot at the current
-        voltage?  (True means ``on_write_hit`` would draw shared RNG
+        voltage?  (True means ``write_hit_row`` would draw shared RNG
         and ``on_fill`` would roll the masking coins.)"""
         offsets = self._act_offsets
         if offsets is None:
@@ -282,11 +282,16 @@ class LineErrorModel:
         return row | self._active_mask(line_id)
 
     def on_write_hit(self, line_id: int) -> None:
-        """Write-through update of resident data.
+        """Write-through update of resident data (see :meth:`write_hit_row`)."""
+        self.store_row(line_id, self.write_hit_row(line_id, self._rows[line_id]))
+
+    def write_hit_row(self, line_id: int, row: int) -> int:
+        """The row a write-through update of ``row`` leaves in the line.
 
         Each fault's masking state toggles independently with
         ``mask_flip_probability`` (the store changed the bit at the
-        faulty position); soft errors are overwritten.
+        faulty position), drawn from the shared ``rng``; soft errors
+        are overwritten.  A line without active faults draws nothing.
         """
         offsets = self._act_offsets
         if offsets is None:
@@ -296,8 +301,7 @@ class LineErrorModel:
         if start == stop:
             # No active faults: nothing persists and the overwrite
             # drops any accumulated soft errors.
-            self.store_row(line_id, 0)
-            return
+            return 0
         positions = self._act_positions[start:stop].tolist()
         draws = self.rng.random(len(positions)).tolist()
         flip = self.mask_flip_probability
@@ -308,7 +312,7 @@ class LineErrorModel:
             if draw < flip:
                 toggles |= bit
         # Soft errors are overwritten; toggled faults flip masking.
-        self.store_row(line_id, (self._rows[line_id] & active) ^ toggles)
+        return (row & active) ^ toggles
 
     def _check_offset(self, offset: int) -> int:
         offset = int(offset)

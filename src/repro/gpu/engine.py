@@ -15,15 +15,15 @@ own tag/LRU substrate:
 - ``engine="batched"`` (default), on the struct-of-arrays substrate:
   each CU's private L1 stream is filtered in one pass, then the
   L2-bound residue is batched by one of two paths.  Killi, under
-  either decision policy, runs through its cluster interpreter
-  (:mod:`repro.core.killi_replay`); every other scheme partitions the
-  residue by L2 set, asks each set once for a replay profile, and
-  replays every profiled set through the batched set kernel
-  (:func:`~repro.cache.soa.replay_clean_set`) — no per-access Python
-  call at all.  Accesses neither path takes (refused sets, Killi's
-  shared-RNG write hits, non-batchable caches) run through the exact
-  per-access path in original global order.  Bank conflicts and the
-  stats deltas are applied in bulk.
+  either decision policy, runs the whole residue through its
+  interpreter (:mod:`repro.core.killi_replay`); every other scheme
+  partitions the residue by L2 set, asks each set once for a replay
+  profile, and replays every profiled set through the batched set
+  kernel (:func:`~repro.cache.soa.replay_clean_set`) — no per-access
+  Python call at all.  Accesses neither path takes (refused sets,
+  non-batchable caches) run through the exact per-access path in
+  original global order.  Bank conflicts and the stats deltas are
+  applied in bulk.
 - ``engine="scalar"``, on the object substrate: the original
   per-round Python loop over per-line objects, kept as the reference
   implementation.
@@ -37,7 +37,6 @@ Both produce bit-identical results — cycles, per-CU cycles, every
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import time
 from dataclasses import dataclass, field
@@ -386,9 +385,8 @@ class GpuSimulator:
         :func:`~repro.cache.hooks.batched_surface`:
 
         - A scheme with a batch interpreter (Killi, Table 2 or
-          strong-code) runs every ECC-contention cluster through it
-          (see :mod:`repro.core.killi_replay`); only its shared-RNG
-          write hits run per-access, in global order.
+          strong-code) runs the whole residue through it, in global
+          order (see :mod:`repro.core.killi_replay`).
         - Otherwise the residue is partitioned by L2 set and each set
           is asked once, before any access runs, for a *replay
           profile* (:meth:`~repro.cache.core.CacheModel.set_replay_profile`).
@@ -454,7 +452,6 @@ class GpuSimulator:
         lines_list = line_nos.tolist()
         loop_idx = range(n)  # accesses left to the per-access path
         pending: list = []  # deferred (set, way_lines, resident, touch_order)
-        guard_aborts = 0
         l2_read = l2.read
         l2_write = l2.write
 
@@ -466,52 +463,11 @@ class GpuSimulator:
         surface = batched_surface(l2)
         interp = surface.interpreter if surface is not None else None
         if interp is not None:
-            # Stage 3': cluster interpretation.  The scheme's shared-
-            # structure contention couples L2 sets only within ECC-set
-            # clusters, so the stream partitions exactly by cluster;
-            # each cluster's subsequence is simulated in original order
-            # with full scheme semantics and committed in bulk (see
-            # :mod:`repro.core.killi_replay`).  The only events the
-            # interpreter cannot simulate are shared-RNG write hits:
-            # each aborts its cluster after committing the exact
-            # prefix, and a min-heap over the *global* positions of
-            # pending aborts replays them through the real per-access
-            # path in ascending stream order.  Simulation itself never
-            # draws RNG and clusters are state-disjoint, so the heap
-            # order is the only order in which RNG is consumed — the
-            # same order the scalar engine consumes it.
-            cluster_idx = set_idx % interp.ecc_n_sets
-            c_order = np.argsort(cluster_idx, kind="stable")
-            uniq_c, c_starts = np.unique(
-                cluster_idx[c_order], return_index=True
-            )
-            c_bounds = np.append(c_starts[1:], n)
-            sets_list = set_idx.tolist()
+            # Stage 3': the scheme's interpreter simulates the whole
+            # residue in global order with full scheme semantics and
+            # commits it in bulk (see :mod:`repro.core.killi_replay`).
             lat_list = [0] * n
-            cluster_groups: dict = {}
-            heap = []
-            for c, a, b in zip(
-                uniq_c.tolist(), c_starts.tolist(), c_bounds.tolist()
-            ):
-                idxs = c_order[a:b].tolist()
-                cluster_groups[c] = idxs
-                k = interp.run(
-                    c, idxs, 0, lines_list, stores_list, lat_list, sets_list
-                )
-                if k is not None:
-                    heap.append((idxs[k], c, k))
-            heapq.heapify(heap)
-            while heap:
-                gi, c, k = heapq.heappop(heap)
-                lat_list[gi] = l2_write(addrs_list[gi])
-                guard_aborts += 1
-                idxs = cluster_groups[c]
-                k = interp.run(
-                    c, idxs, k + 1, lines_list, stores_list, lat_list,
-                    sets_list,
-                )
-                if k is not None:
-                    heapq.heappush(heap, (idxs[k], c, k))
+            interp.run(lines_list, stores_list, lat_list, set_idx.tolist())
             lat = np.asarray(lat_list, dtype=np.int64)
             loop_idx = ()
         elif surface is not None:
@@ -591,20 +547,14 @@ class GpuSimulator:
             METRICS.observe(
                 "engine.batched.l2_replay", time.perf_counter() - phase_started
             )
-            # Each fallback is counted once, under its cause: an
-            # interpreter abort, or an access no batching path took.
-            n_fallback = guard_aborts + len(loop_idx)
+            n_fallback = len(loop_idx)
             METRICS.incr("engine.batched.sets_batched", len(pending))
             METRICS.incr("engine.batched.accesses_batched", n - n_fallback)
             METRICS.incr("engine.batched.accesses_fallback", n_fallback)
-            scheme_name = type(l2.scheme).__name__
-            if guard_aborts:
+            if n_fallback:
                 METRICS.incr(
-                    f"engine.batched.guard_aborts.{scheme_name}", guard_aborts
-                )
-            if loop_idx:
-                METRICS.incr(
-                    f"engine.batched.fallback.{scheme_name}", len(loop_idx)
+                    f"engine.batched.fallback.{type(l2.scheme).__name__}",
+                    n_fallback,
                 )
         return [
             base[cu] + latency_py[cu] + int(latency_np[cu]) for cu in range(n_cus)

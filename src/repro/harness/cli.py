@@ -115,6 +115,25 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _resume_ok(args) -> bool:
+    """Whether ``--resume`` can run as given; if not, say why in one
+    line on stderr.
+
+    Checked before anything runs: the journal only says which cells
+    finished, and their results replay from ``--cache``.
+    """
+    if args.resume is None:
+        return True
+    if not args.cache:
+        error = "--resume requires --cache (finished cells replay from it)"
+    elif not os.path.isfile(args.resume):
+        error = f"--resume {args.resume}: no such journal file"
+    else:
+        return True
+    print(error, file=sys.stderr)
+    return False
+
+
 def _finish_telemetry(args) -> None:
     if getattr(args, "telemetry", False):
         print()
@@ -321,6 +340,8 @@ def _scenario_progress(done, total, cell):
 def _scenario_run(args) -> int:
     from repro.scenario.runfile import load_scenario, run_scenario
 
+    if not _resume_ok(args):
+        return 2
     try:
         scenario = load_scenario(args.file)
         scenario.validate()
@@ -546,6 +567,8 @@ def main(argv=None) -> int:
         parser.error(f"--csv: {args.experiment} has no CSV form")
     if args.csv and os.path.exists(args.csv) and not os.path.isdir(args.csv):
         parser.error(f"--csv {args.csv}: exists and is not a directory")
+    if not _resume_ok(args):
+        return 2
     if args.quick:
         args.accesses = 5000
     if args.telemetry:

@@ -284,9 +284,16 @@ def _plant_disable_way(simulator) -> None:
 
 
 def _plant_drop_write(simulator) -> None:
-    """Make L2 write hits skip the scheme's write-hit hook."""
-    l2 = simulator.l2
-    l2.scheme.on_write_hit = lambda set_index, way: None
+    """Make L2 write hits leave the line's error row as it was.
+
+    Drops the masking re-roll a store makes on a faulty line, on every
+    path that makes it: ``KilliScheme.on_write_hit`` and the batched
+    Killi interpreter both go through ``write_hit_row``.  Schemes
+    without an error model (the MBIST oracles) are left alone.
+    """
+    errors = getattr(simulator.l2.scheme, "errors", None)
+    if errors is not None:
+        errors.write_hit_row = lambda line_id, row: row
 
 
 #: Named fault-injection hooks for ``repro fuzz --plant`` and the

@@ -3,8 +3,9 @@
 The checks here are the *structural* half of the correctness contract
 the differential executor (:mod:`repro.testing.differential`) pins
 behaviourally: counters must agree with scans, LRU state must stay a
-permutation, the lookup index must never alias, and the batched
-interpreter's simulation window must never draw shared RNG.
+permutation, and the lookup index must never alias — after every
+per-access commit and every bulk commit (set replays, the batched
+Killi interpreter's once-per-kernel commit).
 
 They are armed by the ``REPRO_CHECK_INVARIANTS`` environment variable
 (read once per cache/interpreter construction).  When the flag is off the hot paths carry no

@@ -5,9 +5,13 @@ import pytest
 from repro.core.ecc_cache import EccCache
 
 
+#: Protected-cache shape wide enough for every (set, way) probed below.
+L2_SHAPE = (32, 8)
+
+
 @pytest.fixture
 def ecc():
-    return EccCache(n_entries=16, assoc=4)  # 4 sets x 4 ways
+    return EccCache(n_entries=16, assoc=4, l2_shape=L2_SHAPE)  # 4 sets x 4 ways
 
 
 class TestConstruction:
@@ -16,11 +20,11 @@ class TestConstruction:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            EccCache(n_entries=2, assoc=4)
+            EccCache(n_entries=2, assoc=4, l2_shape=L2_SHAPE)
 
     def test_not_divisible(self):
         with pytest.raises(ValueError):
-            EccCache(n_entries=10, assoc=4)
+            EccCache(n_entries=10, assoc=4, l2_shape=L2_SHAPE)
 
     def test_index_mapping(self, ecc):
         assert ecc.index_of(0) == 0
