@@ -15,10 +15,11 @@ reference implementation that stays in the tree:
 - ``cache_core`` — the unified transaction layer
   (:meth:`CacheModel.execute`) on both write policies and both tag
   substrates, cross-checked identical;
-- ``l2_replay`` — the set-partitioned batched replay kernel
-  (:func:`repro.cache.soa.replay_clean_set` +
-  :meth:`CacheModel.commit_set_replays`) vs the per-access
-  ``read``/``write`` loop on the same stream, checked bit-identical;
+- ``l2_replay`` — the lockstep replay kernel, through the entry
+  point the batched engine calls (:meth:`CacheModel.lockstep_mask` +
+  :meth:`CacheModel.replay_lockstep`), vs the per-access
+  ``read``/``write`` loop on the same stream of a DECTED-protected L2
+  with CORRECTED and disabled ways, checked bit-identical;
 - ``fig6``      — Figure 6 coverage sweep end-to-end wall clock;
 - ``fig4``      — a Figure 4 scheme-panel slice end-to-end on both
   simulators (the batched engine on SoA caches and the scalar
@@ -52,8 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.montecarlo import CoverageSampler
-from repro.cache.geometry import CacheGeometry
-from repro.cache.soa import export_set_state, replay_clean_set
+from repro.baselines import DectedScheme
 from repro.cache.core import (
     AccessTransaction,
     WriteBackCache,
@@ -338,91 +338,77 @@ def bench_cache_core(accesses: int) -> dict:
 
 
 def bench_l2_replay(accesses: int) -> dict:
-    """The batched set-replay kernel vs the per-access L2 loop.
+    """The lockstep replay kernel vs the per-access L2 loop.
 
     Same deterministic stream (20% stores, working set ~2x the cache)
-    through two identical unprotected SoA caches: one access at a time
-    via ``read``/``write``, and set-partitioned through
-    ``set_replay_profile`` -> ``replay_clean_set`` ->
-    ``commit_set_replays`` — the exact sequence the batched engine
-    runs per kernel.  Final stats
-    and total cycles are cross-checked, so the bench doubles as an
-    equivalence smoke test of the kernel itself.
-
-    Uses an eighth-size L2 (256 sets) so per-set batch lengths match
-    the regime the engine actually batches in (a whole kernel's
-    residue at once), rather than drowning the kernel in per-set call
-    overhead at quick-mode sizes.
+    through two identical full-size SoA L2s protected by DECTED at
+    0.6125 V, whose fault map leaves both CORRECTED ways (1–2 faults)
+    and disabled ways (3+): one access at a time via ``read``/``write``,
+    and as one residue through ``lockstep_mask`` -> ``replay_lockstep``,
+    the entry point the batched engine calls per kernel.  Each side is
+    timed best of three, each rep on a fresh cache.  Per-access
+    latencies, stats, memory traffic and the state digest are
+    cross-checked, so the bench doubles as an equivalence smoke test
+    of the kernel itself.
     """
     config = GpuConfig()
-    geometry = CacheGeometry(
-        size_bytes=config.l2.size_bytes // 8,
-        line_bytes=config.l2.line_bytes,
-        associativity=config.l2.associativity,
-        banks=config.l2.banks,
-    )
+    geometry = config.l2
+    voltage = 0.6125
+    fault_map = fault_map_for(geometry.n_lines, 42)
     rng = np.random.default_rng(31)
-    n_lines = geometry.n_sets * geometry.associativity
-    lines = rng.integers(0, 2 * n_lines, size=accesses)
+    lines = rng.integers(0, 2 * geometry.n_lines, size=accesses)
     stores = rng.random(accesses) < 0.2
+    set_idx = lines % geometry.n_sets
     addrs = (lines * geometry.line_bytes).tolist()
     stores_list = stores.tolist()
-    lines_list = lines.tolist()
 
     def make_cache():
         return WriteThroughCache(
-            geometry, latencies=config.l2_latencies, substrate="soa"
+            geometry,
+            DectedScheme(geometry, fault_map, voltage),
+            config.l2_latencies,
+            substrate="soa",
         )
 
-    cache = make_cache()
-    start = time.perf_counter()
-    cycles = 0
-    for addr, store in zip(addrs, stores_list):
-        cycles += cache.write(addr) if store else cache.read(addr)
-    scalar_s = time.perf_counter() - start
+    def per_access(cache):
+        read, write = cache.read, cache.write
+        return [
+            write(addr) if store else read(addr)
+            for addr, store in zip(addrs, stores_list)
+        ]
 
-    batched = make_cache()
-    start = time.perf_counter()
-    set_idx = lines % geometry.n_sets
-    order = np.argsort(set_idx, kind="stable")
-    uniq, starts = np.unique(set_idx[order], return_index=True)
-    bounds = np.append(starts[1:], accesses)
-    pending = []
-    rh_total = wh_total = ev_total = n_writes = 0
-    miss_total = 0
-    for s, a, b in zip(uniq.tolist(), starts.tolist(), bounds.tolist()):
-        corrected_ways = batched.set_replay_profile(s)
-        way_lines, seed, free_ways = export_set_state(
-            batched.tags, batched.lru, s
-        )
-        resident, touch_order, rh, wh, ev, misses, _ = replay_clean_set(
-            seed, free_ways, order[a:b].tolist(), lines_list, stores_list,
-            corrected_ways,
-        )
-        pending.append((s, way_lines, resident, touch_order))
-        rh_total += rh
-        wh_total += wh
-        ev_total += ev
-        miss_total += len(misses)
-        n_writes += b - a - (rh + len(misses))
-    batched.commit_set_replays(
-        pending,
-        (rh_total + miss_total, rh_total, n_writes, wh_total, ev_total),
-        miss_total,
-        0,
-    )
-    batched_cycles = (
-        rh_total * batched._lat_hit
-        + miss_total * batched._lat_miss
-        + n_writes * batched._lat_tag
-    )
-    batched_s = time.perf_counter() - start
+    def lockstep(cache):
+        return cache.replay_lockstep(
+            lines, stores, set_idx, cache.lockstep_mask()
+        ).tolist()
 
-    assert (batched_cycles, batched.stats) == (cycles, cache.stats), (
-        "batched replay diverged from the per-access loop"
+    timed = {}
+    for name, run in (("per_access", per_access), ("lockstep", lockstep)):
+        best = None
+        for _ in range(3):
+            cache = make_cache()
+            seconds, latencies = _timed(run, cache)
+            best = seconds if best is None else min(best, seconds)
+        timed[name] = (best, cache, latencies)
+    scalar_s, reference, expected = timed["per_access"]
+    batched_s, batched, got = timed["lockstep"]
+
+    def observed(cache):
+        return (
+            cache.stats,
+            cache.memory_reads,
+            cache.memory_writes,
+            cache.state_digest(),
+        )
+
+    assert got == expected and observed(batched) == observed(reference), (
+        "lockstep replay diverged from the per-access loop"
     )
     return {
         "accesses": accesses,
+        "voltage": voltage,
+        "disabled_lines": batched.tags.count_disabled(),
+        "corrected_reads": batched.stats.corrected_reads,
         "per_access_ns": round(scalar_s / accesses * 1e9, 1),
         "batched_ns_per_access": round(batched_s / accesses * 1e9, 1),
         "speedup_batched": round(scalar_s / batched_s, 2),
@@ -515,10 +501,12 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
     Older BENCH files carry the same geomean under its former name,
     ``speedup_vectorized``.
 
-    ``killi_speedup_batched_min`` records the worst Killi cell.
+    ``killi_speedup_batched_min`` records the worst Killi cell (the
+    cluster interpreter) and ``mbist_speedup_batched_min`` the worst
+    baseline or MBIST-oracle cell (the lockstep kernel).
     ``batched_telemetry`` captures the engine's batched/fallback
-    counters accumulated over the panel (a fallback is a refused set's
-    access; the Killi interpreter batches every access).
+    counters accumulated over the panel: both paths batch every L2
+    access of these cells, so a fallback counter here is a finding.
     """
     workloads = list(_FIG4_WORKLOADS)
     schemes = list(_FIG4_SCHEMES)
@@ -559,6 +547,7 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
             })
     geomean = float(np.exp(np.mean(np.log(ratios))))
     killi_cells = [c for c in per_cell if c["scheme"].startswith("killi")]
+    mbist_cells = [c for c in per_cell if not c["scheme"].startswith("killi")]
     snap = METRICS.snapshot()
     counters_after = snap.get("counters", snap) or {}
     batched_telemetry = {
@@ -590,6 +579,9 @@ def bench_fig4(accesses: int, reps: int = 1) -> dict:
         "killi_speedup_batched_min": round(
             min(c["speedup_batched"] for c in killi_cells), 2
         ) if killi_cells else None,
+        "mbist_speedup_batched_min": round(
+            min(c["speedup_batched"] for c in mbist_cells), 2
+        ) if mbist_cells else None,
         "batched_telemetry": batched_telemetry,
         "engines_bit_identical": True,
         "engines": list(engines),
@@ -946,7 +938,8 @@ def main(argv=None) -> int:
             f"(scalar {fig4['scalar_seconds']:.2f}s, geomean "
             f"{fig4['speedup_batched_geomean']:.1f}x, aggregate "
             f"{fig4['speedup_batched_aggregate']:.1f}x, killi min "
-            f"{fig4['killi_speedup_batched_min']}x) "
+            f"{fig4['killi_speedup_batched_min']}x, mbist min "
+            f"{fig4['mbist_speedup_batched_min']}x) "
             f"for {fig4['workloads']}x{fig4['schemes']} cells at "
             f"{fig4['accesses_per_cu']} accesses/CU"
         )

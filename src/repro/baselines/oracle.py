@@ -15,7 +15,6 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import (
     BEHAVIOURAL_HOOKS,
-    NO_CORRECTED_WAYS,
     AccessOutcome,
     ProtectionScheme,
     hooks_unchanged,
@@ -72,26 +71,19 @@ class OracleEccScheme(ProtectionScheme):
                 voltage, layout.check_offset, layout.total_bits
             )
         self.fault_counts = counts
-        # Per-set batched-replay eligibility: line ids are
-        # set * assoc + way, so a row-major reshape groups each set's
-        # ways.  The fault population is static, so this never changes.
+        # The lockstep kernel's CORRECTED mask: faulty ways within the
+        # ECC budget (over-budget ways are disabled at attach and never
+        # hit).  Line ids are set * assoc + way, so a row-major reshape
+        # groups each set's ways; the fault population is static, so
+        # the mask never changes.
         by_set = counts.reshape(geometry.n_sets, geometry.associativity)
-        # Ways serving CORRECTED hits: faulty but within the ECC budget
-        # (over-budget ways are disabled at attach and never hit).
-        # Fault-free sets share one empty frozenset: building one per
-        # set is measurable on campaigns of many short cells.
-        self._corrected_ways = [
-            frozenset(int(w) for w in np.flatnonzero((row > 0) & (row <= correct_t)))
-            if has
-            else NO_CORRECTED_WAYS
-            for row, has in zip(by_set, (by_set > 0).any(axis=1))
-        ]
-        # May this instance's sets replay through the batched kernel?
+        self._corrected = (by_set > 0) & (by_set <= correct_t)
+        # May this instance run through the lockstep kernel?
         # True only when no subclass changed a hook the kernel would
         # have to re-model: this class owns the hit path, everything
         # else must still be the base no-op.  (FLAIR's training-mode
         # way filtering is gated separately through ``filters_ways``,
-        # which blocks the cache-level probe before the scheme is
+        # which makes the cache refuse before the scheme is
         # consulted — hence ``is_line_usable`` is not probed here.)
         self._replay_hooks_clean = hooks_unchanged(
             type(self),
@@ -116,19 +108,18 @@ class OracleEccScheme(ProtectionScheme):
             return AccessOutcome.CORRECTED
         return AccessOutcome.CLEAN
 
-    def set_replay_profile(self, set_index: int):
-        """Every set replays: the fault population is fully static.
+    def lockstep_mask(self, geometry):
+        """The correctable faulty ways, whose hits serve as CORRECTED.
 
-        The profile is the set's correctable faulty ways, whose hits
-        serve as CORRECTED (empty for a fault-free set); over-budget
-        ways were disabled at attach (invalid forever, excluded from
-        the fill order by ``export_set_state``).  No RNG, no shared
-        structures, no state transitions, so the profile holds for the
-        whole run.  Subclasses that change a behavioural hook opt out.
+        The fault population is fully static: over-budget ways were
+        disabled at attach (never filled; a set with none left
+        bypasses), and there is no RNG, no shared structure and no
+        state transition, so the mask holds for the whole run.
+        Subclasses that change a behavioural hook opt out.
         """
         if not self._replay_hooks_clean:
             return None
-        return self._corrected_ways[set_index]
+        return self._corrected
 
     def on_reset(self) -> None:
         # The cache just re-enabled every way; MBIST runs again for the

@@ -13,14 +13,14 @@ transaction core -> hooks -> substrates (see ``docs/architecture.md``):
   write-back extension and the L1 filter caches; the single scalar
   implementation of the access semantics.
 - :mod:`repro.cache.hooks` — the scheme-facing surface (outcomes,
-  hook base class, the set-replay profile, the batched-engine gate).
+  hook base class, the lockstep mask, the batched-engine gate).
 - :mod:`repro.cache.replacement` — the shared
   :class:`ReplacementPolicy` interface with both substrates' LRU
   states.
 - :mod:`repro.cache.object_store` — the object tag store (the
   reference substrate the scalar engine runs on).
 - :mod:`repro.cache.soa` — the struct-of-arrays tag substrate and the
-  batched set-replay kernels (flat numpy arrays, the batched engine's
+  lockstep replay kernel (flat numpy arrays, the batched engine's
   bit-identical fast path).
 """
 

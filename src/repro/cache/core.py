@@ -28,9 +28,10 @@ latency in cycles, and the scheme-visible classification of a hit is
 an :class:`~repro.cache.hooks.AccessOutcome`.  The scalar engine is a
 thin interpreter of this layer; the batched engine derives its
 preconditions from :attr:`CacheModel.semantics_batchable` /
-:meth:`CacheModel.set_replay_profile` and pushes its bulk effects back
-through :meth:`CacheModel.commit_set_replays` — it never re-states the
-semantics itself.
+:meth:`CacheModel.lockstep_mask` and resolves a whole residue through
+:meth:`CacheModel.replay_lockstep`, which runs the lockstep kernel
+(:func:`~repro.cache.soa.lockstep_kernel`) and commits it — the engine
+never re-states the semantics itself.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme
 from repro.cache.object_store import SetAssocCache
 from repro.cache.replacement import LruState
-from repro.cache.soa import SoaLruState, SoaTagStore, bulk_apply_set_replays
+from repro.cache.soa import SoaLruState, SoaTagStore, lockstep_kernel
 from repro.cache.stats import CacheStats
 from repro.testing.invariants import check_set_invariants, invariants_enabled
 
@@ -162,8 +165,8 @@ _ACCESS_PROTOCOL = (
     "_miss",
     "_allocate",
     "_choose_victim",
-    "set_replay_profile",
-    "commit_set_replays",
+    "lockstep_mask",
+    "replay_lockstep",
 )
 
 _PROTOCOL_BY_CLASS: dict = {}
@@ -277,7 +280,7 @@ class CacheModel:
         )
         # Armed runtime invariants (REPRO_CHECK_INVARIANTS): every
         # access re-checks its set's structural invariants after it
-        # resolves, and the bulk commit point re-checks each replayed
+        # resolves, and the lockstep commit re-checks each touched
         # set.  Arming wraps the bound access methods per instance, so
         # the disarmed hot path carries no extra branch at all.
         self._check_invariants = invariants_enabled()
@@ -401,73 +404,58 @@ class CacheModel:
         self.scheme.on_dirty(set_index, way)
         return self._lat_miss
 
-    # -- batched set replay ------------------------------------------------
+    # -- lockstep replay --------------------------------------------------
 
-    def set_replay_profile(self, set_index: int):
-        """Batched-replay profile of a set: its CORRECTED ways, or None.
+    def lockstep_mask(self):
+        """The lockstep kernel's CORRECTED mask for this cache, or None.
 
-        The batched engine asks each set this once per kernel; None
-        sends the set's accesses down the per-access path, a frozenset
-        (empty for a uniform set) names the ways whose read hits
-        replay as CORRECTED.  Disabled ways do not force a refusal —
-        they are guaranteed invalid (``disable`` invalidates first) and
-        ``export_set_state`` excludes them from the fill order, which
-        reproduces ``_choose_victim``'s enabled-candidates path
-        exactly.  Only non-batchable scalar semantics, a *fully*
-        disabled set (every fill bypasses) and way-filtering schemes
-        refuse at the cache level; everything else is the scheme's call
-        (:meth:`~repro.cache.hooks.ProtectionScheme.set_replay_profile`).
+        The batched engine asks once per kernel.  None refuses the
+        whole cache, which then runs per access: its scalar semantics
+        are not batchable, or its scheme filters ways.  Otherwise the
+        scheme answers
+        (:meth:`~repro.cache.hooks.ProtectionScheme.lockstep_mask`): an
+        ``(n_sets, associativity)`` bool mask of the ways whose read
+        hits resolve CORRECTED, or None.  Disabled ways need no
+        refusal — the kernel never fills them, and a set with no
+        enabled way bypasses, as ``_choose_victim`` does.
         """
-        if not self.semantics_batchable:
+        if not self.semantics_batchable or self._scheme_filters_ways:
             return None
-        if self._scheme_filters_ways:
-            return None
-        if self.tags.disabled_in_set[set_index] >= self._assoc:
-            return None
-        return self.scheme.set_replay_profile(set_index)
+        return self.scheme.lockstep_mask(self.geometry)
 
-    def commit_set_replays(
-        self, pending, agg, n_misses: int, n_corrected: int
-    ) -> None:
-        """Commit a batch of replayed sets: state and stats.
+    def replay_lockstep(self, lines, stores, set_idx, corrected) -> np.ndarray:
+        """Resolve a whole residue in bulk; returns per-access latencies.
 
-        The single bulk-commit point of the transaction layer.
-        ``pending`` holds ``(set_index, way_lines, resident,
-        touch_order)`` tuples: the pre-replay state from
-        :func:`~repro.cache.soa.export_set_state` and the kernel's
-        results, written back in one fancy-indexed pass
-        (:func:`~repro.cache.soa.bulk_apply_set_replays`, SoA substrate
-        only — the batched engine's).  Deferral is sound because a
-        replayed set's remaining accesses were all consumed by its
-        replay and no other set reads its tag/LRU state: an inert set
-        holds no ECC-cache entries, so cross-set ECC evictions can
-        never reach into it mid-kernel.  ``agg`` is the aggregate
-        ``(reads, read_hits, writes, write_hits, evictions)`` counted
-        by the replay kernels; ``n_misses`` the read-miss count (every
-        batched miss fills — sets where a fill could bypass never
-        batch); ``n_corrected`` the read hits on the sets' CORRECTED
-        ways (the caller owns their latency class).  A replayed hit
-        has no scheme-side effect.  Memory traffic follows the
-        write-through protocol: one memory read per miss, one posted
-        memory write per store.
+        ``lines`` / ``stores`` / ``set_idx`` are aligned numpy arrays of
+        line numbers, store flags and sets, in the order the per-access
+        path would reach them; ``corrected`` is :meth:`lockstep_mask`'s
+        answer.  The kernel (:func:`~repro.cache.soa.lockstep_kernel`,
+        SoA substrate only — the batched engine's) resolves it, and
+        this is the single point that commits the result: the fills
+        into the tag store, the touched ages and the set clocks, the
+        stat deltas and the write-through memory traffic (one read per
+        read miss, bypasses included, and one posted write per store).
+        Ages and clocks end exactly where per-access ``read`` /
+        ``write`` calls would leave them.
         """
-        bulk_apply_set_replays(self.tags, self.lru, pending)
-        st = self.stats
-        agg_reads, agg_read_hits, agg_writes, agg_write_hits, agg_evs = agg
-        st.reads += agg_reads
-        st.read_hits += agg_read_hits
-        st.read_misses += n_misses
-        st.fills += n_misses
-        st.evictions += agg_evs
-        st.writes += agg_writes
-        st.write_hits += agg_write_hits
-        st.write_misses += agg_writes - agg_write_hits
-        st.corrected_reads += n_corrected
-        self.memory_reads += n_misses
-        self.memory_writes += agg_writes
+        if not len(lines):
+            return np.zeros(0, dtype=np.int64)
+        run = lockstep_kernel(self.tags, self.lru, lines, stores, set_idx, corrected)
+        self.tags.refill(run.fill_slots, run.evicted, run.filled)
+        self.lru.restamp(run.stamp_slots, run.stamps, run.sets, run.clocks)
+        self.stats.add(run.stats)
+        self.memory_reads += run.stats.read_misses
+        self.memory_writes += run.stats.writes
         if self._check_invariants:
-            for set_index, _, _, _ in pending:
+            for set_index in run.sets.tolist():
                 check_set_invariants(self, set_index)
+        # Indexed by the kernel's outcome classes: posted store, clean
+        # hit, corrected hit, miss.
+        latency = np.array(
+            [self._lat_tag, self._lat_hit, self._lat_hit_corrected, self._lat_miss],
+            dtype=np.int64,
+        )
+        return latency[run.outcome]
 
     # -- canonical observable state ----------------------------------------
 

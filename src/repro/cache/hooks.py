@@ -12,10 +12,8 @@ base class and the outcome enum it carries the pieces every engine
 tier consumes instead of re-stating semantics inline:
 
 - :func:`hooks_unchanged` — the type-level "does this scheme override
-  any behavioural hook?" probe behind the default set-replay profile
-  and the MBIST oracles' static-batchability check;
-- :data:`NO_CORRECTED_WAYS` — the set-replay profile of a set whose
-  batched read hits all replay CLEAN, shared by every such set;
+  any behavioural hook?" probe behind the default lockstep mask and
+  the MBIST oracles' static-batchability check;
 - :func:`batched_surface` — the batched engine's single entry point
   for deciding whether a cache's scalar semantics may be replayed in
   bulk at all, replacing per-engine ``type(...)`` checks.
@@ -26,10 +24,11 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "AccessOutcome",
     "BEHAVIOURAL_HOOKS",
-    "NO_CORRECTED_WAYS",
     "hooks_unchanged",
     "BatchedSurface",
     "batched_surface",
@@ -95,25 +94,17 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
     return True
 
 
-# Class-level cache for the default set-inertness answer; the probe
-# runs once per set per kernel, the answer never changes per class.
-_INERT_BY_CLASS: dict = {}
-
-#: The profile of a set whose read hits all replay CLEAN.
-NO_CORRECTED_WAYS: frozenset = frozenset()
-
-
 class BatchedSurface(NamedTuple):
     """What the batched engine may use of a cache: see :func:`batched_surface`."""
 
     cache: object
-    """The cache itself; ``set_replay_profile`` / ``commit_set_replays``
-    drive the per-set bulk path."""
+    """The cache itself; ``lockstep_mask`` / ``replay_lockstep`` drive
+    the lockstep path."""
 
     interpreter: object
     """A scheme-exact batch interpreter
     (:meth:`ProtectionScheme.batch_interpreter`), or None when only the
-    per-set profile path applies."""
+    lockstep path applies."""
 
 
 def batched_surface(cache):
@@ -207,7 +198,7 @@ class ProtectionScheme:
     def filters_ways(self) -> bool:
         """May :meth:`is_line_usable` ever return False for *this
         instance*?  The cache skips the per-way usability calls (and
-        allows batched set replay) when this is False.  The default is
+        allows the lockstep kernel) when this is False.  The default is
         the conservative type-level check; schemes whose filtering is
         configuration-gated (FLAIR's optional training window) override
         it so an instance that provably never filters is not penalised
@@ -216,43 +207,36 @@ class ProtectionScheme:
         return True up front."""
         return type(self).is_line_usable is not ProtectionScheme.is_line_usable
 
-    # -- batched set replay ----------------------------------------------
+    # -- batched replay ----------------------------------------------------
 
-    def set_replay_profile(self, set_index: int):
-        """Batched-replay profile of a set: its CORRECTED ways, or None.
+    def lockstep_mask(self, geometry):
+        """The lockstep kernel's CORRECTED mask, or None to refuse.
 
-        The batched engine asks each L2 set this once per kernel,
-        before the set's first access.  A set with a profile replays
-        its whole subsequence through
-        :func:`repro.cache.soa.replay_clean_set`; a refused set (None)
-        runs per-access.  The profile is the frozenset of ways whose
-        read hits replay as CORRECTED (+1 cycle, ``corrected_reads``);
-        every other read hit replays CLEAN.  A non-empty set lets
-        statically-characterised schemes (the MBIST oracles) batch sets
-        that *contain* faulty-but-correctable lines.
+        The batched engine asks once per kernel, through
+        :meth:`repro.cache.core.CacheModel.lockstep_mask`.  A mask is an
+        ``(n_sets, associativity)`` bool array for ``geometry``: read
+        hits on a True way resolve CORRECTED (+1 cycle,
+        ``corrected_reads``), every other read hit CLEAN.  With a mask,
+        :func:`repro.cache.soa.lockstep_kernel` resolves the whole
+        residue; None sends every access down the per-access path.
 
-        Because nothing re-checks the set afterwards, the profile must
-        hold for the rest of the kernel:
+        Because nothing re-checks the mask during the kernel, it must
+        hold for all of it:
 
         - ``on_read_hit`` has no effect beyond its outcome, and
-          ``on_fill`` / ``on_write_hit`` / ``on_evict`` on any way of
-          the set are pure no-ops (no state, stat, RNG or shared-
-          structure effects);
-        - victim selection reduces to first-invalid / plain LRU (no
-          way filtering, uniform fill priorities);
-        - nothing outside the set's own accesses can mutate the set
-          (no shared-structure entries pointing at it).
+          ``on_fill`` / ``on_write_hit`` / ``on_evict`` are pure no-ops
+          (no state, stat, RNG or shared-structure effects);
+        - victim selection reduces to first free enabled way / plain
+          LRU (no way filtering, uniform fill priorities);
+        - nothing outside a set's own accesses mutates the set.
 
         The base answer covers schemes that override none of the
-        behavioural hooks (:data:`BEHAVIOURAL_HOOKS`): every hit is a
-        pure CLEAN hit.  Unaware subclasses safely opt out.
+        behavioural hooks (:data:`BEHAVIOURAL_HOOKS`): every hit is
+        CLEAN.  Unaware subclasses safely opt out.
         """
-        cls = type(self)
-        inert = _INERT_BY_CLASS.get(cls)
-        if inert is None:
-            inert = hooks_unchanged(cls)
-            _INERT_BY_CLASS[cls] = inert
-        return NO_CORRECTED_WAYS if inert else None
+        if not hooks_unchanged(type(self)):
+            return None
+        return np.zeros((geometry.n_sets, geometry.associativity), dtype=bool)
 
     def batch_interpreter(self, cache):
         """Scheme-exact batch interpreter for the engine, or None.
@@ -262,8 +246,8 @@ class ProtectionScheme:
         state, stat and RNG effect bit-exactly — returns an
         interpreter object here (see
         :mod:`repro.core.killi_replay`).  None (the default) keeps the
-        per-set profile (:meth:`set_replay_profile`) as the only
-        batching the engine attempts for this scheme.
+        lockstep kernel (:meth:`lockstep_mask`) as the only batching
+        the engine attempts for this scheme.
         """
         return None
 

@@ -127,6 +127,16 @@ class SoaLruState(ReplacementPolicy):
         self.age[set_index * self.associativity + way] = self._floor[set_index]
         self._floor[set_index] -= 1
 
+    def restamp(self, slots, ages, sets, clocks) -> None:
+        """Write back a bulk kernel's touches: the final age of each
+        touched flat slot and the final clock of each touched set."""
+        age = self.age
+        for slot, value in zip(slots.tolist(), ages.tolist()):
+            age[slot] = value
+        clock = self._clock
+        for set_index, value in zip(sets.tolist(), clocks.tolist()):
+            clock[set_index] = value
+
     def recency_order(self, set_index: int):
         """Ways of a set, most-recently-used first (read-only view)."""
         base = set_index * self.associativity

@@ -21,23 +21,26 @@ Both substrates are interchangeable behind any
 :class:`~repro.cache.core.CacheModel` (``substrate="object"`` /
 ``"soa"``, default ``"soa"``); the test suite pins them bit-identical
 across schemes, workloads and reset/disable semantics.  The batched
-set-replay kernels below address the SoA arrays directly.
+engine's lockstep kernel (:func:`lockstep_kernel`) reads the SoA arrays
+directly, and :meth:`SoaTagStore.refill` writes its fills back.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import SoaLruState
+from repro.cache.stats import CacheStats
 
 __all__ = [
     "SoaLineView",
     "SoaTagStore",
     "SoaLruState",
-    "export_set_state",
-    "replay_clean_set",
-    "bulk_apply_set_replays",
+    "LockstepRun",
+    "lockstep_kernel",
 ]
 
 
@@ -342,191 +345,212 @@ class SoaTagStore:
                         "valid array disagrees"
                     )
 
+    # -- bulk commit ---------------------------------------------------------
 
-# -- batched set replay kernels ------------------------------------------
+    def refill(self, slots, evicted, filled) -> None:
+        """Write back a bulk kernel's fills in one pass.
+
+        Flat slot ``slots[i]`` (``set * associativity + way``) held line
+        ``evicted[i]`` (-1: invalid) and now holds ``filled[i]``; each
+        slot appears once.  Equivalent to ``invalidate`` + ``insert``
+        per slot, but every evicted line leaves the lookup index before
+        any fill enters it — one kernel can evict a line from one way
+        and refill it into another way of the same set — and the numpy
+        columns take one fancy-indexed store each.
+        """
+        index = self._index
+        for line in evicted[evicted >= 0].tolist():
+            del index[line]
+        filled_list = filled.tolist()
+        line_at = self._line_at
+        for slot, line in zip(slots.tolist(), filled_list):
+            line_at[slot] = line
+        index.update(zip(filled_list, (slots % self._assoc).tolist()))
+        self.valid.ravel()[slots] = True
+        self.tag.ravel()[slots] = filled // self._n_sets
+        self.dirty.ravel()[slots] = False
+        grown = (slots[evicted < 0] // self._assoc).tolist()
+        self._n_valid += len(grown)
+        valid_in_set = self.valid_in_set
+        for set_index in grown:
+            valid_in_set[set_index] += 1
+
+
+# -- the lockstep replay kernel --------------------------------------------
 #
-# The batched engine partitions the L2-bound stream by set and replays
-# each *scheme-inert* set's subsequence here instead of one
-# ``WriteThroughCache.read``/``write`` call per access.  Clean sets are
-# plain set-associative LRU: residency plus recency fully determine
-# every hit, miss, fill and eviction, so the replay needs only an
-# insertion-ordered dict (oldest entry first == LRU victim) and O(1)
-# work per access.  State crosses through the canonical per-set form
-# exported below and is written back in bulk, mirroring the L1 filter's
-# export/import pattern.
+# The batched engine resolves a kernel's whole L2-bound residue here,
+# for every cache whose scheme is MBIST-characterised or fault-free:
+# plain set-associative LRU with fixed disabled and CORRECTED ways, so
+# sets never interact and each set's accesses only need to stay in
+# their own order.  Step k resolves the k-th access of every set that
+# has one, on ``(sets, ways)`` arrays.
+
+#: Victim keys: a valid way's key is its LRU age; a free enabled way's
+#: sorts below every age (lowest index first) and a disabled way's above
+#: every age, so one argmin per row is ``_choose_victim``'s pick.
+_FREE_KEY = -(1 << 62)
+_DISABLED_KEY = 1 << 62
+
+#: Outcome classes of :func:`lockstep_kernel`, one per residue access.
+POSTED_STORE, CLEAN_HIT, CORRECTED_HIT, MISS = range(4)
 
 
-def export_set_state(tags: SoaTagStore, lru: SoaLruState, set_index: int):
-    """Canonical replay state of one set: ``(way_lines, seed, free_ways)``.
+class LockstepRun(NamedTuple):
+    """What :func:`lockstep_kernel` resolved, for one commit."""
 
-    ``way_lines[way]`` is the resident line number (-1 invalid),
-    ``seed`` the ``(line_no, way)`` pairs of valid ways in LRU -> MRU
-    order, ``free_ways`` the invalid *enabled* ways ascending — exactly
-    the orders ``first_invalid`` / ``enabled_ways`` + ``lru_way``
-    victim selection consumes.  Disabled ways are excluded from
-    ``free_ways`` (they may never receive a fill) and are guaranteed
-    invalid (``disable`` invalidates first), so they can never appear
-    in ``seed`` either.
+    outcome: np.ndarray
+    """Outcome class per residue access, in residue order."""
+
+    stats: CacheStats
+    """The residue's stat deltas."""
+
+    sets: np.ndarray
+    """The touched sets, ascending."""
+
+    clocks: np.ndarray
+    """Each touched set's final LRU clock."""
+
+    fill_slots: np.ndarray
+    """Flat slots whose resident line changed."""
+
+    evicted: np.ndarray
+    """The line each of those slots held before (-1: invalid)."""
+
+    filled: np.ndarray
+    """The line each of those slots holds now."""
+
+    stamp_slots: np.ndarray
+    """Flat slots a hit or a fill touched."""
+
+    stamps: np.ndarray
+    """Their final LRU ages."""
+
+
+def _stable_argsort(keys, largest: int):
+    """Stable argsort of non-negative ``keys`` no larger than ``largest``."""
+    return np.argsort(keys.astype(np.min_scalar_type(largest)), kind="stable")
+
+
+def lockstep_kernel(
+    tags: SoaTagStore, lru: SoaLruState, lines, stores, set_idx, corrected
+) -> LockstepRun:
+    """Resolve a residue against plain LRU with fixed way masks.
+
+    ``lines`` / ``stores`` / ``set_idx`` are the residue's line numbers,
+    store flags and L2 sets (aligned numpy arrays, non-empty, in the
+    order the per-access path would reach them); ``corrected`` is the
+    cache's ``(n_sets, associativity)`` CORRECTED mask.  Reads nothing
+    but the store's numpy columns, the LRU ages and clocks, and writes
+    nothing: the caller commits the returned :class:`LockstepRun`.
+
+    Semantics are the write-through / no-write-allocate per-access
+    path's.  Any hit touches its way (age = the set's clock, which then
+    advances by one), so ages end equal to the per-access stamps.  A
+    read hit is CORRECTED where the mask is set, else CLEAN.  A read
+    miss fills the first free enabled way, else evicts the valid way
+    with the lowest age; in a set with no enabled way it bypasses.  A
+    store miss is a posted write and changes no state.
     """
-    assoc = tags._assoc
-    base = set_index * assoc
-    way_lines = tags._line_at[base : base + assoc]
-    if tags.disabled_in_set[set_index]:
-        disabled_row = tags.disabled[set_index]
-        free_ways = [
-            way
-            for way in range(assoc)
-            if way_lines[way] < 0 and not disabled_row[way]
-        ]
-    else:
-        free_ways = [way for way in range(assoc) if way_lines[way] < 0]
-    ages = lru.age[base : base + assoc]
-    order = sorted(range(assoc), key=ages.__getitem__)
-    seed = [(way_lines[way], way) for way in order if way_lines[way] >= 0]
-    return way_lines, seed, free_ways
-
-
-def replay_clean_set(seed, free_ways, indices, lines, stores, corrected_ways):
-    """Exact LRU replay of one scheme-inert set's access subsequence.
-
-    Parameters
-    ----------
-    seed / free_ways:
-        The set's state from :func:`export_set_state`.
-    indices:
-        The set's positions in the global residue stream, ascending —
-        the order the per-access loop would reach them.
-    lines / stores:
-        Full residue columns (plain lists; indexed by ``indices``).
-    corrected_ways:
-        The set's replay profile: the frozenset of ways whose read hits
-        replay as CORRECTED (+1 cycle, ``corrected_reads``) instead of
-        CLEAN — MBIST-oracle schemes serve faulty-but-correctable lines
-        this way.  Empty means every hit is CLEAN.
-
-    Returns ``(resident, touch_order, read_hits, write_hits, evictions,
-    miss_positions, corrected_positions)``: the final line -> way map
-    (insertion-ordered LRU -> MRU), the touched ways in final-recency
-    order (replay through ``lru.touch`` to reproduce the substrate's
-    ages; untouched ways keep theirs), the stat counts, the global
-    positions of the read misses, and the global positions of
-    CORRECTED read hits.
-
-    Semantics matched to the per-access path: reads allocate on miss
-    (victim = first invalid enabled way, else LRU among resident),
-    writes are no-allocate and only touch recency on a hit.
-    """
-    resident = {}
-    n_ways = 0
-    for line, way in seed:
-        resident[line] = way
-        if way >= n_ways:
-            n_ways = way + 1
-    for way in free_ways:
-        if way >= n_ways:
-            n_ways = way + 1
-    touched = [False] * n_ways
-    free_i = 0
-    n_free = len(free_ways)
-    read_hits = write_hits = evictions = 0
-    miss_positions = []
-    miss_append = miss_positions.append
-    corrected_positions = []
-    corrected_append = corrected_positions.append
-
-    get = resident.get
-    for i in indices:
-        line = lines[i]
-        way = get(line)
-        if stores[i]:
-            if way is not None:
-                write_hits += 1
-                del resident[line]
-                resident[line] = way
-                touched[way] = True
-        elif way is not None:
-            read_hits += 1
-            if way in corrected_ways:
-                corrected_append(i)
-            del resident[line]
-            resident[line] = way
-            touched[way] = True
-        else:
-            miss_append(i)
-            if free_i < n_free:
-                way = free_ways[free_i]
-                free_i += 1
-            else:
-                victim = next(iter(resident))
-                way = resident.pop(victim)
-                evictions += 1
-            resident[line] = way
-            touched[way] = True
-    touch_order = [way for way in resident.values() if touched[way]]
-    return (
-        resident,
-        touch_order,
-        read_hits,
-        write_hits,
-        evictions,
-        miss_positions,
-        corrected_positions,
-    )
-
-
-def bulk_apply_set_replays(tags: SoaTagStore, lru: SoaLruState, pending) -> None:
-    """Write many replayed sets' final state back in one pass.
-
-    ``pending`` holds ``(set_index, way_lines, resident, touch_order)``
-    tuples as produced by :func:`export_set_state` /
-    :func:`replay_clean_set`.  Equivalent to calling ``tags.insert`` and
-    ``lru.touch`` per changed way, but the numpy-array columns (valid /
-    tag / dirty flags) are written with one fancy-indexed assignment
-    across *all* sets instead of three scalar stores per fill — the
-    scalar stores dominate when thousands of sets apply a handful of
-    fills each.  The plain-list columns (``_line_at``, ages) and the
-    lookup dict are updated inline; per-set LRU clocks advance exactly
-    as ``touch`` would have advanced them.
-    """
+    n = len(lines)
     assoc = tags._assoc
     n_sets = tags._n_sets
-    index = tags._index
-    line_at = tags._line_at
-    valid_in_set = tags.valid_in_set
+    # (rank within set, set) order: both sorts are stable, so each
+    # set's accesses keep their order and step k holds every set's
+    # k-th access, at most one per set.  Keys narrowed to the smallest
+    # unsigned type sort by radix (up to 16 bits), several times
+    # faster than int64.
+    by_set = _stable_argsort(set_idx, n_sets - 1)
+    grouped = set_idx[by_set]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sets = grouped[starts]
+    member = np.cumsum(first) - 1  # index into ``sets``
+    rank = np.arange(n) - starts[member]
+    by_rank = _stable_argsort(rank, int(rank.max()))
+    order = by_set[by_rank]
+    edges = [0] + np.cumsum(np.bincount(rank)).tolist()
+    row = member[by_rank]
+    line = lines[order]
+    store = stores[order]
+
+    # The touched sets' state: resident lines, victim keys, clocks.
+    valid = tags.valid[sets]
+    disabled = tags.disabled[sets]
+    before = np.where(valid, tags.tag[sets] * n_sets + sets[:, None], -1)
+    # One pass over the whole age list beats slicing out the touched
+    # sets once most sets are touched, as every real residue does.
     age = lru.age
+    ages = np.fromiter(age, np.int64, len(age)).reshape(n_sets, assoc)[sets]
+    keys_before = np.where(
+        valid, ages, np.where(disabled, _DISABLED_KEY, _FREE_KEY + np.arange(assoc))
+    )
     clock = lru._clock
-    upd_slots: list = []
-    upd_lines: list = []
-    total_new_valid = 0
-    for set_index, way_lines, resident, touch_order in pending:
-        base = set_index * assoc
-        newly_valid = 0
-        for line, way in resident.items():
-            old = way_lines[way]
-            if old == line:
-                continue
-            if old >= 0:
-                index.pop(old, None)
-            else:
-                newly_valid += 1
-            index[line] = way
-            slot = base + way
-            line_at[slot] = line
-            upd_slots.append(slot)
-            upd_lines.append(line)
-        if newly_valid:
-            total_new_valid += newly_valid
-            valid_in_set[set_index] += newly_valid
-        stamp = clock[set_index]
-        for way in touch_order:
-            age[base + way] = stamp
-            stamp += 1
-        clock[set_index] = stamp
-    if upd_slots:
-        tags._n_valid += total_new_valid
-        slots_np = np.asarray(upd_slots, dtype=np.int64)
-        tags.valid.ravel()[slots_np] = True
-        tags.tag.ravel()[slots_np] = (
-            np.asarray(upd_lines, dtype=np.int64) // n_sets
-        )
-        tags.dirty.ravel()[slots_np] = False
+    clocks = np.fromiter(map(clock.__getitem__, sets.tolist()), np.int64, len(sets))
+    resident = before.copy()
+    keys = keys_before.copy()
+    dead = disabled.all(axis=1)[row]  # no enabled way: read misses bypass
+    may_fill = ~store & ~dead
+
+    hit = np.empty(n, dtype=bool)
+    way = np.empty(n, dtype=np.int64)  # the hit way, where ``hit``
+    for a, b in zip(edges[:-1], edges[1:]):
+        rows = row[a:b]
+        want = line[a:b]
+        match = resident[rows] == want[:, None]
+        step_hit = match.any(axis=1)
+        step_way = match.argmax(axis=1)
+        fill = may_fill[a:b] & ~step_hit
+        fill_rows = rows[fill]
+        victim = keys[fill_rows].argmin(axis=1)
+        step_way[fill] = victim
+        hit[a:b] = step_hit
+        way[a:b] = step_way
+        touch = step_hit | fill
+        touched_rows = rows[touch]
+        keys[touched_rows, step_way[touch]] = clocks[touched_rows]
+        clocks[touched_rows] += 1
+        resident[fill_rows, victim] = want[fill]
+
+    load = ~store
+    read_hit = hit & load
+    corrected_hit = read_hit & corrected[sets[row], way]
+    outcome = np.empty(n, dtype=np.int8)
+    outcome[order] = np.where(
+        store,
+        POSTED_STORE,
+        np.where(hit, np.where(corrected_hit, CORRECTED_HIT, CLEAN_HIT), MISS),
+    )
+    changed_rows, changed_ways = np.nonzero(resident != before)
+    evicted = before[changed_rows, changed_ways]
+    stamped_rows, stamped_ways = np.nonzero(keys != keys_before)
+    reads = int(np.count_nonzero(load))
+    read_hits = int(np.count_nonzero(read_hit))
+    write_hits = int(np.count_nonzero(hit)) - read_hits
+    bypasses = int(np.count_nonzero(load & dead))
+    fills = reads - read_hits - bypasses
+    stats = CacheStats(
+        reads=reads,
+        read_hits=read_hits,
+        read_misses=reads - read_hits,
+        writes=n - reads,
+        write_hits=write_hits,
+        write_misses=n - reads - write_hits,
+        fills=fills,
+        # A free way fills once and stays valid; every other fill evicts.
+        evictions=fills - int(np.count_nonzero(evicted < 0)),
+        bypasses=bypasses,
+        corrected_reads=int(np.count_nonzero(corrected_hit)),
+    )
+    return LockstepRun(
+        outcome=outcome,
+        stats=stats,
+        sets=sets,
+        clocks=clocks,
+        fill_slots=sets[changed_rows] * assoc + changed_ways,
+        evicted=evicted,
+        filled=resident[changed_rows, changed_ways],
+        stamp_slots=sets[stamped_rows] * assoc + stamped_ways,
+        stamps=keys[stamped_rows, stamped_ways],
+    )

@@ -86,6 +86,13 @@ class CacheStats:
         """Increment a scheme-specific counter."""
         self.extra[name] = self.extra.get(name, 0) + amount
 
+    def add(self, other: "CacheStats") -> None:
+        """Counter-wise ``self += other`` (a bulk commit's deltas)."""
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for key, amount in other.extra.items():
+            self.bump(key, amount)
+
     def copy(self) -> "CacheStats":
         """Independent snapshot (the ``extra`` dict is copied too)."""
         out = CacheStats(**{name: getattr(self, name) for name in _COUNTER_FIELDS})

@@ -1,7 +1,7 @@
 """Batched replay interpreter for Killi.
 
-The batched engine's probe path (:func:`repro.cache.soa.replay_clean_set`)
-only batches *scheme-inert* sets; for Killi at low voltage that leaves
+The batched engine's lockstep kernel (:func:`repro.cache.soa.lockstep_kernel`)
+only batches schemes with fixed way masks; for Killi that would leave
 the busiest part of the kernel — DFH warmup, ECC-cache contention,
 faulted-line classification — on the per-access Python path.  This
 module batches the *general* case instead: a shadow interpreter that
@@ -37,11 +37,10 @@ set, shared by the shadows of its L2 sets.
 Commit equivalences (vs the per-access reference path)
 ------------------------------------------------------
 - *LRU*: touched ways are replayed through ``lru.touch`` in final
-  recency order — same convention as ``bulk_apply_set_replays``;
-  absolute clock values differ but the per-set age *order*, which is
-  all the replacement policy reads, is identical.  ``demote`` calls are
-  skipped: a demoted way is invalid, and ages of invalid ways are
-  never consulted until a refill touches them.
+  recency order; absolute clock values differ but the per-set age
+  *order*, which is all the replacement policy reads, is identical.
+  ``demote`` calls are skipped: a demoted way is invalid, and ages of
+  invalid ways are never consulted until a refill touches them.
 - *Error rows*: already in the error model; the commit has none to
   write.
 """
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 from bisect import insort
 
-from repro.cache.soa import export_set_state
 from repro.core.dfh import Dfh
 from repro.core.policy import CLEAN, CORRECTED, DISABLE, RETRAIN
 from repro.testing.invariants import check_set_invariants, invariants_enabled
@@ -68,6 +66,36 @@ _DIS = int(Dfh.DISABLED)
 #: a later way once the maximum has been seen.
 _PRIORITY = (1, 2, 0, 0)
 _PRIO_MAX = 2
+
+
+def export_set_state(tags, lru, set_index: int):
+    """Canonical state of one SoA set: ``(way_lines, seed, free_ways)``.
+
+    ``way_lines[way]`` is the resident line number (-1 invalid, a fresh
+    list), ``seed`` the ``(line_no, way)`` pairs of valid ways in LRU ->
+    MRU order, ``free_ways`` the invalid *enabled* ways ascending —
+    exactly the orders ``first_invalid`` / ``enabled_ways`` + ``lru_way``
+    victim selection consumes.  Disabled ways are excluded from
+    ``free_ways`` (they may never receive a fill) and are guaranteed
+    invalid (``disable`` invalidates first), so they can never appear
+    in ``seed`` either.
+    """
+    assoc = tags._assoc
+    base = set_index * assoc
+    way_lines = tags._line_at[base : base + assoc]
+    if tags.disabled_in_set[set_index]:
+        disabled_row = tags.disabled[set_index]
+        free_ways = [
+            way
+            for way in range(assoc)
+            if way_lines[way] < 0 and not disabled_row[way]
+        ]
+    else:
+        free_ways = [way for way in range(assoc) if way_lines[way] < 0]
+    ages = lru.age[base : base + assoc]
+    order = sorted(range(assoc), key=ages.__getitem__)
+    seed = [(way_lines[way], way) for way in order if way_lines[way] >= 0]
+    return way_lines, seed, free_ways
 
 
 class _SetShadow:
@@ -657,8 +685,8 @@ class KilliClusterInterpreter:
                         tags.insert(line * line_bytes, way)
             touched = st.touched
             if touched:
-                # Final recency order; same convention as
-                # bulk_apply_set_replays (ages differ in value, not order).
+                # Final recency order (ages differ from the per-access
+                # path's in value, not in order).
                 for way in st.resident.values():
                     if touched >> way & 1:
                         lru.touch(set_index, way)

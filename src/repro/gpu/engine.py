@@ -14,16 +14,16 @@ own tag/LRU substrate:
 
 - ``engine="batched"`` (default), on the struct-of-arrays substrate:
   each CU's private L1 stream is filtered in one pass, then the
-  L2-bound residue is batched by one of two paths.  Killi, under
+  L2-bound residue is resolved by one of three paths.  Killi, under
   either decision policy, runs the whole residue through its
-  interpreter (:mod:`repro.core.killi_replay`); every other scheme
-  partitions the residue by L2 set, asks each set once for a replay
-  profile, and replays every profiled set through the batched set
-  kernel (:func:`~repro.cache.soa.replay_clean_set`) — no per-access
-  Python call at all.  Accesses neither path takes (refused sets,
-  non-batchable caches) run through the exact per-access path in
-  original global order.  Bank conflicts and the stats deltas are
-  applied in bulk.
+  interpreter (:mod:`repro.core.killi_replay`); the MBIST oracles and
+  the fault-free baseline run it through the lockstep kernel
+  (:func:`~repro.cache.soa.lockstep_kernel`), which steps the k-th
+  access of every L2 set at once — no per-access Python call at all.
+  A cache neither path accepts (write-back, way-filtering or
+  hook-overriding schemes) runs every access through the exact
+  per-access path in original global order.  Bank conflicts and the
+  stats deltas are applied in bulk.
 - ``engine="scalar"``, on the object substrate: the original
   per-round Python loop over per-line objects, kept as the reference
   implementation.
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.cache.core import WriteThroughCache
 from repro.cache.hooks import ProtectionScheme, batched_surface
-from repro.cache.soa import export_set_state, replay_clean_set
 from repro.cache.stats import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.hierarchy import SimpleL1
@@ -373,38 +372,34 @@ class GpuSimulator:
         return base, (addrs_arr[order], stores_arr[order], cus[order], pos[order])
 
     def _run_batched(self, trace: Trace) -> list:
-        """Set-partitioned batched replay of the L2-bound residue.
+        """Batched replay of the L2-bound residue.
 
         Stage 1 is :meth:`_l1_filter_residue`.  Stage 2 computes
         bank-conflict delays for the whole residue in one vectorized
         pass (queue rank = ordinal within the (round, bank) group of
         the ordered residue — identical to the per-round ``bank_usage``
-        dict of the scalar loop, and independent of which path replays
-        the access).  Stage 3 batches the residue through one of two
-        paths, chosen once per kernel by
-        :func:`~repro.cache.hooks.batched_surface`:
+        dict of the scalar loop, and independent of which path resolves
+        the access).  Stage 3 resolves the residue through one of three
+        paths, chosen once per kernel:
 
         - A scheme with a batch interpreter (Killi, Table 2 or
           strong-code) runs the whole residue through it, in global
           order (see :mod:`repro.core.killi_replay`).
-        - Otherwise the residue is partitioned by L2 set and each set
-          is asked once, before any access runs, for a *replay
-          profile* (:meth:`~repro.cache.core.CacheModel.set_replay_profile`).
-          A set with one is simulated by
-          :func:`~repro.cache.soa.replay_clean_set` — plain
-          set-associative LRU over the set's whole subsequence, O(1)
-          per access, no scheme or stats dispatch, with per-way
-          CORRECTED hits for the MBIST oracles' faulty-but-correctable
-          lines — and its tag/LRU state plus the aggregate stat deltas
-          are applied in bulk
-          (:meth:`~repro.cache.core.CacheModel.commit_set_replays`).
+        - A cache with a lockstep mask
+          (:meth:`~repro.cache.core.CacheModel.lockstep_mask`: the
+          MBIST oracles and the fault-free baseline) resolves it with
+          :meth:`~repro.cache.core.CacheModel.replay_lockstep` — plain
+          set-associative LRU stepped across every L2 set at once, with
+          per-way CORRECTED hits for the oracles' faulty-but-correctable
+          lines and bypasses for sets with no enabled way — and commits
+          it in bulk.
+        - Otherwise (write-back, way-filtering or hook-overriding
+          schemes) every access runs through ``l2.read`` / ``l2.write``
+          in original global order, which preserves the RNG draw
+          sequence and every cross-set interaction.
 
-        Every access neither path took — a refused set's, or the whole
-        residue when the cache is not batchable — runs through
-        ``l2.read`` / ``l2.write`` in original global order, preserving
-        the RNG draw sequence and the ECC-cache interleave across sets,
-        which is what keeps cycles, stats and scheme state
-        bit-identical to the reference.
+        Each path keeps cycles, stats and scheme state bit-identical
+        to the reference.
         """
         n_cus = self.config.n_cus
         telemetry = METRICS.enabled
@@ -422,9 +417,8 @@ class GpuSimulator:
         n = len(r_addrs)
         l2 = self.l2
         geometry = self.config.l2
-        n_sets = geometry.n_sets
         line_nos = r_addrs // geometry.line_bytes
-        set_idx = line_nos % n_sets
+        set_idx = line_nos % geometry.n_sets
 
         # Stage 2: bank-conflict delays, state-free and exact.
         model_banks = self.config.model_bank_conflicts
@@ -444,111 +438,47 @@ class GpuSimulator:
             delay = np.empty(n, dtype=np.int64)
             delay[by_key] = (ordinal - group_start) * self.config.bank_conflict_penalty
 
-        lat = None  # per-access latency of the batched accesses
-        latency_py = [0] * n_cus  # per-access-path accumulation
-        stores_list = r_stores.tolist()
-        addrs_list = r_addrs.tolist()
-        cus_list = r_cus.tolist()
-        lines_list = line_nos.tolist()
-        loop_idx = range(n)  # accesses left to the per-access path
-        pending: list = []  # deferred (set, way_lines, resident, touch_order)
-        l2_read = l2.read
-        l2_write = l2.write
-
-        # One gate for all bulk replay: the transaction layer decides
-        # whether the L2's scalar semantics are batchable at all
+        # Stage 3.  One gate for all bulk replay: the transaction layer
+        # decides whether the L2's scalar semantics are batchable at all
         # (write-back / write-allocate protocols and subclassed access
         # paths refuse), and hands back the scheme's batch interpreter
         # when one exists.
         surface = batched_surface(l2)
         interp = surface.interpreter if surface is not None else None
-        if interp is not None:
-            # Stage 3': the scheme's interpreter simulates the whole
-            # residue in global order with full scheme semantics and
-            # commits it in bulk (see :mod:`repro.core.killi_replay`).
-            lat_list = [0] * n
-            interp.run(lines_list, stores_list, lat_list, set_idx.tolist())
-            lat = np.asarray(lat_list, dtype=np.int64)
-            loop_idx = ()
-        elif surface is not None:
-            # Stage 3: set partition.  Stable grouping keeps each set's
-            # subsequence in original (round-major/CU-minor) order.
-            # Each set is asked for its profile exactly once: a set
-            # with one replays all of its accesses here, a refused set
-            # runs all of its accesses per-access below.
-            set_order = np.argsort(set_idx, kind="stable")
-            uniq_sets, starts = np.unique(set_idx[set_order], return_index=True)
-            bounds = np.append(starts[1:], n)
-            replay_profile = l2.set_replay_profile
-            tags, lru = l2.tags, l2.lru
-            agg = [0, 0, 0, 0, 0]  # reads, read_hits, writes, write_hits, evs
-            miss_all: list = []
-            corrected_all: list = []
-            refused: list = []
-            for s, a, b in zip(uniq_sets.tolist(), starts.tolist(), bounds.tolist()):
-                corrected_ways = replay_profile(s)
-                if corrected_ways is None:
-                    refused.append(s)
-                    continue
-                way_lines, seed, free_ways = export_set_state(tags, lru, s)
-                resident, touch_order, rh, wh, ev, miss_positions, corr = (
-                    replay_clean_set(
-                        seed, free_ways, set_order[a:b].tolist(), lines_list,
-                        stores_list, corrected_ways,
-                    )
-                )
-                pending.append((s, way_lines, resident, touch_order))
-                reads_sub = rh + len(miss_positions)
-                agg[0] += reads_sub
-                agg[1] += rh
-                agg[2] += b - a - reads_sub
-                agg[3] += wh
-                agg[4] += ev
-                miss_all.extend(miss_positions)
-                corrected_all.extend(corr)
-            if not refused:
-                loop_idx = ()
-            elif pending:
-                refused_sets = np.zeros(n_sets, dtype=bool)
-                refused_sets[refused] = True
-                loop_idx = np.flatnonzero(refused_sets[set_idx]).tolist()
-
-        for i in loop_idx:
-            if stores_list[i]:
-                latency_py[cus_list[i]] += l2_write(addrs_list[i])
-            else:
-                latency_py[cus_list[i]] += l2_read(addrs_list[i])
-
-        if pending:
-            # Deferred state write-back and batched stat deltas land
-            # through the transaction layer's single commit point; only
-            # the latencies stay engine-side.  A batched access is a
-            # posted store or a hit unless it missed, or hit one of the
-            # per-way CORRECTED lines (``corrected_all``: oracle
-            # faulty-but-within-budget lines, +1 cycle).  Refused sets'
-            # accesses already counted their latency per access.
-            l2.commit_set_replays(pending, agg, len(miss_all), len(corrected_all))
-            lat = np.where(r_stores, l2._lat_tag, l2._lat_hit)
-            if loop_idx:
-                lat[loop_idx] = 0
-            if corrected_all:
-                lat[np.asarray(corrected_all, dtype=np.int64)] = (
-                    l2._lat_hit_corrected
-                )
-            if miss_all:
-                lat[np.asarray(miss_all, dtype=np.int64)] = l2._lat_miss
-
+        corrected = (
+            l2.lockstep_mask() if surface is not None and interp is None else None
+        )
+        n_fallback = 0
         latency_np = np.zeros(n_cus, dtype=np.int64)
-        if lat is not None:
+        if interp is not None:
+            lat_list = [0] * n
+            interp.run(
+                line_nos.tolist(), r_stores.tolist(), lat_list, set_idx.tolist()
+            )
+            np.add.at(latency_np, r_cus, np.asarray(lat_list, dtype=np.int64))
+        elif corrected is not None:
+            lat = l2.replay_lockstep(line_nos, r_stores, set_idx, corrected)
             np.add.at(latency_np, r_cus, lat)
+        else:
+            n_fallback = n
+            latency = [0] * n_cus
+            l2_read = l2.read
+            l2_write = l2.write
+            for addr, store, cu in zip(
+                r_addrs.tolist(), r_stores.tolist(), r_cus.tolist()
+            ):
+                latency[cu] += l2_write(addr) if store else l2_read(addr)
+            latency_np += latency
         if model_banks:
             np.add.at(latency_np, r_cus, delay)
         if telemetry:
             METRICS.observe(
                 "engine.batched.l2_replay", time.perf_counter() - phase_started
             )
-            n_fallback = len(loop_idx)
-            METRICS.incr("engine.batched.sets_batched", len(pending))
+            if corrected is not None:
+                METRICS.incr(
+                    "engine.batched.sets_batched", len(np.unique(set_idx))
+                )
             METRICS.incr("engine.batched.accesses_batched", n - n_fallback)
             METRICS.incr("engine.batched.accesses_fallback", n_fallback)
             if n_fallback:
@@ -556,9 +486,7 @@ class GpuSimulator:
                     f"engine.batched.fallback.{type(l2.scheme).__name__}",
                     n_fallback,
                 )
-        return [
-            base[cu] + latency_py[cu] + int(latency_np[cu]) for cu in range(n_cus)
-        ]
+        return [base[cu] + int(latency_np[cu]) for cu in range(n_cus)]
 
     def run_kernels(self, traces) -> list:
         """Run a sequence of kernels back to back.

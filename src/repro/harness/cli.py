@@ -192,8 +192,8 @@ def _run_fig6() -> None:
 
 def _run_perf(args):
     matrix = experiments.fig4_fig5_performance(
-        workloads=args.workloads or None,
-        schemes=args.schemes or None,
+        workloads=args.workloads,
+        schemes=args.schemes,
         accesses_per_cu=args.accesses,
         seed=args.seed,
         jobs=args.jobs,
@@ -523,12 +523,12 @@ def main(argv=None) -> int:
         help="accesses per CU for simulation experiments (default 30000)",
     )
     parser.add_argument(
-        "--workloads", nargs="*", type=_registered(resolve_workload),
+        "--workloads", nargs="+", type=_registered(resolve_workload),
         default=None,
         help="restrict Figure 4/5 to these workloads",
     )
     parser.add_argument(
-        "--schemes", nargs="*", type=_registered(resolve_scheme),
+        "--schemes", nargs="+", type=_registered(resolve_scheme),
         default=None,
         help="restrict Figure 4/5 to these scheme names — any scheme "
              "name, including killi+<code>_1:<ratio> strong-code "

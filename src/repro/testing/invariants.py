@@ -4,8 +4,8 @@ The checks here are the *structural* half of the correctness contract
 the differential executor (:mod:`repro.testing.differential`) pins
 behaviourally: counters must agree with scans, LRU state must stay a
 permutation, and the lookup index must never alias — after every
-per-access commit and every bulk commit (set replays, the batched
-Killi interpreter's once-per-kernel commit).
+per-access commit and every bulk commit (the lockstep kernel's and
+the batched Killi interpreter's, each once per kernel).
 
 They are armed by the ``REPRO_CHECK_INVARIANTS`` environment variable
 (read once per cache/interpreter construction).  When the flag is off the hot paths carry no

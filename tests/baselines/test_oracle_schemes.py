@@ -1,12 +1,12 @@
 """Tests for the MBIST-pre-characterised baseline schemes."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import DectedScheme, FlairScheme, MsEccScheme, SecDedLineScheme
 from repro.baselines.oracle import OracleEccScheme
 from repro.cache.geometry import CacheGeometry
 from repro.cache.core import WriteThroughCache
-from repro.cache.hooks import NO_CORRECTED_WAYS
 from repro.faults.fault_map import FaultMap
 
 GEO = CacheGeometry(size_bytes=16 * 1024, line_bytes=64, associativity=4)
@@ -104,10 +104,11 @@ class TestOracleAccessPath:
         assert cache.tags.line(0, 0).disabled
 
 
-    def test_replay_profile_is_the_corrected_ways(self):
-        """A set's batched-replay profile is the frozenset of its
-        correctable faulty ways; fault-free sets share one empty
-        frozenset, and a set with every way disabled refuses."""
+    def test_lockstep_mask_is_the_corrected_ways(self):
+        """The cache's lockstep mask marks exactly the correctable
+        faulty ways.  Over-budget ways are disabled instead, and a set
+        with every way disabled is no longer refused: the kernel
+        bypasses it."""
         faults = {
             GEO.line_id(1, 2): [(1, 1)],
             GEO.line_id(1, 3): [(1, 1), (2, 1), (3, 1)],  # over budget
@@ -115,10 +116,19 @@ class TestOracleAccessPath:
         for way in range(4):
             faults[GEO.line_id(2, way)] = [(1, 1), (2, 1), (3, 1)]
         cache, _ = build(DectedScheme, faults)
-        assert cache.set_replay_profile(0) is NO_CORRECTED_WAYS
-        assert cache.set_replay_profile(3) is NO_CORRECTED_WAYS
-        assert cache.set_replay_profile(1) == frozenset({2})
-        assert cache.set_replay_profile(2) is None
+        mask = cache.lockstep_mask()
+        assert mask is not None
+        assert mask.shape == (GEO.n_sets, GEO.associativity)
+        assert [tuple(x) for x in np.argwhere(mask)] == [(1, 2)]
+        assert cache.tags.disabled_in_set[2] == GEO.associativity
+
+    def test_hook_overriding_subclass_refuses_lockstep(self):
+        class Noisy(DectedScheme):
+            def on_fill(self, set_index, way):
+                pass
+
+        cache, _ = build(Noisy, {})
+        assert cache.lockstep_mask() is None
 
 
 class TestWholeSetDisabled:

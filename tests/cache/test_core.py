@@ -116,9 +116,13 @@ class TestSemanticsBatchable:
 
         assert Annotated(small_geometry()).semantics_batchable
 
-    def test_unbatchable_cache_refuses_set_replay(self):
+    def test_unbatchable_cache_refuses_lockstep(self):
         wb = WriteBackCache(small_geometry())
-        assert wb.set_replay_profile(0) is None
+        assert wb.lockstep_mask() is None
+        wt = WriteThroughCache(small_geometry())
+        mask = wt.lockstep_mask()
+        assert mask.shape == (wt.geometry.n_sets, wt.geometry.associativity)
+        assert not mask.any()
 
 
 class TestExecute:

@@ -6,8 +6,9 @@ reference (on the object substrate) produce bit-identical cycles,
 per-CU cycles and every CacheStats counter (L2 and all L1s).
 Pinned here on a workload x scheme matrix, a seeded randomized fuzz
 sweep, and directed edge cases (ragged streams, bank conflicts, empty
-traces, disabled ways, 100%-fallback schemes, write-back cells,
-multi-kernel runs), plus the batched engine's single per-set probe.
+traces, disabled ways, dead sets, 100%-fallback schemes, write-back
+cells, multi-kernel runs, a bare reset between kernels), plus the
+batched engine's one lockstep-mask query per kernel.
 """
 
 import numpy as np
@@ -159,7 +160,10 @@ class TestDirectedEdgeCases:
             if prepare is not None:
                 prepare(sim)
             r = sim.run(trace)
-            results.append((r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()))
+            results.append((
+                r.cycles, r.per_cu_cycles, r.l2_stats.as_dict(),
+                sim.state_digest(),
+            ))
         return results
 
     def assert_all_equal(self, results):
@@ -229,15 +233,58 @@ class TestDirectedEdgeCases:
         for engine in ENGINES:
             sim = GpuSimulator(small_config(), UnprotectedScheme(), engine=engine)
             rs = sim.run_kernels(traces)
-            results.append([
-                (r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()) for r in rs
-            ])
+            results.append((
+                [(r.cycles, r.per_cu_cycles, r.l2_stats.as_dict()) for r in rs],
+                sim.state_digest(),
+            ))
         for got in results[1:]:
             assert got == results[0]
 
+    def test_dead_sets_bypass_without_fallback(self):
+        """A set with every way disabled bypasses inside the lockstep
+        kernel: no access of it falls back to the per-access path."""
+        rng = np.random.default_rng(5)
+        trace = random_trace(rng, footprint=32 * 1024)
+
+        def kill_every_fourth_set(sim):
+            for set_index in range(0, sim.l2.geometry.n_sets, 4):
+                for way in range(sim.l2.geometry.associativity):
+                    sim.l2.tags.disable(set_index, way)
+
+        METRICS.enable(propagate_env=False)
+        try:
+            METRICS.reset()
+            reference = self.assert_all_equal(self.run_all(
+                small_config(), trace, prepare=kill_every_fourth_set,
+            ))
+            snap = METRICS.snapshot()
+            counters = snap.get("counters", snap)
+        finally:
+            METRICS.disable()
+        assert reference[2]["bypasses"] > 0
+        assert counters.get("engine.batched.accesses_batched", 0) > 0
+        assert counters.get("engine.batched.accesses_fallback", 0) == 0
+
+    def test_dected_reset_between_kernels(self):
+        """A bare ``l2.reset()`` between two kernels: the oracle
+        re-disables its over-budget lines in ``on_reset``, and both
+        engines end in the same state."""
+        digests = []
+        for engine in ENGINES:
+            _, sim = run_with(engine, "xsbench", "dected", accesses=400)
+            sim.l2.reset()
+            trace = workload_trace(
+                "fft", 400, n_cus=sim.config.n_cus,
+                rng=RngFactory(21).stream("trace/fft"),
+            )
+            result = sim.run(trace)
+            assert result.l2_stats.corrected_reads > 0
+            digests.append(sim.state_digest())
+        assert digests[0] == digests[1]
+
 
 class FallbackScheme(UnprotectedScheme):
-    """Overrides a behavioural hook: every replay probe must refuse."""
+    """Overrides a behavioural hook: the lockstep mask must refuse."""
 
     def __init__(self):
         super().__init__()
@@ -300,7 +347,7 @@ class TestBatchedFallback:
 
     @pytest.mark.parametrize("scheme", ["dected", "flair"])
     def test_mbist_sets_batch_at_their_one_probe(self, scheme):
-        """Static profiles: every set batches, nothing falls back, and
+        """Static masks: every access batches, nothing falls back, and
         no zero-valued per-scheme counter is emitted."""
         counters = self._cell_counters(scheme)
         assert counters.get("engine.batched.accesses_fallback", 0) == 0
@@ -312,16 +359,13 @@ class TestBatchedFallback:
         ]
 
     def test_strong_killi_is_refused_and_counted_once(self):
-        """Strong-code Killi is a plain ``KilliScheme``: the per-set
-        profile refuses every set, so the cluster interpreter is its
-        only batching path, and it batches every L2 access."""
+        """Strong-code Killi is a plain ``KilliScheme``: the lockstep
+        mask refuses it, so the cluster interpreter is its only
+        batching path, and it batches every L2 access."""
         counters, result, simulator = self._cell("killi+olsc-t11_1:8")
         l2 = simulator.l2
         assert type(l2.scheme) is KilliScheme
-        assert all(
-            l2.set_replay_profile(s) is None
-            for s in range(l2.geometry.n_sets)
-        )
+        assert l2.lockstep_mask() is None
         assert counters.get("engine.batched.sets_batched", 0) == 0
         batched = counters.get("engine.batched.accesses_batched", 0)
         fallback = counters.get("engine.batched.accesses_fallback", 0)
@@ -351,7 +395,7 @@ class TestBatchedFallback:
             ], scheme
 
     def test_corrected_way_replay(self):
-        """Oracle sets containing correctable faulty ways batch with
+        """Oracle caches containing correctable faulty ways batch with
         per-way CORRECTED hits — and those hits actually occur."""
         result, _ = run_with("batched", "xsbench", "dected")
         assert result.l2_stats.as_dict()["corrected_reads"] > 0

@@ -196,6 +196,24 @@ class TestCli:
         assert exit_info.value.code == 2
         assert value in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--workloads", "--schemes"])
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5", "all"])
+    def test_empty_name_list_is_a_usage_error(
+        self, experiment, flag, monkeypatch, capsys
+    ):
+        """``--workloads`` / ``--schemes`` with no names exits 2 naming
+        the flag instead of running the whole axis."""
+        from repro.harness import cli
+
+        def simulate(**kwargs):
+            pytest.fail("a cell simulated")
+
+        monkeypatch.setattr(cli.experiments, "fig4_fig5_performance", simulate)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([experiment, "--accesses", "10", flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment", ["fig4", "all"])
     @pytest.mark.parametrize(
         "resume_args,message",
