@@ -13,7 +13,7 @@ transaction core -> hooks -> substrates (see ``docs/architecture.md``):
   write-back extension and the L1 filter caches; the single scalar
   implementation of the access semantics.
 - :mod:`repro.cache.hooks` — the scheme-facing surface (outcomes,
-  hook base class, the lockstep mask, the batched-engine gate).
+  hook base class, the lockstep mask, the batch-interpreter hook).
 - :mod:`repro.cache.replacement` — the shared
   :class:`ReplacementPolicy` interface with both substrates' LRU
   states.
@@ -41,10 +41,8 @@ from repro.cache.core import (
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import (
     AccessOutcome,
-    BatchedSurface,
     ProtectionScheme,
     UnprotectedScheme,
-    batched_surface,
     hooks_unchanged,
 )
 from repro.cache.object_store import CacheLineState, SetAssocCache
@@ -64,8 +62,6 @@ __all__ = [
     "AccessOutcome",
     "ProtectionScheme",
     "UnprotectedScheme",
-    "BatchedSurface",
-    "batched_surface",
     "hooks_unchanged",
     "CacheLatencies",
     "CacheModel",

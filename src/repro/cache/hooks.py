@@ -10,19 +10,14 @@ points and acts on the returned :class:`AccessOutcome`.
 This module is the single home of that surface.  Besides the scheme
 base class and the outcome enum it carries the pieces every engine
 tier consumes instead of re-stating semantics inline:
-
-- :func:`hooks_unchanged` — the type-level "does this scheme override
-  any behavioural hook?" probe behind the default lockstep mask and
-  the MBIST oracles' static-batchability check;
-- :func:`batched_surface` — the batched engine's single entry point
-  for deciding whether a cache's scalar semantics may be replayed in
-  bulk at all, replacing per-engine ``type(...)`` checks.
+:func:`hooks_unchanged`, the type-level "does this scheme override any
+behavioural hook?" probe behind the default lockstep mask and the MBIST
+oracles' static-batchability check.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +25,6 @@ __all__ = [
     "AccessOutcome",
     "BEHAVIOURAL_HOOKS",
     "hooks_unchanged",
-    "BatchedSurface",
-    "batched_surface",
     "ProtectionScheme",
     "UnprotectedScheme",
 ]
@@ -92,35 +85,6 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
         if getattr(cls, name) is not getattr(owner, name):
             return False
     return True
-
-
-class BatchedSurface(NamedTuple):
-    """What the batched engine may use of a cache: see :func:`batched_surface`."""
-
-    cache: object
-    """The cache itself; ``lockstep_mask`` / ``replay_lockstep`` drive
-    the lockstep path."""
-
-    interpreter: object
-    """A scheme-exact batch interpreter
-    (:meth:`ProtectionScheme.batch_interpreter`), or None when only the
-    lockstep path applies."""
-
-
-def batched_surface(cache):
-    """The batched engine's view of ``cache``, or None (fall back).
-
-    None means the cache's scalar semantics are not bulk-replayable —
-    a write-back / write-allocate protocol, a plain-LRU fill policy,
-    or a subclass that overrode part of the access protocol — and
-    every access must run through the ordinary per-access path.  The
-    decision belongs to the transaction layer
-    (:attr:`repro.cache.core.CacheModel.semantics_batchable`), not to
-    the engines: this is the single gate all tiers consult.
-    """
-    if not getattr(cache, "semantics_batchable", False):
-        return None
-    return BatchedSurface(cache, cache.scheme.batch_interpreter(cache))
 
 
 class ProtectionScheme:

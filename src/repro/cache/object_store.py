@@ -34,7 +34,7 @@ class SetAssocCache:
     Purely structural: lookup, insert, invalidate.  Replacement and
     protection policy live in the caller.  ``count_valid`` and
     ``count_disabled`` are counter-maintained (updated incrementally
-    on insert/invalidate/disable/enable/enable_all); in debug builds
+    on insert/invalidate/disable/enable_all); in debug builds
     each call cross-checks the counter against a full scan.
     """
 
@@ -53,10 +53,6 @@ class SetAssocCache:
         # check these instead of scanning the ways.
         self.valid_in_set = [0] * geometry.n_sets
         self.disabled_in_set = [0] * geometry.n_sets
-
-    def line(self, set_index: int, way: int) -> CacheLineState:
-        """The tag-array state of (set, way)."""
-        return self._lines[set_index][way]
 
     def lookup(self, addr: int) -> int | None:
         """Way holding ``addr``, or None on miss.
@@ -103,14 +99,6 @@ class SetAssocCache:
             line.disabled = True
             self._n_disabled += 1
             self.disabled_in_set[set_index] += 1
-
-    def enable(self, set_index: int, way: int) -> None:
-        """Clear one way's disable flag (scrubber reclaim)."""
-        line = self._lines[set_index][way]
-        if line.disabled:
-            line.disabled = False
-            self._n_disabled -= 1
-            self.disabled_in_set[set_index] -= 1
 
     def enable_all(self) -> None:
         """Clear every disable flag (models a voltage change / DFH reset)."""
@@ -162,10 +150,6 @@ class SetAssocCache:
             if not line.valid:
                 return way
         return None
-
-    def ways_of_set(self, set_index: int):
-        """All line states of a set (list indexed by way)."""
-        return self._lines[set_index]
 
     # -- counters (maintained incrementally; scans assert in debug) --------
 

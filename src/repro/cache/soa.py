@@ -36,7 +36,6 @@ from repro.cache.replacement import SoaLruState
 from repro.cache.stats import CacheStats
 
 __all__ = [
-    "SoaLineView",
     "SoaTagStore",
     "SoaLruState",
     "LockstepRun",
@@ -44,69 +43,13 @@ __all__ = [
 ]
 
 
-class SoaLineView:
-    """Dataclass-compatible view of one (set, way) in a :class:`SoaTagStore`.
-
-    Quacks like :class:`~repro.cache.object_store.CacheLineState` for
-    readers (``valid``/``tag``/``disabled``/``dirty``); the mutable
-    flags (``dirty``, ``disabled``) write through to the arrays and
-    keep the store's maintained counters in sync.  ``valid``/``tag``
-    are read-only — all code paths mutate those via the store API.
-    """
-
-    __slots__ = ("_store", "_set", "_way")
-
-    def __init__(self, store: "SoaTagStore", set_index: int, way: int):
-        self._store = store
-        self._set = set_index
-        self._way = way
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._store.valid[self._set, self._way])
-
-    @property
-    def tag(self) -> int:
-        return int(self._store.tag[self._set, self._way])
-
-    @property
-    def disabled(self) -> bool:
-        return bool(self._store.disabled[self._set, self._way])
-
-    @disabled.setter
-    def disabled(self, value: bool) -> None:
-        store = self._store
-        was = bool(store.disabled[self._set, self._way])
-        if was != bool(value):
-            store.disabled[self._set, self._way] = bool(value)
-            delta = 1 if value else -1
-            store._n_disabled += delta
-            store.disabled_in_set[self._set] += delta
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._store.dirty[self._set, self._way])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._store.dirty[self._set, self._way] = bool(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SoaLineView(set={self._set}, way={self._way}, "
-            f"valid={self.valid}, tag={self.tag}, "
-            f"disabled={self.disabled}, dirty={self.dirty})"
-        )
-
-
 class SoaTagStore:
     """Tag store for a set-associative cache on flat numpy arrays.
 
     API-compatible with :class:`~repro.cache.object_store.SetAssocCache`
-    (lookup / insert / invalidate / disable / enable / enable_all /
-    line / ways_of_set / counters) plus the scalar accessors the
-    protected-cache hot path uses (``is_valid`` / ``is_dirty`` /
-    ``is_disabled`` / ``tag_at`` / ``set_dirty``).
+    (lookup / insert / invalidate / disable / enable_all / counters and
+    the per-way accessors ``is_valid`` / ``is_dirty`` / ``is_disabled``
+    / ``tag_at`` / ``set_dirty``).
 
     The lookup index maps *line numbers* (``addr // line_bytes``) to
     ways: globally unique because each line number belongs to exactly
@@ -186,20 +129,13 @@ class SoaTagStore:
             self._n_disabled += 1
             self.disabled_in_set[set_index] += 1
 
-    def enable(self, set_index: int, way: int) -> None:
-        """Clear one way's disable flag (scrubber reclaim)."""
-        if self.disabled[set_index, way]:
-            self.disabled[set_index, way] = False
-            self._n_disabled -= 1
-            self.disabled_in_set[set_index] -= 1
-
     def enable_all(self) -> None:
         """Clear every disable flag (models a voltage change / DFH reset)."""
         self.disabled[:] = False
         self._n_disabled = 0
         self.disabled_in_set = [0] * self._n_sets
 
-    # -- scalar accessors (hot-path, no view allocation) -------------------
+    # -- per-way accessors -------------------------------------------------
 
     def is_valid(self, set_index: int, way: int) -> bool:
         return self._line_at[set_index * self._assoc + way] >= 0
@@ -242,19 +178,6 @@ class SoaTagStore:
             if line_at[base + way] < 0:
                 return way
         return None
-
-    # -- structural views --------------------------------------------------
-
-    def line(self, set_index: int, way: int) -> SoaLineView:
-        """The tag-array state of (set, way)."""
-        return SoaLineView(self, set_index, way)
-
-    def ways_of_set(self, set_index: int):
-        """All line states of a set (list indexed by way)."""
-        return [
-            SoaLineView(self, set_index, way)
-            for way in range(self.geometry.associativity)
-        ]
 
     # -- counters (maintained incrementally; scans assert in debug) --------
 

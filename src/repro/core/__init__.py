@@ -36,7 +36,6 @@ from repro.core.ecc_cache import EccCache
 from repro.core.killi import KilliScheme
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel, Signals
-from repro.core.scrubber import Scrubber
 from repro.core.writeback import KilliWriteBackScheme
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "Signals",
     "EccCache",
     "KilliScheme",
-    "Scrubber",
     "KilliWriteBackScheme",
     "BitAccurateDataPath",
 ]

@@ -34,7 +34,13 @@ from repro.core.dfh import Dfh
 from repro.core.ecc_cache import EccCache
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel
-from repro.core.policy import CORRECTED, RETRAIN, StrongCodePolicy, Table2Policy
+from repro.core.policy import (
+    CORRECTED,
+    PRIORITY_BY_DFH,
+    RETRAIN,
+    StrongCodePolicy,
+    Table2Policy,
+)
 from repro.faults.fault_map import FaultMap
 from repro.faults.soft_errors import SoftErrorInjector
 
@@ -146,9 +152,6 @@ class KilliScheme(ProtectionScheme):
         self._interp = None
 
     # -- internals ---------------------------------------------------------
-
-    #: fill priority per DFH value (paper 4.4: b'01 > b'00 > b'10).
-    _PRIORITY = (1, 2, 0, 0)
 
     def _line_id(self, set_index: int, way: int) -> int:
         return set_index * self._assoc + way
@@ -266,8 +269,8 @@ class KilliScheme(ProtectionScheme):
         handles *every* access — DFH warmup, classification, ECC-cache
         contention and the shared-RNG write hits included — in one
         global-order pass per kernel.  It is Killi's only batching
-        path: the scheme overrides the behavioural hooks, so the
-        per-set profile always refuses it.  The interpreter decides
+        path: the scheme overrides the behavioural hooks, so its
+        :meth:`lockstep_mask` is always None.  The interpreter decides
         through the scheme's own policy, so both rules batch.  Gated
         to exactly this class (subclasses may change semantics the
         interpreter replicates, so they run per-access) and to runs
@@ -316,14 +319,14 @@ class KilliScheme(ProtectionScheme):
         if not self.config.priority_replacement:
             return 0
         line_id = set_index * self.geometry.associativity + way
-        return self._PRIORITY[int(self.dfh[line_id])]
+        return PRIORITY_BY_DFH[int(self.dfh[line_id])]
 
     def fill_priorities(self, set_index: int, ways) -> list:
         if not self.config.priority_replacement:
             return [0] * len(ways)
         base = set_index * self._assoc
         dfh = self.dfh[base : base + self._assoc]
-        prio = self._PRIORITY
+        prio = PRIORITY_BY_DFH
         return [prio[dfh[way]] for way in ways]
 
     def fill_priority_is_uniform(self, set_index: int) -> bool:

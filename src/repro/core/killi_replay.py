@@ -50,7 +50,14 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.core.dfh import Dfh
-from repro.core.policy import CLEAN, CORRECTED, DISABLE, RETRAIN
+from repro.core.policy import (
+    CLEAN,
+    CORRECTED,
+    DISABLE,
+    PRIORITY_BY_DFH,
+    PRIORITY_MAX,
+    RETRAIN,
+)
 from repro.testing.invariants import check_set_invariants, invariants_enabled
 
 __all__ = ["KilliClusterInterpreter"]
@@ -59,13 +66,6 @@ _S0 = int(Dfh.STABLE_0)
 _INI = int(Dfh.INITIAL)
 _S1 = int(Dfh.STABLE_1)
 _DIS = int(Dfh.DISABLED)
-
-#: fill priority per DFH value (must match KilliScheme._PRIORITY).
-#: INITIAL's priority (2) is the global maximum, so victim scans may
-#: stop at the first INITIAL way: first-max tie-breaking cannot prefer
-#: a later way once the maximum has been seen.
-_PRIORITY = (1, 2, 0, 0)
-_PRIO_MAX = 2
 
 
 def export_set_state(tags, lru, set_index: int):
@@ -405,7 +405,7 @@ class KilliClusterInterpreter:
             if self._uniform(st, set_index):
                 return invalid[0], False
             dfh_local = st.dfh
-            prio = _PRIORITY
+            prio = PRIORITY_BY_DFH
             best_way = invalid[0]
             best_p = -1
             for way in invalid:
@@ -413,7 +413,7 @@ class KilliClusterInterpreter:
                 if p > best_p:  # first-max tie-break
                     best_p = p
                     best_way = way
-                    if p == _PRIO_MAX:
+                    if p == PRIORITY_MAX:
                         break
             return best_way, False
         if not resident:
@@ -469,7 +469,8 @@ class KilliClusterInterpreter:
         ecc_assoc = self._ecc_assoc
         dfh_over = self._dfh_over
         trans = self._trans
-        prio = _PRIORITY
+        prio = PRIORITY_BY_DFH
+        prio_max = PRIORITY_MAX
         prio_repl = self._prio_repl
         off_init = self._scheme._off_initial_in_set
         lat_hit = self._lat_hit
@@ -535,7 +536,7 @@ class KilliClusterInterpreter:
                             if p > best_p:  # first-max tie-break
                                 best_p = p
                                 victim = w
-                                if p == 2:  # _PRIO_MAX
+                                if p == prio_max:
                                     break
                         free.remove(victim)
                     else:

@@ -15,10 +15,12 @@ each rule reads only what its ECC-cache code can observe of it:
   errors up to its detection budget; the codes themselves are
   implemented bit for bit in :mod:`repro.ecc`.
 
-These classes are the only code that knows either rule.
-:class:`~repro.core.killi.KilliScheme`'s hooks and the batched
-engine's cluster interpreter (:mod:`repro.core.killi_replay`) both call
-them and apply the decision to their own (real or shadow) state.
+These classes are the only code that knows either rule, and
+:data:`PRIORITY_BY_DFH` is the only copy of Section 4.4's fill
+priority.  :class:`~repro.core.killi.KilliScheme`'s hooks and the
+batched engine's cluster interpreter (:mod:`repro.core.killi_replay`)
+both use them and apply the decision to their own (real or shadow)
+state.
 
 Read-hit decisions are ``(next DFH, outcome, SDC)`` with ``outcome``
 one of :data:`CLEAN`, :data:`CORRECTED`, :data:`RETRAIN` or
@@ -38,6 +40,8 @@ __all__ = [
     "CORRECTED",
     "RETRAIN",
     "DISABLE",
+    "PRIORITY_BY_DFH",
+    "PRIORITY_MAX",
     "Table2Policy",
     "StrongCodePolicy",
 ]
@@ -50,6 +54,14 @@ _DIS = int(Dfh.DISABLED)
 #: Read-hit outcomes: serve clean, serve corrected (+1 cycle), or an
 #: error-induced miss that invalidates (retrain) or disables the line.
 CLEAN, CORRECTED, RETRAIN, DISABLE = range(4)
+
+#: Fill priority per DFH value (paper Section 4.4: b'01 > b'00 > b'10;
+#: higher wins among invalid candidate ways).
+PRIORITY_BY_DFH = (1, 2, 0, 0)
+#: INITIAL's priority is the global maximum, so a victim scan may stop
+#: at the first INITIAL way: first-max tie-breaking cannot prefer a
+#: later way once the maximum has been seen.
+PRIORITY_MAX = max(PRIORITY_BY_DFH)
 
 
 class Table2Policy:

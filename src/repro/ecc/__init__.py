@@ -21,7 +21,6 @@ Implements, bit-for-bit, every code the paper relies on:
 
 from repro.ecc.base import BlockCode, DecodeResult, DecodeStatus
 from repro.ecc.bch import BchCode, make_6ec7ed, make_dected, make_tecqed
-from repro.ecc.hsiao import HsiaoCode
 from repro.ecc.olsc import OlscCode
 from repro.ecc.parity import SegmentedParity
 from repro.ecc.registry import CODE_REGISTRY, checkbits_for, make_code
@@ -33,7 +32,6 @@ __all__ = [
     "DecodeStatus",
     "SegmentedParity",
     "SecDedCode",
-    "HsiaoCode",
     "BchCode",
     "make_dected",
     "make_tecqed",

@@ -23,13 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.bitpack import (
-    n_words,
-    pack_bit_matrix,
-    pack_positions,
-    popcount64,
-)
-
 __all__ = ["SegmentedParity"]
 
 
@@ -57,7 +50,6 @@ class SegmentedParity:
             self._segment_of = np.arange(n_bits, dtype=np.intp) % n_segments
         else:
             self._segment_of = np.arange(n_bits, dtype=np.intp) // (n_bits // n_segments)
-        self._packed_masks: np.ndarray | None = None
 
     @property
     def segment_width(self) -> int:
@@ -100,65 +92,3 @@ class SegmentedParity:
     def mismatch_count(self, data: np.ndarray, stored_parity: np.ndarray) -> int:
         """Number of segments with a parity mismatch (0, 1 or more)."""
         return int(np.count_nonzero(self.mismatches(data, stored_parity)))
-
-    # -- batched packed-bit kernels ------------------------------------------
-
-    def segment_masks(self) -> np.ndarray:
-        """Packed membership mask of each segment, shape ``(n_segments, words)``.
-
-        Row ``s`` has bit ``i`` set iff data bit ``i`` belongs to
-        segment ``s``; the parity of ``popcount(line & mask_s)`` is the
-        segment's even-parity bit.  Computed once and cached.
-        """
-        if self._packed_masks is None:
-            masks = np.zeros(
-                (self.n_segments, n_words(self.n_bits)), dtype=np.uint64
-            )
-            for segment in range(self.n_segments):
-                masks[segment] = pack_positions(
-                    self.segment_members(segment), self.n_bits
-                )
-            self._packed_masks = masks
-        return self._packed_masks
-
-    def generate_batch(self, data: np.ndarray) -> np.ndarray:
-        """Per-segment parity bits for many lines at once.
-
-        ``data`` is ``(n_lines, n_bits)`` 0/1; returns ``(n_lines,
-        n_segments)`` uint8 — the batched :meth:`generate`, computed by
-        packing each line into uint64 words and taking masked popcount
-        parities per segment.
-        """
-        data = np.atleast_2d(np.asarray(data))
-        if data.shape[1] != self.n_bits:
-            raise ValueError(f"expected {self.n_bits} bits, got {data.shape[1]}")
-        return self.generate_packed(pack_bit_matrix(data))
-
-    def generate_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Per-segment parity bits of ``(n, words)`` packed rows."""
-        packed = np.atleast_2d(np.asarray(packed, dtype=np.uint64))
-        masks = self.segment_masks()
-        if packed.shape[1] != masks.shape[1]:
-            raise ValueError(
-                f"expected {masks.shape[1]} words per row, got {packed.shape[1]}"
-            )
-        overlap = popcount64(packed[:, None, :] & masks[None, :, :])
-        return (overlap.sum(axis=2, dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
-
-    def mismatches_batch(
-        self, data: np.ndarray, stored_parity: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`mismatches`: ``(n_lines, n_segments)`` bool."""
-        stored_parity = np.atleast_2d(np.asarray(stored_parity, dtype=np.uint8))
-        if stored_parity.shape[1] != self.n_segments:
-            raise ValueError(
-                f"expected {self.n_segments} parity bits, "
-                f"got {stored_parity.shape[1]}"
-            )
-        return (self.generate_batch(data) ^ stored_parity).astype(bool)
-
-    def mismatch_counts(
-        self, data: np.ndarray, stored_parity: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`mismatch_count`: mismatching segments per line."""
-        return np.count_nonzero(self.mismatches_batch(data, stored_parity), axis=1)

@@ -13,7 +13,6 @@ from typing import Callable, Dict
 
 from repro.ecc.base import BlockCode
 from repro.ecc.bch import BchCode
-from repro.ecc.hsiao import HsiaoCode, hsiao_checkbits
 from repro.ecc.olsc import OlscCode, olsc_checkbits
 from repro.ecc.secded import SecDedCode, secded_checkbits
 
@@ -22,7 +21,6 @@ __all__ = ["CODE_REGISTRY", "make_code", "checkbits_for", "correction_capability
 #: name -> factory(k) -> BlockCode
 CODE_REGISTRY: Dict[str, Callable[[int], BlockCode]] = {
     "secded": lambda k: SecDedCode(k),
-    "hsiao": lambda k: HsiaoCode(k),
     "dected": lambda k: BchCode(k=k, t=2, extended=True),
     "tecqed": lambda k: BchCode(k=k, t=3, extended=True),
     "6ec7ed": lambda k: BchCode(k=k, t=6, extended=True),
@@ -34,22 +32,9 @@ CODE_REGISTRY: Dict[str, Callable[[int], BlockCode]] = {
 #: Correction capability (bits) per code name.
 _CORRECTS = {
     "secded": 1,
-    "hsiao": 1,
     "dected": 2,
     "tecqed": 3,
     "6ec7ed": 6,
-    "olsc-t4": 4,
-    "olsc-t8": 8,
-    "olsc-t11": 11,
-}
-
-#: Detection capability (bits, guaranteed) per code name.
-_DETECTS = {
-    "secded": 2,
-    "hsiao": 2,
-    "dected": 3,
-    "tecqed": 4,
-    "6ec7ed": 7,
     "olsc-t4": 4,
     "olsc-t8": 8,
     "olsc-t11": 11,
@@ -81,8 +66,6 @@ def checkbits_for(name: str, k: int = 512) -> int:
     """
     if name == "secded":
         return secded_checkbits(k)
-    if name == "hsiao":
-        return hsiao_checkbits(k)
     if name in ("dected", "tecqed", "6ec7ed"):
         t = {"dected": 2, "tecqed": 3, "6ec7ed": 6}[name]
         return BchCode(k=k, t=t, extended=True).checkbits
@@ -95,7 +78,3 @@ def correction_capability(name: str) -> int:
     """Guaranteed number of correctable bit errors for the named code."""
     return _CORRECTS[name]
 
-
-def detection_capability(name: str) -> int:
-    """Guaranteed number of detectable bit errors for the named code."""
-    return _DETECTS[name]

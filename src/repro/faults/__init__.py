@@ -31,7 +31,7 @@ Modules:
 """
 
 from repro.faults.cell_model import CellFaultModel, FaultMechanism
-from repro.faults.fault_map import FaultMap, LineRegion
+from repro.faults.fault_map import FaultMap
 from repro.faults.line_model import LineFaultModel
 from repro.faults.soft_errors import SoftErrorInjector
 
@@ -40,6 +40,5 @@ __all__ = [
     "FaultMechanism",
     "LineFaultModel",
     "FaultMap",
-    "LineRegion",
     "SoftErrorInjector",
 ]

@@ -30,34 +30,16 @@ layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.faults.cell_model import CellFaultModel, FaultMechanism
 
-__all__ = ["FLOOR_VOLTAGE", "LineRegion", "FaultMap"]
+__all__ = ["FLOOR_VOLTAGE", "FaultMap"]
 
 #: Lowest voltage a default :class:`FaultMap` supports — the paper's
 #: lowest evaluated point (Table 7).  Every experiment cell builds its
 #: map with this floor, so scenario validation rejects lower voltages.
 FLOOR_VOLTAGE = 0.575
-
-
-@dataclass(frozen=True)
-class LineRegion:
-    """A named bit range within a line's LV layout."""
-
-    name: str
-    offset: int
-    width: int
-
-    @property
-    def stop(self) -> int:
-        return self.offset + self.width
-
-    def contains(self, bit: int) -> bool:
-        return self.offset <= bit < self.stop
 
 
 class FaultMap:
@@ -162,6 +144,8 @@ class FaultMap:
         # voltage -> active-threshold mask over the whole map (one
         # vectorized compare, shared by every line query).
         self._active_vcache: dict = {}
+        # (voltage, start, stop) -> read-only per-line fault counts.
+        self._counts_vcache: dict = {}
         # voltage -> (offsets, positions, values) of the *active* fault
         # subset, line-ordered — per-line queries are two plain slices.
         self._csr_vcache: dict = {}
@@ -280,17 +264,26 @@ class FaultMap:
         One vectorized pass over the whole map — the batched equivalent
         of calling :meth:`fault_count` for every line, for consumers
         that characterise the full population up front (the MBIST
-        oracle schemes, the coverage sampler).
+        oracle schemes, the Figure 2 histogram).  Memoised per
+        ``(voltage, start, stop)``, because every oracle cell of one
+        map and voltage asks for the same windows; the array is shared
+        between callers, so it is read-only.
         """
-        self._check_voltage(voltage)
         if stop is None:
             stop = self.line_bits
-        window = (
-            self._active_at(voltage)
-            & (self._positions >= start)
-            & (self._positions < stop)
-        )
-        return np.bincount(self._line_of[window], minlength=self.n_lines)
+        key = (voltage, start, stop)
+        counts = self._counts_vcache.get(key)
+        if counts is None:
+            self._check_voltage(voltage)
+            window = (
+                self._active_at(voltage)
+                & (self._positions >= start)
+                & (self._positions < stop)
+            )
+            counts = np.bincount(self._line_of[window], minlength=self.n_lines)
+            counts.flags.writeable = False
+            self._counts_vcache[key] = counts
+        return counts
 
     def apply(self, line: int, voltage: float, bits: np.ndarray, offset: int = 0) -> np.ndarray:
         """Return ``bits`` as read back through the faulty cells.
@@ -315,17 +308,7 @@ class FaultMap:
 
     def fault_count_histogram(self, voltage: float, start: int = 0, stop: int | None = None) -> dict:
         """Map fault-count -> number of lines (empirical Figure 2)."""
-        self._check_voltage(voltage)
-        if stop is None:
-            stop = self.line_bits
-        window = (
-            self._active_at(voltage)
-            & (self._positions >= start)
-            & (self._positions < stop)
-        )
-        per_line = np.bincount(
-            self._line_of[window], minlength=self.n_lines
-        )
+        per_line = self.fault_counts(voltage, start, stop)
         values, counts = np.unique(per_line, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
 

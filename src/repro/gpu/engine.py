@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cache.core import WriteThroughCache
-from repro.cache.hooks import ProtectionScheme, batched_surface
+from repro.cache.hooks import ProtectionScheme
 from repro.cache.stats import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.hierarchy import SimpleL1
@@ -441,13 +441,14 @@ class GpuSimulator:
         # Stage 3.  One gate for all bulk replay: the transaction layer
         # decides whether the L2's scalar semantics are batchable at all
         # (write-back / write-allocate protocols and subclassed access
-        # paths refuse), and hands back the scheme's batch interpreter
-        # when one exists.
-        surface = batched_surface(l2)
-        interp = surface.interpreter if surface is not None else None
-        corrected = (
-            l2.lockstep_mask() if surface is not None and interp is None else None
-        )
+        # paths refuse).  A batchable L2 runs the scheme's batch
+        # interpreter when it has one, else the lockstep kernel when the
+        # cache gives a mask.
+        interp = corrected = None
+        if l2.semantics_batchable:
+            interp = l2.scheme.batch_interpreter(l2)
+            if interp is None:
+                corrected = l2.lockstep_mask()
         n_fallback = 0
         latency_np = np.zeros(n_cus, dtype=np.int64)
         if interp is not None:

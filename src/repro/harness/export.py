@@ -17,7 +17,6 @@ __all__ = [
     "series_to_csv",
     "nested_table_to_csv",
     "matrix_to_csv",
-    "cells_to_csv",
     "write_csv",
 ]
 
@@ -67,40 +66,6 @@ def matrix_to_csv(matrix: PerformanceMatrix) -> str:
                 point.error_induced_misses, point.ecc_evict_invalidations,
                 point.memory_reads, point.memory_writes,
             ])
-    return out.getvalue()
-
-
-def cells_to_csv(cells) -> str:
-    """Serialise runner :class:`~repro.harness.runner.CellResult` rows.
-
-    One row per cell with the identifying axes, the headline metrics
-    and *every* L2 counter (``CacheStats.as_dict`` is complete, so the
-    column set is the union over cells — scheme-specific extras
-    included).
-    """
-    cells = list(cells)
-    l2_columns: list = []
-    for cell in cells:
-        for column in cell.l2:
-            if column not in l2_columns:
-                l2_columns.append(column)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
-        ["workload", "scheme", "voltage", "seed", "cycles", "instructions",
-         "l2_mpki", "memory_reads", "memory_writes", "disabled_fraction",
-         "sdc_events", "elapsed_s", "from_cache"]
-        + [f"l2_{c}" for c in l2_columns]
-    )
-    for cell in cells:
-        writer.writerow(
-            [cell.workload, cell.scheme, cell.voltage, cell.seed,
-             cell.cycles, cell.instructions, f"{cell.l2_mpki:.4f}",
-             cell.memory_reads, cell.memory_writes,
-             f"{cell.disabled_fraction:.6f}", cell.sdc_events,
-             f"{cell.elapsed_s:.3f}", int(cell.from_cache)]
-            + [cell.l2.get(c, "") for c in l2_columns]
-        )
     return out.getvalue()
 
 

@@ -11,7 +11,6 @@ application semantics.
 
 from repro.traces.base import CuStream, Trace
 from repro.traces.generators import WorkloadSpec, generate_trace
-from repro.traces.io import load_trace, save_trace
 from repro.traces.workloads import (
     WORKLOADS,
     trace_fingerprint,
@@ -30,6 +29,4 @@ __all__ = [
     "trace_fingerprint",
     "workload_trace",
     "workload_trace_memo",
-    "save_trace",
-    "load_trace",
 ]

@@ -7,15 +7,10 @@ agree on formatting.
 
 from __future__ import annotations
 
-__all__ = ["KIB", "MIB", "bits_to_bytes_count", "bits_to_kib", "format_size_bits"]
+__all__ = ["KIB", "MIB", "bits_to_kib", "format_size_bits"]
 
 KIB = 1024
 MIB = 1024 * 1024
-
-
-def bits_to_bytes_count(bits: int) -> float:
-    """Bits → bytes (may be fractional for odd bit counts)."""
-    return bits / 8.0
 
 
 def bits_to_kib(bits: int) -> float:

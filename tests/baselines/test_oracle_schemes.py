@@ -27,13 +27,13 @@ class TestOracleDisabling:
     def test_flair_disables_two_faults(self):
         faults = {GEO.line_id(0, 0): [(1, 1), (2, 1)]}
         cache, scheme = build(FlairScheme, faults)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
         assert scheme.disabled_fraction() == pytest.approx(1 / GEO.n_lines)
 
     def test_flair_keeps_single_fault(self):
         faults = {GEO.line_id(0, 0): [(1, 1)]}
         cache, _ = build(FlairScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
 
     def test_dected_keeps_two_disables_three(self):
         faults = {
@@ -41,28 +41,28 @@ class TestOracleDisabling:
             GEO.line_id(0, 1): [(1, 1), (2, 1), (3, 1)],
         }
         cache, _ = build(DectedScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
-        assert cache.tags.line(0, 1).disabled
+        assert not cache.tags.is_disabled(0, 0)
+        assert cache.tags.is_disabled(0, 1)
 
     def test_msecc_keeps_eleven_disables_twelve(self):
         eleven = [(i, 1) for i in range(11)]
         twelve = [(i, 1) for i in range(12)]
         faults = {GEO.line_id(0, 0): eleven, GEO.line_id(0, 1): twelve}
         cache, _ = build(MsEccScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
-        assert cache.tags.line(0, 1).disabled
+        assert not cache.tags.is_disabled(0, 0)
+        assert cache.tags.is_disabled(0, 1)
 
     def test_checkbit_faults_counted_for_secded(self):
         # SECDED checkbits live in the same LV array: a data fault +
         # a checkbit fault exceeds the single-error budget.
         faults = {GEO.line_id(0, 0): [(1, 1), (530, 1)]}
         cache, _ = build(SecDedLineScheme, faults)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_checkbit_faults_ignored_for_msecc(self):
         faults = {GEO.line_id(0, 0): [(530, 1), (531, 1)] + [(i, 1) for i in range(11)]}
         cache, _ = build(MsEccScheme, faults)
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
 
     def test_invalid_correct_t(self):
         fault_map = FaultMap.from_faults(GEO.n_lines, {})
@@ -101,7 +101,7 @@ class TestOracleAccessPath:
         faults = {GEO.line_id(0, 0): [(1, 1), (2, 1)]}
         cache, _ = build(FlairScheme, faults)
         cache.reset()
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
 
     def test_lockstep_mask_is_the_corrected_ways(self):
@@ -129,6 +129,29 @@ class TestOracleAccessPath:
 
         cache, _ = build(Noisy, {})
         assert cache.lockstep_mask() is None
+
+
+class TestFaultCountMemo:
+    def test_second_build_reuses_the_read_only_counts(self, monkeypatch):
+        """Every oracle cell of one map and voltage shares the MBIST
+        fault counts: the second build runs no bincount, and the shared
+        array cannot be written through."""
+        fault_map = FaultMap(n_lines=GEO.n_lines, rng=np.random.default_rng(5))
+        first = DectedScheme(GEO, fault_map, 0.6)
+        calls = []
+        bincount = np.bincount
+
+        def counting_bincount(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        second = DectedScheme(GEO, fault_map, 0.6)
+        assert calls == []
+        assert np.array_equal(second.fault_counts, first.fault_counts)
+        counts = fault_map.fault_counts(0.6, 0, second.layout.data_bits)
+        with pytest.raises(ValueError):
+            counts[0] = 1
 
 
 class TestWholeSetDisabled:

@@ -54,14 +54,14 @@ class TestInvalidateDisable:
         set_index = tags.geometry.set_of(0x40)
         tags.invalidate(set_index, 1)
         assert tags.lookup(0x40) is None
-        assert not tags.line(set_index, 1).valid
+        assert not tags.is_valid(set_index, 1)
 
     def test_disable_clears_and_blocks(self, tags):
         tags.insert(0x40, way=1)
         set_index = tags.geometry.set_of(0x40)
         tags.disable(set_index, 1)
         assert tags.lookup(0x40) is None
-        assert tags.line(set_index, 1).disabled
+        assert tags.is_disabled(set_index, 1)
 
     def test_enable_all(self, tags):
         tags.disable(0, 0)
@@ -78,10 +78,10 @@ class TestInvalidateDisable:
     def test_dirty_cleared_on_insert(self, tags):
         tags.insert(0, way=0)
         set_index = tags.geometry.set_of(0)
-        tags.line(set_index, 0).dirty = True
+        tags.set_dirty(set_index, 0)
         tags.invalidate(set_index, 0)
         tags.insert(0, way=0)
-        assert not tags.line(set_index, 0).dirty
+        assert not tags.is_dirty(set_index, 0)
 
 
 class TestLru:

@@ -171,7 +171,7 @@ class TestDisabledSetBehaviour:
         for tag in range(8):
             cache.read(addr_of(0, tag))
         disabled = sum(
-            1 for way in range(4) if cache.tags.line(0, way).disabled
+            1 for way in range(4) if cache.tags.is_disabled(0, way)
         )
         assert disabled >= 1
         # The set still serves traffic through the remaining ways.

@@ -139,7 +139,7 @@ class TestMultiFaultLine:
         scheme.errors.set_effective(line_id, {0, 1})
         cache.read(addr_of(0))
         assert scheme.dfh[line_id] == int(Dfh.DISABLED)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
         assert cache.stats.error_induced_misses == 1
 
     def test_same_segment_pair_caught_by_ecc(self):
@@ -162,8 +162,8 @@ class TestMultiFaultLine:
         cache.read(addr_of(0))
         for tag in range(10):
             cache.read(addr_of(0, tag))
-        assert not cache.tags.line(0, 0).valid
-        assert cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_valid(0, 0)
+        assert cache.tags.is_disabled(0, 0)
 
     def test_disabled_fraction(self):
         faults = {GEO.line_id(0, 0): [(0, 1), (1, 1)]}
@@ -235,7 +235,7 @@ class TestEvictionTraining:
         # Force eviction by filling the set.
         for tag in range(1, 6):
             cache.read(addr_of(0, tag))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
 
 class TestEccCacheContention:
@@ -277,13 +277,13 @@ class TestEccCacheContention:
                 cache.read(addr)
         for set_index in range(GEO.n_sets):
             for way in range(GEO.associativity):
-                line = cache.tags.line(set_index, way)
+                valid = cache.tags.is_valid(set_index, way)
                 has_entry = scheme.ecc.contains(set_index, way)
                 dfh = int(scheme.dfh[GEO.line_id(set_index, way)])
                 if has_entry:
-                    assert line.valid
+                    assert valid
                     assert dfh in (int(Dfh.INITIAL), int(Dfh.STABLE_1))
-                elif line.valid:
+                elif valid:
                     assert dfh in (int(Dfh.STABLE_0),)
 
 
@@ -319,9 +319,9 @@ class TestReset:
         cache.read(addr_of(0))
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1})
         cache.read(addr_of(0))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
         cache.reset()
-        assert not cache.tags.line(0, 0).disabled
+        assert not cache.tags.is_disabled(0, 0)
         assert all(v == int(Dfh.INITIAL) for v in scheme.dfh)
         assert scheme.ecc.occupancy == 0
 
@@ -336,4 +336,4 @@ class TestReset:
         cache.read(addr_of(0))
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1})
         cache.read(addr_of(0))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)

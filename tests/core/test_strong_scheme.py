@@ -60,7 +60,7 @@ class TestBudgets:
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1, 2})
         cache.read(addr_of(0))
         assert scheme.dfh[GEO.line_id(0, 0)] == int(Dfh.DISABLED)
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_eleven_faults_enabled_under_olsc(self):
         positions = list(range(11))
@@ -97,7 +97,7 @@ class TestTrainingFlows:
         scheme.errors.set_effective(GEO.line_id(0, 0), {0, 1, 2})
         for tag in range(1, 6):
             cache.read(addr_of(0, tag))
-        assert cache.tags.line(0, 0).disabled
+        assert cache.tags.is_disabled(0, 0)
 
     def test_checkbit_faults_count_against_budget(self):
         faults = {GEO.line_id(0, 0): [(530, 1), (531, 1), (532, 1)]}

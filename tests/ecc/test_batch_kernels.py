@@ -1,8 +1,8 @@
 """Scalar-vs-batched equivalence for the packed classification kernels.
 
-The batched segmented-parity / line-signal kernels are pure
-reimplementations of scalar reference paths that stay in the tree;
-these tests pin the two together on random error matrices.
+The batched line-signal kernels are pure reimplementations of scalar
+reference paths that stay in the tree; these tests pin the two
+together on random error matrices.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.layout import LineLayout
 from repro.core.linestate import LineErrorModel
-from repro.ecc.parity import SegmentedParity
 from repro.ecc.secded import SecDedCode
 from repro.faults.fault_map import FaultMap
 from repro.kernels.classify import LineSignalKernel
@@ -30,36 +29,6 @@ def _reference_model(interleaved: bool = True) -> LineErrorModel:
         np.random.default_rng(0),
         interleaved_parity=interleaved,
     )
-
-
-class TestSegmentedParityBatch:
-    @pytest.mark.parametrize("n_segments", [4, 16])
-    @pytest.mark.parametrize("interleaved", [True, False])
-    def test_generate_batch_matches_scalar(self, rng, n_segments, interleaved):
-        parity = SegmentedParity(512, n_segments, interleaved=interleaved)
-        data = (rng.random((32, 512)) < 0.1).astype(np.uint8)
-        batch = parity.generate_batch(data)
-        for i in range(32):
-            assert np.array_equal(batch[i], parity.generate(data[i]))
-
-    def test_mismatches_batch_matches_scalar(self, rng):
-        parity = SegmentedParity(512, 16)
-        data = (rng.random((24, 512)) < 0.05).astype(np.uint8)
-        stored = (rng.random((24, 16)) < 0.5).astype(np.uint8)
-        batch = parity.mismatches_batch(data, stored)
-        counts = parity.mismatch_counts(data, stored)
-        for i in range(24):
-            assert np.array_equal(batch[i], parity.mismatches(data[i], stored[i]))
-            assert counts[i] == parity.mismatch_count(data[i], stored[i])
-
-    def test_shape_validation(self):
-        parity = SegmentedParity(512, 16)
-        with pytest.raises(ValueError):
-            parity.generate_batch(np.zeros((2, 100), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            parity.mismatches_batch(
-                np.zeros((2, 512), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)
-            )
 
 
 def _random_offset_sets(rng, total_bits, n, k_hi):

@@ -161,10 +161,8 @@ class TestRegistry:
             checkbits_for("nope")
 
     def test_capabilities(self):
-        from repro.ecc.registry import correction_capability, detection_capability
+        from repro.ecc.registry import correction_capability
 
         assert correction_capability("secded") == 1
-        assert detection_capability("secded") == 2
         assert correction_capability("dected") == 2
-        assert detection_capability("dected") == 3
         assert correction_capability("olsc-t11") == 11

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.gpu import GpuConfig, GpuSimulator
-from repro.harness.export import cells_to_csv
 from repro.harness.runner import (
     CellResult,
     fault_map_for,
@@ -232,16 +231,6 @@ class TestCellResultProjections:
         cell = run_cell(small_specs()[1])
         clone = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))
         assert comparable(clone) == comparable(cell)
-
-    def test_cells_to_csv_complete(self):
-        cells = run_cells(small_specs()[:2])
-        csv_text = cells_to_csv(cells)
-        header = csv_text.splitlines()[0]
-        # Every L2 counter (incl. derived totals) appears as a column.
-        for counter in ("l2_reads", "l2_misses", "l2_accesses", "l2_hits",
-                        "l2_error_induced_misses"):
-            assert counter in header
-        assert len(csv_text.splitlines()) == 3
 
 
 class TestExperimentsThroughRunner:

@@ -1,7 +1,7 @@
 """Stateful property test: system invariants under arbitrary op mixes.
 
 Drives a Killi-protected cache with a random interleaving of reads,
-writes, external invalidations, scrub sweeps and resets, checking the
+writes, external invalidations and resets, checking the
 structural invariants after every step:
 
 1. ECC-entry invariant: an entry exists iff its line is valid and in
@@ -21,7 +21,6 @@ from repro.cache.core import WriteThroughCache
 from repro.core.config import KilliConfig
 from repro.core.dfh import Dfh
 from repro.core.killi import KilliScheme
-from repro.core.scrubber import Scrubber
 from repro.faults.cell_model import CellFaultModel
 from repro.faults.fault_map import FaultMap
 from repro.faults.soft_errors import SoftErrorInjector
@@ -48,7 +47,6 @@ class KilliMachine(RuleBasedStateMachine):
             soft_injector=SoftErrorInjector(0.05, rng=rngs.stream("soft")),
         )
         self.cache = WriteThroughCache(GEO, self.scheme)
-        self.scrubber = Scrubber(self.scheme, lines_per_step=16)
 
     # -- operations -----------------------------------------------------
 
@@ -66,10 +64,6 @@ class KilliMachine(RuleBasedStateMachine):
         self.cache.invalidate_line(set_index, way)
 
     @rule()
-    def scrub(self):
-        self.scrubber.step()
-
-    @rule()
     def reset(self):
         self.cache.reset()
 
@@ -79,12 +73,12 @@ class KilliMachine(RuleBasedStateMachine):
     def ecc_entry_invariant(self):
         for set_index in range(GEO.n_sets):
             for way in range(GEO.associativity):
-                line = self.cache.tags.line(set_index, way)
+                valid = self.cache.tags.is_valid(set_index, way)
                 dfh = int(self.scheme.dfh[set_index * GEO.associativity + way])
                 if self.scheme.ecc.contains(set_index, way):
-                    assert line.valid
+                    assert valid
                     assert dfh in (int(Dfh.INITIAL), int(Dfh.STABLE_1))
-                elif line.valid:
+                elif valid:
                     assert dfh != int(Dfh.DISABLED)
                     if dfh in (int(Dfh.INITIAL), int(Dfh.STABLE_1)):
                         raise AssertionError(
@@ -96,12 +90,12 @@ class KilliMachine(RuleBasedStateMachine):
     def disabled_consistency(self):
         for set_index in range(GEO.n_sets):
             for way in range(GEO.associativity):
-                line = self.cache.tags.line(set_index, way)
+                disabled = self.cache.tags.is_disabled(set_index, way)
                 dfh = int(self.scheme.dfh[set_index * GEO.associativity + way])
-                if line.disabled:
+                if disabled:
                     assert dfh == int(Dfh.DISABLED)
                 if dfh == int(Dfh.DISABLED):
-                    assert line.disabled
+                    assert disabled
 
     @invariant()
     def tag_index_consistency(self):
@@ -110,9 +104,9 @@ class KilliMachine(RuleBasedStateMachine):
             for set_index in range(GEO.n_sets):
                 index = tags._tag_index[set_index]
                 valid = {
-                    line.tag: way
-                    for way, line in enumerate(tags.ways_of_set(set_index))
-                    if line.valid
+                    tags.tag_at(set_index, way): way
+                    for way in range(GEO.associativity)
+                    if tags.is_valid(set_index, way)
                 }
                 assert index == valid, set_index
         else:  # soa substrate: one line-number -> way dict

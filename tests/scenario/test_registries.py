@@ -60,6 +60,7 @@ class TestSchemeRegistry:
             "killi+olsc_1:xx",  # unknown code AND bad ratio
             "killi_1:",
             "killi+bogus_1:8",  # unknown strong code
+            "killi+hsiao_1:8",  # a code the simulator does not model
             "killix",
             "nope",
         ],
