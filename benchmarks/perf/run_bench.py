@@ -20,6 +20,10 @@ reference implementation that stays in the tree:
   :meth:`CacheModel.replay_lockstep`), vs the per-access
   ``read``/``write`` loop on the same stream of a DECTED-protected L2
   with CORRECTED and disabled ways, checked bit-identical;
+- ``killi_replay`` — the Killi interpreter, through the entry point
+  the batched engine calls (``scheme.batch_interpreter(l2).run``), vs
+  the per-access ``read``/``write`` loop on the same residue of a Killi
+  L2 below the SECDED Vmin, checked bit-identical;
 - ``fig6``      — Figure 6 coverage sweep end-to-end wall clock;
 - ``fig4``      — a Figure 4 scheme-panel slice end-to-end on both
   simulators (the batched engine on SoA caches and the scalar
@@ -73,6 +77,8 @@ from repro.harness.runner import (
     trace_for,
 )
 from repro.scenario.config import cell_scenario
+from repro.scenario.schemes import make_scheme
+from repro.utils.rng import RngFactory
 from repro.scenario.runfile import scenario_fingerprint
 from repro.testing.invariants import INVARIANTS_ENV
 
@@ -84,6 +90,7 @@ _QUICK = {
     "hierarchy_accesses": 20_000,
     "cache_core_accesses": 20_000,
     "l2_replay_accesses": 20_000,
+    "killi_replay_accesses": 20_000,
     "killi_classify_ops": 20_000,
     "fuzz_overhead_accesses": 20_000,
     "fig6": False,
@@ -100,6 +107,7 @@ _FULL = {
     "hierarchy_accesses": 200_000,
     "cache_core_accesses": 200_000,
     "l2_replay_accesses": 200_000,
+    "killi_replay_accesses": 200_000,
     "killi_classify_ops": 200_000,
     "fuzz_overhead_accesses": 200_000,
     "fig6": True,
@@ -416,6 +424,90 @@ def bench_l2_replay(accesses: int) -> dict:
     }
 
 
+def bench_killi_replay(accesses: int) -> dict:
+    """The Killi interpreter vs the per-access L2 loop.
+
+    Same deterministic stream (20% stores, working set ~2x the cache)
+    through two identical full-size SoA L2s protected by killi_1:8 at
+    0.600 V, below the SECDED Vmin: fills evict ECC-cache entries,
+    lines get disabled and write hits on faulty slots draw the shared
+    RNG.  One side runs it access by access via ``read``/``write``, the
+    other as one residue through ``scheme.batch_interpreter(l2).run``,
+    the entry point the batched engine calls per kernel.  Each side is
+    timed best of three, each rep on a fresh cache.  Per-access
+    latencies, stats, memory traffic, the state digest and the RNG
+    state are cross-checked.
+    """
+    config = GpuConfig()
+    geometry = config.l2
+    voltage = 0.600
+    scheme_name = "killi_1:8"
+    fault_map = fault_map_for(geometry.n_lines, 42)
+    rng = np.random.default_rng(37)
+    lines = rng.integers(0, 2 * geometry.n_lines, size=accesses)
+    stores = rng.random(accesses) < 0.2
+    addrs = (lines * geometry.line_bytes).tolist()
+    lines_list = lines.tolist()
+    stores_list = stores.tolist()
+    set_list = (lines % geometry.n_sets).tolist()
+
+    def make_cache():
+        scheme = make_scheme(
+            scheme_name, config, fault_map, voltage, RngFactory(42).child("bench")
+        )
+        return WriteThroughCache(geometry, scheme, config.l2_latencies, substrate="soa")
+
+    def per_access(cache):
+        read, write = cache.read, cache.write
+        return [
+            write(addr) if store else read(addr)
+            for addr, store in zip(addrs, stores_list)
+        ]
+
+    def interpreted(cache):
+        latencies = [0] * accesses
+        cache.scheme.batch_interpreter(cache).run(
+            lines_list, stores_list, latencies, set_list
+        )
+        return latencies
+
+    timed = {}
+    for name, run in (("per_access", per_access), ("interpreter", interpreted)):
+        best = None
+        for _ in range(3):
+            cache = make_cache()
+            seconds, latencies = _timed(run, cache)
+            best = seconds if best is None else min(best, seconds)
+        timed[name] = (best, cache, latencies)
+    scalar_s, reference, expected = timed["per_access"]
+    batched_s, batched, got = timed["interpreter"]
+
+    def observed(cache):
+        return (
+            cache.stats,
+            cache.memory_reads,
+            cache.memory_writes,
+            cache.state_digest(),
+            repr(cache.scheme.errors.rng.bit_generator.state),
+        )
+
+    assert got == expected and observed(batched) == observed(reference), (
+        "Killi interpreter diverged from the per-access loop"
+    )
+    return {
+        "accesses": accesses,
+        "scheme": scheme_name,
+        "voltage": voltage,
+        "disabled_lines": batched.tags.count_disabled(),
+        "ecc_evictions": batched.scheme.ecc.evictions,
+        "write_hits": batched.stats.write_hits,
+        "per_access_ns": round(scalar_s / accesses * 1e9, 1),
+        "interpreter_ns_per_access": round(batched_s / accesses * 1e9, 1),
+        "speedup_interpreter": round(scalar_s / batched_s, 2),
+        "replay_bit_identical": True,
+    }
+
+
 def bench_killi_classify(ops: int) -> dict:
     """Table 2 classification dispatch: reference vs cached.
 
@@ -612,8 +704,9 @@ def bench_fuzz_overhead(accesses: int) -> dict:
       performance-gated; the timing is recorded for scale only.
 
     Asserts the disarmed instance carries no wrapper attributes and
-    reports disarmed-vs-control overhead, which ``--fail-if-slower``
-    gates below 2% (the ISSUE's no-op bound).
+    reports disarmed-vs-control overhead as the median of three
+    independent measurements (each recorded), which
+    ``--fail-if-slower`` gates below 2% (the no-op bound).
     """
     config = GpuConfig()
     geometry = config.l2
@@ -664,66 +757,73 @@ def bench_fuzz_overhead(accesses: int) -> dict:
     # so the overhead pairs them exactly: per chunk index, each
     # variant's best-of-reps time (best absorbs GC pauses and
     # scheduler stalls), then the median ratio over all chunk
-    # indices — a statistic robust enough for a 2% gate on a noisy
-    # shared runner, where a single back-to-back loop pair wanders
-    # by +/-5%.  The reported per-access rates are best-of-reps.
+    # indices.  The whole measurement runs three times and the gate
+    # reads the median of the three.  The reported per-access rates
+    # are best-of-reps.
     chunk = max(1, accesses // 200)
     control_ns = disarmed_ns = armed_ns = None
-    chunk_times = {}
-    for rep in range(6):
-        cache = build(armed=False)
-        assert (
-            "read" not in cache.__dict__ and "write" not in cache.__dict__
-        ), "disarmed cache has invariant wrappers installed"
-        cls = type(cache)
-        control_read = cls.read.__get__(cache)
-        control_write = cls.write.__get__(cache)
-        disarmed_read = cache.read
-        disarmed_write = cache.write
-        control_total = disarmed_total = 0.0
-        control_n = disarmed_n = 0
-        for index, lo in enumerate(range(0, accesses, chunk)):
-            hi = min(lo + chunk, accesses)
-            cell = chunk_times.setdefault(index, {})
-            if (index + rep) % 2:
-                seconds = run(disarmed_read, disarmed_write, lo, hi)
-                disarmed_total += seconds
-                disarmed_n += hi - lo
-                cell["disarmed"] = keep_min(cell.get("disarmed"), seconds)
-            else:
-                seconds = run(control_read, control_write, lo, hi)
-                control_total += seconds
-                control_n += hi - lo
-                cell["control"] = keep_min(cell.get("control"), seconds)
-        control_ns = keep_min(control_ns, control_total / control_n * 1e9)
-        disarmed_ns = keep_min(disarmed_ns, disarmed_total / disarmed_n * 1e9)
-        armed_cache = build(armed=True)
-        assert (
-            "read" in armed_cache.__dict__ and "write" in armed_cache.__dict__
-        ), "REPRO_CHECK_INVARIANTS=1 did not arm the wrappers"
-        armed_ns = keep_min(
-            armed_ns,
-            run(armed_cache.read, armed_cache.write, 0, armed_n)
-            / armed_n
-            * 1e9,
+    overheads = []
+    for _ in range(3):
+        chunk_times = {}
+        for rep in range(6):
+            cache = build(armed=False)
+            assert (
+                "read" not in cache.__dict__ and "write" not in cache.__dict__
+            ), "disarmed cache has invariant wrappers installed"
+            cls = type(cache)
+            control_read = cls.read.__get__(cache)
+            control_write = cls.write.__get__(cache)
+            disarmed_read = cache.read
+            disarmed_write = cache.write
+            control_total = disarmed_total = 0.0
+            control_n = disarmed_n = 0
+            for index, lo in enumerate(range(0, accesses, chunk)):
+                hi = min(lo + chunk, accesses)
+                cell = chunk_times.setdefault(index, {})
+                if (index + rep) % 2:
+                    seconds = run(disarmed_read, disarmed_write, lo, hi)
+                    disarmed_total += seconds
+                    disarmed_n += hi - lo
+                    cell["disarmed"] = keep_min(cell.get("disarmed"), seconds)
+                else:
+                    seconds = run(control_read, control_write, lo, hi)
+                    control_total += seconds
+                    control_n += hi - lo
+                    cell["control"] = keep_min(cell.get("control"), seconds)
+            control_ns = keep_min(control_ns, control_total / control_n * 1e9)
+            disarmed_ns = keep_min(disarmed_ns, disarmed_total / disarmed_n * 1e9)
+            armed_cache = build(armed=True)
+            assert (
+                "read" in armed_cache.__dict__ and "write" in armed_cache.__dict__
+            ), "REPRO_CHECK_INVARIANTS=1 did not arm the wrappers"
+            armed_ns = keep_min(
+                armed_ns,
+                run(armed_cache.read, armed_cache.write, 0, armed_n)
+                / armed_n
+                * 1e9,
+            )
+        ratios = sorted(
+            cell["disarmed"] / cell["control"]
+            for cell in chunk_times.values()
+            if "disarmed" in cell and "control" in cell
         )
-    ratios = sorted(
-        cell["disarmed"] / cell["control"]
-        for cell in chunk_times.values()
-        if "disarmed" in cell and "control" in cell
-    )
-    mid = len(ratios) // 2
-    median_ratio = (
-        ratios[mid]
-        if len(ratios) % 2
-        else (ratios[mid - 1] + ratios[mid]) / 2
-    )
+        mid = len(ratios) // 2
+        median_ratio = (
+            ratios[mid]
+            if len(ratios) % 2
+            else (ratios[mid - 1] + ratios[mid]) / 2
+        )
+        overheads.append(round((median_ratio - 1.0) * 100, 2))
     return {
         "accesses": accesses,
         "control_ns_per_access": round(control_ns, 1),
         "disarmed_ns_per_access": round(disarmed_ns, 1),
         "armed_ns_per_access": round(armed_ns, 1),
-        "disarmed_overhead_pct": round((median_ratio - 1.0) * 100, 2),
+        # The gated statistic: the median of three independent
+        # measurements, each recorded.  One measurement alone still
+        # wanders by a few percent between back-to-back runs.
+        "disarmed_overhead_pct": sorted(overheads)[1],
+        "disarmed_overhead_pct_runs": overheads,
         "armed_slowdown_x": round(armed_ns / control_ns, 2),
         "disarmed_wrappers_absent": True,
     }
@@ -739,6 +839,7 @@ _BASELINE_HEADLINE_KEYS = {
     "hierarchy": ("soa_ns_per_access",),
     "cache_core": ("soa_ns_per_access",),
     "l2_replay": ("batched_ns_per_access",),
+    "killi_replay": ("interpreter_ns_per_access",),
     "killi_classify": ("cached_ns_per_op",),
     "fuzz_overhead": ("disarmed_ns_per_access",),
     "fig6": ("seconds",),
@@ -907,6 +1008,15 @@ def main(argv=None) -> int:
         f"({l2_replay['speedup_batched']:.1f}x)"
     )
 
+    results["benchmarks"]["killi_replay"] = killi_replay = bench_killi_replay(
+        sizes["killi_replay_accesses"]
+    )
+    print(
+        f"  killi_rep: {killi_replay['interpreter_ns_per_access']:6.1f} ns/access "
+        f"interpreter vs {killi_replay['per_access_ns']:6.1f} per-access  "
+        f"({killi_replay['speedup_interpreter']:.1f}x)"
+    )
+
     results["benchmarks"]["killi_classify"] = killi_cls = bench_killi_classify(
         sizes["killi_classify_ops"]
     )
@@ -962,6 +1072,10 @@ def main(argv=None) -> int:
             slower.append(f"cache_core ({cache_core['speedup_soa']}x)")
         if l2_replay["speedup_batched"] < 1.0:
             slower.append(f"l2_replay ({l2_replay['speedup_batched']}x)")
+        if killi_replay["speedup_interpreter"] < 1.0:
+            slower.append(
+                f"killi_replay ({killi_replay['speedup_interpreter']}x)"
+            )
         if killi_cls["speedup_cached"] < 1.0:
             slower.append(f"killi_classify cached ({killi_cls['speedup_cached']}x)")
         if fuzz_ov["disarmed_overhead_pct"] >= 2.0:

@@ -298,6 +298,32 @@ class SoaTagStore:
         for set_index in grown:
             valid_in_set[set_index] += 1
 
+    def sync_columns(self) -> np.ndarray:
+        """Re-derive the numpy columns from ``_line_at``.
+
+        Bulk writers — the Killi interpreter's in-place walk, the L1
+        filter's state import — set ``_line_at`` and ``_index``
+        directly and leave ``valid`` / ``tag`` / ``dirty`` behind.  One
+        vectorised pass brings them back: ``valid`` and ``tag`` follow
+        ``_line_at``, ``dirty`` clears wherever the resident line
+        changed, and the valid count follows ``_index``.  Returns the
+        flat slots whose line changed.
+
+        Only write-through caches, which never set ``dirty``, may
+        write in bulk: a line evicted and refilled into the same way
+        between two syncs keeps its old dirty bit, where ``insert``
+        would clear it.
+        """
+        # -1 // n_sets == -1: the invalid sentinel maps to tag -1.
+        tag = np.array(self._line_at, dtype=np.int64) // self._n_sets
+        flat_tag = self.tag.reshape(-1)
+        changed = np.flatnonzero(tag != flat_tag)
+        flat_tag[changed] = tag[changed]
+        self.valid.reshape(-1)[changed] = tag[changed] >= 0
+        self.dirty.reshape(-1)[changed] = False
+        self._n_valid = len(self._index)
+        return changed
+
 
 # -- the lockstep replay kernel --------------------------------------------
 #

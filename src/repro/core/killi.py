@@ -125,11 +125,11 @@ class KilliScheme(ProtectionScheme):
         self._rows = self.errors._rows
         self._assoc = geometry.associativity
         # DFH states live in a flat int8 array so vectorized consumers
-        # (histograms, the batch interpreter's set exports) can read
-        # them wholesale.  Scalar probes/writes — every access path — go
-        # through a memoryview over the same buffer: plain-int results
-        # at list-indexing speed, where numpy scalar access is
-        # severalfold slower.  Entries are always plain ints (0..3).
+        # (histograms, the disabled fraction) can read them wholesale.
+        # Scalar probes/writes — every access path — go through a
+        # memoryview over the same buffer: plain-int results at
+        # list-indexing speed, where numpy scalar access is severalfold
+        # slower.  Entries are always plain ints (0..3).
         self._dfh_np = np.full(geometry.n_lines, _INITIAL, dtype=np.int8)
         self.dfh = memoryview(self._dfh_np)
         # Per-set count of lines in a state other than INITIAL,
@@ -262,7 +262,7 @@ class KilliScheme(ProtectionScheme):
         return _OUTCOMES[outcome]
 
     def batch_interpreter(self, cache):
-        """Shadow interpreter for the batched engine.
+        """In-place interpreter for the batched engine.
 
         The interpreter
         (:class:`repro.core.killi_replay.KilliClusterInterpreter`)

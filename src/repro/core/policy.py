@@ -19,7 +19,7 @@ These classes are the only code that knows either rule, and
 :data:`PRIORITY_BY_DFH` is the only copy of Section 4.4's fill
 priority.  :class:`~repro.core.killi.KilliScheme`'s hooks and the
 batched engine's cluster interpreter (:mod:`repro.core.killi_replay`)
-both use them and apply the decision to their own (real or shadow)
+both use them and apply the decision to the same cache and scheme
 state.
 
 Read-hit decisions are ``(next DFH, outcome, SDC)`` with ``outcome``

@@ -348,14 +348,8 @@ class GpuSimulator:
         base = []
         for cu, stream in enumerate(trace.streams):
             addr_np, store_np, gap_total = stream.array_columns()
-            addrs, stores, _ = stream.scalar_columns()
-            line_nos = (
-                addr_np // self.l1s[cu].geometry.line_bytes
-            ).tolist()
-            keep = run_l1_stream_memo(
-                self.l1s[cu], stream, addrs, stores, line_nos
-            )
-            n_loads = len(stores) - int(np.count_nonzero(store_np))
+            keep = run_l1_stream_memo(self.l1s[cu], stream, addr_np, store_np)
+            n_loads = len(store_np) - int(np.count_nonzero(store_np))
             base.append(gap_total + l1_hit_latency * n_loads)
             addr_parts.append(addr_np[keep])
             store_parts.append(store_np[keep])

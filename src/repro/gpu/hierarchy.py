@@ -17,6 +17,8 @@ writes the state back.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cache.core import LRU_FILL, CacheModel
 from repro.cache.geometry import CacheGeometry
 
@@ -68,21 +70,10 @@ class SimpleL1(CacheModel):
     def import_filter_state(self, state) -> None:
         """Write a filter state tuple back into the SoA substrate."""
         index, slot_line, age, clock = state
-        geometry = self.geometry
-        n_sets, assoc = geometry.n_sets, geometry.associativity
         tags, lru = self.tags, self.lru
-        for set_index in range(n_sets):
-            base = set_index * assoc
-            n_valid = 0
-            for way in range(assoc):
-                line_no = slot_line[base + way]
-                tags.valid[set_index, way] = line_no >= 0
-                tags.tag[set_index, way] = line_no // n_sets if line_no >= 0 else -1
-                if line_no >= 0:
-                    n_valid += 1
-            tags.valid_in_set[set_index] = n_valid
-        lru.age = list(age)
         tags._index = index
         tags._line_at = list(slot_line)
-        tags._n_valid = len(index)
+        tags.sync_columns()
+        tags.valid_in_set[:] = np.count_nonzero(tags.valid, axis=1).tolist()
+        lru.age = list(age)
         lru._clock = list(clock)

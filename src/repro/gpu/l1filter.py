@@ -55,11 +55,11 @@ def run_l1_stream(l1, addrs, is_store, line_nos=None):
         The CU's :class:`~repro.gpu.hierarchy.SimpleL1`; its tag/LRU
         state and stats are advanced exactly as per-access calls would.
     addrs / is_store:
-        The stream as aligned Python lists.
+        The stream, as aligned sequences or numpy columns.
     line_nos:
         Optional pre-divided line numbers (``addr // line_bytes``),
-        aligned with ``addrs``; the caller can derive them in one
-        vectorized pass.
+        aligned with ``addrs``; derived in one vectorized pass when not
+        given.
 
     Returns
     -------
@@ -75,7 +75,8 @@ def run_l1_stream(l1, addrs, is_store, line_nos=None):
     index_get = index.get
 
     if line_nos is None:
-        line_nos = [addr // line_bytes for addr in addrs]
+        line_nos = (np.asarray(addrs, dtype=np.int64) // line_bytes).tolist()
+    is_store = np.asarray(is_store, dtype=bool).tolist()
     l2_bound = []
     append = l2_bound.append
     reads = read_hits = evictions = fills = 0

@@ -66,15 +66,16 @@ class CuStream:
     def scalar_columns(self) -> Tuple[list, list, list]:
         """``(addrs, is_store, gaps)`` as plain Python lists, cached.
 
-        Exactly the per-access normalisation the scalar loop used to
-        rebuild on every run (``int``/``bool`` per element).
+        The same values as ``int``/``bool`` per element, from one
+        ``tolist`` per column.
         """
         cols = self._scalar_cols
         if cols is None:
+            addr_np, store_np, _ = self.array_columns()
             cols = (
-                [int(a) for a in self.addrs],
-                [bool(s) for s in self.is_store],
-                [int(g) for g in self.gaps],
+                addr_np.tolist(),
+                store_np.tolist(),
+                np.asarray(self.gaps, dtype=np.int64).tolist(),
             )
             self._scalar_cols = cols
         return cols

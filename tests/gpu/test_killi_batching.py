@@ -1,14 +1,17 @@
 """Killi batching: cluster interpreter, external injection, batch kernels.
 
-The batched engine runs Killi cells through a shadow interpreter
-(:mod:`repro.core.killi_replay`) instead of the per-access loop.
-These tests pin the pieces that make that sound:
+The batched engine runs Killi cells through an interpreter that walks
+the L2's own state in place (:mod:`repro.core.killi_replay`) instead
+of the per-access loop.  These tests pin the pieces that make that
+sound:
 
 - batched-vs-scalar equivalence including the *scheme-side* state the
   generic matrix does not compare (DFH histogram, transition counts,
   SDC events, ECC-cache counters);
 - a directed shared-RNG write hit that the interpreter must simulate
   in place, at the scalar engine's point of the RNG stream;
+- one residue leaving the same line map, LRU ages, set clocks, numpy
+  columns and RNG state as the per-access ``read``/``write`` loop;
 - error vectors injected between kernels reaching the interpreter;
 - the ECC cache's O(1) membership mirror against its own key lists;
 - the interned Table 2 lookup against the reference dispatch.
@@ -233,6 +236,89 @@ class TestDirectedRngWriteHit:
             assert counters.get("engine.batched.accesses_fallback", 0) == 0
         finally:
             METRICS.disable()
+
+
+class TestInPlaceStamps:
+    """The interpreter walks the L2's own state and stamps every touch
+    as ``lru.touch`` does, so after one residue it leaves exactly the
+    state the per-access ``read``/``write`` loop leaves: the same line
+    map, the same ages on every valid way and the same set clocks — not
+    merely the same recency order."""
+
+    L2_KIB = 256
+    ACCESSES = 12_000
+
+    def _twin_caches(self, scheme_name, voltage):
+        from repro.cache.core import WriteThroughCache
+        from repro.scenario.config import GpuSection
+
+        gpu_config = GpuSection(l2_size_bytes=self.L2_KIB * 1024).to_gpu_config()
+        fault_map = fault_map_for(gpu_config.l2.n_lines, 7)
+        caches = []
+        for _ in range(2):
+            scheme = make_scheme(
+                scheme_name, gpu_config, fault_map, voltage,
+                RngFactory(7).child(f"stamps/{scheme_name}"),
+            )
+            caches.append(WriteThroughCache(
+                gpu_config.l2, scheme, gpu_config.l2_latencies, substrate="soa"
+            ))
+        return caches
+
+    def _residue(self, geometry):
+        """Hot lines that mostly fit, cold lines that evict, 20% stores."""
+        rng = np.random.default_rng(5)
+        n_lines = geometry.n_lines
+        hot = rng.integers(0, n_lines // 2, size=self.ACCESSES)
+        cold = rng.integers(0, 4 * n_lines, size=self.ACCESSES)
+        lines = np.where(rng.random(self.ACCESSES) < 0.6, hot, cold)
+        stores = rng.random(self.ACCESSES) < 0.2
+        return lines, stores
+
+    @staticmethod
+    def _state(cache):
+        tags, lru = cache.tags, cache.lru
+        return {
+            "line_at": list(tags._line_at),
+            "valid_ages": [
+                age for line, age in zip(tags._line_at, lru.age) if line >= 0
+            ],
+            "clocks": list(lru._clock),
+            "tag": tags.tag.tolist(),
+            "valid": tags.valid.tolist(),
+            "disabled": tags.disabled.tolist(),
+            "rng": repr(cache.scheme.errors.rng.bit_generator.state),
+            "digest": cache.state_digest(),
+        }
+
+    @pytest.mark.parametrize("voltage", [0.600, 0.625])
+    @pytest.mark.parametrize("scheme_name", ["killi_1:8", "killi+dected_1:8"])
+    def test_walk_leaves_the_per_access_stamps(self, scheme_name, voltage):
+        per_access, walked = self._twin_caches(scheme_name, voltage)
+        geometry = per_access.geometry
+        lines, stores = self._residue(geometry)
+        expected = [
+            per_access.write(line * geometry.line_bytes)
+            if store
+            else per_access.read(line * geometry.line_bytes)
+            for line, store in zip(lines.tolist(), stores.tolist())
+        ]
+        interp = walked.scheme.batch_interpreter(walked)
+        assert interp is not None
+        got = [0] * len(lines)
+        interp.run(
+            lines.tolist(), stores.tolist(), got,
+            (lines % geometry.n_sets).tolist(),
+        )
+        assert got == expected
+        assert walked.stats.evictions > 0
+        assert walked.stats.write_hits > 0
+        per_access.tags.verify()
+        walked.tags.verify()
+        reference = self._state(per_access)
+        state = self._state(walked)
+        for key in reference:
+            assert state[key] == reference[key], key
 
 
 class TestExternalInjection:
