@@ -113,9 +113,10 @@ class AllocationPolicy:
     ``prefer_invalid`` — victim selection prefers invalid ways (with
     the scheme's fill-priority ranking) before falling back to LRU;
     False means plain LRU fill: the LRU way is always the victim,
-    valid or not.  The L1 filter caches use the latter, and the
-    batched L1 kernel (:mod:`repro.gpu.l1filter`) replays exactly that
-    min-age convention — the two must never diverge.
+    valid or not.  The L1 filter caches use the latter.  The lockstep
+    kernel (:func:`~repro.cache.soa.lockstep_kernel`) takes its victim
+    key from this flag, so the batched L1 stage evicts by the same
+    min-age rule.
     """
 
     name: str
@@ -167,6 +168,7 @@ _ACCESS_PROTOCOL = (
     "_choose_victim",
     "lockstep_mask",
     "replay_lockstep",
+    "commit_lockstep",
 )
 
 _PROTOCOL_BY_CLASS: dict = {}
@@ -430,32 +432,41 @@ class CacheModel:
         line numbers, store flags and sets, in the order the per-access
         path would reach them; ``corrected`` is :meth:`lockstep_mask`'s
         answer.  The kernel (:func:`~repro.cache.soa.lockstep_kernel`,
-        SoA substrate only — the batched engine's) resolves it, and
-        this is the single point that commits the result: the fills
-        into the tag store, the touched ages and the set clocks, the
-        stat deltas and the write-through memory traffic (one read per
-        read miss, bypasses included, and one posted write per store).
-        Ages and clocks end exactly where per-access ``read`` /
-        ``write`` calls would leave them.
+        SoA substrate only — the batched engine's) resolves it under
+        this cache's allocation policy, and :meth:`commit_lockstep`
+        commits it.
         """
-        if not len(lines):
-            return np.zeros(0, dtype=np.int64)
-        run = lockstep_kernel(self.tags, self.lru, lines, stores, set_idx, corrected)
-        self.tags.refill(run.fill_slots, run.evicted, run.filled)
-        self.lru.restamp(run.stamp_slots, run.stamps, run.sets, run.clocks)
-        self.stats.add(run.stats)
-        self.memory_reads += run.stats.read_misses
-        self.memory_writes += run.stats.writes
-        if self._check_invariants:
-            for set_index in run.sets.tolist():
-                check_set_invariants(self, set_index)
-        # Indexed by the kernel's outcome classes: posted store, clean
-        # hit, corrected hit, miss.
-        latency = np.array(
-            [self._lat_tag, self._lat_hit, self._lat_hit_corrected, self._lat_miss],
-            dtype=np.int64,
+        caches = [(self.tags, self.lru)]
+        outcome, (commit,) = lockstep_kernel(
+            caches, lines, stores, set_idx, corrected, self._prefer_invalid
         )
-        return latency[run.outcome]
+        self.commit_lockstep(commit)
+        # Per outcome class: store miss, store hit, clean hit, corrected
+        # hit, and a read miss that fills or bypasses.
+        hits = [self._lat_write_hit, self._lat_hit, self._lat_hit_corrected]
+        latency = [self._lat_tag, *hits, self._lat_miss, self._lat_miss]
+        return np.array(latency, dtype=np.int64)[outcome]
+
+    def commit_lockstep(self, commit) -> None:
+        """Apply this cache's :class:`~repro.cache.soa.LockstepCommit`.
+
+        The one commit point of every lockstep run, the L2's residue
+        and each L1's share of the L1 stage alike: the fills
+        (``SoaTagStore.refill``), the touched ages and set clocks
+        (``SoaLruState.restamp``), the stat deltas and the write-through
+        memory traffic (one read per read miss, bypasses included, and
+        one posted write per store).  Ages and clocks end where
+        per-access calls would leave them.  Armed invariants check
+        every touched set.
+        """
+        self.tags.refill(commit.fill_slots, commit.evicted, commit.filled)
+        self.lru.restamp(commit.stamp_slots, commit.stamps, commit.sets, commit.clocks)
+        self.stats.add(commit.stats)
+        self.memory_reads += commit.stats.read_misses
+        self.memory_writes += commit.stats.writes
+        if self._check_invariants:
+            for set_index in commit.sets.tolist():
+                check_set_invariants(self, set_index)
 
     # -- canonical observable state ----------------------------------------
 
@@ -592,10 +603,13 @@ class CacheModel:
 
         Plain-LRU fill (``prefer_invalid=False``, the L1 policy) skips
         all of that: the LRU way is always the victim, valid or not —
-        an O(associativity) age scan, no candidate list materialized.
-        Note the two policies pick *different physical ways* on a cold
-        set (plain LRU starts at way w-1, first-invalid at way 0), so
-        the knob is behavioural, not just a fast path.
+        an O(associativity) age scan, no candidate list materialized,
+        and the disabled mask is never read.  Note the two policies
+        pick *different physical ways* on a cold set (the virgin ages
+        0, -1, ..., -(w-1) put plain LRU at way w-1 first, first-invalid
+        at way 0), so the knob is behavioural, not just a fast path.
+        The lockstep kernel keys its victims the same way under each
+        policy, and refuses a plain-LRU cache with a disabled way.
 
         Returns ``(way, has_data)`` where ``has_data`` tells the caller
         whether the chosen way holds a valid line (eviction required);

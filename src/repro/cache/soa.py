@@ -38,7 +38,7 @@ from repro.cache.stats import CacheStats
 __all__ = [
     "SoaTagStore",
     "SoaLruState",
-    "LockstepRun",
+    "LockstepCommit",
     "lockstep_kernel",
 ]
 
@@ -301,9 +301,9 @@ class SoaTagStore:
     def sync_columns(self) -> np.ndarray:
         """Re-derive the numpy columns from ``_line_at``.
 
-        Bulk writers — the Killi interpreter's in-place walk, the L1
-        filter's state import — set ``_line_at`` and ``_index``
-        directly and leave ``valid`` / ``tag`` / ``dirty`` behind.  One
+        A bulk writer — the Killi interpreter's in-place walk — sets
+        ``_line_at`` and ``_index`` directly and leaves ``valid`` /
+        ``tag`` / ``dirty`` behind.  One
         vectorised pass brings them back: ``valid`` and ``tag`` follow
         ``_line_at``, ``dirty`` clears wherever the resident line
         changed, and the valid count follows ``_index``.  Returns the
@@ -327,52 +327,44 @@ class SoaTagStore:
 
 # -- the lockstep replay kernel --------------------------------------------
 #
-# The batched engine resolves a kernel's whole L2-bound residue here,
-# for every cache whose scheme is MBIST-characterised or fault-free:
-# plain set-associative LRU with fixed disabled and CORRECTED ways, so
-# sets never interact and each set's accesses only need to stay in
-# their own order.  Step k resolves the k-th access of every set that
-# has one, on ``(sets, ways)`` arrays.
+# The batched engine resolves here every CU's L1 stream (plain LRU
+# fill) and the L2-bound residue of every L2 whose scheme is
+# MBIST-characterised or fault-free (invalid-preferring fill, fixed
+# disabled and CORRECTED ways).  Sets never interact, so each set's
+# accesses only need to stay in their own order: step k resolves the
+# k-th access of every set that has one, on ``(sets, ways)`` arrays.
+# Caches of one geometry step as one, so all CUs' L1s take one call.
 
-#: Victim keys: a valid way's key is its LRU age; a free enabled way's
-#: sorts below every age (lowest index first) and a disabled way's above
-#: every age, so one argmin per row is ``_choose_victim``'s pick.
+#: Victim keys under invalid-preferring fill: a valid way's key is its
+#: LRU age; a free enabled way's sorts below every age (lowest index
+#: first) and a disabled way's above every age, so one argmin per row
+#: is ``_choose_victim``'s pick.  Under LRU fill every way's key is its
+#: age, valid or not.
 _FREE_KEY = -(1 << 62)
 _DISABLED_KEY = 1 << 62
 
-#: Outcome classes of :func:`lockstep_kernel`, one per residue access.
-POSTED_STORE, CLEAN_HIT, CORRECTED_HIT, MISS = range(4)
+#: Outcome classes of :func:`lockstep_kernel`, one per access: a store
+#: miss (posted), a store hit, a clean or CORRECTED read hit, a read miss
+#: that fills, and a read miss that bypasses (no enabled way).
+STORE_MISS, STORE_HIT, CLEAN_HIT, CORRECTED_HIT, MISS, BYPASS = range(6)
+_N_OUTCOMES = 6
 
 
-class LockstepRun(NamedTuple):
-    """What :func:`lockstep_kernel` resolved, for one commit."""
-
-    outcome: np.ndarray
-    """Outcome class per residue access, in residue order."""
+class LockstepCommit(NamedTuple):
+    """One cache's share of a :func:`lockstep_kernel` run: its stat
+    deltas; the touched sets, ascending, with their final LRU clocks;
+    the flat slots whose resident line changed, with the line each held
+    before (-1: invalid) and holds now; and the flat slots a hit or a
+    fill touched, with their final LRU ages."""
 
     stats: CacheStats
-    """The residue's stat deltas."""
-
     sets: np.ndarray
-    """The touched sets, ascending."""
-
     clocks: np.ndarray
-    """Each touched set's final LRU clock."""
-
     fill_slots: np.ndarray
-    """Flat slots whose resident line changed."""
-
     evicted: np.ndarray
-    """The line each of those slots held before (-1: invalid)."""
-
     filled: np.ndarray
-    """The line each of those slots holds now."""
-
     stamp_slots: np.ndarray
-    """Flat slots a hit or a fill touched."""
-
     stamps: np.ndarray
-    """Their final LRU ages."""
 
 
 def _stable_argsort(keys, largest: int):
@@ -380,44 +372,54 @@ def _stable_argsort(keys, largest: int):
     return np.argsort(keys.astype(np.min_scalar_type(largest)), kind="stable")
 
 
-def lockstep_kernel(
-    tags: SoaTagStore, lru: SoaLruState, lines, stores, set_idx, corrected
-) -> LockstepRun:
-    """Resolve a residue against plain LRU with fixed way masks.
+def lockstep_kernel(caches, lines, stores, set_idx, corrected, prefer_invalid: bool):
+    """Resolve a stream against plain LRU with fixed way masks.
 
-    ``lines`` / ``stores`` / ``set_idx`` are the residue's line numbers,
-    store flags and L2 sets (aligned numpy arrays, non-empty, in the
-    order the per-access path would reach them); ``corrected`` is the
-    cache's ``(n_sets, associativity)`` CORRECTED mask.  Reads nothing
-    but the store's numpy columns, the LRU ages and clocks, and writes
-    nothing: the caller commits the returned :class:`LockstepRun`.
+    ``caches`` is a list of ``(SoaTagStore, SoaLruState)`` pairs of one
+    geometry, stepped as one cache: set ``s`` of ``caches[j]`` is joint
+    set ``j * n_sets + s``.  ``lines`` / ``stores`` / ``set_idx`` are
+    the accesses' line numbers (each in its own cache), store flags and
+    joint sets: aligned numpy arrays, each set's accesses in the order
+    the per-access path would reach them.  ``corrected`` is the joint
+    ``(sets, associativity)`` CORRECTED mask; ``prefer_invalid`` is the
+    caches' allocation policy.  Reads nothing but the stores' numpy
+    columns, the LRU ages and clocks, and writes nothing.  Returns the
+    outcome class of every access, in input order, and one
+    :class:`LockstepCommit` per cache for the caller to commit.
 
     Semantics are the write-through / no-write-allocate per-access
     path's.  Any hit touches its way (age = the set's clock, which then
     advances by one), so ages end equal to the per-access stamps.  A
-    read hit is CORRECTED where the mask is set, else CLEAN.  A read
-    miss fills the first free enabled way, else evicts the valid way
-    with the lowest age; in a set with no enabled way it bypasses.  A
-    store miss is a posted write and changes no state.
+    read hit is CORRECTED where the mask is set, else CLEAN.  A store
+    miss is posted and changes no state.  A read miss under
+    invalid-preferring fill fills the first free enabled way, else
+    evicts the valid way with the lowest age, and bypasses a set with
+    no enabled way.  Under LRU fill it evicts the lowest-age way, valid
+    or not; the per-access LRU-fill path never reads the disabled mask,
+    so a cache with a disabled way is refused.
     """
+    if not prefer_invalid and any(tags._n_disabled for tags, _ in caches):
+        raise ValueError(
+            "an LRU-fill cache with a disabled way cannot run in lockstep"
+        )
+    n_caches = len(caches)
+    assoc = caches[0][0]._assoc
+    n_sets = caches[0][0]._n_sets
     n = len(lines)
-    assoc = tags._assoc
-    n_sets = tags._n_sets
     # (rank within set, set) order: both sorts are stable, so each
     # set's accesses keep their order and step k holds every set's
     # k-th access, at most one per set.  Keys narrowed to the smallest
     # unsigned type sort by radix (up to 16 bits), several times
     # faster than int64.
-    by_set = _stable_argsort(set_idx, n_sets - 1)
+    by_set = _stable_argsort(set_idx, n_caches * n_sets - 1)
     grouped = set_idx[by_set]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
+    first = np.ones(n, dtype=bool)
     np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     sets = grouped[starts]
     member = np.cumsum(first) - 1  # index into ``sets``
     rank = np.arange(n) - starts[member]
-    by_rank = _stable_argsort(rank, int(rank.max()))
+    by_rank = _stable_argsort(rank, int(rank.max(initial=0)))
     order = by_set[by_rank]
     edges = [0] + np.cumsum(np.bincount(rank)).tolist()
     row = member[by_rank]
@@ -425,18 +427,20 @@ def lockstep_kernel(
     store = stores[order]
 
     # The touched sets' state: resident lines, victim keys, clocks.
-    valid = tags.valid[sets]
-    disabled = tags.disabled[sets]
-    before = np.where(valid, tags.tag[sets] * n_sets + sets[:, None], -1)
-    # One pass over the whole age list beats slicing out the touched
-    # sets once most sets are touched, as every real residue does.
-    age = lru.age
-    ages = np.fromiter(age, np.int64, len(age)).reshape(n_sets, assoc)[sets]
-    keys_before = np.where(
-        valid, ages, np.where(disabled, _DISABLED_KEY, _FREE_KEY + np.arange(assoc))
-    )
-    clock = lru._clock
-    clocks = np.fromiter(map(clock.__getitem__, sets.tolist()), np.int64, len(sets))
+    valid = np.concatenate([tags.valid for tags, _ in caches])[sets]
+    disabled = np.concatenate([tags.disabled for tags, _ in caches])[sets]
+    tag = np.concatenate([tags.tag for tags, _ in caches])[sets]
+    before = np.where(valid, tag * n_sets + (sets % n_sets)[:, None], -1)
+    # One pass over the whole age lists beats slicing out the touched
+    # sets once most sets are touched, as every real stream does.
+    ages = np.concatenate([np.array(lru.age, dtype=np.int64) for _, lru in caches])
+    ages = ages.reshape(-1, assoc)[sets]
+    keys_before = ages
+    if prefer_invalid:
+        free = np.where(disabled, _DISABLED_KEY, _FREE_KEY + np.arange(assoc))
+        keys_before = np.where(valid, ages, free)
+    clocks = np.concatenate([np.array(lru._clock, dtype=np.int64) for _, lru in caches])
+    clocks = clocks[sets]
     resident = before.copy()
     keys = keys_before.copy()
     dead = disabled.all(axis=1)[row]  # no enabled way: read misses bypass
@@ -462,44 +466,61 @@ def lockstep_kernel(
         clocks[touched_rows] += 1
         resident[fill_rows, victim] = want[fill]
 
-    load = ~store
-    read_hit = hit & load
-    corrected_hit = read_hit & corrected[sets[row], way]
-    outcome = np.empty(n, dtype=np.int8)
-    outcome[order] = np.where(
+    corrected_hit = hit & corrected[sets[row], way]
+    klass = np.where(
         store,
-        POSTED_STORE,
-        np.where(hit, np.where(corrected_hit, CORRECTED_HIT, CLEAN_HIT), MISS),
+        np.where(hit, STORE_HIT, STORE_MISS),
+        np.where(
+            hit,
+            np.where(corrected_hit, CORRECTED_HIT, CLEAN_HIT),
+            np.where(dead, BYPASS, MISS),
+        ),
     )
+    outcome = np.empty(n, dtype=np.int8)
+    outcome[order] = klass
+    counts = np.bincount(
+        (sets[row] // n_sets) * _N_OUTCOMES + klass,
+        minlength=n_caches * _N_OUTCOMES,
+    ).reshape(n_caches, _N_OUTCOMES)
     changed_rows, changed_ways = np.nonzero(resident != before)
     evicted = before[changed_rows, changed_ways]
+    filled = resident[changed_rows, changed_ways]
+    fill_slots = sets[changed_rows] * assoc + changed_ways
+    # A free way fills once and stays valid; every other fill evicts.
+    free_fills = np.bincount(
+        sets[changed_rows[evicted < 0]] // n_sets, minlength=n_caches
+    ).tolist()
     stamped_rows, stamped_ways = np.nonzero(keys != keys_before)
-    reads = int(np.count_nonzero(load))
-    read_hits = int(np.count_nonzero(read_hit))
-    write_hits = int(np.count_nonzero(hit)) - read_hits
-    bypasses = int(np.count_nonzero(load & dead))
-    fills = reads - read_hits - bypasses
-    stats = CacheStats(
-        reads=reads,
-        read_hits=read_hits,
-        read_misses=reads - read_hits,
-        writes=n - reads,
-        write_hits=write_hits,
-        write_misses=n - reads - write_hits,
-        fills=fills,
-        # A free way fills once and stays valid; every other fill evicts.
-        evictions=fills - int(np.count_nonzero(evicted < 0)),
-        bypasses=bypasses,
-        corrected_reads=int(np.count_nonzero(corrected_hit)),
-    )
-    return LockstepRun(
-        outcome=outcome,
-        stats=stats,
-        sets=sets,
-        clocks=clocks,
-        fill_slots=sets[changed_rows] * assoc + changed_ways,
-        evicted=evicted,
-        filled=resident[changed_rows, changed_ways],
-        stamp_slots=sets[stamped_rows] * assoc + stamped_ways,
-        stamps=keys[stamped_rows, stamped_ways],
-    )
+    stamp_slots = sets[stamped_rows] * assoc + stamped_ways
+    stamps = keys[stamped_rows, stamped_ways]
+
+    # Touched sets and slots ascend, so each cache's share is one run.
+    slots = n_sets * assoc
+
+    def split(owner, *columns):
+        cut = np.searchsorted(owner, np.arange(1, n_caches))
+        return zip(*(np.split(column, cut) for column in columns))
+
+    commits = []
+    for counted, free, touched, refilled, restamped in zip(
+        counts.tolist(),
+        free_fills,
+        split(sets // n_sets, sets % n_sets, clocks),
+        split(fill_slots // slots, fill_slots % slots, evicted, filled),
+        split(stamp_slots // slots, stamp_slots % slots, stamps),
+    ):
+        posted, store_hits, clean, fixed, misses, bypasses = counted
+        stats = CacheStats(
+            reads=clean + fixed + misses + bypasses,
+            read_hits=clean + fixed,
+            read_misses=misses + bypasses,
+            writes=posted + store_hits,
+            write_hits=store_hits,
+            write_misses=posted,
+            fills=misses,
+            evictions=misses - free,
+            bypasses=bypasses,
+            corrected_reads=fixed,
+        )
+        commits.append(LockstepCommit(stats, *touched, *refilled, *restamped))
+    return outcome, commits

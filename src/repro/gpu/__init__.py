@@ -15,6 +15,5 @@ measures, at trace-driven speed.
 from repro.gpu.config import GpuConfig
 from repro.gpu.engine import GpuSimulator, KernelResult
 from repro.gpu.hierarchy import SimpleL1
-from repro.gpu.l1filter import run_l1_stream
 
-__all__ = ["GpuConfig", "SimpleL1", "GpuSimulator", "KernelResult", "run_l1_stream"]
+__all__ = ["GpuConfig", "SimpleL1", "GpuSimulator", "KernelResult"]

@@ -13,13 +13,14 @@ Two simulators implement the model, each an inner loop fixed to its
 own tag/LRU substrate:
 
 - ``engine="batched"`` (default), on the struct-of-arrays substrate:
-  each CU's private L1 stream is filtered in one pass, then the
-  L2-bound residue is resolved by one of three paths.  Killi, under
-  either decision policy, runs the whole residue through its
-  interpreter (:mod:`repro.core.killi_replay`); the MBIST oracles and
-  the fault-free baseline run it through the lockstep kernel
-  (:func:`~repro.cache.soa.lockstep_kernel`), which steps the k-th
-  access of every L2 set at once — no per-access Python call at all.
+  every CU's private L1 stream is filtered through the lockstep
+  kernel in one call, then the L2-bound residue is resolved by one of
+  three paths.  Killi, under either decision policy, runs the whole
+  residue through its interpreter (:mod:`repro.core.killi_replay`);
+  the MBIST oracles and the fault-free baseline run it through the
+  lockstep kernel (:func:`~repro.cache.soa.lockstep_kernel`), which
+  steps the k-th access of every L2 set at once — no per-access
+  Python call at all.
   A cache neither path accepts (write-back, way-filtering or
   hook-overriding schemes) runs every access through the exact
   per-access path in original global order.  Bank conflicts and the
@@ -332,16 +333,18 @@ class GpuSimulator:
     def _l1_filter_residue(self, trace: Trace):
         """Stage 1 of the batched engine: the L1 pre-filter.
 
-        Simulates each CU's entire (private, deterministic) L1 stream
-        in one pass (:func:`~repro.gpu.l1filter.run_l1_stream`), which
-        also yields the CU's base latency in closed form: summed
-        compute gaps plus ``l1_hit_latency`` per load (every load pays
-        it, hit or miss).  Returns ``(base, residue)`` where ``base``
-        is the per-CU base latency and ``residue`` is None (no L2-bound
-        access) or the merged L2-bound stream — stores and L1 read
-        misses — as aligned int64/bool arrays ``(addrs, stores, cus,
-        rounds)`` sorted round-major/CU-minor, i.e. in exactly the
-        order the scalar loop reaches the L2.
+        Filters each CU's entire (private, deterministic) L1 stream
+        up front (:func:`~repro.gpu.l1filter.run_l1_stream_memo`, one
+        call per CU; the first call with virgin L1s runs every CU's
+        stream through one lockstep kernel call), which also yields
+        the CU's base latency in closed form: summed compute gaps plus
+        ``l1_hit_latency`` per load (every load pays it, hit or miss).
+        Returns ``(base, residue)`` where ``base`` is the per-CU base
+        latency and ``residue`` is None (no L2-bound access) or the
+        merged L2-bound stream — stores and L1 read misses — as aligned
+        int64/bool arrays ``(addrs, stores, cus, rounds)`` sorted
+        round-major/CU-minor, i.e. in exactly the order the scalar loop
+        reaches the L2.
         """
         l1_hit_latency = self.config.l1_hit_latency
         addr_parts, store_parts, pos_parts, cu_parts = [], [], [], []

@@ -9,15 +9,13 @@ fast filter in front of the L2.
 Like the L2, the L1 tag/LRU state runs on the object substrate under
 the scalar engine (reference) and on the struct-of-arrays substrate
 under the batched engine.  Because an L1 is private, unprotected and
-deterministic, the batched engine simulates its entire access stream
-in one pass — see :mod:`repro.gpu.l1filter`, which exports the SoA
-state via :meth:`SimpleL1.export_filter_state`, runs the pass, and
-writes the state back.
+deterministic, the batched engine filters every CU's whole access
+stream in one lockstep kernel call and commits each L1's share
+through :meth:`~repro.cache.core.CacheModel.commit_lockstep`, the
+L2's commit path — see :mod:`repro.gpu.l1filter`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.cache.core import LRU_FILL, CacheModel
 from repro.cache.geometry import CacheGeometry
@@ -31,8 +29,9 @@ class SimpleL1(CacheModel):
     A thin boolean adapter over the transaction layer: ``read`` /
     ``write`` return hit/miss instead of latency (the engine accounts
     L1 latency itself), while the underlying semantics — stats, LRU
-    ages, the always-LRU victim convention the batched L1 filter
-    replays — are :class:`~repro.cache.core.CacheModel`'s under the
+    ages, the always-LRU victim convention the batched L1 stage keys
+    its lockstep kernel on — are
+    :class:`~repro.cache.core.CacheModel`'s under the
     :data:`~repro.cache.core.LRU_FILL` allocation policy.
     """
 
@@ -53,27 +52,3 @@ class SimpleL1(CacheModel):
         hits = self.stats.write_hits
         CacheModel.write(self, addr)
         return self.stats.write_hits != hits
-
-    # -- batched-filter state interchange ----------------------------------
-    #
-    # The SoA substrate's own columns (the batched engine's): per-slot
-    # line numbers (``-1`` = invalid) and per-slot integer ages
-    # (distinct within a set; larger = more recent), both flat lists
-    # indexed by ``set * associativity + way``, plus the per-set age
-    # clocks and the line-number -> way dict.
-
-    def export_filter_state(self):
-        """State tuple ``(index, slot_line, age, clock)`` for the filter."""
-        tags, lru = self.tags, self.lru
-        return dict(tags._index), list(tags._line_at), list(lru.age), list(lru._clock)
-
-    def import_filter_state(self, state) -> None:
-        """Write a filter state tuple back into the SoA substrate."""
-        index, slot_line, age, clock = state
-        tags, lru = self.tags, self.lru
-        tags._index = index
-        tags._line_at = list(slot_line)
-        tags.sync_columns()
-        tags.valid_in_set[:] = np.count_nonzero(tags.valid, axis=1).tolist()
-        lru.age = list(age)
-        lru._clock = list(clock)

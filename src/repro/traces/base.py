@@ -24,8 +24,10 @@ class CuStream:
     construction.  The L1 pre-filter additionally memoizes its pure
     outputs here (``_l1_filter_cache``, managed by
     :mod:`repro.gpu.l1filter`): campaign cells replaying the same
-    stream through a fresh L1 reuse the filtered residue instead of
-    re-simulating it.
+    stream through a fresh L1 reuse the filtered residue and commit
+    record instead of re-simulating it.  ``_trace_streams``, set by
+    :class:`Trace`, links a stream to its trace's streams, so the
+    filter can run all of them in one kernel call.
 
     Attributes
     ----------
@@ -48,6 +50,9 @@ class CuStream:
         default=None, init=False, repr=False, compare=False
     )
     _l1_filter_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _trace_streams: Optional[list] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -105,6 +110,10 @@ class Trace:
 
     name: str
     streams: List[CuStream]
+
+    def __post_init__(self):
+        for stream in self.streams:
+            stream._trace_streams = self.streams
 
     @property
     def total_accesses(self) -> int:

@@ -6,13 +6,15 @@ on a twin.  Both start warm, with random disabled ways (whole sets
 included), free ways left mid-set by invalidations, and a random
 CORRECTED mask.  After each of two kernels the twins must agree on
 every per-access latency, the stats, the memory traffic, the canonical
-state snapshot and the raw LRU ages and clocks.
+state snapshot and the raw LRU ages and clocks.  The same holds for a
+plain-LRU-fill cache (the L1 policy), virgin or warm, whose victim key
+is every way's age; such a cache with a disabled way is refused.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.core import WriteThroughCache
+from repro.cache.core import LRU_FILL, CacheModel, WriteThroughCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hooks import AccessOutcome, ProtectionScheme
 
@@ -112,3 +114,50 @@ def test_lockstep_matches_per_access(seed):
     assert stats.bypasses > 0
     assert stats.corrected_reads > 0
     assert stats.evictions > 0
+
+
+def lru_fill_twins(seed: int, warm: bool):
+    """Two identical plain-LRU-fill caches (the L1 policy): virgin, or
+    warmed per access and then holed by invalidations, which demote the
+    freed ways' ages below every other age in the set."""
+    rng = np.random.default_rng(seed)
+    warm_lines, warm_stores = random_stream(rng, 700)
+    caches = []
+    for _ in range(2):
+        cache = CacheModel(GEOMETRY, allocation_policy=LRU_FILL)
+        if warm:
+            drive(cache, warm_lines, warm_stores)
+            for set_index in range(0, N_SETS, 3):
+                cache.invalidate_line(set_index, (set_index // 3) % ASSOC)
+        caches.append(cache)
+    return rng, caches
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["virgin", "warm"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lru_fill_key_matches_per_access(seed, warm):
+    """Under LRU fill every way's key is its age, valid or not: a
+    virgin set (ages 0, -1, -2, ...) evicts its last way first, and an
+    invalidated way is the next victim, as ``_choose_victim`` picks."""
+    rng, (per_access, lockstep) = lru_fill_twins(seed, warm)
+    assert observed(lockstep) == observed(per_access)
+    never = np.zeros((N_SETS, ASSOC), dtype=bool)
+    for _ in range(2):
+        lines, stores = random_stream(rng, 900)
+        expected = drive(per_access, lines, stores)
+        got = lockstep.replay_lockstep(lines, stores, lines % N_SETS, never)
+        assert got.tolist() == expected
+        assert observed(lockstep) == observed(per_access)
+        lockstep.tags.verify()
+    stats = lockstep.stats
+    assert stats.evictions > 0 and stats.write_hits > 0 and stats.read_hits > 0
+
+
+def test_lru_fill_with_a_disabled_way_is_refused():
+    cache = CacheModel(GEOMETRY, allocation_policy=LRU_FILL)
+    cache.tags.disable(3, 0)
+    lines = np.array([3, 3 + N_SETS], dtype=np.int64)
+    stores = np.zeros(2, dtype=bool)
+    never = np.zeros((N_SETS, ASSOC), dtype=bool)
+    with pytest.raises(ValueError, match="disabled way"):
+        cache.replay_lockstep(lines, stores, lines % N_SETS, never)
