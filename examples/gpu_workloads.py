@@ -32,8 +32,8 @@ def main() -> None:
         point = matrix.points[workload]["killi_1:256"]
         print(
             f"  {workload:8s} 1:256 -> error-induced misses: "
-            f"{point.error_induced_misses:5d}, ECC-contention invalidations: "
-            f"{point.ecc_evict_invalidations:5d}"
+            f"{point.l2['error_induced_misses']:5d}, ECC-contention "
+            f"invalidations: {point.l2['ecc_evict_invalidations']:5d}"
         )
 
     print("\nNormalized L2 power (Table 6 model, with measured traffic):")

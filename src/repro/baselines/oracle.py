@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hooks import (
-    BEHAVIOURAL_HOOKS,
-    AccessOutcome,
-    ProtectionScheme,
-    hooks_unchanged,
-)
+from repro.cache.hooks import AccessOutcome, ProtectionScheme, hooks_unchanged
 from repro.core.layout import LineLayout
 from repro.faults.fault_map import FaultMap
 
@@ -81,14 +76,9 @@ class OracleEccScheme(ProtectionScheme):
         # May this instance run through the lockstep kernel?
         # True only when no subclass changed a hook the kernel would
         # have to re-model: this class owns the hit path, everything
-        # else must still be the base no-op.  (FLAIR's training-mode
-        # way filtering is gated separately through ``filters_ways``,
-        # which makes the cache refuse before the scheme is
-        # consulted — hence ``is_line_usable`` is not probed here.)
+        # else must still be the base no-op.
         self._replay_hooks_clean = hooks_unchanged(
-            type(self),
-            hooks=tuple(h for h in BEHAVIOURAL_HOOKS if h != "is_line_usable"),
-            owners={"on_read_hit": OracleEccScheme},
+            type(self), owners={"on_read_hit": OracleEccScheme}
         )
 
     def attach(self, cache) -> None:

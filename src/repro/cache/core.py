@@ -255,17 +255,11 @@ class CacheModel:
             else self._lat_tag
         )
         self.scheme.attach(self)
-        # Skip the per-way usability call unless this scheme instance
-        # can actually filter (type-level override check by default;
-        # config-gated filters like FLAIR's training window refine it).
-        self._scheme_filters_ways = self.scheme.filters_ways()
         # Skip priority ranking of invalid candidates unless the scheme
         # actually ranks (a default scheme returns all-zero priorities,
         # under which "first max" is just the first candidate).
         self._scheme_prioritizes = (
-            type(self.scheme).fill_priority is not ProtectionScheme.fill_priority
-            or type(self.scheme).fill_priorities
-            is not ProtectionScheme.fill_priorities
+            type(self.scheme).fill_priorities is not ProtectionScheme.fill_priorities
         )
         self._all_ways = list(range(geometry.associativity))
         self._way_attempts = range(geometry.associativity)
@@ -413,15 +407,14 @@ class CacheModel:
 
         The batched engine asks once per kernel.  None refuses the
         whole cache, which then runs per access: its scalar semantics
-        are not batchable, or its scheme filters ways.  Otherwise the
-        scheme answers
+        are not batchable.  Otherwise the scheme answers
         (:meth:`~repro.cache.hooks.ProtectionScheme.lockstep_mask`): an
         ``(n_sets, associativity)`` bool mask of the ways whose read
         hits resolve CORRECTED, or None.  Disabled ways need no
         refusal — the kernel never fills them, and a set with no
         enabled way bypasses, as ``_choose_victim`` does.
         """
-        if not self.semantics_batchable or self._scheme_filters_ways:
+        if not self.semantics_batchable:
             return None
         return self.scheme.lockstep_mask(self.geometry)
 
@@ -619,7 +612,7 @@ class CacheModel:
         if not self._prefer_invalid:
             way = self.lru.lru_way(set_index)
             return way, tags.is_valid(set_index, way)
-        if tags.disabled_in_set[set_index] == 0 and not self._scheme_filters_ways:
+        if tags.disabled_in_set[set_index] == 0:
             # Fast path: every way is a candidate.  Full set -> plain
             # LRU; some way invalid + uniform priorities -> the first
             # invalid way, no candidate list materialized.
@@ -632,12 +625,6 @@ class CacheModel:
             candidates = self._all_ways
         else:
             candidates = tags.enabled_ways(set_index)
-            if self._scheme_filters_ways:
-                candidates = [
-                    way
-                    for way in candidates
-                    if self.scheme.is_line_usable(set_index, way)
-                ]
             if not candidates:
                 return None, False
         invalid = tags.invalid_among(set_index, candidates)
@@ -648,8 +635,7 @@ class CacheModel:
                 # Equal priorities: first max == first candidate.
                 return invalid[0], False
             prios = self.scheme.fill_priorities(set_index, invalid)
-            # max() with first-max tie-break, matching
-            # max(invalid, key=fill_priority).
+            # max() with first-max tie-break.
             return invalid[max(range(len(invalid)), key=prios.__getitem__)], False
         if len(candidates) == self._assoc:
             return self.lru.lru_way(set_index), True

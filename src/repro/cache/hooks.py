@@ -59,14 +59,12 @@ BEHAVIOURAL_HOOKS = (
     "on_write_hit",
     "on_evict",
     "on_invalidated",
-    "fill_priority",
     "fill_priorities",
-    "is_line_usable",
 )
 
 
-def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
-    """True when ``cls`` inherits every named hook from its owner.
+def hooks_unchanged(cls, owners=None) -> bool:
+    """True when ``cls`` inherits every behavioural hook from its owner.
 
     ``owners`` optionally maps hook names to the class expected to own
     the implementation (default: :class:`ProtectionScheme` for all) —
@@ -75,12 +73,8 @@ def hooks_unchanged(cls, hooks=BEHAVIOURAL_HOOKS, owners=None) -> bool:
     batchability probes.  Purely type-level, so the answer is a
     class-lifetime constant; callers cache it.
     """
-    if owners is None:
-        for name in hooks:
-            if getattr(cls, name) is not getattr(ProtectionScheme, name):
-                return False
-        return True
-    for name in hooks:
+    owners = owners or {}
+    for name in BEHAVIOURAL_HOOKS:
         owner = owners.get(name, ProtectionScheme)
         if getattr(cls, name) is not getattr(owner, name):
             return False
@@ -129,21 +123,14 @@ class ProtectionScheme:
 
     # -- policy hooks ----------------------------------------------------
 
-    def fill_priority(self, set_index: int, way: int) -> int:
-        """Priority for choosing among *invalid* candidate ways.
-
-        Higher wins.  Killi returns 2 for DFH b'01, 1 for b'00, 0 for
-        b'10 (paper Section 4.4).
-        """
-        return 0
-
     def fill_priorities(self, set_index: int, ways) -> list:
-        """``fill_priority`` for each way in ``ways`` (batched).
+        """Priority of each *invalid* candidate way in ``ways``.
 
-        Schemes with cheap bulk access to their per-line state (Killi's
-        DFH array) override this to avoid a Python call per candidate.
+        Higher wins; the cache fills the first way of highest priority.
+        Killi returns 2 for DFH b'01, 1 for b'00, 0 for b'10 (paper
+        Section 4.4); the default ranks every way equally.
         """
-        return [self.fill_priority(set_index, way) for way in ways]
+        return [0] * len(ways)
 
     def fill_priority_is_uniform(self, set_index: int) -> bool:
         """True if every way of ``set_index`` is *guaranteed* to carry
@@ -153,23 +140,6 @@ class ProtectionScheme:
         of lines that have left the (uniform-priority) initial state.
         """
         return False
-
-    def is_line_usable(self, set_index: int, way: int) -> bool:
-        """May (set, way) receive a fill?  (Disabled ways are already
-        excluded by the tag store; schemes can exclude more.)"""
-        return True
-
-    def filters_ways(self) -> bool:
-        """May :meth:`is_line_usable` ever return False for *this
-        instance*?  The cache skips the per-way usability calls (and
-        allows the lockstep kernel) when this is False.  The default is
-        the conservative type-level check; schemes whose filtering is
-        configuration-gated (FLAIR's optional training window) override
-        it so an instance that provably never filters is not penalised
-        for the class having the hook.  Must be decided once, at attach
-        time: an instance that might start filtering later has to
-        return True up front."""
-        return type(self).is_line_usable is not ProtectionScheme.is_line_usable
 
     # -- batched replay ----------------------------------------------------
 
@@ -191,7 +161,7 @@ class ProtectionScheme:
           ``on_fill`` / ``on_write_hit`` / ``on_evict`` are pure no-ops
           (no state, stat, RNG or shared-structure effects);
         - victim selection reduces to first free enabled way / plain
-          LRU (no way filtering, uniform fill priorities);
+          LRU (uniform fill priorities);
         - nothing outside a set's own accesses mutates the set.
 
         The base answer covers schemes that override none of the

@@ -315,12 +315,6 @@ class KilliScheme(ProtectionScheme):
         self.ecc.remove(set_index, way)
         self.errors.clear(line_id)
 
-    def fill_priority(self, set_index: int, way: int) -> int:
-        if not self.config.priority_replacement:
-            return 0
-        line_id = set_index * self.geometry.associativity + way
-        return PRIORITY_BY_DFH[int(self.dfh[line_id])]
-
     def fill_priorities(self, set_index: int, ways) -> list:
         if not self.config.priority_replacement:
             return [0] * len(ways)

@@ -21,9 +21,9 @@ own tag/LRU substrate:
   lockstep kernel (:func:`~repro.cache.soa.lockstep_kernel`), which
   steps the k-th access of every L2 set at once — no per-access
   Python call at all.
-  A cache neither path accepts (write-back, way-filtering or
-  hook-overriding schemes) runs every access through the exact
-  per-access path in original global order.  Bank conflicts and the
+  A cache neither path accepts (write-back or hook-overriding
+  schemes) runs every access through the exact per-access path in
+  original global order.  Bank conflicts and the
   stats deltas are applied in bulk.
 - ``engine="scalar"``, on the object substrate: the original
   per-round Python loop over per-line objects, kept as the reference
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.core import WriteThroughCache
+from repro.cache.core import WriteBackCache, WriteThroughCache
 from repro.cache.hooks import ProtectionScheme
 from repro.cache.stats import CacheStats
 from repro.gpu.config import GpuConfig
@@ -159,7 +159,9 @@ class GpuSimulator:
         GPU shape and latencies (Table 3 defaults).
     l2_scheme:
         Protection scheme for the L2 (Killi, a baseline, or the
-        fault-free :class:`~repro.cache.UnprotectedScheme`).
+        fault-free :class:`~repro.cache.UnprotectedScheme`).  The L2
+        is write-through unless the scheme has an ``on_dirty`` hook
+        (write-back Killi), which only a write-back cache calls.
     engine:
         ``"batched"`` (the fast path, on struct-of-arrays caches) or
         ``"scalar"`` (the reference, on object-substrate caches).  The
@@ -178,7 +180,12 @@ class GpuSimulator:
         self.config = config if config is not None else GpuConfig()
         self.engine = engine
         substrate = substrate_of(engine)
-        self.l2 = WriteThroughCache(
+        write_back = (
+            l2_scheme is not None
+            and type(l2_scheme).on_dirty is not ProtectionScheme.on_dirty
+        )
+        l2_preset = WriteBackCache if write_back else WriteThroughCache
+        self.l2 = l2_preset(
             self.config.l2,
             l2_scheme,
             self.config.l2_latencies,
@@ -390,10 +397,10 @@ class GpuSimulator:
           per-way CORRECTED hits for the oracles' faulty-but-correctable
           lines and bypasses for sets with no enabled way — and commits
           it in bulk.
-        - Otherwise (write-back, way-filtering or hook-overriding
-          schemes) every access runs through ``l2.read`` / ``l2.write``
-          in original global order, which preserves the RNG draw
-          sequence and every cross-set interaction.
+        - Otherwise (write-back or hook-overriding schemes) every
+          access runs through ``l2.read`` / ``l2.write`` in original
+          global order, which preserves the RNG draw sequence and every
+          cross-set interaction.
 
         Each path keeps cycles, stats and scheme state bit-identical
         to the reference.

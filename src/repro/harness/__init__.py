@@ -25,7 +25,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.journal import CellFailure, RunJournal
 from repro.metrics import METRICS
-from repro.harness.results import PerfPoint, PerformanceMatrix
+from repro.harness.results import PerformanceMatrix
 from repro.harness.runner import (
     CampaignError,
     CellResult,
@@ -52,7 +52,6 @@ __all__ = [
     "table5_area",
     "table6_power",
     "table7_olsc",
-    "PerfPoint",
     "PerformanceMatrix",
     "CellResult",
     "run_cell",

@@ -1,6 +1,8 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
-Each runner compares Killi with one mechanism toggled:
+Each runner compares Killi with one mechanism toggled; the simulated
+ones hand every other keyword (``**campaign``) to
+:func:`~repro.harness.runner.run_cells` untouched:
 
 - :func:`ablate_priority_replacement` — the DFH-ordered victim choice
   (paper Section 4.4) vs plain LRU-among-invalid.
@@ -17,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.core import KilliConfig, KilliScheme
 from repro.faults import FaultMap
-from repro.harness.runner import LV_VOLTAGE, CellResult, run_cell, run_cells
+from repro.harness.runner import LV_VOLTAGE, CellResult, run_cells
 from repro.scenario.config import ScenarioConfig, cell_scenario
 from repro.utils.rng import RngFactory
 
@@ -65,8 +67,7 @@ def _summary(cell: CellResult) -> Dict:
 
 def ablate_priority_replacement(
     workload: str = "fft", ecc_ratio: int = 64,
-    accesses_per_cu: int = 8000, seed: int = 42, jobs: int = 1,
-    retries: int = 0, journal=None,
+    accesses_per_cu: int = 8000, seed: int = 42, **campaign,
 ) -> Dict[str, Dict]:
     """Killi's DFH-priority victim selection on vs off."""
     labels = {"priority": True, "plain_lru": False}
@@ -76,17 +77,14 @@ def ablate_priority_replacement(
                         {"priority_replacement": enabled})
             for enabled in labels.values()
         ],
-        jobs=jobs,
-        retries=retries,
-        journal=journal,
+        **campaign,
     )
     return {label: _summary(cell) for label, cell in zip(labels, cells)}
 
 
 def ablate_eviction_training(
     workload: str = "fft", ecc_ratio: int = 64,
-    accesses_per_cu: int = 8000, seed: int = 42, jobs: int = 1,
-    retries: int = 0, journal=None,
+    accesses_per_cu: int = 8000, seed: int = 42, **campaign,
 ) -> Dict[str, Dict]:
     """Classify-on-evict (Section 4.4) on vs off."""
     labels = {"train_on_evict": True, "hits_only": False}
@@ -96,9 +94,7 @@ def ablate_eviction_training(
                         {"train_on_evict": enabled})
             for enabled in labels.values()
         ],
-        jobs=jobs,
-        retries=retries,
-        journal=journal,
+        **campaign,
     )
     out = {}
     for label, cell in zip(labels, cells):
@@ -112,8 +108,7 @@ def ablate_eviction_training(
 
 def ablate_inverted_write_training(
     workload: str = "miniamr", ecc_ratio: int = 64,
-    accesses_per_cu: int = 8000, seed: int = 42, jobs: int = 1,
-    retries: int = 0, journal=None,
+    accesses_per_cu: int = 8000, seed: int = 42, **campaign,
 ) -> Dict[str, Dict]:
     """Inverted-write masked-fault mitigation (Section 5.6.2) on vs off."""
     labels = {"inverted": True, "plain": False}
@@ -123,17 +118,14 @@ def ablate_inverted_write_training(
                         {"inverted_write_training": enabled})
             for enabled in labels.values()
         ],
-        jobs=jobs,
-        retries=retries,
-        journal=journal,
+        **campaign,
     )
     return {label: _summary(cell) for label, cell in zip(labels, cells)}
 
 
 def ablate_ecc_ratio(
     workload: str = "fft", ratios=(256, 64, 16),
-    accesses_per_cu: int = 8000, seed: int = 42, jobs: int = 1,
-    retries: int = 0, journal=None,
+    accesses_per_cu: int = 8000, seed: int = 42, **campaign,
 ) -> Dict[str, Dict]:
     """The paper's own sweep, exposed as an ablation on one workload."""
     cells = run_cells(
@@ -141,9 +133,7 @@ def ablate_ecc_ratio(
             _killi_spec(workload, ratio, accesses_per_cu, seed)
             for ratio in ratios
         ],
-        jobs=jobs,
-        retries=retries,
-        journal=journal,
+        **campaign,
     )
     return {f"1:{ratio}": _summary(cell) for ratio, cell in zip(ratios, cells)}
 
@@ -191,20 +181,21 @@ def ablate_parity_interleaving(
 
 def ablate_writeback(
     workload: str = "lulesh", ecc_ratio: int = 64,
-    accesses_per_cu: int = 8000, seed: int = 42,
+    accesses_per_cu: int = 8000, seed: int = 42, **campaign,
 ) -> Dict[str, Dict]:
     """Write-through Killi vs the write-back extension (Section 5.6.1)."""
-    out = {}
-    cell = run_cell(_killi_spec(workload, ecc_ratio, accesses_per_cu, seed))
-    summary = _summary(cell)
-    summary["memory_writes"] = cell.memory_writes
-    out["write_through"] = summary
-
-    cell = run_cell(
-        _killi_spec(workload, ecc_ratio, accesses_per_cu, seed, write_back=True)
+    write_through, write_back = run_cells(
+        [
+            _killi_spec(workload, ecc_ratio, accesses_per_cu, seed,
+                        write_back=enabled)
+            for enabled in (False, True)
+        ],
+        **campaign,
     )
-    summary = _summary(cell)
-    summary["memory_writes"] = cell.memory_writes
-    summary["due_on_dirty"] = cell.l2.get("due_on_dirty", 0)
-    out["write_back"] = summary
+    out = {}
+    for label, cell in (("write_through", write_through), ("write_back", write_back)):
+        summary = _summary(cell)
+        summary["memory_writes"] = cell.memory_writes
+        out[label] = summary
+    out["write_back"]["due_on_dirty"] = write_back.l2.get("due_on_dirty", 0)
     return out

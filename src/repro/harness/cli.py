@@ -156,185 +156,31 @@ def _report_campaign_failure(error: CampaignError) -> None:
     )
 
 
-def _progress_printer(args):
-    """Per-cell progress reporter for parallel/cached runs (stderr)."""
-    if args.jobs <= 1 and not args.cache:
-        return None
-
-    def report(done, total, cell):
-        tag = " (cached)" if cell.from_cache else f" {cell.elapsed_s:.1f}s"
-        print(
-            f"[{done}/{total}] {cell.workload}/{cell.scheme}{tag}",
-            file=sys.stderr,
-        )
-
-    return report
-
-
-def _print_series(title: str, data: dict) -> None:
-    keys = [k for k in data if k != "voltage"]
-    rows = list(zip(data["voltage"], *(data[k] for k in keys)))
-    print(format_table(["voltage"] + keys, rows, title=title))
-    print()
-
-
-def _run_fig1() -> None:
-    _print_series("Figure 1: SRAM cell Pfail vs normalized VDD", experiments.fig1_cell_pfail())
-
-
-def _run_fig2() -> None:
-    _print_series("Figure 2: % lines with 0/1/2+ faults", experiments.fig2_line_distribution())
-
-
-def _run_fig6() -> None:
-    _print_series("Figure 6: % lines correctly classified", experiments.fig6_coverage())
-
-
-def _run_perf(args):
-    matrix = experiments.fig4_fig5_performance(
-        workloads=args.workloads,
-        schemes=args.schemes,
-        accesses_per_cu=args.accesses,
-        seed=args.seed,
+def _campaign(args, progress) -> dict:
+    """:func:`~repro.harness.runner.run_cells`' campaign knobs, from
+    the parsed flags."""
+    return dict(
         jobs=args.jobs,
         cache_dir=args.cache,
-        progress=_progress_printer(args),
-        engine=args.engine,
+        progress=progress,
         retries=args.retries,
         timeout=args.timeout,
         journal=args.journal,
         resume=args.resume,
     )
-    print(matrix.fig4_table())
-    print()
-    print(matrix.fig5_table())
-    print()
-    table6 = experiments.table6_power(matrix)
-    print(format_table(
-        ["scheme", "normalized power %"],
-        [(k, f"{v:.1f}") for k, v in table6.items()],
-        title="Table 6: normalized power (with measured memory traffic)",
-    ))
-    return matrix
 
 
-def _run_table4() -> None:
-    data = experiments.table4_strong_ecc()
-    ratios = list(next(iter(data.values())))
-    rows = [[code] + [f"{data[code][r]:.2f}" for r in ratios] for code in data]
-    print(format_table(["code"] + ratios, rows, title="Table 4: Killi storage vs SECDED"))
-
-
-def _run_table5() -> None:
-    data = experiments.table5_area()
-    rows = [
-        [name, f"{v['ratio']:.2f}", f"{v['percent']:.2f}%"] for name, v in data.items()
-    ]
-    print(format_table(["scheme", "ratio vs SECDED", "% of L2"], rows, title="Table 5: area"))
-
-
-def _run_table6() -> None:
-    data = experiments.table6_power()
-    rows = [(k, f"{v:.1f}") for k, v in data.items()]
-    print(format_table(["scheme", "normalized power %"], rows, title="Table 6: power"))
-
-
-def _run_table7() -> None:
-    data = experiments.table7_olsc()
-    rows = [
-        (v, f"{d['capacity_pct']:.1f}%", f"{100 * d['killi_vs_msecc']:.0f}%")
-        for v, d in data.items()
-    ]
-    print(format_table(
-        ["voltage", "L2 capacity target", "Killi area vs MS-ECC"],
-        rows,
-        title="Table 7: Killi w/OLSC vs MS-ECC",
-    ))
-
-
-def _run_sec55(args) -> None:
-    data = experiments.sec55_lower_vmin(
-        accesses_per_cu=min(args.accesses, 8000),
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        retries=args.retries,
-        timeout=args.timeout,
-        journal=args.journal,
-        resume=args.resume,
-    )
-    rows = []
-    for key in ("baseline", "msecc", "killi_secded_1:8", "killi_olsc_1:8"):
-        row = data[key]
-        rows.append([
-            key,
-            f"{row.get('normalized_time', 1.0):.3f}",
-            f"{row['mpki']:.1f}",
-            f"{row['disabled_fraction']:.2%}",
-        ])
-    print(format_table(
-        ["scheme", "normalized time", "MPKI", "disabled lines"],
-        rows,
-        title=f"Section 5.5 at {data['voltage']} VDD ({data['workload']})",
-    ))
-
-
-#: Experiments with a CSV form (``fig4``/``fig5`` share one file).
-_CSV_EXPERIMENTS = (
-    "fig1", "fig2", "fig6", "table4", "table5", "table6", "fig4", "fig5",
-)
-
-
-def _export_csv(args, matrix) -> None:
-    """Write the selected experiment's raw data as CSV files; the
-    Figure 4/5 ``matrix`` is the one :func:`_run_perf` computed."""
-    from repro.harness.export import (
-        matrix_to_csv,
-        nested_table_to_csv,
-        series_to_csv,
-        write_csv,
-    )
-
-    os.makedirs(args.csv, exist_ok=True)
-
-    def path(name: str) -> str:
-        return os.path.join(args.csv, f"{name}.csv")
-
-    name = args.experiment
-    if name in ("fig1", "fig2", "fig6"):
-        runner = {
-            "fig1": experiments.fig1_cell_pfail,
-            "fig2": experiments.fig2_line_distribution,
-            "fig6": experiments.fig6_coverage,
-        }[name]
-        write_csv(path(name), series_to_csv(runner()))
-    elif name in ("table4", "table5"):
-        runner = {
-            "table4": experiments.table4_strong_ecc,
-            "table5": experiments.table5_area,
-        }[name]
-        write_csv(path(name), nested_table_to_csv(runner()))
-    elif name == "table6":
-        table = experiments.table6_power()
-        write_csv(
-            path(name),
-            nested_table_to_csv({k: {"power_pct": v} for k, v in table.items()},
-                                row_label="scheme"),
-        )
-    else:
-        write_csv(path("fig4_fig5"), matrix_to_csv(matrix))
-    print(f"CSV written under {args.csv}/")
-
-
-# -- scenario subcommand ------------------------------------------------------
-
-
-def _scenario_progress(done, total, cell):
+def _progress(done, total, cell) -> None:
+    """Per-cell campaign progress on stderr."""
     tag = " (cached)" if cell.from_cache else f" {cell.elapsed_s:.1f}s"
     print(
         f"[{done}/{total}] {cell.workload}/{cell.scheme}"
         f"@{cell.voltage:g}V{tag}",
         file=sys.stderr,
     )
+
+
+# -- scenario subcommand ------------------------------------------------------
 
 
 def _scenario_run(args) -> int:
@@ -355,14 +201,7 @@ def _scenario_run(args) -> int:
         METRICS.enable()
     try:
         summary = run_scenario(
-            scenario,
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            progress=_scenario_progress if not args.no_progress else None,
-            retries=args.retries,
-            timeout=args.timeout,
-            journal=args.journal,
-            resume=args.resume,
+            scenario, **_campaign(args, None if args.no_progress else _progress)
         )
     except CampaignError as error:
         _report_campaign_failure(error)
@@ -512,15 +351,16 @@ def main(argv=None) -> int:
         prog="killi-experiment",
         description="Regenerate the Killi paper's tables and figures.",
     )
+    table = experiments.EXPERIMENTS
     parser.add_argument(
         "experiment",
-        choices=["fig1", "fig2", "fig4", "fig5", "fig6",
-                 "table4", "table5", "table6", "table7", "sec55", "all"],
-        help="which table/figure to regenerate",
+        choices=[*table, "all"],
+        help="which table/figure to regenerate (all: every item once)",
     )
     parser.add_argument(
         "--accesses", type=_positive_int, default=30000,
-        help="accesses per CU for simulation experiments (default 30000)",
+        help="accesses per CU for simulation experiments (default 30000; "
+             "sec55 runs at most 8000)",
     )
     parser.add_argument(
         "--workloads", nargs="+", type=_registered(resolve_workload),
@@ -560,10 +400,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--csv", metavar="DIR", default=None,
         help="also write the experiment's data as CSV into DIR "
-             f"({', '.join(_CSV_EXPERIMENTS)} only)",
+             f"({', '.join(name for name, item in table.items() if item.csv)} "
+             "only)",
     )
     args = parser.parse_args(argv)
-    if args.csv and args.experiment not in _CSV_EXPERIMENTS:
+    if args.experiment == "all":
+        items = list(dict.fromkeys(table.values()))
+    else:
+        items = [table[args.experiment]]
+    if args.csv and (args.experiment == "all" or items[0].csv is None):
         parser.error(f"--csv: {args.experiment} has no CSV form")
     if args.csv and os.path.exists(args.csv) and not os.path.isdir(args.csv):
         parser.error(f"--csv {args.csv}: exists and is not a directory")
@@ -573,30 +418,21 @@ def main(argv=None) -> int:
         args.accesses = 5000
     if args.telemetry:
         METRICS.enable()
+    campaign = _campaign(args, _progress if args.jobs > 1 or args.cache else None)
     try:
-        matrix = None
-        analytic = {
-            "fig1": _run_fig1,
-            "fig2": _run_fig2,
-            "fig6": _run_fig6,
-            "table4": _run_table4,
-            "table5": _run_table5,
-            "table6": _run_table6,
-            "table7": _run_table7,
-        }
-        if args.experiment in ("fig4", "fig5"):
-            matrix = _run_perf(args)
-        elif args.experiment == "sec55":
-            _run_sec55(args)
-        elif args.experiment == "all":
-            for runner in analytic.values():
-                runner()
+        for index, item in enumerate(items):
+            if index:
                 print()
-            _run_perf(args)
-        else:
-            analytic[args.experiment]()
+            result = item.run(**item.options(args, campaign))
+            item.render(result)
         if args.csv:
-            _export_csv(args, matrix)
+            from repro.harness.export import write_csv
+
+            os.makedirs(args.csv, exist_ok=True)
+            write_csv(
+                os.path.join(args.csv, f"{item.csv[0]}.csv"), item.to_csv(result)
+            )
+            print(f"CSV written under {args.csv}/")
     except CampaignError as error:
         _report_campaign_failure(error)
         _finish_telemetry(args)

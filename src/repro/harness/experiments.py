@@ -1,14 +1,19 @@
-"""Per-figure / per-table experiment runners.
+"""Per-figure / per-table experiment runners, and the table of them.
 
 Every runner returns plain dict/series data (so tests and benchmarks
-can assert on it) and is registered in :data:`EXPERIMENTS` for the
-CLI.  Simulation-based runners accept an ``accesses_per_cu`` scale so
-benchmarks can run them at reduced size.
+can assert on it).  :data:`EXPERIMENTS` declares each item of the
+paper's evaluation once — its runner, how it prints and its CSV form —
+and the ``killi-experiment`` CLI reads its item names, ``all``,
+printing and ``--csv`` from there.  Simulation-based runners accept an
+``accesses_per_cu`` scale so benchmarks can run them at reduced size,
+and hand every other keyword (``**campaign``) to
+:func:`~repro.harness.runner.run_cells` untouched.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +33,11 @@ from repro.scenario.config import cell_scenario
 from repro.scenario.schemes import KILLI_RATIOS, resolve_scheme
 from repro.traces import workload_names
 from repro.utils.rng import RngFactory
+from repro.utils.tables import format_table
 
 __all__ = [
     "EXPERIMENTS",
+    "Experiment",
     "run_experiment",
     "make_scheme",
     "scheme_names",
@@ -96,26 +103,19 @@ def fig4_fig5_performance(
     accesses_per_cu: int = 30000,
     seed: int = 42,
     voltage: float = LV_VOLTAGE,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    progress=None,
     engine: str = "batched",
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    journal=None,
-    resume=None,
+    **campaign,
 ) -> PerformanceMatrix:
     """Run the Figure 4/5 (workload x scheme) simulation matrix.
 
     One shared fault map (one chip), one trace per workload, one fresh
-    GPU per (workload, scheme) cell.  Cells go through the parallel
-    runner: ``jobs`` fans them out over processes, ``cache_dir``
-    enables the on-disk result cache, and both are bit-identical to
-    the serial uncached run.  ``engine`` picks the simulator
-    (``"batched"`` or the ``"scalar"`` reference); both are pinned
-    bit-equivalent, so it never changes the numbers.  ``retries``,
-    ``timeout``, ``journal`` and ``resume`` are the campaign-hardening
-    knobs of :func:`~repro.harness.runner.run_cells`.
+    GPU per (workload, scheme) cell.  Cells go through
+    :func:`~repro.harness.runner.run_cells`, which takes ``campaign``
+    (``jobs``, ``cache_dir``, ``progress``, ``retries``, ...); every
+    setting of it is bit-identical to the serial uncached run.
+    ``engine`` picks the simulator (``"batched"`` or the ``"scalar"``
+    reference); both are pinned bit-equivalent, so it never changes
+    the numbers.
     """
     workloads = list(workloads) if workloads is not None else workload_names()
     schemes = list(schemes) if schemes is not None else scheme_names()
@@ -136,18 +136,8 @@ def fig4_fig5_performance(
         for scheme in schemes
     ]
     matrix = PerformanceMatrix()
-    cells = run_cells(
-        specs,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        retries=retries,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
-    for cell in cells:
-        matrix.add(cell.to_perf_point())
+    for cell in run_cells(specs, **campaign):
+        matrix.add(cell)
     return matrix
 
 
@@ -245,12 +235,7 @@ def sec55_lower_vmin(
     workload: str = "nekbone",
     accesses_per_cu: int = 8000,
     seed: int = 42,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    journal=None,
-    resume=None,
+    **campaign,
 ) -> dict:
     """Section 5.5: Killi with OLSC vs MS-ECC below the SECDED Vmin.
 
@@ -258,7 +243,8 @@ def sec55_lower_vmin(
     ~92% of lines have 2+ faults — while Killi with an OLSC-t11 ECC
     cache (1:8) retains MS-ECC-class capacity at a fraction of the
     area.  Returns per-scheme normalized time, MPKI and disabled
-    capacity.  The four scheme cells go through the parallel runner.
+    capacity.  The four scheme cells go through
+    :func:`~repro.harness.runner.run_cells`, which takes ``campaign``.
     """
     key_to_scheme = {
         "baseline": "baseline",
@@ -276,15 +262,7 @@ def sec55_lower_vmin(
         )
         for scheme in key_to_scheme.values()
     ]
-    cells = run_cells(
-        specs,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        retries=retries,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
+    cells = run_cells(specs, **campaign)
 
     out = {"voltage": voltage, "workload": workload}
     for key, cell in zip(key_to_scheme, cells):
@@ -377,28 +355,194 @@ def soft_error_campaign(
     }
 
 
-#: Registry for the CLI: name -> zero-argument runner.
-EXPERIMENTS: Dict[str, object] = {
-    "fig1": fig1_cell_pfail,
-    "fig2": fig2_line_distribution,
-    "fig4": fig4_fig5_performance,
-    "fig5": fig4_fig5_performance,
-    "fig6": fig6_coverage,
-    "table4": table4_strong_ecc,
-    "table5": table5_area,
-    "table6": table6_power,
-    "table7": table7_olsc,
-    "sec55": sec55_lower_vmin,
-    "softerr": soft_error_campaign,
+# -- the table of paper items -------------------------------------------------
+
+
+def _series(title: str):
+    """Renderer of a ``{"voltage": [...], <series>: [...]}`` result."""
+
+    def render(data: dict) -> None:
+        keys = [k for k in data if k != "voltage"]
+        rows = list(zip(data["voltage"], *(data[k] for k in keys)))
+        print(format_table(["voltage"] + keys, rows, title=title))
+        print()
+
+    return render
+
+
+def _print_power(table: dict, title: str) -> None:
+    rows = [(k, f"{v:.1f}") for k, v in table.items()]
+    print(format_table(["scheme", "normalized power %"], rows, title=title))
+
+
+def _render_performance(matrix: PerformanceMatrix) -> None:
+    print(matrix.fig4_table())
+    print()
+    print(matrix.fig5_table())
+    print()
+    _print_power(
+        table6_power(matrix),
+        "Table 6: normalized power (with measured memory traffic)",
+    )
+
+
+def _render_table4(data: dict) -> None:
+    ratios = list(next(iter(data.values())))
+    rows = [[code] + [f"{data[code][r]:.2f}" for r in ratios] for code in data]
+    print(format_table(["code"] + ratios, rows, title="Table 4: Killi storage vs SECDED"))
+
+
+def _render_table5(data: dict) -> None:
+    rows = [
+        [name, f"{v['ratio']:.2f}", f"{v['percent']:.2f}%"] for name, v in data.items()
+    ]
+    print(format_table(["scheme", "ratio vs SECDED", "% of L2"], rows, title="Table 5: area"))
+
+
+def _render_table7(data: dict) -> None:
+    rows = [
+        (v, f"{d['capacity_pct']:.1f}%", f"{100 * d['killi_vs_msecc']:.0f}%")
+        for v, d in data.items()
+    ]
+    print(format_table(
+        ["voltage", "L2 capacity target", "Killi area vs MS-ECC"],
+        rows,
+        title="Table 7: Killi w/OLSC vs MS-ECC",
+    ))
+
+
+def _render_sec55(data: dict) -> None:
+    rows = []
+    for key in ("baseline", "msecc", "killi_secded_1:8", "killi_olsc_1:8"):
+        row = data[key]
+        rows.append([
+            key,
+            f"{row.get('normalized_time', 1.0):.3f}",
+            f"{row['mpki']:.1f}",
+            f"{row['disabled_fraction']:.2%}",
+        ])
+    print(format_table(
+        ["scheme", "normalized time", "MPKI", "disabled lines"],
+        rows,
+        title=f"Section 5.5 at {data['voltage']} VDD ({data['workload']})",
+    ))
+
+
+def _render_softerr(data: dict) -> None:
+    rows = [
+        (scheme, data[scheme]["sdc"], data[scheme]["detected"], data[scheme]["corrected"])
+        for scheme in ("killi", "flair")
+    ]
+    print(format_table(
+        ["scheme", "silent corruptions", "detected (refetched)", "corrected"],
+        rows,
+        title=(
+            f"Section 2.3: soft errors at {data['rate_per_access']:g} per "
+            f"access ({data['accesses']} accesses)"
+        ),
+    ))
+
+
+def _no_options(args, campaign) -> dict:
+    return {}
+
+
+def _performance_options(args, campaign) -> dict:
+    return dict(
+        workloads=args.workloads,
+        schemes=args.schemes,
+        accesses_per_cu=args.accesses,
+        seed=args.seed,
+        engine=args.engine,
+        **campaign,
+    )
+
+
+def _sec55_options(args, campaign) -> dict:
+    # Section 5.5 runs at no more than its runner's default scale.
+    return dict(accesses_per_cu=min(args.accesses, 8000), seed=args.seed, **campaign)
+
+
+def _softerr_options(args, campaign) -> dict:
+    # The campaign runs at its own scale, outside run_cells.
+    return {"seed": args.seed}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One item of the paper's evaluation."""
+
+    run: Callable[..., Any]
+    """The runner: returns the item's data."""
+    render: Callable[[Any], None]
+    """Prints a result of ``run`` as the CLI shows it."""
+    options: Callable[[Any, dict], dict] = _no_options
+    """``run``'s keyword arguments for the CLI's parsed options
+    (``accesses``, ``workloads``, ``schemes``, ``seed``, ``engine``)
+    and its campaign knobs: the item's scale is decided here."""
+    csv: Optional[Tuple[str, str]] = None
+    """``(file stem, serialiser in repro.harness.export)``, or None for
+    an item without a CSV form."""
+
+    def to_csv(self, result) -> str:
+        """A result of ``run`` as CSV text."""
+        from repro.harness import export
+
+        return getattr(export, self.csv[1])(result)
+
+
+_PERFORMANCE = Experiment(
+    fig4_fig5_performance,
+    _render_performance,
+    _performance_options,
+    csv=("fig4_fig5", "matrix_to_csv"),
+)
+
+#: Every item of the paper's evaluation, by CLI name.  ``fig5`` is an
+#: alias of the ``fig4`` entry: one campaign prints both figures.  The
+#: analytic items come first, so ``killi-experiment all`` prints them
+#: before any campaign starts.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment(
+        fig1_cell_pfail,
+        _series("Figure 1: SRAM cell Pfail vs normalized VDD"),
+        csv=("fig1", "series_to_csv"),
+    ),
+    "fig2": Experiment(
+        fig2_line_distribution,
+        _series("Figure 2: % lines with 0/1/2+ faults"),
+        csv=("fig2", "series_to_csv"),
+    ),
+    "fig6": Experiment(
+        fig6_coverage,
+        _series("Figure 6: % lines correctly classified"),
+        csv=("fig6", "series_to_csv"),
+    ),
+    "table4": Experiment(
+        table4_strong_ecc, _render_table4, csv=("table4", "nested_table_to_csv")
+    ),
+    "table5": Experiment(
+        table5_area, _render_table5, csv=("table5", "nested_table_to_csv")
+    ),
+    "table6": Experiment(
+        table6_power,
+        lambda table: _print_power(table, "Table 6: power"),
+        csv=("table6", "power_table_to_csv"),
+    ),
+    "table7": Experiment(table7_olsc, _render_table7),
+    "fig4": _PERFORMANCE,
+    "fig5": _PERFORMANCE,
+    "sec55": Experiment(sec55_lower_vmin, _render_sec55, _sec55_options),
+    "softerr": Experiment(soft_error_campaign, _render_softerr, _softerr_options),
 }
 
 
 def run_experiment(name: str, **kwargs):
     """Run a registered experiment by name."""
     try:
-        runner = EXPERIMENTS[name]
+        entry = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    return runner(**kwargs)
+    return entry.run(**kwargs)

@@ -16,6 +16,7 @@ from repro.harness.results import PerformanceMatrix
 __all__ = [
     "series_to_csv",
     "nested_table_to_csv",
+    "power_table_to_csv",
     "matrix_to_csv",
     "write_csv",
 ]
@@ -48,6 +49,14 @@ def nested_table_to_csv(data: Mapping, row_label: str = "row") -> str:
     return out.getvalue()
 
 
+def power_table_to_csv(table: Mapping) -> str:
+    """Serialise a {scheme: power %} dict (table6 shape)."""
+    return nested_table_to_csv(
+        {scheme: {"power_pct": value} for scheme, value in table.items()},
+        row_label="scheme",
+    )
+
+
 def matrix_to_csv(matrix: PerformanceMatrix) -> str:
     """Serialise a Figure 4/5 matrix: one row per (workload, scheme)."""
     out = io.StringIO()
@@ -58,13 +67,14 @@ def matrix_to_csv(matrix: PerformanceMatrix) -> str:
          "ecc_evict_invalidations", "memory_reads", "memory_writes"]
     )
     for workload in matrix.workloads():
-        for scheme, point in matrix.points[workload].items():
+        for scheme, cell in matrix.points[workload].items():
             writer.writerow([
-                workload, scheme, point.cycles,
+                workload, scheme, cell.cycles,
                 f"{matrix.normalized_time(workload, scheme):.6f}",
-                point.instructions, point.l2_misses, f"{point.mpki:.4f}",
-                point.error_induced_misses, point.ecc_evict_invalidations,
-                point.memory_reads, point.memory_writes,
+                cell.instructions, cell.l2_misses, f"{cell.l2_mpki:.4f}",
+                cell.l2.get("error_induced_misses", 0),
+                cell.l2.get("ecc_evict_invalidations", 0),
+                cell.memory_reads, cell.memory_writes,
             ])
     return out.getvalue()
 

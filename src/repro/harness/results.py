@@ -3,45 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.utils.tables import format_table
 
-__all__ = ["PerfPoint", "PerformanceMatrix"]
+if TYPE_CHECKING:
+    from repro.harness.runner import CellResult
 
-
-@dataclass
-class PerfPoint:
-    """One (workload, scheme) cell of the Figure 4/5 matrix."""
-
-    workload: str
-    scheme: str
-    cycles: int
-    instructions: int
-    l2_misses: int
-    error_induced_misses: int = 0
-    ecc_evict_invalidations: int = 0
-    memory_reads: int = 0
-    memory_writes: int = 0
-
-    @property
-    def mpki(self) -> float:
-        return 1000.0 * self.l2_misses / self.instructions
+__all__ = ["PerformanceMatrix"]
 
 
 @dataclass
 class PerformanceMatrix:
     """All (workload, scheme) results of one Figure 4/5 run.
 
-    ``points[workload][scheme]`` holds a :class:`PerfPoint`; the
-    baseline scheme name is used for normalisation.
+    ``points[workload][scheme]`` holds the cell's
+    :class:`~repro.harness.runner.CellResult`; the baseline scheme name
+    is used for normalisation.
     """
 
     baseline: str = "baseline"
-    points: Dict[str, Dict[str, PerfPoint]] = field(default_factory=dict)
+    points: Dict[str, Dict[str, CellResult]] = field(default_factory=dict)
 
-    def add(self, point: PerfPoint) -> None:
-        self.points.setdefault(point.workload, {})[point.scheme] = point
+    def add(self, cell: CellResult) -> None:
+        self.points.setdefault(cell.workload, {})[cell.scheme] = cell
 
     def workloads(self):
         return list(self.points)
@@ -61,7 +46,7 @@ class PerformanceMatrix:
 
     def mpki(self, workload: str, scheme: str) -> float:
         """Figure 5's metric."""
-        return self.points[workload][scheme].mpki
+        return self.points[workload][scheme].l2_mpki
 
     def extra_memory_frac(self, workload: str, scheme: str) -> float:
         """Extra memory reads over baseline (power-model input)."""

@@ -53,15 +53,13 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.cache.core import WriteBackCache
 from repro.faults import FaultMap
 from repro.gpu import GpuSimulator
 from repro.harness.journal import CellFailure, RunJournal, finished_fingerprints
-from repro.harness.results import PerfPoint
 from repro.scenario.config import ScenarioConfig, as_scenario
 from repro.scenario.schemes import LV_VOLTAGE, make_scheme, scheme_names
 from repro.traces import workload_trace_memo
@@ -74,6 +72,7 @@ __all__ = [
     "CellFailure",
     "CampaignError",
     "CellTimeoutError",
+    "build_cell",
     "make_scheme",
     "scheme_names",
     "run_cell",
@@ -138,8 +137,10 @@ class CellResult:
     dfh: Optional[dict] = None
     """DFH-state histogram (Killi schemes only)."""
     dfh_lines: int = 0
-    elapsed_s: float = 0.0
-    from_cache: bool = False
+    elapsed_s: float = field(default=0.0, compare=False)
+    """Host timing: not part of the result, so ``==`` ignores it."""
+    from_cache: bool = field(default=False, compare=False)
+    """Cache provenance: not part of the result either."""
     fingerprint: str = ""
 
     @property
@@ -152,20 +153,6 @@ class CellResult:
             return 0.0
         return 1000.0 * self.l2_misses / self.instructions
 
-    def to_perf_point(self) -> PerfPoint:
-        """Project onto the Figure 4/5 matrix cell type."""
-        return PerfPoint(
-            workload=self.workload,
-            scheme=self.scheme,
-            cycles=self.cycles,
-            instructions=self.instructions,
-            l2_misses=self.l2_misses,
-            error_induced_misses=self.l2.get("error_induced_misses", 0),
-            ecc_evict_invalidations=self.l2.get("ecc_evict_invalidations", 0),
-            memory_reads=self.memory_reads,
-            memory_writes=self.memory_writes,
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -177,6 +164,38 @@ class CellResult:
 # -- cell execution -----------------------------------------------------------
 
 
+def build_cell(scenario: ScenarioConfig, engine: Optional[str] = None):
+    """One cell's trace and simulator, ready to run: ``(trace, simulator)``.
+
+    A pure function of ``scenario``: the seed's fault map and trace
+    and the per-cell scheme RNG namespace ``<workload>/<scheme>``.
+    ``engine`` overrides the scenario's simulator, so the differential
+    oracle runs both engines on exactly the cell the harness builds.
+    """
+    workload = scenario.workload.name
+    scheme_name = scenario.scheme.name
+    seed = scenario.fault.seed
+    gpu_config = scenario.gpu.to_gpu_config()
+    fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
+    trace = trace_for(
+        workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
+    )
+    rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
+    scheme = make_scheme(
+        scheme_name,
+        gpu_config,
+        fault_map,
+        scenario.fault.voltage,
+        rngs,
+        scheme_config=scenario.scheme.overrides or None,
+        write_back=scenario.scheme.write_back,
+    )
+    simulator = GpuSimulator(
+        gpu_config, scheme, engine=engine or scenario.engine.engine
+    )
+    return trace, simulator
+
+
 def run_cell(spec) -> CellResult:
     """Execute one cell: fresh GPU, deterministic inputs, full metrics.
 
@@ -184,37 +203,12 @@ def run_cell(spec) -> CellResult:
     function of ``spec``: reproduces exactly what the serial Figure 4/5 loop
     computed for the same (workload, scheme, voltage, seed) — same
     fault-map stream, same trace stream, same per-cell scheme RNG
-    namespace.
+    namespace (see :func:`build_cell`).
     """
     scenario = as_scenario(spec)
-    workload = scenario.workload.name
-    scheme_name = scenario.scheme.name
-    voltage = scenario.fault.voltage
-    seed = scenario.fault.seed
     with METRICS.timer("cell.setup"):
-        gpu_config = scenario.gpu.to_gpu_config()
-        fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
-        trace = trace_for(
-            workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
-        )
-        rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
-        scheme = make_scheme(
-            scheme_name,
-            gpu_config,
-            fault_map,
-            voltage,
-            rngs,
-            scheme_config=scenario.scheme.overrides or None,
-            write_back=scenario.scheme.write_back,
-        )
-        simulator = GpuSimulator(gpu_config, scheme, engine=scenario.engine.engine)
-        if scenario.scheme.write_back:
-            simulator.l2 = WriteBackCache(
-                gpu_config.l2,
-                scheme,
-                gpu_config.l2_latencies,
-                substrate=simulator.l2.substrate,
-            )
+        trace, simulator = build_cell(scenario)
+    scheme = simulator.l2.scheme
 
     started = time.perf_counter()
     with METRICS.timer("cell.simulate"):
@@ -224,10 +218,10 @@ def run_cell(spec) -> CellResult:
 
     dfh = scheme.dfh_histogram() if hasattr(scheme, "dfh_histogram") else None
     cell = CellResult(
-        workload=workload,
-        scheme=scheme_name,
-        voltage=voltage,
-        seed=seed,
+        workload=scenario.workload.name,
+        scheme=scenario.scheme.name,
+        voltage=scenario.fault.voltage,
+        seed=scenario.fault.seed,
         cycles=result.cycles,
         instructions=result.instructions,
         l2=result.l2_stats.as_dict(),

@@ -6,13 +6,13 @@ the disabled-capacity fraction, and the power saving at each point —
 the Vmin trade-off curve an adopter would actually consult.
 
 The per-voltage cells go through :mod:`repro.harness.runner`, so the
-sweep parallelises (``jobs``) and caches (``cache_dir``) like every
-other campaign.
+sweep parallelises (``jobs``), caches (``cache_dir``) and journals like
+every other campaign.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.analysis.power import PowerModel
 from repro.gpu import GpuConfig
@@ -28,20 +28,14 @@ def voltage_sweep(
     ecc_ratio: int = 64,
     accesses_per_cu: int = 5000,
     seed: int = 42,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    journal=None,
-    resume=None,
+    **campaign,
 ) -> Dict[float, Dict]:
     """Killi's overhead/capacity/power across operating voltages.
 
     Returns ``{voltage: {"normalized_time", "mpki", "disabled_fraction",
     "power_pct"}}``.  Voltages below the fault-map floor are rejected
-    with :class:`ValueError` before any simulation runs.  ``retries``,
-    ``timeout``, ``journal`` and ``resume`` pass through to the
-    fault-tolerant campaign runner.
+    with :class:`ValueError` before any simulation runs.  ``campaign``
+    passes through to :func:`~repro.harness.runner.run_cells`.
     """
     voltages = list(voltages)
     gpu_config = GpuConfig()
@@ -72,15 +66,7 @@ def voltage_sweep(
         )
         for voltage in voltages
     ]
-    cells = run_cells(
-        specs,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        retries=retries,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
+    cells = run_cells(specs, **campaign)
     baseline, killi_cells = cells[0], cells[1:]
     power_model = PowerModel()
 

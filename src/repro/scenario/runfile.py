@@ -202,22 +202,13 @@ def load_scenario(path: str) -> Scenario:
 # -- execution ----------------------------------------------------------------
 
 
-def run_scenario(
-    scenario: Scenario,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    progress=None,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    journal=None,
-    resume=None,
-) -> dict:
+def run_scenario(scenario: Scenario, **campaign) -> dict:
     """Execute a scenario through the parallel runner + result cache.
 
     Returns a JSON-ready summary: scenario identity, fingerprint, and
     one record per cell (full :class:`~repro.harness.runner.CellResult`
-    payload including the cell fingerprint).  ``retries``, ``timeout``,
-    ``journal`` and ``resume`` are the campaign-hardening knobs of
+    payload including the cell fingerprint).  ``campaign`` (``jobs``,
+    ``cache_dir``, ``progress``, ``retries``, ...) passes through to
     :func:`~repro.harness.runner.run_cells`; cells that fail all their
     attempts surface as :class:`~repro.harness.runner.CampaignError`
     after the rest of the scenario has completed.
@@ -225,16 +216,7 @@ def run_scenario(
     from repro.harness.runner import run_cells
 
     cells = scenario.validate()
-    results = run_cells(
-        cells,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        retries=retries,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
+    results = run_cells(cells, **campaign)
     return {
         "scenario": scenario.name,
         "description": scenario.description,

@@ -1,10 +1,10 @@
 """The differential executor: the oracle for simulator equivalence.
 
 One scenario, both simulators, one canonical diff.
-:func:`run_scenario` mirrors the harness's cell construction
-(:func:`~repro.harness.runner.run_cell`) exactly — same fault-map
-stream, same trace, same per-cell RNG namespace — but keeps the
-simulator so the full observable state can be captured via
+:func:`run_scenario` builds the cell the harness builds
+(:func:`~repro.harness.runner.build_cell`: same fault-map stream,
+same trace, same per-cell RNG namespace) but keeps the simulator so
+the full observable state can be captured via
 :meth:`~repro.gpu.engine.GpuSimulator.state_snapshot`:
 cycles, per-CU cycles, every ``CacheStats`` counter of the L2 and all
 L1s, tag/LRU/dirty/disabled state, DFH state, transition counts,
@@ -121,47 +121,18 @@ def run_scenario(
 ) -> Observation:
     """Execute one scenario on one simulator; keep everything.
 
-    Mirrors :func:`~repro.harness.runner.run_cell`'s construction
-    sequence exactly (any drift here would fuzz a different model than
-    the harness runs).  ``plant`` is called with the constructed
-    :class:`~repro.gpu.engine.GpuSimulator` before the kernel runs —
-    the deliberate-fault hook.
+    Builds the cell with :func:`~repro.harness.runner.build_cell`, the
+    construction :func:`~repro.harness.runner.run_cell` runs, so the
+    oracle fuzzes the model the harness simulates.  ``plant`` is called
+    with the constructed :class:`~repro.gpu.engine.GpuSimulator` before
+    the kernel runs — the deliberate-fault hook.
     """
-    from repro.cache.core import WriteBackCache
-    from repro.gpu import GpuSimulator
-    from repro.harness.runner import fault_map_for, trace_for
-    from repro.scenario.schemes import make_scheme
-    from repro.utils.rng import RngFactory
+    from repro.harness.runner import build_cell
 
     scenario = as_scenario(scenario)
     engine = engine if engine is not None else scenario.engine.engine
     _set_last_context(scenario, engine)
-    workload = scenario.workload.name
-    scheme_name = scenario.scheme.name
-    seed = scenario.fault.seed
-    gpu_config = scenario.gpu.to_gpu_config()
-    fault_map = fault_map_for(gpu_config.l2.n_lines, seed)
-    trace = trace_for(
-        workload, scenario.workload.accesses_per_cu, gpu_config.n_cus, seed
-    )
-    rngs = RngFactory(seed).child(f"{workload}/{scheme_name}")
-    scheme = make_scheme(
-        scheme_name,
-        gpu_config,
-        fault_map,
-        scenario.fault.voltage,
-        rngs,
-        scheme_config=scenario.scheme.overrides or None,
-        write_back=scenario.scheme.write_back,
-    )
-    simulator = GpuSimulator(gpu_config, scheme, engine=engine)
-    if scenario.scheme.write_back:
-        simulator.l2 = WriteBackCache(
-            gpu_config.l2,
-            scheme,
-            gpu_config.l2_latencies,
-            substrate=simulator.l2.substrate,
-        )
+    trace, simulator = build_cell(scenario, engine)
     if plant is not None:
         plant(simulator)
     result = simulator.run(trace)

@@ -164,30 +164,3 @@ class TestWholeSetDisabled:
         assert lat == cache.latencies.miss
         assert cache.stats.bypasses == 1
         assert cache.read(addr_of(0)) == cache.latencies.miss  # never cached
-
-
-class TestFlairTrainingPhase:
-    def test_capacity_restricted_during_training(self):
-        cache, scheme = build(
-            FlairScheme, {}, model_training=True, training_accesses=100
-        )
-        assert scheme._usable_ways_during_training == 1  # (4-2)//2
-        cache.read(addr_of(0, 0))
-        cache.read(addr_of(0, 1))  # evicts: only way 0 usable
-        assert cache.tags.lookup(addr_of(0, 0)) is None
-
-    def test_full_capacity_after_training(self):
-        cache, scheme = build(
-            FlairScheme, {}, model_training=True, training_accesses=2
-        )
-        cache.read(addr_of(0, 0))
-        cache.read(addr_of(0, 0))
-        # Training over: all ways usable now.
-        cache.read(addr_of(0, 1))
-        assert cache.tags.lookup(addr_of(0, 0)) is not None
-        assert cache.tags.lookup(addr_of(0, 1)) is not None
-
-    def test_training_off_by_default(self):
-        cache, scheme = build(FlairScheme, {})
-        assert not scheme.model_training
-        assert scheme.is_line_usable(0, 3)

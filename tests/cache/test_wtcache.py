@@ -135,8 +135,8 @@ class TestErrorOutcomes:
 class TestVictimPriority:
     def test_priority_prefers_high(self, geo):
         class PriorityScheme(ProtectionScheme):
-            def fill_priority(self, set_index, way):
-                return way  # higher way = higher priority
+            def fill_priorities(self, set_index, ways):
+                return list(ways)  # higher way = higher priority
 
         cache = WriteThroughCache(geo, PriorityScheme())
         cache.read(0)

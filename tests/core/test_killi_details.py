@@ -182,13 +182,13 @@ class TestDisabledSetBehaviour:
         cache, scheme = build({})
         line_id = GEO.line_id(0, 0)
         scheme.dfh[line_id] = int(Dfh.INITIAL)
-        assert scheme.fill_priority(0, 0) == 2
+        assert scheme.fill_priorities(0, [0]) == [2]
         scheme.dfh[line_id] = int(Dfh.STABLE_0)
-        assert scheme.fill_priority(0, 0) == 1
+        assert scheme.fill_priorities(0, [0]) == [1]
         scheme.dfh[line_id] = int(Dfh.STABLE_1)
-        assert scheme.fill_priority(0, 0) == 0
+        assert scheme.fill_priorities(0, [0]) == [0]
         scheme.dfh[line_id] = int(Dfh.DISABLED)
-        assert scheme.fill_priority(0, 0) == 0
+        assert scheme.fill_priorities(0, [0]) == [0]
 
 
 class TestKernelResultHelpers:

@@ -208,7 +208,7 @@ class TestPriorityReplacement:
     def test_priority_disabled_by_config(self):
         config = KilliConfig(ecc_ratio=16, priority_replacement=False)
         cache, scheme = build({}, config)
-        assert scheme.fill_priority(0, 0) == 0
+        assert scheme.fill_priorities(0, [0]) == [0]
 
 
 class TestEvictionTraining:

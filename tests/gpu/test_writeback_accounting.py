@@ -129,3 +129,25 @@ class TestDirtyWritebacks:
         assert stats["write_hits"] == 9
         assert memory_reads == 1
         assert memory_writes == 0
+
+
+class TestL2Preset:
+    def test_write_back_scheme_gets_a_write_back_l2(self):
+        """The simulator builds the L2 preset its scheme needs: write-back
+        Killi runs on a write-back L2 it is attached to; plain Killi
+        keeps the paper's write-through L2."""
+        from repro.cache.core import WriteThroughCache
+        from repro.core import KilliConfig, KilliScheme, KilliWriteBackScheme
+        from repro.faults import FaultMap
+
+        config = small_config()
+        fault_map = FaultMap(n_lines=config.l2.n_lines)
+        for engine in ENGINES:
+            scheme = KilliWriteBackScheme(
+                config.l2, fault_map, 0.625, KilliConfig(ecc_ratio=16)
+            )
+            sim = GpuSimulator(config, scheme, engine=engine)
+            assert type(sim.l2) is WriteBackCache
+            assert scheme.cache is sim.l2
+            plain = KilliScheme(config.l2, fault_map, 0.625, KilliConfig(ecc_ratio=16))
+            assert type(GpuSimulator(config, plain, engine=engine).l2) is WriteThroughCache

@@ -1,6 +1,8 @@
 """Tests for the experiment harness (small-scale runs of every
 table/figure runner)."""
 
+import dataclasses
+
 import pytest
 
 from repro.harness.experiments import (
@@ -17,7 +19,18 @@ from repro.harness.experiments import (
     table6_power,
     table7_olsc,
 )
-from repro.harness.results import PerfPoint, PerformanceMatrix
+from repro.harness.results import PerformanceMatrix
+from repro.harness.runner import CellResult
+
+
+def cell(workload, scheme, cycles, instructions, l2_misses, memory_reads=0):
+    """A finished cell with the given Figure 4/5 inputs."""
+    return CellResult(
+        workload, scheme, voltage=0.625, seed=0, cycles=cycles,
+        instructions=instructions,
+        l2={"read_misses": l2_misses, "write_misses": 0},
+        memory_reads=memory_reads, memory_writes=0,
+    )
 
 
 class TestAnalyticRunners:
@@ -89,10 +102,10 @@ class TestSchemeFactory:
 class TestPerformanceMatrix:
     def make_matrix(self) -> PerformanceMatrix:
         matrix = PerformanceMatrix()
-        matrix.add(PerfPoint("wl", "baseline", cycles=1000, instructions=10000,
-                             l2_misses=50, memory_reads=100))
-        matrix.add(PerfPoint("wl", "killi_1:64", cycles=1020, instructions=10000,
-                             l2_misses=55, memory_reads=110))
+        matrix.add(cell("wl", "baseline", cycles=1000, instructions=10000,
+                        l2_misses=50, memory_reads=100))
+        matrix.add(cell("wl", "killi_1:64", cycles=1020, instructions=10000,
+                        l2_misses=55, memory_reads=110))
         return matrix
 
     def test_normalized_time(self):
@@ -161,6 +174,45 @@ class TestCli:
         assert "Table 5" in out
         assert "Figure 6" in out
 
+    def test_items_are_the_table(self, monkeypatch, capsys):
+        """Every ``EXPERIMENTS`` name is a CLI item running its own
+        entry (``fig5`` is ``fig4``'s); ``all`` runs each entry once."""
+        from repro.harness import cli, experiments
+
+        calls = []
+
+        def fake(name):
+            def run(**kwargs):
+                calls.append(name)
+
+            return run
+
+        table = experiments.EXPERIMENTS
+        fakes = {}
+        for name, item in list(table.items()):
+            if item not in fakes:
+                fakes[item] = dataclasses.replace(
+                    item, run=fake(name), render=lambda result: None
+                )
+            monkeypatch.setitem(table, name, fakes[item])
+        owners = {name: next(n for n in table if table[n] is item)
+                  for name, item in table.items()}
+        assert owners["fig5"] == "fig4"
+
+        assert cli.main(["all", "--accesses", "10"]) == 0
+        assert calls == list(dict.fromkeys(owners.values()))
+        for name in table:
+            calls.clear()
+            assert cli.main([name, "--accesses", "10"]) == 0
+            assert calls == [owners[name]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["nope"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert "{" + ",".join([*table, "all"]) + "}" in capsys.readouterr().out
+
     def test_perf_command_quick(self, capsys):
         from repro.harness.cli import main
 
@@ -185,10 +237,10 @@ class TestCli:
         cell simulates."""
         from repro.harness import cli
 
-        def simulate(**kwargs):
+        def simulate(*args, **kwargs):
             pytest.fail("a cell simulated")
 
-        monkeypatch.setattr(cli.experiments, "fig4_fig5_performance", simulate)
+        monkeypatch.setattr(cli.experiments, "run_cells", simulate)
         base = ["fig4", "--workloads", "nekbone", "--schemes", "baseline",
                 "--accesses", "10"]
         with pytest.raises(SystemExit) as exit_info:
@@ -205,10 +257,10 @@ class TestCli:
         the flag instead of running the whole axis."""
         from repro.harness import cli
 
-        def simulate(**kwargs):
+        def simulate(*args, **kwargs):
             pytest.fail("a cell simulated")
 
-        monkeypatch.setattr(cli.experiments, "fig4_fig5_performance", simulate)
+        monkeypatch.setattr(cli.experiments, "run_cells", simulate)
         with pytest.raises(SystemExit) as exit_info:
             cli.main([experiment, "--accesses", "10", flag])
         assert exit_info.value.code == 2
@@ -253,7 +305,8 @@ class TestCli:
     def test_csv_export(self, tmp_path, capsys):
         from repro.harness.cli import main
 
-        for name, filename in [("table4", "table4.csv"), ("fig2", "fig2.csv")]:
+        for name, filename in [("table4", "table4.csv"), ("fig2", "fig2.csv"),
+                               ("table6", "table6.csv")]:
             assert main([name, "--csv", str(tmp_path)]) == 0
             assert (tmp_path / filename).exists()
 

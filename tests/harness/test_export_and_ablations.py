@@ -11,10 +11,12 @@ from repro.harness.ablations import (
 from repro.harness.export import (
     matrix_to_csv,
     nested_table_to_csv,
+    power_table_to_csv,
     series_to_csv,
     write_csv,
 )
-from repro.harness.results import PerfPoint, PerformanceMatrix
+from repro.harness.results import PerformanceMatrix
+from repro.harness.runner import CellResult
 
 
 def parse(text: str):
@@ -42,12 +44,19 @@ class TestCsvExport:
         assert rows[1] == ["a", "1", ""]
         assert rows[2] == ["b", "", "2"]
 
+    def test_power_table(self):
+        rows = parse(power_table_to_csv({"dected": 43.8, "killi_1:256": 40.0}))
+        assert rows == [["scheme", "power_pct"], ["dected", "43.8"],
+                        ["killi_1:256", "40.0"]]
+
     def test_matrix(self):
         matrix = PerformanceMatrix()
-        matrix.add(PerfPoint("wl", "baseline", cycles=100, instructions=1000,
-                             l2_misses=10))
-        matrix.add(PerfPoint("wl", "killi_1:64", cycles=110, instructions=1000,
-                             l2_misses=12))
+        for scheme, cycles, misses in (("baseline", 100, 10), ("killi_1:64", 110, 12)):
+            matrix.add(CellResult(
+                "wl", scheme, voltage=0.625, seed=0, cycles=cycles,
+                instructions=1000, l2={"read_misses": misses, "write_misses": 0},
+                memory_reads=0, memory_writes=0,
+            ))
         rows = parse(matrix_to_csv(matrix))
         assert rows[0][0] == "workload"
         assert len(rows) == 3
@@ -76,6 +85,19 @@ class TestAblationRunners:
         for summary in out.values():
             assert summary["cycles"] > 0
             assert "dfh" in summary
+
+    def test_second_call_replays_every_cell_from_the_cache(self, tmp_path):
+        """Campaign knobs pass straight through to ``run_cells``."""
+        seen = []
+        kwargs = dict(
+            workload="nekbone", accesses_per_cu=300, cache_dir=str(tmp_path),
+            progress=lambda done, total, cell: seen.append(cell.from_cache),
+        )
+        first = ablate_priority_replacement(**kwargs)
+        assert seen == [False, False]
+        seen.clear()
+        assert ablate_priority_replacement(**kwargs) == first
+        assert seen == [True, True]
 
     def test_inverted_training(self):
         out = ablate_inverted_write_training(workload="nekbone", accesses_per_cu=1200)

@@ -220,13 +220,6 @@ class TestResultCache:
 
 
 class TestCellResultProjections:
-    def test_perf_point_projection(self):
-        cell = run_cell(small_specs()[0])
-        point = cell.to_perf_point()
-        assert point.workload == cell.workload
-        assert point.l2_misses == cell.l2_misses
-        assert point.mpki == pytest.approx(cell.l2_mpki)
-
     def test_json_roundtrip(self):
         cell = run_cell(small_specs()[1])
         clone = CellResult.from_dict(json.loads(json.dumps(cell.to_dict())))

@@ -45,3 +45,17 @@ class TestVoltageSweep:
         kwargs = dict(voltages=(0.7, 0.625), workload="nekbone",
                       accesses_per_cu=500)
         assert voltage_sweep(jobs=2, **kwargs) == voltage_sweep(**kwargs)
+
+    def test_second_call_replays_every_cell_from_the_cache(self, tmp_path):
+        """Campaign knobs pass straight through to ``run_cells``."""
+        seen = []
+        kwargs = dict(
+            voltages=(0.7, 0.625), workload="nekbone", accesses_per_cu=300,
+            cache_dir=str(tmp_path),
+            progress=lambda done, total, cell: seen.append(cell.from_cache),
+        )
+        first = voltage_sweep(**kwargs)
+        assert seen == [False] * 3
+        seen.clear()
+        assert voltage_sweep(**kwargs) == first
+        assert seen == [True] * 3

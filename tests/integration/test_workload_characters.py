@@ -51,7 +51,7 @@ class TestDeterminism:
         pb = b.points["nekbone"]["killi_1:64"]
         assert pa.cycles == pb.cycles
         assert pa.l2_misses == pb.l2_misses
-        assert pa.error_induced_misses == pb.error_induced_misses
+        assert pa.l2["error_induced_misses"] == pb.l2["error_induced_misses"]
 
     def test_different_seed_different_faults(self):
         a = fig4_fig5_performance(
