@@ -34,7 +34,10 @@ reference implementation that stays in the tree:
   reference on object caches), checked bit-identical per cell.
 
 Every run also records ``src_loc``, the non-blank source lines under
-``src/repro``, so the size of the simulator is tracked like its speed.
+``src/repro``, so the size of the simulator is tracked like its speed,
+and ``host_calibration``, a fixed pure-Python loop and a fixed numpy
+loop timed in the same run, so timings of runs on different hosts or
+under different load can be compared as ratios.
 
 Usage::
 
@@ -136,6 +139,37 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return time.perf_counter() - start, result
+
+
+#: Repetitions per side of the ``l2_replay`` and ``l1_filter`` benches;
+#: each repetition's time is recorded, the headline is the best.
+_REPS = 3
+
+
+def _python_loop() -> None:
+    row = [0] * 4096
+    for i in range(500_000):
+        row[i & 4095] += i
+
+
+def _numpy_loop() -> None:
+    data = np.arange(1 << 16, dtype=np.int64)
+    perm = np.random.default_rng(0).permutation(1 << 16)
+    for _ in range(300):
+        data = data[perm] + 1
+
+
+def host_calibration() -> dict:
+    """Fixed work timed on this host in this run: a pure-Python loop
+    of scalar list updates and a numpy loop of fancy-indexed gathers.
+    A timing from another run or host compares through these, as a
+    ratio, where absolute times do not transfer."""
+    result = {"reps": _REPS}
+    for name, work in (("python_loop", _python_loop), ("numpy_loop", _numpy_loop)):
+        times = [_timed(work)[0] for _ in range(_REPS)]
+        result[f"{name}_s"] = round(min(times), 6)
+        result[f"{name}_rep_s"] = [round(t, 6) for t in times]
+    return result
 
 
 def bench_sampler(samples: int) -> dict:
@@ -363,7 +397,8 @@ def bench_l2_replay(accesses: int) -> dict:
     and disabled ways (3+): one access at a time via ``read``/``write``,
     and as one residue through ``lockstep_mask`` -> ``replay_lockstep``,
     the entry point the batched engine calls per kernel.  Each side is
-    timed best of three, each rep on a fresh cache.  Per-access
+    timed ``_REPS`` times, each rep on a fresh cache; every rep's time
+    is recorded and the best is the headline.  Per-access
     latencies, stats, memory traffic and the state digest are
     cross-checked, so the bench doubles as an equivalence smoke test
     of the kernel itself.
@@ -401,14 +436,15 @@ def bench_l2_replay(accesses: int) -> dict:
 
     timed = {}
     for name, run in (("per_access", per_access), ("lockstep", lockstep)):
-        best = None
-        for _ in range(3):
+        times = []
+        for _ in range(_REPS):
             cache = make_cache()
             seconds, latencies = _timed(run, cache)
-            best = seconds if best is None else min(best, seconds)
-        timed[name] = (best, cache, latencies)
-    scalar_s, reference, expected = timed["per_access"]
-    batched_s, batched, got = timed["lockstep"]
+            times.append(seconds)
+        timed[name] = (times, cache, latencies)
+    scalar_times, reference, expected = timed["per_access"]
+    batched_times, batched, got = timed["lockstep"]
+    scalar_s, batched_s = min(scalar_times), min(batched_times)
 
     def observed(cache):
         return (
@@ -429,6 +465,9 @@ def bench_l2_replay(accesses: int) -> dict:
         "per_access_ns": round(scalar_s / accesses * 1e9, 1),
         "batched_ns_per_access": round(batched_s / accesses * 1e9, 1),
         "speedup_batched": round(scalar_s / batched_s, 2),
+        "reps": _REPS,
+        "per_access_rep_s": [round(t, 6) for t in scalar_times],
+        "batched_rep_s": [round(t, 6) for t in batched_times],
         "replay_bit_identical": True,
     }
 
@@ -442,8 +481,9 @@ def bench_l1_filter(accesses_per_cu: int) -> dict:
     as the engine calls it; the first call runs every CU's stream
     through one lockstep kernel call), with every stream's memo record
     cleared first, and one access at a time through ``SimpleL1.read`` /
-    ``write``.  Each side is timed best of three, each rep on fresh
-    L1s.  Residues, stats, memory traffic and state digests are
+    ``write``.  Each side is timed ``_REPS`` times, each rep on fresh
+    L1s; every rep's time is recorded and the best is the headline.
+    Residues, stats, memory traffic and state digests are
     cross-checked.
     """
     config = GpuConfig()
@@ -477,16 +517,17 @@ def bench_l1_filter(accesses_per_cu: int) -> dict:
 
     timed = {}
     for name, run in (("per_access", per_access), ("kernel", kernel)):
-        best = None
-        for _ in range(3):
+        times = []
+        for _ in range(_REPS):
             for stream in trace.streams:
                 stream._l1_filter_cache = None
             l1s = [SimpleL1(geometry) for _ in range(config.n_cus)]
             seconds, residues = _timed(run, l1s)
-            best = seconds if best is None else min(best, seconds)
-        timed[name] = (best, l1s, residues)
-    scalar_s, reference, expected = timed["per_access"]
-    kernel_s, batched, got = timed["kernel"]
+            times.append(seconds)
+        timed[name] = (times, l1s, residues)
+    scalar_times, reference, expected = timed["per_access"]
+    kernel_times, batched, got = timed["kernel"]
+    scalar_s, kernel_s = min(scalar_times), min(kernel_times)
 
     def observed(l1s):
         return [
@@ -504,6 +545,9 @@ def bench_l1_filter(accesses_per_cu: int) -> dict:
         "per_access_ns": round(scalar_s / accesses * 1e9, 1),
         "kernel_ns_per_access": round(kernel_s / accesses * 1e9, 1),
         "speedup_kernel": round(scalar_s / kernel_s, 2),
+        "reps": _REPS,
+        "per_access_rep_s": [round(t, 6) for t in scalar_times],
+        "kernel_rep_s": [round(t, 6) for t in kernel_times],
         "filter_bit_identical": True,
     }
 
@@ -1065,6 +1109,12 @@ def main(argv=None) -> int:
         "benchmarks": {},
     }
     print(f"perf bench ({results['mode']} mode), src_loc {results['src_loc']}")
+
+    results["host_calibration"] = calibration = host_calibration()
+    print(
+        f"  host:      {calibration['python_loop_s'] * 1e3:6.1f} ms python loop, "
+        f"{calibration['numpy_loop_s'] * 1e3:6.1f} ms numpy loop"
+    )
 
     results["benchmarks"]["sampler"] = sampler = bench_sampler(
         sizes["sampler_samples"]

@@ -8,21 +8,24 @@ implementation, which the scalar engine runs on; this module is the
 fast path the batched engine runs on: the same tag-store contract on
 flat numpy arrays —
 
-- :class:`SoaTagStore` — valid/tag/disabled/dirty as ``(n_sets,
-  associativity)`` arrays plus a single line-number -> way dict for
-  O(1) lookups (one integer divide per access instead of a set/tag
-  split against a per-set dict);
+- :class:`SoaTagStore` — each slot's resident line number
+  (``_line_at``, -1 = invalid: valid flag and tag in one), the
+  disabled and dirty flags as ``(n_sets, associativity)`` arrays, and
+  a single line-number -> way dict for O(1) lookups (one integer
+  divide per access instead of a set/tag split against a per-set dict);
 - :class:`~repro.cache.replacement.SoaLruState` (re-exported here) —
   integer-age LRU, order-equivalent to the list-based
   :class:`~repro.cache.replacement.LruState` under the shared
   :class:`~repro.cache.replacement.ReplacementPolicy` interface.
 
+Each array is the only copy of its state: scalar code goes through a
+memoryview, the lockstep kernel (:func:`lockstep_kernel`) and its
+commit (``refill``, ``restamp``) through the array.
+
 Both substrates are interchangeable behind any
 :class:`~repro.cache.core.CacheModel` (``substrate="object"`` /
 ``"soa"``, default ``"soa"``); the test suite pins them bit-identical
-across schemes, workloads and reset/disable semantics.  The batched
-engine's lockstep kernel (:func:`lockstep_kernel`) reads the SoA arrays
-directly, and :meth:`SoaTagStore.refill` writes its fills back.
+across schemes, workloads and reset/disable semantics.
 """
 
 from __future__ import annotations
@@ -60,16 +63,14 @@ class SoaTagStore:
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
         n_sets, assoc = geometry.n_sets, geometry.associativity
-        self.valid = np.zeros((n_sets, assoc), dtype=bool)
-        self.tag = np.full((n_sets, assoc), -1, dtype=np.int64)
         self.disabled = np.zeros((n_sets, assoc), dtype=bool)
         self.dirty = np.zeros((n_sets, assoc), dtype=bool)
         self._index: dict = {}  # line number -> way
         # Reverse map: resident line number per slot (-1 = invalid),
-        # flat list indexed by set * associativity + way.  The hot
-        # insert/invalidate/is_valid paths read this instead of doing
-        # numpy scalar loads from the arrays.
-        self._line_at = [-1] * (n_sets * assoc)
+        # indexed by set * associativity + way; the store's only valid
+        # and tag record.
+        self._line_at_np = np.full(n_sets * assoc, -1, dtype=np.int64)
+        self._line_at = memoryview(self._line_at_np)
         self._line_bytes = geometry.line_bytes
         self._n_sets = n_sets
         self._assoc = assoc
@@ -102,9 +103,7 @@ class SoaTagStore:
                 raise ValueError("cannot fill a disabled line")
             self._n_valid += 1
             self.valid_in_set[set_index] += 1
-            self.valid[set_index, way] = True
         self.dirty[set_index, way] = False
-        self.tag[set_index, way] = line_no // self._n_sets
         self._line_at[slot] = line_no
         self._index[line_no] = way
 
@@ -117,9 +116,7 @@ class SoaTagStore:
             self._line_at[slot] = -1
             self._n_valid -= 1
             self.valid_in_set[set_index] -= 1
-            self.valid[set_index, way] = False
             self.dirty[set_index, way] = False
-            self.tag[set_index, way] = -1
 
     def disable(self, set_index: int, way: int) -> None:
         """Permanently (until reset) disable a way."""
@@ -194,30 +191,30 @@ class SoaTagStore:
     def count_valid(self) -> int:
         """Number of valid lines cache-wide (O(1), counter-maintained)."""
         if __debug__:
-            scanned = int(np.count_nonzero(self.valid))
+            scanned = int(np.count_nonzero(self._line_at_np >= 0))
             assert scanned == self._n_valid, (
                 f"valid counter {self._n_valid} != scan {scanned}"
             )
             assert sum(self.valid_in_set) == self._n_valid
-            assert sum(1 for line in self._line_at if line >= 0) == self._n_valid
         return self._n_valid
 
     def verify(self) -> None:
         """Full-store consistency check (the ``REPRO_CHECK_INVARIANTS`` scan).
 
-        Cross-checks every redundant representation this store
-        maintains: the numpy flag/tag arrays against the flat
-        ``_line_at`` reverse map, the lookup ``_index`` against both,
-        and the O(1) counters against scans.  Raises
+        Cross-checks the lookup ``_index`` against the ``_line_at``
+        reverse map, and the O(1) counters against scans.  Raises
         ``AssertionError`` on the first inconsistency; O(lines), so it
         runs at commit/test granularity, never per access.
         """
         n_sets, assoc = self._n_sets, self._assoc
-        scanned_valid = int(np.count_nonzero(self.valid))
+        line_at = self._line_at_np
+        valid = line_at >= 0
+        disabled = self.disabled.reshape(-1)
+        scanned_valid = int(np.count_nonzero(valid))
         assert scanned_valid == self._n_valid, (
             f"valid counter {self._n_valid} != scan {scanned_valid}"
         )
-        scanned_disabled = int(np.count_nonzero(self.disabled))
+        scanned_disabled = int(np.count_nonzero(disabled))
         assert scanned_disabled == self._n_disabled, (
             f"disabled counter {self._n_disabled} != scan {scanned_disabled}"
         )
@@ -225,48 +222,35 @@ class SoaTagStore:
             f"lookup index holds {len(self._index)} lines, "
             f"valid counter says {self._n_valid}"
         )
-        assert not np.any(self.valid & self.disabled), (
+        assert not np.any(valid & disabled), (
             "some line is both valid and disabled"
         )
-        assert not np.any(self.dirty & ~self.valid), (
+        assert not np.any(self.dirty.reshape(-1) & ~valid), (
             "some invalid line is marked dirty"
         )
-        for set_index in range(n_sets):
-            base = set_index * assoc
-            row = self._line_at[base : base + assoc]
-            n_valid_set = sum(1 for line in row if line >= 0)
-            assert n_valid_set == self.valid_in_set[set_index], (
-                f"set {set_index}: valid_in_set "
-                f"{self.valid_in_set[set_index]} != scan {n_valid_set}"
+        for name, counter, flags in (
+            ("valid_in_set", self.valid_in_set, valid),
+            ("disabled_in_set", self.disabled_in_set, disabled),
+        ):
+            scan = np.count_nonzero(flags.reshape(n_sets, assoc), axis=1)
+            drift = np.flatnonzero(scan != np.asarray(counter))
+            assert not len(drift), (
+                f"set {drift[0]}: {name} {counter[drift[0]]} != scan "
+                f"{scan[drift[0]]}"
             )
-            n_dis_set = int(np.count_nonzero(self.disabled[set_index]))
-            assert n_dis_set == self.disabled_in_set[set_index], (
-                f"set {set_index}: disabled_in_set "
-                f"{self.disabled_in_set[set_index]} != scan {n_dis_set}"
+        slots = np.flatnonzero(valid)
+        lines = line_at[slots]
+        misplaced = np.flatnonzero(lines % n_sets != slots // assoc)
+        assert not len(misplaced), (
+            f"line {lines[misplaced[0]]} resident in wrong set "
+            f"{slots[misplaced[0]] // assoc}"
+        )
+        index = self._index
+        for slot, line in zip(slots.tolist(), lines.tolist()):
+            assert index.get(line) == slot % assoc, (
+                f"line {line} at set {slot // assoc} way {slot % assoc} not "
+                f"in (or aliased by) the lookup index"
             )
-            for way, line in enumerate(row):
-                if line >= 0:
-                    assert line % n_sets == set_index, (
-                        f"line {line} resident in wrong set {set_index}"
-                    )
-                    assert self._index.get(line) == way, (
-                        f"line {line} at set {set_index} way {way} not in "
-                        f"(or aliased by) the lookup index"
-                    )
-                    assert bool(self.valid[set_index, way]), (
-                        f"set {set_index} way {way}: _line_at says valid, "
-                        "valid array disagrees"
-                    )
-                    assert int(self.tag[set_index, way]) == line // n_sets, (
-                        f"set {set_index} way {way}: tag array "
-                        f"{int(self.tag[set_index, way])} != "
-                        f"{line // n_sets} from _line_at"
-                    )
-                else:
-                    assert not bool(self.valid[set_index, way]), (
-                        f"set {set_index} way {way}: _line_at says invalid, "
-                        "valid array disagrees"
-                    )
 
     # -- bulk commit ---------------------------------------------------------
 
@@ -278,51 +262,21 @@ class SoaTagStore:
         slot appears once.  Equivalent to ``invalidate`` + ``insert``
         per slot, but every evicted line leaves the lookup index before
         any fill enters it — one kernel can evict a line from one way
-        and refill it into another way of the same set — and the numpy
-        columns take one fancy-indexed store each.
+        and refill it into another way of the same set.  The arrays and
+        the per-set valid counts take one vectorised store each.
         """
         index = self._index
         for line in evicted[evicted >= 0].tolist():
             del index[line]
-        filled_list = filled.tolist()
-        line_at = self._line_at
-        for slot, line in zip(slots.tolist(), filled_list):
-            line_at[slot] = line
-        index.update(zip(filled_list, (slots % self._assoc).tolist()))
-        self.valid.ravel()[slots] = True
-        self.tag.ravel()[slots] = filled // self._n_sets
-        self.dirty.ravel()[slots] = False
-        grown = (slots[evicted < 0] // self._assoc).tolist()
-        self._n_valid += len(grown)
-        valid_in_set = self.valid_in_set
-        for set_index in grown:
-            valid_in_set[set_index] += 1
-
-    def sync_columns(self) -> np.ndarray:
-        """Re-derive the numpy columns from ``_line_at``.
-
-        A bulk writer — the Killi interpreter's in-place walk — sets
-        ``_line_at`` and ``_index`` directly and leaves ``valid`` /
-        ``tag`` / ``dirty`` behind.  One
-        vectorised pass brings them back: ``valid`` and ``tag`` follow
-        ``_line_at``, ``dirty`` clears wherever the resident line
-        changed, and the valid count follows ``_index``.  Returns the
-        flat slots whose line changed.
-
-        Only write-through caches, which never set ``dirty``, may
-        write in bulk: a line evicted and refilled into the same way
-        between two syncs keeps its old dirty bit, where ``insert``
-        would clear it.
-        """
-        # -1 // n_sets == -1: the invalid sentinel maps to tag -1.
-        tag = np.array(self._line_at, dtype=np.int64) // self._n_sets
-        flat_tag = self.tag.reshape(-1)
-        changed = np.flatnonzero(tag != flat_tag)
-        flat_tag[changed] = tag[changed]
-        self.valid.reshape(-1)[changed] = tag[changed] >= 0
-        self.dirty.reshape(-1)[changed] = False
-        self._n_valid = len(self._index)
-        return changed
+        index.update(zip(filled.tolist(), (slots % self._assoc).tolist()))
+        self._line_at_np[slots] = filled
+        self.dirty.reshape(-1)[slots] = False
+        grown = slots[evicted < 0] // self._assoc
+        if len(grown):
+            self._n_valid += len(grown)
+            self.valid_in_set[:] = (
+                np.bincount(grown, minlength=self._n_sets) + self.valid_in_set
+            ).tolist()
 
 
 # -- the lockstep replay kernel --------------------------------------------
@@ -382,8 +336,9 @@ def lockstep_kernel(caches, lines, stores, set_idx, corrected, prefer_invalid: b
     joint sets: aligned numpy arrays, each set's accesses in the order
     the per-access path would reach them.  ``corrected`` is the joint
     ``(sets, associativity)`` CORRECTED mask; ``prefer_invalid`` is the
-    caches' allocation policy.  Reads nothing but the stores' numpy
-    columns, the LRU ages and clocks, and writes nothing.  Returns the
+    caches' allocation policy.  Reads nothing but the stores' line
+    maps and disabled flags, the LRU ages and clocks, and writes
+    nothing.  Returns the
     outcome class of every access, in input order, and one
     :class:`LockstepCommit` per cache for the caller to commit.
 
@@ -427,20 +382,16 @@ def lockstep_kernel(caches, lines, stores, set_idx, corrected, prefer_invalid: b
     store = stores[order]
 
     # The touched sets' state: resident lines, victim keys, clocks.
-    valid = np.concatenate([tags.valid for tags, _ in caches])[sets]
+    before = np.concatenate([tags._line_at_np for tags, _ in caches])
+    before = before.reshape(-1, assoc)[sets]
     disabled = np.concatenate([tags.disabled for tags, _ in caches])[sets]
-    tag = np.concatenate([tags.tag for tags, _ in caches])[sets]
-    before = np.where(valid, tag * n_sets + (sets % n_sets)[:, None], -1)
-    # One pass over the whole age lists beats slicing out the touched
-    # sets once most sets are touched, as every real stream does.
-    ages = np.concatenate([np.array(lru.age, dtype=np.int64) for _, lru in caches])
+    ages = np.concatenate([lru._age_np for _, lru in caches])
     ages = ages.reshape(-1, assoc)[sets]
     keys_before = ages
     if prefer_invalid:
         free = np.where(disabled, _DISABLED_KEY, _FREE_KEY + np.arange(assoc))
-        keys_before = np.where(valid, ages, free)
-    clocks = np.concatenate([np.array(lru._clock, dtype=np.int64) for _, lru in caches])
-    clocks = clocks[sets]
+        keys_before = np.where(before >= 0, ages, free)
+    clocks = np.concatenate([lru._clock_np for _, lru in caches])[sets]
     resident = before.copy()
     keys = keys_before.copy()
     dead = disabled.all(axis=1)[row]  # no enabled way: read misses bypass

@@ -38,15 +38,16 @@ In-place equivalences (vs the per-access reference path)
 --------------------------------------------------------
 - *LRU*: every touch stamps ``age = clock; clock += 1`` where
   ``lru.touch`` would, so valid ways' ages and the set clocks end equal
-  to the per-access path's.  ``demote`` calls are skipped: a demoted
+  to the per-access path's.  The clocks, and the ages from the first
+  eviction on, are walked as list copies written back once per kernel.
+  ``demote`` calls are skipped: a demoted
   way is invalid, and an invalid way's age is never read (invalid ways
   are chosen by index or fill priority, the LRU way only among valid
   ones).
 - *Tag store*: the walk edits ``_line_at``, ``_index``, the per-set
   counters and the ``disabled`` column as ``insert`` / ``invalidate`` /
-  ``disable`` would.  The numpy ``valid`` / ``tag`` / ``dirty``
-  columns, which it never reads, are re-derived once per kernel
-  (:meth:`~repro.cache.soa.SoaTagStore.sync_columns`).
+  ``disable`` would, and recounts the valid lines once per kernel.
+  ``dirty`` stays clear: a write-through L2 never sets it.
 - *Counters*: the cache stats, ECC-cache and scheme counters are
   added to as the walk goes (the hottest ones through locals, added
   on exit); nothing reads them meanwhile.
@@ -61,6 +62,8 @@ In-place equivalences (vs the per-access reference path)
 from __future__ import annotations
 
 from bisect import insort
+
+import numpy as np
 
 from repro.core.dfh import Dfh
 from repro.core.policy import (
@@ -92,7 +95,7 @@ class KilliClusterInterpreter:
     :meth:`~repro.core.killi.KilliScheme.batch_interpreter`; the engine
     calls :meth:`run` once per kernel.  Each ``run`` walks the whole
     residue in global order against the live cache and scheme state,
-    counters included, then re-derives the tag store's numpy columns.
+    counters included, then writes back the LRU state it walked as lists.
     """
 
     def __init__(self, scheme, cache):
@@ -150,7 +153,11 @@ class KilliClusterInterpreter:
         self._disabled = tags.disabled.reshape(-1)
         lru = self._cache.lru
         self._age = lru.age
-        self._clock = lru._clock
+        # Every touch reads and bumps a clock: a list copy walks
+        # faster than the memoryview, and _finish writes it back.
+        self._clock = lru._clock_np.tolist()
+        if self._check_invariants:
+            self._line_at_before = tags._line_at_np.copy()
         scheme = self._scheme
         self._dfh = scheme.dfh
         self._off_init = scheme._off_initial_in_set
@@ -179,7 +186,7 @@ class KilliClusterInterpreter:
         return free
 
     def _drop_line(self, set_index: int, slot: int) -> None:
-        """``tags.invalidate`` of a valid slot, minus the numpy columns."""
+        """``tags.invalidate`` of a valid slot of a write-through cache."""
         del self._index[self._line_at[slot]]
         self._line_at[slot] = -1
         self._valid_in_set[set_index] -= 1
@@ -440,6 +447,9 @@ class KilliClusterInterpreter:
                 elif valid_in_set[set_index]:
                     # No free way: evict the LRU valid way (every
                     # enabled way is valid here).
+                    if type(age) is not list:
+                        # A list slice finds the victim 0.3 us faster.
+                        age = self._age = age.tolist()
                     row = age[base : base + assoc]
                     if disabled_in_set[set_index]:
                         # Ages within a set are distinct, so the valid
@@ -555,16 +565,22 @@ class KilliClusterInterpreter:
         self._finish(set_idx)
 
     def _finish(self, set_idx) -> None:
-        """Re-derive the numpy columns and add the transition counts."""
-        changed = self._tags.sync_columns()
+        """Write back the set clocks (and the ages, if listed), recount
+        the valid lines and add the transition counts."""
+        tags = self._tags
+        self._cache.lru._clock_np[:] = self._clock
+        if type(self._age) is list:
+            self._cache.lru._age_np[:] = self._age
+        tags._n_valid = len(self._index)
         trans_mv = self._scheme._transitions_mv
         for key, count in enumerate(self._trans):
             if count:
                 trans_mv[key >> 2, key & 3] += count
         if self._check_invariants:
-            if self._tags.dirty.any():
-                # sync_columns would keep a refilled way's dirty bit.
+            if tags.dirty.any():
+                # The walk never clears a refilled way's dirty bit.
                 raise InvariantError("the write-through L2 holds dirty lines")
+            changed = np.flatnonzero(tags._line_at_np != self._line_at_before)
             touched = set(set_idx)
             touched.update((changed // self._assoc).tolist())
             for set_index in sorted(touched):

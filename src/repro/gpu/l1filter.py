@@ -53,8 +53,11 @@ def l1_is_virgin(l1) -> bool:
     tags, lru = l1.tags, l1.lru
     if tags._n_valid or tags._n_disabled:
         return False
-    virgin = SoaLruState(lru.n_sets, lru.associativity)
-    return lru.age == virgin.age and lru._clock == virgin._clock
+    ages = lru._age_np.reshape(-1, lru.associativity)
+    return bool(
+        (ages == np.arange(0, -lru.associativity, -1)).all()
+        and (lru._clock_np == 1).all()
+    )
 
 
 def _filter(caches, columns, prefer_invalid: bool) -> list:

@@ -412,6 +412,15 @@ def main(argv=None) -> int:
         parser.error(f"--csv: {args.experiment} has no CSV form")
     if args.csv and os.path.exists(args.csv) and not os.path.isdir(args.csv):
         parser.error(f"--csv {args.csv}: exists and is not a directory")
+    # Parsed again onto a namespace of Nones, only the flags argv gives
+    # take a value (none of them can be None).
+    unset = argparse.Namespace(**dict.fromkeys(vars(args)))
+    given = vars(parser.parse_args(argv, unset))
+    read = {"experiment", "csv"}.union(*(item.flags for item in items))
+    ignored = [f"--{dest}" for dest, value in given.items()
+               if value is not None and dest not in read]
+    if ignored:
+        parser.error(f"{args.experiment} ignores {', '.join(ignored)}")
     if not _resume_ok(args):
         return 2
     if args.quick:

@@ -443,6 +443,11 @@ def _render_softerr(data: dict) -> None:
     ))
 
 
+#: The CLI flags (argparse dests) of a campaign: the knobs handed to
+#: :func:`~repro.harness.runner.run_cells`, and its telemetry summary.
+CAMPAIGN_FLAGS = ("jobs", "cache", "retries", "timeout", "journal", "resume", "telemetry")
+
+
 def _no_options(args, campaign) -> dict:
     return {}
 
@@ -480,6 +485,10 @@ class Experiment:
     """``run``'s keyword arguments for the CLI's parsed options
     (``accesses``, ``workloads``, ``schemes``, ``seed``, ``engine``)
     and its campaign knobs: the item's scale is decided here."""
+    flags: Tuple[str, ...] = ()
+    """The CLI flags (argparse dests) ``options`` reads, ``quick`` with
+    ``accesses``, and :data:`CAMPAIGN_FLAGS` for a campaign.  The CLI
+    rejects any other flag given for this item."""
     csv: Optional[Tuple[str, str]] = None
     """``(file stem, serialiser in repro.harness.export)``, or None for
     an item without a CSV form."""
@@ -495,6 +504,7 @@ _PERFORMANCE = Experiment(
     fig4_fig5_performance,
     _render_performance,
     _performance_options,
+    flags=("accesses", "quick", "workloads", "schemes", "seed", "engine", *CAMPAIGN_FLAGS),
     csv=("fig4_fig5", "matrix_to_csv"),
 )
 
@@ -532,8 +542,15 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "table7": Experiment(table7_olsc, _render_table7),
     "fig4": _PERFORMANCE,
     "fig5": _PERFORMANCE,
-    "sec55": Experiment(sec55_lower_vmin, _render_sec55, _sec55_options),
-    "softerr": Experiment(soft_error_campaign, _render_softerr, _softerr_options),
+    "sec55": Experiment(
+        sec55_lower_vmin,
+        _render_sec55,
+        _sec55_options,
+        flags=("accesses", "quick", "seed", *CAMPAIGN_FLAGS),
+    ),
+    "softerr": Experiment(
+        soft_error_campaign, _render_softerr, _softerr_options, flags=("seed",)
+    ),
 }
 
 

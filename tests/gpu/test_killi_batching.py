@@ -284,8 +284,6 @@ class TestInPlaceStamps:
                 age for line, age in zip(tags._line_at, lru.age) if line >= 0
             ],
             "clocks": list(lru._clock),
-            "tag": tags.tag.tolist(),
-            "valid": tags.valid.tolist(),
             "disabled": tags.disabled.tolist(),
             "rng": repr(cache.scheme.errors.rng.bit_generator.state),
             "digest": cache.state_digest(),

@@ -1,6 +1,7 @@
 """Tests for the experiment harness (small-scale runs of every
 table/figure runner)."""
 
+import argparse
 import dataclasses
 
 import pytest
@@ -203,7 +204,8 @@ class TestCli:
         assert calls == list(dict.fromkeys(owners.values()))
         for name in table:
             calls.clear()
-            assert cli.main([name, "--accesses", "10"]) == 0
+            scale = ["--accesses", "10"] if "accesses" in table[name].flags else []
+            assert cli.main([name, *scale]) == 0
             assert calls == [owners[name]]
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["nope"])
@@ -212,6 +214,73 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         assert "{" + ",".join([*table, "all"]) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sec55", "--engine", "scalar"], "--engine"),
+            (["table5", "--workloads", "fft"], "--workloads"),
+            (["softerr", "--accesses", "100"], "--accesses"),
+            (["fig1", "--seed", "42"], "--seed"),
+            (["softerr", "--quick"], "--quick"),
+            (["table7", "--jobs", "2"], "--jobs"),
+        ],
+    )
+    def test_a_flag_the_item_ignores_is_a_usage_error(
+        self, argv, flag, monkeypatch, capsys
+    ):
+        """A flag no selected item reads exits 2 naming it, before
+        anything runs, even when its value is the default."""
+        from repro.harness import cli
+
+        def run(**kwargs):
+            pytest.fail("an item ran")
+
+        table = cli.experiments.EXPERIMENTS
+        for name, item in list(table.items()):
+            monkeypatch.setitem(table, name, dataclasses.replace(item, run=run))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert f"{argv[0]} ignores {flag}" in capsys.readouterr().err
+
+    def test_all_takes_a_flag_some_item_reads(self, monkeypatch, capsys):
+        from repro.harness import cli
+
+        seen = []
+
+        def run(**kwargs):
+            seen.append(kwargs)
+
+        def render(result):
+            pass
+
+        table = cli.experiments.EXPERIMENTS
+        for name, item in list(table.items()):
+            monkeypatch.setitem(
+                table, name, dataclasses.replace(item, run=run, render=render)
+            )
+        argv = ["all", "--engine", "scalar", "--workloads", "fft", "--seed", "3"]
+        assert cli.main(argv) == 0
+        assert len(seen) == len(set(table.values()))
+        # fig4's runner gets all three; softerr, last, only the seed.
+        assert seen[-3]["engine"] == "scalar"
+        assert seen[-3]["workloads"] == ["fft"]
+        assert seen[-1] == {"seed": 3}
+
+    def test_each_item_reads_only_the_flags_it_declares(self):
+        """``options`` sees only the declared flags; an item that
+        declares no campaign flag gets no campaign knobs to pass on."""
+        from repro.harness.experiments import CAMPAIGN_FLAGS, EXPERIMENTS
+
+        values = {"accesses": 100, "quick": False, "workloads": None,
+                  "schemes": None, "seed": 1, "engine": "batched"}
+        for name, item in EXPERIMENTS.items():
+            args = argparse.Namespace(
+                **{flag: values[flag] for flag in item.flags if flag in values}
+            )
+            campaign = {} if set(CAMPAIGN_FLAGS) <= set(item.flags) else None
+            item.options(args, campaign)
 
     def test_perf_command_quick(self, capsys):
         from repro.harness.cli import main

@@ -74,11 +74,11 @@ class TestChecksCatchCorruption:
 
     def test_soa_verify_catches_tag_aliasing(self, small_geometry):
         cache = exercised_cache(small_geometry, "soa")
-        # Point an occupied slot's tag at a different line without
-        # updating the lookup index.
+        # Point an occupied slot at another line of its set (its tag
+        # plus one) without updating the lookup index.
         way = cache.tags.lookup(0)
         assert way is not None
-        cache.tags.tag[0, way] += 1
+        cache.tags._line_at[way] += small_geometry.n_sets
         with pytest.raises(InvariantError):
             check_cache_invariants(cache)
 
