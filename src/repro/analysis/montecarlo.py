@@ -62,11 +62,6 @@ class CoverageEstimate:
     """Total patterns drawn, including parity-bit-only ones."""
 
     @property
-    def samples(self) -> int:
-        """Alias of :attr:`patterns` (the pre-rename field name)."""
-        return self.patterns
-
-    @property
     def coverage(self) -> float:
         """Fraction of classified patterns handled correctly."""
         if self.patterns == 0:

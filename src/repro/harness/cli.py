@@ -9,12 +9,12 @@ Examples::
     killi-experiment fig4 --jobs 4 --cache .killi-cache
     killi-experiment all --quick
 
-Hardened campaigns (see ``docs/campaign-robustness.md``)::
+Hardened campaigns (see ``docs/campaign-robustness.md``); run an
+interrupted one again with the same ``--cache`` and only its
+unfinished cells are simulated::
 
     killi-experiment fig4 --jobs 8 --cache .killi-cache --retries 2 \
         --timeout 600 --journal runs/fig4.jsonl --telemetry
-    killi-experiment fig4 --jobs 8 --cache .killi-cache \
-        --resume runs/fig4.jsonl        # recompute only unfinished cells
 
 File-driven scenario runs (see ``docs/scenario-layer.md``)::
 
@@ -87,7 +87,18 @@ def _registered(resolve):
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    """The campaign-hardening flags shared by every simulation command."""
+    """The campaign flags shared by every simulation command."""
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes (default 1: serial; results are "
+             "bit-identical at any N)",
+    )
+    parser.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="fingerprint-keyed on-disk result cache: unchanged cells load "
+             "from DIR instead of re-simulating, so re-running an "
+             "interrupted campaign with the same DIR resumes it",
+    )
     parser.add_argument(
         "--retries", type=_nonnegative_int, default=0, metavar="N",
         help="retry crashed/timed-out cells up to N times with jittered "
@@ -101,37 +112,13 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--journal", metavar="FILE", default=None,
         help="append one JSONL event per cell (plus campaign start/end) "
-             "to FILE; makes the run resumable via --resume",
-    )
-    parser.add_argument(
-        "--resume", metavar="JOURNAL", default=None,
-        help="skip cells a previous run's journal records as finished "
-             "(their results replay from --cache; requires --cache)",
+             "to FILE",
     )
     parser.add_argument(
         "--telemetry", action="store_true",
         help="collect counters/timers across the campaign (cache, "
              "retries, engine phases) and print a summary table",
     )
-
-
-def _resume_ok(args) -> bool:
-    """Whether ``--resume`` can run as given; if not, say why in one
-    line on stderr.
-
-    Checked before anything runs: the journal only says which cells
-    finished, and their results replay from ``--cache``.
-    """
-    if args.resume is None:
-        return True
-    if not args.cache:
-        error = "--resume requires --cache (finished cells replay from it)"
-    elif not os.path.isfile(args.resume):
-        error = f"--resume {args.resume}: no such journal file"
-    else:
-        return True
-    print(error, file=sys.stderr)
-    return False
 
 
 def _finish_telemetry(args) -> None:
@@ -166,7 +153,6 @@ def _campaign(args, progress) -> dict:
         retries=args.retries,
         timeout=args.timeout,
         journal=args.journal,
-        resume=args.resume,
     )
 
 
@@ -186,8 +172,6 @@ def _progress(done, total, cell) -> None:
 def _scenario_run(args) -> int:
     from repro.scenario.runfile import load_scenario, run_scenario
 
-    if not _resume_ok(args):
-        return 2
     try:
         scenario = load_scenario(args.file)
         scenario.validate()
@@ -311,11 +295,6 @@ def scenario_main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("file", help="scenario .toml/.json file")
-    run_p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
-    run_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="fingerprint-keyed on-disk result cache",
-    )
     run_p.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the full per-cell results as JSON",
@@ -382,16 +361,6 @@ def main(argv=None) -> int:
              "scalar reference; both are pinned bit-identical, so this "
              "only changes wall-clock time",
     )
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for simulation matrices (default 1: serial; "
-             "results are bit-identical at any N)",
-    )
-    parser.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="on-disk result cache: unchanged (workload, scheme, voltage, "
-             "seed) cells are re-loaded instead of re-simulated",
-    )
     _add_campaign_args(parser)
     parser.add_argument(
         "--quick", action="store_true",
@@ -421,8 +390,6 @@ def main(argv=None) -> int:
                if value is not None and dest not in read]
     if ignored:
         parser.error(f"{args.experiment} ignores {', '.join(ignored)}")
-    if not _resume_ok(args):
-        return 2
     if args.quick:
         args.accesses = 5000
     if args.telemetry:

@@ -445,7 +445,7 @@ def _render_softerr(data: dict) -> None:
 
 #: The CLI flags (argparse dests) of a campaign: the knobs handed to
 #: :func:`~repro.harness.runner.run_cells`, and its telemetry summary.
-CAMPAIGN_FLAGS = ("jobs", "cache", "retries", "timeout", "journal", "resume", "telemetry")
+CAMPAIGN_FLAGS = ("jobs", "cache", "retries", "timeout", "journal", "telemetry")
 
 
 def _no_options(args, campaign) -> dict:

@@ -9,15 +9,11 @@ record with the final tally.  The file is append-only and flushed per
 record, so a campaign killed mid-flight leaves a readable prefix (plus
 at most one truncated line, which :func:`read_journal` tolerates).
 
-The journal serves two purposes:
-
-- **Observability** — which cells ran where (worker pid), how long
-  they took, how many attempts they needed, and exactly how each
-  failure looked (exception type + message).
-- **Resumability** — :func:`finished_fingerprints` extracts the set of
-  successfully finished cell fingerprints; ``run_cells(resume=path)``
-  uses it so a re-run recomputes only unfinished cells, loading the
-  finished ones from the result cache.
+The journal records which cells ran where (worker pid), how long they
+took, how many attempts they needed, and exactly how each failure
+looked (exception type + message).  It plays no part in resuming a
+campaign: a re-run on the same result cache loads every finished cell
+from there.
 
 Journal records are observability data: they carry wall-clock
 timestamps and host/pid details and are *not* part of any result
@@ -31,22 +27,17 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterator, List, Optional, Set
+from typing import List, Optional
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
-    "SUCCESS_STATUSES",
     "CellFailure",
     "RunJournal",
     "read_journal",
-    "finished_fingerprints",
 ]
 
 #: Bump when the record layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
-
-#: Terminal cell statuses that count as "finished" for resume purposes.
-SUCCESS_STATUSES = frozenset({"ok", "retried", "cached"})
 
 
 @dataclass
@@ -83,9 +74,8 @@ class CellFailure:
 class RunJournal:
     """Append-only JSONL event sink for one (or more) campaigns.
 
-    Open with a path (parent directories are created) or pass an
-    already-open instance into ``run_cells`` — the runner only closes
-    journals it opened itself, so several campaigns can share a file.
+    Opens ``path`` for append (parent directories are created), so
+    campaigns that name the same file share it.
     """
 
     def __init__(self, path):
@@ -94,6 +84,13 @@ class RunJournal:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
+        if self._handle.tell():
+            with open(self.path, "rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    # A campaign killed mid-write left a torn last line:
+                    # end it, so this campaign's first record is whole.
+                    self._handle.write("\n")
 
     # -- low-level -----------------------------------------------------------
 
@@ -107,12 +104,6 @@ class RunJournal:
         if not self._handle.closed:
             self._handle.close()
 
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- campaign events -----------------------------------------------------
 
     def campaign_start(
@@ -120,12 +111,10 @@ class RunJournal:
         *,
         total: int,
         unique: int,
-        cached: int = 0,
         jobs: int = 1,
         retries: int = 0,
         timeout: Optional[float] = None,
         cache_dir: Optional[str] = None,
-        resumed_from: Optional[str] = None,
         results_version: Optional[int] = None,
     ) -> None:
         record = {
@@ -141,8 +130,6 @@ class RunJournal:
             record["timeout_s"] = timeout
         if cache_dir is not None:
             record["cache_dir"] = os.fspath(cache_dir)
-        if resumed_from is not None:
-            record["resumed_from"] = os.fspath(resumed_from)
         if results_version is not None:
             record["results_version"] = results_version
         self.write(record)
@@ -159,7 +146,6 @@ class RunJournal:
         cache: Optional[str] = None,
         error: Optional[dict] = None,
         dedup_of: Optional[int] = None,
-        resumed: bool = False,
     ) -> None:
         """Terminal record for one cell.
 
@@ -185,8 +171,6 @@ class RunJournal:
             record["error"] = error
         if dedup_of is not None:
             record["dedup_of"] = dedup_of
-        if resumed:
-            record["resumed"] = True
         self.write(record)
 
     def attempt(
@@ -226,7 +210,9 @@ class RunJournal:
         })
 
 
-def _iter_records(path) -> Iterator[dict]:
+def read_journal(path) -> List[dict]:
+    """All well-formed records of a journal file, in append order."""
+    records = []
     with open(os.fspath(path), encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -236,28 +222,8 @@ def _iter_records(path) -> Iterator[dict]:
                 record = json.loads(line)
             except ValueError:
                 # A campaign killed mid-write leaves one truncated
-                # trailing line; skip it rather than failing the read.
+                # line; skip it rather than failing the read.
                 continue
             if isinstance(record, dict):
-                yield record
-
-
-def read_journal(path) -> List[dict]:
-    """All well-formed records of a journal file, in append order."""
-    return list(_iter_records(path))
-
-
-def finished_fingerprints(path) -> Set[str]:
-    """Fingerprints of cells a journal records as successfully finished.
-
-    These are the cells a resumed campaign may skip (their results are
-    in the result cache); ``failed`` cells and cells with no terminal
-    record are *not* included and will be recomputed.
-    """
-    finished: Set[str] = set()
-    for record in _iter_records(path):
-        if record.get("event") == "cell" and record.get("status") in SUCCESS_STATUSES:
-            fingerprint = record.get("fingerprint")
-            if fingerprint:
-                finished.add(fingerprint)
-    return finished
+                records.append(record)
+    return records

@@ -16,7 +16,9 @@ with three guarantees:
   timing and an optional progress callback.
 - **Free re-runs.**  With ``cache_dir`` set, each finished cell is
   written to disk keyed by a fingerprint of its spec; re-running an
-  unchanged cell loads the stored result instead of simulating.
+  unchanged cell loads the stored result instead of simulating.  This
+  is also how an interrupted campaign resumes: run it again on the
+  same ``cache_dir``.
 
 Expensive deterministic inputs (fault maps, traces) are additionally
 memoised per process, so cells sharing a (seed, workload) do not
@@ -30,11 +32,11 @@ backoff (``retries``), optionally bounded per cell (``timeout``), and
 anything that fails permanently is surfaced at the end as a
 :class:`CampaignError` carrying structured
 :class:`~repro.harness.journal.CellFailure` records, after every other
-cell has finished and been cached.  Attach a
-:class:`~repro.harness.journal.RunJournal` (``journal=``) to stream
-one JSONL event per cell and resume interrupted campaigns
-(``resume=``).  Duplicate specs (same fingerprint) are simulated once
-and fanned back out to every requesting index.
+cell has finished and been cached.  Name a journal file
+(``journal=``) to stream one JSONL event per cell to a
+:class:`~repro.harness.journal.RunJournal`.  Duplicate specs (same
+fingerprint) are simulated once and fanned back out to every
+requesting index.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -59,7 +62,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faults import FaultMap
 from repro.gpu import GpuSimulator
-from repro.harness.journal import CellFailure, RunJournal, finished_fingerprints
+from repro.harness.journal import CellFailure, RunJournal
 from repro.scenario.config import ScenarioConfig, as_scenario
 from repro.scenario.schemes import LV_VOLTAGE, make_scheme, scheme_names
 from repro.traces import workload_trace_memo
@@ -362,9 +365,7 @@ class CampaignError(RuntimeError):
         )
 
 
-def _validate_campaign_args(
-    jobs, retries, timeout, backoff, cache_dir, resume
-) -> None:
+def _validate_campaign_args(jobs, retries, timeout) -> None:
     """Reject bad campaign parameters with a clear error up front,
     instead of silently falling through to the serial path or crashing
     inside ``ProcessPoolExecutor``."""
@@ -382,13 +383,6 @@ def _validate_campaign_args(
         raise ValueError(f"retries must be an integer >= 0, got {retries!r}")
     if timeout is not None and not (isinstance(timeout, (int, float)) and timeout > 0):
         raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
-    if backoff is not None and not (isinstance(backoff, (int, float)) and backoff >= 0):
-        raise ValueError(f"backoff must be >= 0 seconds, got {backoff!r}")
-    if resume is not None and cache_dir is None:
-        raise ValueError(
-            "resume requires cache_dir: the journal records *which* cells "
-            "finished; the result cache holds their results"
-        )
 
 
 def _arm_timeout(seconds: Optional[float]):
@@ -454,20 +448,21 @@ def _execute_cell(
     return result, os.getpid(), elapsed, telemetry
 
 
-def _backoff_sleep(backoff: float, failed_attempt: int, jitter: random.Random) -> None:
+#: Retry backoff base: the sleep after failed attempt ``n`` is
+#: ``_BACKOFF_S * 2**(n-1)``, jittered by +/-50%.
+_BACKOFF_S = 0.05
+
+
+def _backoff_sleep(failed_attempt: int, jitter: random.Random) -> None:
     """Exponential backoff with +/-50% jitter before a retry."""
-    if backoff <= 0:
-        return
-    time.sleep(backoff * (2 ** (failed_attempt - 1)) * (0.5 + jitter.random()))
+    time.sleep(_BACKOFF_S * (2 ** (failed_attempt - 1)) * (0.5 + jitter.random()))
 
 
 class _Campaign:
     """Shared bookkeeping for one ``run_cells`` invocation."""
 
-    def __init__(self, scenarios, fingerprints, groups, cache_dir,
-                 journal, progress, retries):
+    def __init__(self, scenarios, groups, cache_dir, journal, progress, retries):
         self.scenarios = scenarios
-        self.fingerprints = fingerprints
         self.groups = groups  # fingerprint -> [indices], first-seen order
         self.cache_dir = cache_dir
         self.journal = journal
@@ -491,7 +486,7 @@ class _Campaign:
             )
 
     def _emit(self, fingerprint, status, attempts, elapsed_s,
-              pid=None, cache=None, error=None, resumed=False):
+              pid=None, cache=None, error=None):
         """Journal + progress for every index of a finished cell."""
         indices = self.groups[fingerprint]
         for k, index in enumerate(indices):
@@ -507,7 +502,6 @@ class _Campaign:
                     cache=cache,
                     error=error,
                     dedup_of=indices[0] if k else None,
-                    resumed=resumed,
                 )
             if self.progress and self.results[index] is not None:
                 self.progress(self.done, self.total, self.results[index])
@@ -530,10 +524,10 @@ class _Campaign:
         self._emit(fingerprint, status, attempts, elapsed_s,
                    pid=pid, cache=cache_state)
 
-    def complete_cached(self, fingerprint, result, resumed: bool) -> None:
+    def complete_cached(self, fingerprint, result) -> None:
         self._fan_out(fingerprint, result)
         METRICS.incr("campaign.cells_cached", len(self.groups[fingerprint]))
-        self._emit(fingerprint, "cached", 0, 0.0, cache="hit", resumed=resumed)
+        self._emit(fingerprint, "cached", 0, 0.0, cache="hit")
 
     def fail(self, fingerprint, attempts, error, elapsed_s) -> None:
         detail = {"type": type(error).__name__, "message": str(error)}
@@ -576,7 +570,7 @@ class _Campaign:
         return will_retry
 
 
-def _run_serial(campaign: _Campaign, run_queue, timeout, backoff, jitter):
+def _run_serial(campaign: _Campaign, run_queue, timeout, jitter):
     """In-process execution with the same retry policy as the pool."""
     for fingerprint in run_queue:
         scenario = campaign.scenarios[campaign.groups[fingerprint][0]]
@@ -593,7 +587,7 @@ def _run_serial(campaign: _Campaign, run_queue, timeout, backoff, jitter):
                 if campaign.record_attempt_failure(
                     fingerprint, attempt, error, elapsed
                 ):
-                    _backoff_sleep(backoff, attempt, jitter)
+                    _backoff_sleep(attempt, jitter)
                     continue
                 campaign.fail(fingerprint, attempt, error, elapsed)
                 break
@@ -601,13 +595,15 @@ def _run_serial(campaign: _Campaign, run_queue, timeout, backoff, jitter):
             break
 
 
-def _run_pool(campaign: _Campaign, run_queue, jobs, timeout, backoff, jitter):
+def _run_pool(campaign: _Campaign, run_queue, jobs, timeout, jitter):
     """Process-pool execution with per-cell isolation and pool rebuild.
 
     A worker exception fails only its own cell (retried up to the
     budget); a pool crash (``BrokenProcessPool`` — e.g. a worker was
     OOM-killed) fails every in-flight attempt the same way, then the
-    pool is rebuilt once and eligible cells are resubmitted.
+    pool is rebuilt once and eligible cells are resubmitted.  A submit
+    the crashed pool refuses (a worker died during a retry's backoff
+    sleep) fails that attempt as if it had been in flight.
     """
     scenarios = campaign.scenarios
     # Warm the shared fault maps before forking so workers inherit
@@ -626,9 +622,13 @@ def _run_pool(campaign: _Campaign, run_queue, jobs, timeout, backoff, jitter):
 
     def submit(fingerprint: str, attempt: int) -> None:
         scenario = scenarios[campaign.groups[fingerprint][0]]
-        future = pool.submit(
-            _execute_cell, scenario, fingerprint, timeout, collect
-        )
+        try:
+            future = pool.submit(
+                _execute_cell, scenario, fingerprint, timeout, collect
+            )
+        except BrokenExecutor as error:
+            future = Future()
+            future.set_exception(error)
         inflight[future] = (fingerprint, attempt)
 
     def consume(future, fingerprint, attempt, retry_later) -> bool:
@@ -679,7 +679,7 @@ def _run_pool(campaign: _Campaign, run_queue, jobs, timeout, backoff, jitter):
                         f"worker pool crashed; rebuilt with {max_workers} worker(s)"
                     )
             for fingerprint, attempt in retry_later:
-                _backoff_sleep(backoff, attempt, jitter)
+                _backoff_sleep(attempt, jitter)
                 submit(fingerprint, attempt + 1)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -693,10 +693,7 @@ def run_cells(
     *,
     retries: int = 0,
     timeout: Optional[float] = None,
-    backoff: float = 0.05,
-    journal=None,
-    resume=None,
-    strict: bool = True,
+    journal: Optional[str] = None,
 ) -> List[CellResult]:
     """Run a set of cells, optionally in parallel, cached and journaled.
 
@@ -712,51 +709,43 @@ def run_cells(
     cache_dir:
         Directory for the fingerprint-keyed result cache.  Finished
         cells are stored there; unchanged cells are re-loaded for free
-        (``CellResult.from_cache`` marks them).  Corrupt entries are
-        quarantined to ``.corrupt`` files and recomputed.
+        (``CellResult.from_cache`` marks them), so an interrupted
+        campaign resumes by running again on the same directory.
+        Corrupt entries are quarantined to ``.corrupt`` files and
+        recomputed.
     progress:
         ``progress(done, total, result)`` called after every finished
         cell (cached hits included), in completion order.
     retries:
         Extra execution attempts per cell after a worker exception,
-        per-cell timeout, or pool crash (jittered exponential
-        ``backoff`` between attempts).  Retried cells are bit-identical
-        to first-try successes — the inputs derive only from the spec.
+        per-cell timeout, or pool crash (jittered exponential backoff
+        between attempts).  Retried cells are bit-identical to
+        first-try successes — the inputs derive only from the spec.
     timeout:
         Per-cell wall-clock budget in seconds, enforced inside the
         executing process via SIGALRM (unenforced where unavailable).
         A timed-out attempt counts against ``retries``.
     journal:
-        Path or open :class:`~repro.harness.journal.RunJournal`:
-        streams one JSONL event per cell plus campaign start/end
-        records (see ``docs/campaign-robustness.md``).
-    resume:
-        Path to a previous run's journal.  Cells it records as
-        finished load straight from the result cache (requires
-        ``cache_dir``); anything unfinished is recomputed.  A resumed
-        campaign is bit-identical to an uninterrupted one.
-    strict:
-        With the default True, permanently failed cells raise
-        :class:`CampaignError` *after* the rest of the campaign has
-        completed (the exception carries failures + partial results).
-        With False, failed indices are simply ``None`` in the returned
-        list.
+        Path of a JSONL file, opened for append: one event per cell
+        plus campaign start/end records (see
+        ``docs/campaign-robustness.md``).  Campaigns that pass the
+        same path share the file.
+
+    Cells that fail every attempt raise :class:`CampaignError` *after*
+    the rest of the campaign has completed; it carries the failures
+    and the partial results.
     """
-    _validate_campaign_args(jobs, retries, timeout, backoff, cache_dir, resume)
+    _validate_campaign_args(jobs, retries, timeout)
     scenarios = [as_scenario(spec) for spec in specs]
     fingerprints = [scenario.fingerprint() for scenario in scenarios]
-    resume_set = finished_fingerprints(resume) if resume else frozenset()
-
-    owns_journal = journal is not None and not isinstance(journal, RunJournal)
-    jrn = RunJournal(journal) if owns_journal else journal
+    jrn = RunJournal(journal) if journal is not None else None
 
     # Dedupe: one execution (and one cache probe) per unique fingerprint.
     groups: Dict[str, List[int]] = {}
     for index, fingerprint in enumerate(fingerprints):
         groups.setdefault(fingerprint, []).append(index)
 
-    campaign = _Campaign(scenarios, fingerprints, groups, cache_dir,
-                         jrn, progress, retries)
+    campaign = _Campaign(scenarios, groups, cache_dir, jrn, progress, retries)
     started = time.perf_counter()
     jitter = random.Random()
     try:
@@ -769,26 +758,19 @@ def run_cells(
                 retries=retries,
                 timeout=timeout,
                 cache_dir=cache_dir,
-                resumed_from=resume,
                 results_version=RESULTS_VERSION,
             )
         for fingerprint in groups:
             cached = _load_cached(cache_dir, fingerprint) if cache_dir else None
             if cached is not None:
-                campaign.complete_cached(
-                    fingerprint, cached, resumed=fingerprint in resume_set
-                )
+                campaign.complete_cached(fingerprint, cached)
             else:
-                if fingerprint in resume_set:
-                    # The journal says finished but the cache cannot
-                    # serve it (evicted / store failed): recompute.
-                    METRICS.incr("campaign.resume_misses")
                 run_queue.append(fingerprint)
 
         if run_queue and jobs > 1 and len(run_queue) > 1:
-            _run_pool(campaign, run_queue, jobs, timeout, backoff, jitter)
+            _run_pool(campaign, run_queue, jobs, timeout, jitter)
         else:
-            _run_serial(campaign, run_queue, timeout, backoff, jitter)
+            _run_serial(campaign, run_queue, timeout, jitter)
 
         if jrn is not None:
             jrn.campaign_end(
@@ -797,9 +779,9 @@ def run_cells(
                 elapsed_s=time.perf_counter() - started,
             )
     finally:
-        if owns_journal and jrn is not None:
+        if jrn is not None:
             jrn.close()
 
-    if campaign.failures and strict:
+    if campaign.failures:
         raise CampaignError(campaign.failures, campaign.results)
     return campaign.results  # type: ignore[return-value]

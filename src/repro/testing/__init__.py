@@ -29,8 +29,6 @@ __all__ = [
     # generator
     "ScenarioFuzzer",
     # differential executor
-    "COMBOS",
-    "REFERENCE",
     "PLANTS",
     "Observation",
     "Divergence",
@@ -47,8 +45,6 @@ __all__ = [
 
 _LAZY = {
     "ScenarioFuzzer": "repro.testing.generator",
-    "COMBOS": "repro.testing.differential",
-    "REFERENCE": "repro.testing.differential",
     "PLANTS": "repro.testing.differential",
     "Observation": "repro.testing.differential",
     "Divergence": "repro.testing.differential",

@@ -14,11 +14,11 @@ RNG stream position.
 :func:`diff_scenario` runs the scenario through the reference
 simulator (the scalar engine on the object substrate) and through the
 batched engine (on the struct-of-arrays substrate), and reports the
-first mismatch as a :class:`Divergence`.  An exception raised by the
-candidate is *also* a divergence (a crash in one engine is the
-strongest possible disagreement).  ``plant`` hooks inject a deliberate
-fault into the candidate run only — the self-test that proves the
-oracle can see.
+mismatch as a :class:`Divergence`.  An exception raised by the batched
+run is *also* a divergence (a crash in one engine is the strongest
+possible disagreement).  ``plant`` hooks inject a deliberate fault
+into the batched run only — the self-test that proves the oracle can
+see.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ import hashlib
 import json
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.scenario.config import ScenarioConfig, as_scenario
 
 __all__ = [
-    "COMBOS",
-    "REFERENCE",
     "PLANTS",
     "Observation",
     "Divergence",
@@ -42,13 +40,6 @@ __all__ = [
     "snapshot_diff",
     "last_context",
 ]
-
-#: The engines diffed against the reference.
-COMBOS: tuple = ("batched",)
-
-#: The reference engine: the per-round Python loop over per-line
-#: object state.
-REFERENCE: str = "scalar"
 
 # Last scenario/engine handed to ``run_scenario`` — surfaced by
 # ``tests/conftest.py`` on failure so a crashing fuzz case prints its
@@ -82,11 +73,9 @@ class Observation:
 
 @dataclass
 class Divergence:
-    """A simulator that disagreed with the reference."""
+    """The batched engine disagreeing with the scalar reference."""
 
     scenario: ScenarioConfig
-    reference: str
-    combo: str
     paths: List[str] = field(default_factory=list)
     ref_digest: str = ""
     digest: str = ""
@@ -94,7 +83,7 @@ class Divergence:
 
     def describe(self) -> str:
         head = (
-            f"{_label(self.combo)} diverges from {_label(self.reference)} "
+            f"{_label('batched')} diverges from {_label('scalar')} "
             f"on scenario {self.scenario.fingerprint()[:12]} "
             f"(workload={self.scenario.workload.name}, "
             f"scheme={self.scenario.scheme.name}, "
@@ -152,42 +141,33 @@ def run_scenario(
 
 
 def diff_scenario(
-    scenario,
-    combos: Sequence[str] = COMBOS,
-    reference: str = REFERENCE,
-    plant: Optional[Callable] = None,
+    scenario, plant: Optional[Callable] = None
 ) -> Optional[Divergence]:
-    """Run every candidate engine and report the first disagreement, or None.
+    """Run the scalar reference and the batched engine; report their
+    disagreement, or None.
 
     The reference always runs *unplanted*; ``plant`` fires only in the
-    candidates, so a planted fault is guaranteed to surface as a
+    batched run, so a planted fault is guaranteed to surface as a
     divergence rather than cancelling out.
     """
     scenario = as_scenario(scenario)
-    ref = run_scenario(scenario, reference)
-    for engine in combos:
-        if engine == reference and plant is None:
-            continue
-        try:
-            obs = run_scenario(scenario, engine, plant=plant)
-        except Exception:
-            return Divergence(
-                scenario=scenario,
-                reference=reference,
-                combo=engine,
-                ref_digest=ref.digest,
-                error=traceback.format_exc(limit=8),
-            )
-        if obs.digest != ref.digest:
-            return Divergence(
-                scenario=scenario,
-                reference=reference,
-                combo=engine,
-                paths=snapshot_diff(ref.snapshot, obs.snapshot),
-                ref_digest=ref.digest,
-                digest=obs.digest,
-            )
-    return None
+    ref = run_scenario(scenario, "scalar")
+    try:
+        obs = run_scenario(scenario, "batched", plant=plant)
+    except Exception:
+        return Divergence(
+            scenario=scenario,
+            ref_digest=ref.digest,
+            error=traceback.format_exc(limit=8),
+        )
+    if obs.digest == ref.digest:
+        return None
+    return Divergence(
+        scenario=scenario,
+        paths=snapshot_diff(ref.snapshot, obs.snapshot),
+        ref_digest=ref.digest,
+        digest=obs.digest,
+    )
 
 
 def snapshot_diff(a, b, path: str = "", limit: int = 64) -> List[str]:

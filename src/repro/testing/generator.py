@@ -45,11 +45,10 @@ _SCHEMES = (
     "killi+olsc-t11_1:8",
 )
 
-#: Schemes whose write-back variant is a supported configuration
-#: (strong-code Killi write-back raises by design).
-_WRITE_BACK_OK = ("baseline", "dected", "flair", "msecc") + tuple(
-    s for s in _SCHEMES if s.startswith("killi_1:")
-)
+#: Schemes whose write-back variant is a supported configuration: plain
+#: Killi only (``write_back`` is Killi-only, and strong-code Killi
+#: write-back is not modelled).
+_WRITE_BACK_OK = tuple(s for s in _SCHEMES if s.startswith("killi_1:"))
 
 #: Operating-voltage grid around the paper's LV point (0.625): lower
 #: voltages densify the active fault population, the nominal end

@@ -60,7 +60,6 @@ class TestAgreementWithClosedForm:
         assert estimate.coverage == pytest.approx(1 - estimate.failure_rate)
         assert estimate.draws == 500
         assert 0 < estimate.patterns <= estimate.draws
-        assert estimate.samples == estimate.patterns  # legacy alias
 
     def test_conditioned_counts_at_least_two(self, sampler):
         from repro.analysis.montecarlo import _sample_binomial_at_least_two

@@ -2,9 +2,10 @@
 
 The robustness contract under test: worker faults (exceptions, hangs,
 hard-killed processes) are isolated to their cell, retried attempts
-and resumed campaigns produce results bit-identical to a clean
-straight-through run, and permanent failures surface as a structured
-:class:`CampaignError` *after* the rest of the campaign completed.
+and re-runs on the same result cache produce results bit-identical to
+a clean straight-through run, and permanent failures surface as a
+structured :class:`CampaignError` *after* the rest of the campaign
+completed.  Retries sleep the production backoff.
 
 Faults are injected via the ``REPRO_INJECT_FAULTS`` environment
 variable (see :mod:`repro.harness.faultinject`) so they fire inside
@@ -12,9 +13,14 @@ the runner's execution wrapper — including inside pool workers —
 while ``run_cell`` itself stays pure.
 """
 
+import shutil
+import time
+
 import pytest
 
+from repro.harness import runner
 from repro.harness.faultinject import INJECT_ENV, InjectedWorkerFault, maybe_inject
+from repro.harness.journal import read_journal
 from repro.harness.runner import (
     CampaignError,
     _store_cached,
@@ -98,7 +104,7 @@ class TestRetryIsolation:
         reference = run_cells(specs)
 
         inject(times=1)
-        retried = run_cells(specs, retries=2, backoff=0.0,
+        retried = run_cells(specs, retries=2,
                             journal=str(tmp_path / "journal.jsonl"))
         assert [comparable(c) for c in retried] == [
             comparable(c) for c in reference
@@ -110,7 +116,7 @@ class TestRetryIsolation:
         specs = specs_pair()
         inject(times=99, match="baseline")
         with pytest.raises(CampaignError) as excinfo:
-            run_cells(specs, retries=1, backoff=0.0)
+            run_cells(specs, retries=1)
         error = excinfo.value
         assert len(error.failures) == 1
         failure = error.failures[0]
@@ -122,17 +128,10 @@ class TestRetryIsolation:
         assert error.results[1] is not None
         assert error.results[1].cycles > 0
 
-    def test_strict_false_returns_partial_results(self, inject):
-        specs = specs_pair()
-        inject(times=99, match="baseline")
-        results = run_cells(specs, retries=0, backoff=0.0, strict=False)
-        assert results[0] is None
-        assert results[1] is not None
-
     def test_zero_retries_fails_on_first_crash(self, inject):
         inject(times=1)
         with pytest.raises(CampaignError):
-            run_cells(specs_pair()[:1], retries=0, backoff=0.0)
+            run_cells(specs_pair()[:1], retries=0)
 
 
 class TestPoolIsolation:
@@ -143,8 +142,27 @@ class TestPoolIsolation:
         reference = run_cells(specs)
 
         inject(times=1, mode="kill")
-        recovered = run_cells(specs, jobs=2, retries=2, backoff=0.0,
+        recovered = run_cells(specs, jobs=2, retries=2,
                               journal=str(tmp_path / "journal.jsonl"))
+        assert [comparable(c) for c in recovered] == [
+            comparable(c) for c in reference
+        ]
+
+    def test_submit_refused_by_broken_pool_retried(self, inject, monkeypatch):
+        """A worker killed during a retry's backoff sleep breaks the
+        pool before the next retry is submitted.  The refused submit is
+        a failed attempt of that pool: the pool is rebuilt and the cell
+        retried, and no BrokenProcessPool leaves run_cells."""
+        specs = specs_pair()
+        reference = run_cells(specs)
+
+        # Each resubmission's sleep outlasts the kill it follows, so the
+        # second cell of every retry round meets a broken pool.
+        monkeypatch.setattr(runner, "_backoff_sleep", lambda *_: time.sleep(0.5))
+        inject(times=2, mode="kill")
+        # 4 kills break at most 4 pools, and a broken pool fails at most
+        # one attempt per cell: a fifth attempt meets no kill left.
+        recovered = run_cells(specs, jobs=2, retries=4)
         assert [comparable(c) for c in recovered] == [
             comparable(c) for c in reference
         ]
@@ -154,7 +172,7 @@ class TestPoolIsolation:
         specs = specs_pair()
         inject(times=99, match="baseline")
         with pytest.raises(CampaignError) as excinfo:
-            run_cells(specs, jobs=2, retries=1, backoff=0.0)
+            run_cells(specs, jobs=2, retries=1)
         assert len(excinfo.value.failures) == 1
         assert excinfo.value.results[1] is not None
 
@@ -165,7 +183,7 @@ class TestTimeout:
         reference = run_cells(specs)
 
         inject(times=1, mode="hang", hang_s=30)
-        recovered = run_cells(specs, retries=1, timeout=0.5, backoff=0.0)
+        recovered = run_cells(specs, retries=1, timeout=0.5)
         assert comparable(recovered[0]) == comparable(reference[0])
 
     def test_timeout_exhausted_reports_cell_timeout(self, inject):
@@ -186,7 +204,7 @@ class TestDedupe:
         # times=0 → never fails, but each *execution* bumps a counter
         # file, giving us an exact execution count per fingerprint.
         state = inject(times=0)
-        results = run_cells(specs, backoff=0.0)
+        results = run_cells(specs)
 
         counters = sorted(p.name for p in state.iterdir())
         assert counters == sorted(
@@ -227,12 +245,6 @@ class TestValidation:
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError, match="timeout"):
             run_cells(specs_pair()[:1], timeout=0)
-
-    def test_resume_requires_cache_dir(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        journal.write_text("")
-        with pytest.raises(ValueError, match="cache_dir"):
-            run_cells(specs_pair()[:1], resume=str(journal))
 
 
 class TestCacheHardening:
@@ -283,12 +295,13 @@ class TestCacheHardening:
 
 
 class TestJournalPrefixResume:
-    """Property: resume from *any* prefix-truncation of a journal.
+    """Property: a campaign resumes from *any* point it was stopped at.
 
-    A crash can stop the journal mid-campaign — or mid-line.  Whatever
-    prefix survives, resuming against the same cache must reproduce
-    the straight-through results bit-identically: finished cells load
-    from cache, everything after the cut is recomputed.
+    A campaign stopped after some of its cells finished leaves exactly
+    those cells in the result cache (each stored before its journal
+    ``cell`` line is written).  Running it again on that cache must
+    reproduce the straight-through results bit-identically: the
+    finished cells load from the cache, the rest are recomputed.
     """
 
     def specs(self):
@@ -302,34 +315,52 @@ class TestJournalPrefixResume:
         ]
 
     def test_every_line_prefix_is_resumable(self, tmp_path):
-        cache = tmp_path / "cache"
-        journal = tmp_path / "journal.jsonl"
-        full = run_cells(self.specs(), cache_dir=str(cache),
-                         journal=str(journal))
-        reference = [comparable(c) for c in full]
-        lines = journal.read_text().splitlines(keepends=True)
-        assert len(lines) >= len(self.specs()) + 1
-        for cut in range(len(lines) + 1):
-            truncated = tmp_path / f"prefix_{cut}.jsonl"
-            truncated.write_text("".join(lines[:cut]))
-            resumed = run_cells(self.specs(), cache_dir=str(cache),
-                                resume=str(truncated))
-            got = [comparable(c) for c in resumed]
-            assert got == reference, f"diverged resuming from {cut} lines"
+        """After every prefix of finished cells, serial and pooled."""
+        specs = self.specs()
+        reference = [comparable(c) for c in run_cells(specs)]
+        for jobs in (1, 2):
+            for finished in range(len(specs) + 1):
+                cache = str(tmp_path / f"cache_{jobs}_{finished}")
+                run_cells(specs[:finished], cache_dir=cache)
+                rerun = run_cells(specs, jobs=jobs, cache_dir=cache)
+                where = f"jobs={jobs}, {finished} cell(s) finished"
+                assert [comparable(c) for c in rerun] == reference, where
+                assert [c.from_cache for c in rerun] == [
+                    index < finished for index in range(len(specs))
+                ], where
 
     def test_mid_line_byte_truncation_is_resumable(self, tmp_path):
-        cache = tmp_path / "cache"
+        """Killed mid-write, a campaign leaves a torn journal line next
+        to the cells its journal records as finished.  A re-run on that
+        cache and journal loads exactly those cells, matches the
+        straight-through results, and appends whole records after the
+        torn line."""
+        specs = self.specs()
+        full_cache = tmp_path / "cache"
         journal = tmp_path / "journal.jsonl"
-        full = run_cells(self.specs(), cache_dir=str(cache),
+        full = run_cells(specs, cache_dir=str(full_cache),
                          journal=str(journal))
         reference = [comparable(c) for c in full]
         blob = journal.read_bytes()
-        # Cut inside a record: the torn last line must be skipped, not
-        # crash the resume or corrupt earlier entries.
         for cut in (len(blob) // 3, len(blob) // 2, len(blob) - 7):
-            truncated = tmp_path / f"bytes_{cut}.jsonl"
-            truncated.write_bytes(blob[:cut])
-            resumed = run_cells(self.specs(), cache_dir=str(cache),
-                                resume=str(truncated))
-            got = [comparable(c) for c in resumed]
-            assert got == reference, f"diverged resuming from {cut} bytes"
+            torn = tmp_path / f"bytes_{cut}.jsonl"
+            torn.write_bytes(blob[:cut])
+            before = [e["event"] for e in read_journal(torn)]
+            finished = {
+                e["fingerprint"] for e in read_journal(torn)
+                if e["event"] == "cell"
+            }
+            cache = tmp_path / f"cache_{cut}"
+            cache.mkdir()
+            for fingerprint in finished:
+                shutil.copy(full_cache / f"{fingerprint}.json", cache)
+            rerun = run_cells(specs, jobs=2, cache_dir=str(cache),
+                              journal=str(torn))
+            where = f"resuming from {cut} bytes"
+            assert [comparable(c) for c in rerun] == reference, where
+            assert [c.from_cache for c in rerun] == [
+                spec.fingerprint() in finished for spec in specs
+            ], where
+            assert [e["event"] for e in read_journal(torn)] == before + [
+                "start", "cell", "cell", "cell", "end",
+            ], where

@@ -335,36 +335,6 @@ class TestCli:
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", ["fig4", "all"])
-    @pytest.mark.parametrize(
-        "resume_args,message",
-        [
-            (["--resume", "run.jsonl"],
-             "--resume requires --cache (finished cells replay from it)"),
-            (["--cache", "cache", "--resume", "missing.jsonl"],
-             "--resume missing.jsonl: no such journal file"),
-        ],
-        ids=["no-cache", "missing-journal"],
-    )
-    def test_bad_resume_is_a_usage_error(
-        self, experiment, resume_args, message, tmp_path, monkeypatch, capsys
-    ):
-        """A ``--resume`` that cannot run exits 2 with one line naming
-        the flag or the file, before any experiment prints or runs."""
-        from repro.harness import cli
-
-        def simulate(*args, **kwargs):
-            pytest.fail("a cell simulated")
-
-        monkeypatch.setattr(cli.experiments, "run_cells", simulate)
-        monkeypatch.chdir(tmp_path)
-        code = cli.main([experiment, "--accesses", "50", *resume_args])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == message + "\n"
-        assert "Traceback" not in captured.err
-
     def test_sec55_command(self, capsys):
         from repro.harness.cli import main
 

@@ -194,38 +194,6 @@ class TestCli:
         assert cli_main(["scenario", "run", str(strong), "--no-progress"]) == 2
         assert "inverted_write_training" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "resume_args,message",
-        [
-            (["--resume", "run.jsonl"],
-             "--resume requires --cache (finished cells replay from it)"),
-            (["--cache", "cache", "--resume", "missing.jsonl"],
-             "--resume missing.jsonl: no such journal file"),
-        ],
-        ids=["no-cache", "missing-journal"],
-    )
-    def test_bad_resume_is_a_usage_error(
-        self, resume_args, message, tmp_path, monkeypatch, capsys
-    ):
-        """A ``--resume`` that cannot run exits 2 with one line naming
-        the flag or the file, before the scenario runs."""
-        import repro.scenario.runfile as runfile
-
-        def run(*args, **kwargs):
-            pytest.fail("the scenario ran")
-
-        monkeypatch.setattr(runfile, "run_scenario", run)
-        monkeypatch.chdir(tmp_path)
-        code = cli_main([
-            "scenario", "run", os.path.join(EXAMPLES, "ci_smoke.toml"),
-            "--no-progress", *resume_args,
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == message + "\n"
-        assert "Traceback" not in captured.err
-
     def test_scenario_run_writes_json(self, tmp_path, capsys):
         out_json = tmp_path / "result.json"
         code = cli_main([

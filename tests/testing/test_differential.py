@@ -3,10 +3,9 @@
 import pytest
 
 from repro.scenario.config import GpuSection, cell_scenario
+from repro.testing import differential
 from repro.testing.differential import (
-    COMBOS,
     PLANTS,
-    REFERENCE,
     diff_scenario,
     last_context,
     run_scenario,
@@ -56,10 +55,19 @@ class TestRunScenario:
 
 
 class TestDiffScenario:
-    def test_combos_cover_product(self):
+    def test_combos_cover_product(self, monkeypatch):
         # Two simulators: batched×soa diffed against scalar×object.
-        assert COMBOS == ("batched",)
-        assert REFERENCE == "scalar"
+        ran = []
+        run = differential.run_scenario
+
+        def recording(scenario, engine=None, plant=None):
+            observation = run(scenario, engine, plant=plant)
+            ran.append((observation.engine, observation.substrate))
+            return observation
+
+        monkeypatch.setattr(differential, "run_scenario", recording)
+        assert diff_scenario(small_scenario()) is None
+        assert ran == [("scalar", "object"), ("batched", "soa")]
 
     @pytest.mark.parametrize("scheme", ["baseline", "killi_1:8", "msecc"])
     def test_equivalence_holds(self, scheme):

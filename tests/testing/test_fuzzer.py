@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.scenario.config import ScenarioConfig
-from repro.testing.generator import ScenarioFuzzer
+from repro.scenario.config import ScenarioConfig, cell_scenario
+from repro.testing.generator import _WRITE_BACK_OK, ScenarioFuzzer
 
 
 class TestDeterminism:
@@ -36,6 +36,13 @@ class TestValidity:
             assert isinstance(scenario, ScenarioConfig)
             scenario.validate()
             scenario.gpu.to_gpu_config()
+
+    def test_write_back_pool_validates(self):
+        """Every scheme the fuzzer may draw as write-back validates
+        with it, so no write-back draw is thrown away and redrawn."""
+        assert _WRITE_BACK_OK
+        for name in _WRITE_BACK_OK:
+            cell_scenario("fft", name, write_back=True).validate()
 
     def test_roundtrips_through_toml(self):
         for scenario in ScenarioFuzzer(seed=2).generate(5):
